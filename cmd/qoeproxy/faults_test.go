@@ -6,6 +6,7 @@ import (
 	"errors"
 	"log/slog"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -103,69 +104,96 @@ func (s *service) record(connID uint64, client, sni string, start, end float64, 
 	}
 }
 
+// healthStatus reads /healthz's status and sink-failure count.
+func healthStatus(t *testing.T, s *service) (string, int64) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.httpHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	var h struct {
+		Status            string `json:"status"`
+		SinkWriteFailures int64  `json:"sink_write_failures"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+		t.Fatalf("healthz: %v", err)
+	}
+	return h.Status, h.SinkWriteFailures
+}
+
+// feedRecords delivers n one-connection transactions for a client
+// through the record-at-a-time path, connection IDs from firstID.
+func feedRecords(s *service, client string, firstID, n int) {
+	for i := 0; i < n; i++ {
+		at := float64(firstID + i)
+		r := s.record(uint64(firstID+i), client, "cdn-01.svc1.example", at, at+0.5, 100, 1000)
+		s.onConnOpen(r)
+		s.onTransaction(r)
+	}
+}
+
 // TestSinkWriteFailures drives transactions into a sink that fails a
-// burst of writes then recovers, pumba-style: the failures must be
-// counted, logged once per burst, reflected in /healthz while they
-// last, and must never stop the transaction pipeline.
+// burst of writes then recovers, pumba-style. The sink writes a chunk of
+// lines per Write, so the burst here is two failed chunks of three and
+// two records: every lost line must be counted exactly once, the burst
+// logged once, reflected in /healthz while it lasts, and must never stop
+// the transaction pipeline.
 func TestSinkWriteFailures(t *testing.T) {
 	s, logs := newTestService(t, options{window: time.Hour}, nil)
 	var out bytes.Buffer
 	fw := faultinject.NewWriter(&out, faultinject.Schedule{
 		Fault: faultinject.FaultError, Ops: 2, Err: errors.New("disk full"),
 	})
-	s.out = &sink{w: fw, name: "out"}
+	s.out = s.newSink(fw, "out")
 
-	healthStatus := func() (string, int64) {
-		t.Helper()
-		rec := httptest.NewRecorder()
-		s.httpHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-		var h struct {
-			Status            string `json:"status"`
-			SinkWriteFailures int64  `json:"sink_write_failures"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
-			t.Fatalf("healthz: %v", err)
-		}
-		return h.Status, h.SinkWriteFailures
-	}
-
-	if st, _ := healthStatus(); st != "ok" {
+	if st, _ := healthStatus(t, s); st != "ok" {
 		t.Fatalf("initial health = %q, want ok", st)
 	}
-	for i := 0; i < 2; i++ { // burst: both writes fail
-		r := s.record(uint64(i+1), "10.1.1.1:5000", "cdn-01.svc1.example", float64(i), float64(i)+0.5, 100, 1000)
-		s.onConnOpen(r)
-		s.onTransaction(r)
+	feedRecords(s, "10.1.1.1:5000", 1, 3)
+	s.flushSinks() // writes happen on the writer goroutine: first failed chunk
+	if got := s.mSinkFailures.Value(); got != 3 {
+		t.Errorf("sink_write_failures = %d after a failed 3-line chunk, want 3", got)
 	}
-	s.flushSinks() // writes happen on the writer goroutine
-	if got := s.mSinkFailures.Value(); got != 2 {
-		t.Errorf("sink_write_failures = %d, want 2", got)
+	feedRecords(s, "10.1.1.1:5000", 4, 2)
+	s.flushSinks() // second failed chunk, same burst
+	if got := s.mSinkFailures.Value(); got != 5 {
+		t.Errorf("sink_write_failures = %d, want 5 (failures = records lost)", got)
 	}
 	if got := logs.countLogMsg(t, "sink write failing, records dropped until it recovers"); got != 1 {
 		t.Errorf("failure burst logged %d times, want once", got)
 	}
-	if st, n := healthStatus(); st != "degraded" || n != 2 {
-		t.Errorf("mid-burst health = %q/%d, want degraded/2", st, n)
+	if st, n := healthStatus(t, s); st != "degraded" || n != 5 {
+		t.Errorf("mid-burst health = %q/%d, want degraded/5", st, n)
+	}
+	if out.Len() != 0 {
+		t.Errorf("failed writes left %d bytes in the sink", out.Len())
 	}
 
-	r := s.record(3, "10.1.1.1:5000", "cdn-01.svc1.example", 3, 3.5, 100, 1000)
-	s.onConnOpen(r)
-	s.onTransaction(r) // sink recovered
+	feedRecords(s, "10.1.1.1:5000", 6, 1) // sink recovered
+	s.flushSinks()
+	feedRecords(s, "10.1.1.1:5000", 7, 1)
 	s.flushSinks()
 	if got := logs.countLogMsg(t, "sink recovered"); got != 1 {
 		t.Errorf("recovery logged %d times, want once", got)
 	}
-	if st, n := healthStatus(); st != "ok" || n != 2 {
-		t.Errorf("post-recovery health = %q/%d, want ok/2", st, n)
+	if st, n := healthStatus(t, s); st != "ok" || n != 5 {
+		t.Errorf("post-recovery health = %q/%d, want ok/5", st, n)
 	}
-	if !strings.Contains(out.String(), "cdn-01.svc1.example") {
-		t.Error("recovered write did not reach the sink")
+	if got := strings.Count(out.String(), "cdn-01.svc1.example"); got != 2 {
+		t.Errorf("%d recovered lines reached the sink, want 2", got)
+	}
+	if got, want := s.sinks.written.Load(), int64(out.Len()); got != want {
+		t.Errorf("sink_bytes_written = %d, sink holds %d bytes", got, want)
+	}
+	if got := s.sinks.writes.Load(); got != 4 {
+		t.Errorf("sink_writes = %d, want 4 (one per flushed chunk)", got)
+	}
+	if got := s.sinks.queued.Load(); got != 0 {
+		t.Errorf("sink_pending_bytes = %d after a flush, want 0", got)
 	}
 	// The pipeline itself never dropped a transaction.
-	if got := s.mTxns.Value(); got != 3 {
-		t.Errorf("transactions_total = %d, want 3", got)
+	if got := s.mTxns.Value(); got != 7 {
+		t.Errorf("transactions_total = %d, want 7", got)
 	}
-	if cs := s.client("10.1.1.1"); cs == nil || cs.txns != 3 {
+	if cs := s.client("10.1.1.1"); cs == nil || cs.txns != 7 {
 		t.Fatalf("client state lost transactions during the sink burst: %+v", cs)
 	}
 }
@@ -198,8 +226,8 @@ func TestServeLoopDrainsOnListenerError(t *testing.T) {
 		t.Errorf("listener-error exit left %d in-flight and %d buffered transactions undrained",
 			len(cs.inFlight), len(cs.buffer))
 	}
-	if len(cs.current) != n {
-		t.Errorf("current session has %d transactions after drain, want %d", len(cs.current), n)
+	if len(cs.session()) != n {
+		t.Errorf("current session has %d transactions after drain, want %d", len(cs.session()), n)
 	}
 }
 
@@ -230,18 +258,181 @@ func TestClassificationErrorsMetric(t *testing.T) {
 }
 
 // TestSinkShortWriteCounted checks the torn-write shape: a short write
-// is a failure (the record line is broken), so it counts.
+// loses the line it tore and every line after it in the chunk, and only
+// those — lines whose newline reached the writer are not failures.
 func TestSinkShortWriteCounted(t *testing.T) {
 	s, _ := newTestService(t, options{window: time.Hour}, nil)
 	var out bytes.Buffer
-	s.out = &sink{w: faultinject.NewWriter(&out, faultinject.Schedule{
+	s.out = s.newSink(faultinject.NewWriter(&out, faultinject.Schedule{
 		Fault: faultinject.FaultShortWrite, Ops: 1,
-	}), name: "out"}
-	r := s.record(1, "10.4.4.4:8000", "cdn-01.svc1.example", 0, 0.5, 100, 1000)
+	}), "out")
+	// Five equal-length lines, half the bytes written: two whole lines
+	// and half of the third arrive.
+	feedRecords(s, "10.4.4.4:8000", 1, 5)
+	s.flushSinks()
+	if got := strings.Count(out.String(), "\n"); got != 2 {
+		t.Fatalf("short write delivered %d whole lines, test expects 2 of 5", got)
+	}
+	if got := s.mSinkFailures.Value(); got != 3 {
+		t.Errorf("sink_write_failures = %d after a short write, want 3 (failures = records lost)", got)
+	}
+	if got, want := s.sinks.written.Load(), int64(out.Len()); got != want {
+		t.Errorf("sink_bytes_written = %d, sink holds %d bytes", got, want)
+	}
+}
+
+// orderWriter is a sink target that checks, line by line as chunks
+// arrive, that every client's sequence numbers (the up_bytes column)
+// count up from 1 without a gap. gate, when non-nil, blocks each Write
+// until it can receive — a reader that has stopped draining.
+type orderWriter struct {
+	t    *testing.T
+	gate chan struct{}
+	mu   sync.Mutex
+	next map[string]int64
+	n    int
+}
+
+func (w *orderWriter) Write(p []byte) (int, error) {
+	if w.gate != nil {
+		<-w.gate
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(p) == 0 || p[len(p)-1] != '\n' {
+		w.t.Errorf("chunk of %d bytes does not end on a line boundary", len(p))
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(string(p), "\n"), "\n") {
+		f := strings.Split(line, ",")
+		if len(f) != 6 {
+			w.t.Errorf("torn sink line %q", line)
+			continue
+		}
+		seq, _ := strconv.ParseInt(f[4], 10, 64)
+		if want := w.next[f[0]] + 1; seq != want {
+			w.t.Errorf("client %s: line %d arrived where %d was due", f[0], seq, want)
+		}
+		w.next[f[0]] = seq
+		w.n++
+	}
+	return len(p), nil
+}
+
+func (w *orderWriter) lines() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.n
+}
+
+// produceOrdered runs one producer goroutine per client group, each
+// delivering perClient numbered records per client in batches through
+// onTransactionBatch, and returns once all have been handed to the sink
+// path.
+func produceOrdered(s *service, producers, clientsEach, perClient int) {
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			batch := make([]tlsproxy.Record, 0, clientsEach)
+			for seq := 1; seq <= perClient; seq++ {
+				batch = batch[:0]
+				for c := 0; c < clientsEach; c++ {
+					id := uint64((p*clientsEach+c)*perClient + seq)
+					client := "10." + strconv.Itoa(p) + ".0." + strconv.Itoa(c)
+					batch = append(batch, s.record(id, client, "cdn-01.svc1.example", float64(seq), float64(seq)+0.5, int64(seq), 1000))
+				}
+				s.onTransactionBatch(batch)
+			}
+		}(p)
+	}
+	wg.Wait()
+}
+
+// TestSinkConcurrentProducersKeepClientOrder runs several batch
+// producers at once over enough lines to cycle every chunk buffer many
+// times: chunks must hold whole lines, and each client's lines must
+// reach the writer in the order they were delivered, none lost.
+func TestSinkConcurrentProducersKeepClientOrder(t *testing.T) {
+	s, _ := newTestService(t, options{window: time.Hour, shards: 4}, nil)
+	w := &orderWriter{t: t, next: map[string]int64{}}
+	s.out = s.newSink(w, "out")
+	const producers, clientsEach, perClient = 4, 8, 1500 // ~2.5 MB of lines
+	produceOrdered(s, producers, clientsEach, perClient)
+	s.flushSinks()
+	if got, want := w.lines(), producers*clientsEach*perClient; got != want {
+		t.Errorf("sink received %d lines, want %d", got, want)
+	}
+	if got := s.sinks.writes.Load(); got < 10 || got > int64(w.lines())/100 {
+		t.Errorf("sink_writes = %d for %d lines: want chunked egress, not one write per record", got, w.lines())
+	}
+	if got := s.mSinkFailures.Value(); got != 0 {
+		t.Errorf("sink_write_failures = %d, want 0", got)
+	}
+}
+
+// TestSinkBackpressureWithoutLoss is the qoeload -slow-sink shape: the
+// writer is blocked (a FIFO nobody reads), producers must stall once
+// every chunk is in flight rather than drop or grow without bound, and
+// when the reader resumes every line arrives, in order.
+func TestSinkBackpressureWithoutLoss(t *testing.T) {
+	s, _ := newTestService(t, options{window: time.Hour, shards: 4}, nil)
+	w := &orderWriter{t: t, next: map[string]int64{}, gate: make(chan struct{})}
+	s.out = s.newSink(w, "out")
+	const producers, clientsEach, perClient = 2, 8, 1500
+	total := int64(producers * clientsEach * perClient)
+	produced := make(chan struct{})
+	go func() {
+		defer close(produced)
+		produceOrdered(s, producers, clientsEach, perClient)
+	}()
+	// With the writer stuck, ingest stops once the chunks are full: the
+	// transaction counter stalls short of the total.
+	var stalledAt int64
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		before := s.mTxns.Value()
+		time.Sleep(50 * time.Millisecond)
+		if after := s.mTxns.Value(); after == before && after > 0 {
+			stalledAt = after
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("producers never stalled behind the blocked writer")
+		}
+	}
+	if stalledAt >= total {
+		t.Fatalf("all %d records were accepted with the writer blocked: no backpressure", total)
+	}
+	if got, bound := s.sinks.queued.Load(), int64(sinkChunks*2*sinkChunkBytes); got > bound {
+		t.Errorf("sink_pending_bytes = %d with the writer blocked, bound %d", got, bound)
+	}
+	if w.lines() != 0 {
+		t.Errorf("%d lines passed a blocked writer", w.lines())
+	}
+	close(w.gate) // the reader resumes
+	<-produced
+	s.flushSinks()
+	if got := int64(w.lines()); got != total {
+		t.Errorf("sink received %d lines after the stall, want %d", got, total)
+	}
+	if got := s.mSinkFailures.Value(); got != 0 {
+		t.Errorf("sink_write_failures = %d, want 0", got)
+	}
+}
+
+// TestSinkIntervalFlush checks a lone line reaches the sink without an
+// explicit flush, on the writer's own interval.
+func TestSinkIntervalFlush(t *testing.T) {
+	s, _ := newTestService(t, options{window: time.Hour}, nil)
+	w := &orderWriter{t: t, next: map[string]int64{}}
+	s.out = s.newSink(w, "out")
+	r := s.record(1, "10.5.5.5:9000", "cdn-01.svc1.example", 0, 0.5, 1, 1000)
 	s.onConnOpen(r)
 	s.onTransaction(r)
-	s.flushSinks()
-	if got := s.mSinkFailures.Value(); got != 1 {
-		t.Errorf("sink_write_failures = %d after a short write, want 1", got)
+	for deadline := time.Now().Add(5 * time.Second); w.lines() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("a pending line was never flushed on the interval")
+		}
+		time.Sleep(sinkFlushEvery / 4)
 	}
 }

@@ -46,7 +46,9 @@
 // across shards on a -classify-workers pool, sweeping each shard's
 // feature rows through the compiled scorer in contiguous row-major
 // blocks of -classify-batch rows; outputs stay ordered through a
-// single sink-writer goroutine. With -replay the daemon additionally
+// single sink-writer goroutine that writes record lines a ~64 KiB chunk
+// at a time (or every 100ms, so a quiet proxy's files stay current).
+// With -replay the daemon additionally
 // replays a recorded workload CSV (internal/tlsproxy.ReadWorkload)
 // straight into the ingest path — same callbacks, logical timestamps —
 // at -replay-speed times recorded speed, which is how cmd/qoeload
@@ -83,6 +85,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -103,6 +106,7 @@ import (
 	"syscall"
 	"time"
 
+	"droppackets/internal/bytesconv"
 	"droppackets/internal/capture"
 	"droppackets/internal/cluster"
 	"droppackets/internal/core"
@@ -241,9 +245,11 @@ func openAppend(path string) (f *os.File, wasEmpty bool, err error) {
 // clientState is everything the service tracks per client address.
 type clientState struct {
 	streamer *sessionid.Streamer
-	// activeStarts maps in-flight connection IDs to their start time in
-	// epoch seconds; the minimum is the sessionizer watermark.
-	activeStarts map[uint64]float64
+	// activeStarts lists the in-flight connections with their start time
+	// in epoch seconds, unordered (append on open, swap-delete on close);
+	// the minimum start is the sessionizer watermark. A client has a
+	// handful open at once, so a scan beats a map in time and space.
+	activeStarts []activeConn
 	// buffer holds completed transactions not yet safe to hand the
 	// (start-ordered) streamer, sorted by Start.
 	buffer []capture.TLSTransaction
@@ -251,19 +257,16 @@ type clientState struct {
 	// byte counts; decisions pop from the front.
 	inFlight []capture.TLSTransaction
 	// current accumulates the decided transactions of the current
-	// session; a detected boundary resets it.
+	// session; a detected boundary resets it. Windowed mode only: with
+	// tracked set the accumulator's own transaction list is the session
+	// (see session) and current stays nil.
 	current []capture.TLSTransaction
-	// tracked mirrors current in an incremental feature accumulator
-	// (window 0 mode only): classify passes read the maintained vector
-	// and fold the still-undecided transactions in speculatively, so a
-	// pass costs O(new transactions), not O(session length).
+	// tracked holds the current session in an incremental feature
+	// accumulator (window 0 mode only): classify passes read the
+	// maintained vector and fold the still-undecided transactions in
+	// speculatively, so a pass costs O(new transactions), not O(session
+	// length).
 	tracked *core.TrackedSession
-	// winTxns is the reusable scratch for a pass's per-client
-	// transaction list (the sliding-window filtrate, or the speculative
-	// pending list in incremental mode).
-	winTxns []capture.TLSTransaction
-	// row is the client's reusable feature-row buffer.
-	row []float64
 	// recent retains the most recent transactions (capped at
 	// -max-session-txns) for the shutdown/eviction summary; lifetime
 	// aggregates below summarize what the ring has dropped.
@@ -285,6 +288,47 @@ type clientState struct {
 	// guards it).
 	lastClass int
 	hasClass  bool
+}
+
+// activeConn is one in-flight connection of a client.
+type activeConn struct {
+	connID uint64
+	start  float64
+}
+
+// session returns the decided transactions of the client's current
+// session in start order — a view of whichever structure owns them,
+// valid until the next commit. The caller holds the shard lock.
+func (cs *clientState) session() []capture.TLSTransaction {
+	if cs.tracked != nil {
+		return cs.tracked.Transactions()
+	}
+	return cs.current
+}
+
+// openConn records an in-flight connection's start; a repeated ID
+// replaces the earlier start, as a map keyed by ID would.
+func (cs *clientState) openConn(connID uint64, start float64) {
+	for i := range cs.activeStarts {
+		if cs.activeStarts[i].connID == connID {
+			cs.activeStarts[i].start = start
+			return
+		}
+	}
+	cs.activeStarts = append(cs.activeStarts, activeConn{connID, start})
+}
+
+// closeConn forgets an in-flight connection; unknown IDs (a transaction
+// whose open was never seen) are a no-op.
+func (cs *clientState) closeConn(connID uint64) {
+	for i, c := range cs.activeStarts {
+		if c.connID == connID {
+			last := len(cs.activeStarts) - 1
+			cs.activeStarts[i] = cs.activeStarts[last]
+			cs.activeStarts = cs.activeStarts[:last]
+			return
+		}
+	}
 }
 
 // txnRing retains the most recent transactions in arrival order
@@ -335,7 +379,7 @@ func capRun(run *[]capture.TLSTransaction, limit int) int {
 	return drop
 }
 
-// ongoingOrdered invariant: cs.current ++ cs.inFlight ++ cs.buffer is
+// ongoingOrdered invariant: cs.session() ++ cs.inFlight ++ cs.buffer is
 // the client's ongoing session in start order, with no sort needed.
 // The watermark (minimum start among open connections) never
 // decreases, transactions are released to the streamer in start order,
@@ -429,12 +473,7 @@ type service struct {
 
 	out   *sink
 	squid *sink
-	// sinkCh feeds the single writer goroutine; records enqueue under
-	// their shard lock, so each client's lines stay in commit order
-	// while the hot path never blocks on file I/O.
-	sinkCh   chan sinkMsg
-	sinkDone chan struct{}
-	sinkStop sync.Once
+	sinks sinkWriter
 }
 
 // shard owns one partition of the per-client state: its mutex guards
@@ -451,11 +490,20 @@ type shard struct {
 	// nothing else ever touches them.
 	cNames   []string
 	cCounts  []int
-	cRows    [][]float64 // row-at-a-time path (-classify-batch 0)
+	cRows    [][]float64 // row-at-a-time path (-classify-batch 0): views into cBlock
 	cBlock   []float64   // row-major block, cap(cNames) x stride
 	cProbs   []float64   // per-sweep probability scratch
 	cClasses []int
 	cShadow  []int // challenger classes over the same rows (-shadow-model)
+
+	// Per-client read-time scratch, shared by every client of the shard
+	// because it is only ever used under mu, one client at a time: the
+	// gather phase lists a client's transactions in txns and builds its
+	// row in row before copying it into cBlock; the commit path borrows
+	// txns to rebuild a truncated session. Keeping these here instead of
+	// on clientState saves their capacity once per resident client.
+	txns []capture.TLSTransaction
+	row  []float64
 }
 
 // newService assembles the daemon state around the given options,
@@ -504,8 +552,8 @@ type servingModel struct {
 	// with names. The underlying CounterVec children outlive reloads, so
 	// counts keep accumulating across models with the same metric.
 	predClass []*metrics.LabeledCounter
-	// rowBuilders hold one extraction scratch per classify worker
-	// (windowed mode); worker w exclusively uses rowBuilders[w].
+	// rowBuilders hold one row-building scratch per classify worker;
+	// worker w exclusively uses rowBuilders[w].
 	rowBuilders []*core.RowBuilder
 	// shadow is the challenger state, nil without -shadow-model.
 	shadow *shadowState
@@ -550,18 +598,6 @@ func (d *driftTracker) observeBlock(block []float64, n, stride int) {
 	d.mu.Lock()
 	for r := 0; r < n; r++ {
 		row := block[r*stride : (r+1)*stride]
-		for j := range row {
-			d.obs[j].Observe(row[j])
-		}
-	}
-	d.mu.Unlock()
-}
-
-// observeRows is observeBlock for the row-at-a-time (-classify-batch 0)
-// gather path.
-func (d *driftTracker) observeRows(rows [][]float64) {
-	d.mu.Lock()
-	for _, row := range rows {
 		for j := range row {
 			d.obs[j].Observe(row[j])
 		}
@@ -616,11 +652,9 @@ func (s *service) buildModel(est, shadow *core.Estimator) (*servingModel, error)
 	for i, n := range m.names {
 		m.predClass[i] = s.mPred.WithLabel(n)
 	}
-	if !s.track {
-		m.rowBuilders = make([]*core.RowBuilder, s.opts.classifyWorkers)
-		for i := range m.rowBuilders {
-			m.rowBuilders[i] = est.NewRowBuilder()
-		}
+	m.rowBuilders = make([]*core.RowBuilder, s.opts.classifyWorkers)
+	for i := range m.rowBuilders {
+		m.rowBuilders[i] = est.NewRowBuilder()
 	}
 	if shadow != nil {
 		if err := validateShadow(est, shadow); err != nil {
@@ -745,74 +779,189 @@ func (s *service) lockIngest(sh *shard) {
 	sh.mu.Lock()
 }
 
-// sink is one transaction-record output (CSV or Squid log) with its
-// failure-burst state: failing flips on the first failed write and
-// back off on the first success, so each burst logs exactly once and
-// /healthz can report the degradation while it lasts. Only the writer
-// goroutine writes; failing is atomic so /healthz can read it without
-// a lock.
+const (
+	// sinkChunkBytes is the pending-chunk size that triggers a hand-off
+	// to the writer: one write(2) per ~64 KiB instead of one per record.
+	sinkChunkBytes = 64 << 10
+	// sinkChunks is how many chunk buffers each sink circulates: one
+	// pending, the rest in flight to the writer. A producer that fills
+	// its chunk while every other one awaits the writer blocks until one
+	// comes back — backpressure, never a drop.
+	sinkChunks = 4
+	// sinkFlushEvery bounds how long a line sits in a part-filled chunk,
+	// so low-rate traffic reaches the file this soon after it commits.
+	sinkFlushEvery = 100 * time.Millisecond
+)
+
+// sink is one transaction-record output (CSV or Squid log). Producers
+// append finished lines to its pending chunk; full chunks (and, on the
+// flush interval, part-filled ones) go to the writer goroutine, which
+// issues one Write per chunk. failing is the failure-burst state: it
+// flips on the first failed write and back off on the first success, so
+// each burst logs exactly once and /healthz can report the degradation
+// while it lasts. Only the writer goroutine writes; failing is atomic so
+// /healthz can read it without a lock.
 type sink struct {
 	w       io.Writer
 	name    string
 	failing atomic.Bool
+
+	// mu guards pending. It stays held across a hand-off — including the
+	// wait for a free chunk under backpressure — so chunks enter the
+	// writer's queue in the order their lines were appended. The writer
+	// never takes it, so that wait cannot deadlock.
+	mu      sync.Mutex
+	pending []byte
+	// free returns written chunks from the writer.
+	free chan []byte
 }
 
-// sinkMsg is one unit of sink-writer work: a record line for a sink,
-// or (when sync is non-nil) a flush marker the writer acknowledges by
-// closing the channel.
-type sinkMsg struct {
+// sinkChunk is one unit of sink-writer work: a chunk of whole lines for
+// a sink, or (when sync is non-nil) a flush marker the writer
+// acknowledges by closing the channel.
+type sinkChunk struct {
 	k    *sink
-	line string
+	buf  []byte
 	sync chan struct{}
 }
 
-// startSinkWriter launches the single goroutine that performs all
-// sink I/O, in enqueue order.
+// sinkWriter is the state of the sink egress path: the queue into the
+// single writer goroutine, the interval flusher, and the byte/write
+// tallies behind the qoeproxy_sink_* series.
+type sinkWriter struct {
+	ch        chan sinkChunk
+	done      chan struct{} // writer exited
+	stopFlush chan struct{}
+	flushDone chan struct{} // flusher exited
+	stop      sync.Once
+
+	mu  sync.Mutex // guards all
+	all []*sink
+
+	queued  atomic.Int64 // bytes appended and not yet written (or lost)
+	written atomic.Int64 // bytes the sinks' writers accepted
+	writes  atomic.Int64 // Write calls issued
+}
+
+// startSinkWriter launches the goroutine that performs all sink I/O, in
+// hand-off order, and the flusher that hands part-filled chunks over
+// every sinkFlushEvery.
 func (s *service) startSinkWriter() {
-	s.sinkCh = make(chan sinkMsg, 1024)
-	s.sinkDone = make(chan struct{})
+	sw := &s.sinks
+	// Every data chunk of both sinks fits without blocking; flush markers
+	// take what is left.
+	sw.ch = make(chan sinkChunk, 2*sinkChunks)
+	sw.done = make(chan struct{})
+	sw.stopFlush = make(chan struct{})
+	sw.flushDone = make(chan struct{})
 	go func() {
-		defer close(s.sinkDone)
-		for m := range s.sinkCh {
-			if m.sync != nil {
-				close(m.sync)
+		defer close(sw.done)
+		for c := range sw.ch {
+			if c.sync != nil {
+				close(c.sync)
 				continue
 			}
-			s.writeSink(m.k, m.line)
+			s.writeSink(c.k, c.buf)
+			c.k.free <- c.buf[:0]
+		}
+	}()
+	go func() {
+		defer close(sw.flushDone)
+		tick := time.NewTicker(sinkFlushEvery)
+		defer tick.Stop()
+		for {
+			select {
+			case <-sw.stopFlush:
+				return
+			case <-tick.C:
+				s.handOffSinks()
+			}
 		}
 	}()
 }
 
-// enqueueSink hands one record line to the writer goroutine. Callers
-// enqueue under their shard lock so a client's lines keep commit
-// order; a full channel applies backpressure to that shard only.
-func (s *service) enqueueSink(k *sink, line string) {
-	s.sinkCh <- sinkMsg{k: k, line: line}
+// newSink registers a record output with the writer.
+func (s *service) newSink(w io.Writer, name string) *sink {
+	k := &sink{w: w, name: name, free: make(chan []byte, sinkChunks)}
+	// Half a chunk of slack: a hand-off triggers once a chunk passes
+	// sinkChunkBytes, by up to one ingest batch of lines.
+	k.pending = make([]byte, 0, sinkChunkBytes+sinkChunkBytes/2)
+	for i := 1; i < sinkChunks; i++ {
+		k.free <- make([]byte, 0, cap(k.pending))
+	}
+	s.sinks.mu.Lock()
+	s.sinks.all = append(s.sinks.all, k)
+	s.sinks.mu.Unlock()
+	return k
 }
 
-// flushSinks blocks until every record enqueued before the call has
-// been written (or counted as failed).
+// appendSink adds whole record lines to a sink's pending chunk, handing
+// the chunk to the writer once it is full. A client's lines must be
+// appended by calls ordered one after another (one source goroutine per
+// client, or the client's shard lock) to keep their order in the file.
+func (s *service) appendSink(k *sink, lines []byte) {
+	s.sinks.queued.Add(int64(len(lines)))
+	k.mu.Lock()
+	k.pending = append(k.pending, lines...)
+	if len(k.pending) >= sinkChunkBytes {
+		s.handOff(k)
+	}
+	k.mu.Unlock()
+}
+
+// handOff queues a sink's pending chunk for writing and takes a free
+// one in its place, waiting for the writer when all are in flight. The
+// caller holds k.mu.
+func (s *service) handOff(k *sink) {
+	s.sinks.ch <- sinkChunk{k: k, buf: k.pending}
+	k.pending = <-k.free
+}
+
+// handOffSinks queues every sink's non-empty pending chunk.
+func (s *service) handOffSinks() {
+	s.sinks.mu.Lock()
+	defer s.sinks.mu.Unlock()
+	for _, k := range s.sinks.all {
+		k.mu.Lock()
+		if len(k.pending) > 0 {
+			s.handOff(k)
+		}
+		k.mu.Unlock()
+	}
+}
+
+// flushSinks blocks until every line appended before the call has been
+// written (or counted as lost).
 func (s *service) flushSinks() {
+	s.handOffSinks()
 	done := make(chan struct{})
-	s.sinkCh <- sinkMsg{sync: done}
+	s.sinks.ch <- sinkChunk{sync: done}
 	<-done
 }
 
-// stopSinkWriter drains the queue and stops the writer goroutine.
-// Idempotent; no enqueues may follow.
+// stopSinkWriter flushes what is pending and stops the flusher and the
+// writer goroutine. Idempotent; no appends may follow.
 func (s *service) stopSinkWriter() {
-	s.sinkStop.Do(func() {
-		close(s.sinkCh)
-		<-s.sinkDone
+	s.sinks.stop.Do(func() {
+		close(s.sinks.stopFlush)
+		<-s.sinks.flushDone
+		s.handOffSinks()
+		close(s.sinks.ch)
+		<-s.sinks.done
 	})
 }
 
-// writeSink appends one record line to a sink, counting failed writes
+// writeSink writes one chunk to its sink. A failed or short write loses
+// every line whose newline did not reach the writer; each of them counts
 // in qoeproxy_sink_write_failures_total. Runs only on the writer
 // goroutine.
-func (s *service) writeSink(k *sink, line string) {
-	if _, err := io.WriteString(k.w, line); err != nil {
-		s.mSinkFailures.Inc()
+func (s *service) writeSink(k *sink, buf []byte) {
+	n, err := k.w.Write(buf)
+	s.sinks.writes.Add(1)
+	s.sinks.written.Add(int64(n))
+	s.sinks.queued.Add(-int64(len(buf)))
+	if err != nil {
+		s.mSinkFailures.Add(int64(bytes.Count(buf[n:], []byte{'\n'})))
 		if !k.failing.Swap(true) {
 			s.log.Error("sink write failing, records dropped until it recovers",
 				"sink", k.name, "err", err)
@@ -945,7 +1094,7 @@ func run(opts options) error {
 				return fmt.Errorf("-out: writing header: %w", err)
 			}
 		}
-		s.out = &sink{w: f, name: "out"}
+		s.out = s.newSink(f, "out")
 	}
 	if opts.squidPath != "" {
 		f, _, err := openAppend(opts.squidPath)
@@ -953,7 +1102,7 @@ func run(opts options) error {
 			return fmt.Errorf("-squid-log: %w", err)
 		}
 		defer f.Close()
-		s.squid = &sink{w: f, name: "squid-log"}
+		s.squid = s.newSink(f, "squid-log")
 	}
 
 	// Build the primary TransactionSource. Proxy mode serves live
@@ -1310,7 +1459,15 @@ func (s *service) registerMetrics() {
 	s.mTruncated = r.NewCounter("qoeproxy_sessions_truncated_total",
 		"Client sessions whose retained transaction state hit -max-session-txns and dropped oldest entries.")
 	s.mSinkFailures = r.NewCounter("qoeproxy_sink_write_failures_total",
-		"Transaction records lost because a -out/-squid-log write failed.")
+		"Transaction record lines lost because a -out/-squid-log write failed or fell short.")
+	r.NewGaugeFunc("qoeproxy_sink_pending_bytes",
+		"Record-line bytes committed but not yet written to -out/-squid-log (pending chunks plus chunks queued for the writer).", func() float64 {
+			return float64(s.sinks.queued.Load())
+		})
+	r.NewCounterFunc("qoeproxy_sink_bytes_written_total",
+		"Bytes the -out/-squid-log writers accepted.", s.sinks.written.Load)
+	r.NewCounterFunc("qoeproxy_sink_writes_total",
+		"Write calls issued to -out/-squid-log, one per chunk of lines.", s.sinks.writes.Load)
 	s.mEvicted = r.NewCounter("qoeproxy_clients_evicted_total",
 		"Clients evicted after -client-ttl of idleness, final classification emitted.")
 	s.mContention = r.NewCounter("qoeproxy_ingest_contention_total",
@@ -1377,7 +1534,7 @@ func (s *service) registerMetrics() {
 			for _, sh := range s.shards {
 				sh.mu.Lock()
 				for _, cs := range sh.clients {
-					if len(cs.current)+len(cs.inFlight)+len(cs.buffer) > 0 {
+					if len(cs.session())+len(cs.inFlight)+len(cs.buffer) > 0 {
 						n++
 					}
 				}
@@ -1531,9 +1688,8 @@ func (s *service) state(sh *shard, client string) *clientState {
 	cs, ok := sh.clients[client]
 	if !ok {
 		cs = &clientState{
-			streamer:     sessionid.NewStreamer(sessionid.PaperParams),
-			activeStarts: map[uint64]float64{},
-			recent:       newTxnRing(s.opts.maxSessionTxns),
+			streamer: sessionid.NewStreamer(sessionid.PaperParams),
+			recent:   newTxnRing(s.opts.maxSessionTxns),
 		}
 		if s.track {
 			cs.tracked = core.NewTrackedSession()
@@ -1566,7 +1722,7 @@ func (s *service) onConnOpen(r tlsproxy.Record) {
 	s.lockIngest(sh)
 	defer sh.mu.Unlock()
 	cs := s.state(sh, client)
-	cs.activeStarts[r.ConnID] = start
+	cs.openConn(r.ConnID, start)
 	if start > cs.lastActivity {
 		cs.lastActivity = start
 	}
@@ -1579,9 +1735,9 @@ func appendOutLine(dst []byte, client string, txn capture.TLSTransaction) []byte
 	dst = append(dst, ',')
 	dst = append(dst, txn.SNI...)
 	dst = append(dst, ',')
-	dst = strconv.AppendFloat(dst, txn.Start, 'f', 3, 64)
+	dst = bytesconv.AppendFixed3(dst, txn.Start)
 	dst = append(dst, ',')
-	dst = strconv.AppendFloat(dst, txn.End, 'f', 3, 64)
+	dst = bytesconv.AppendFixed3(dst, txn.End)
 	dst = append(dst, ',')
 	dst = strconv.AppendInt(dst, txn.UpBytes, 10)
 	dst = append(dst, ',')
@@ -1599,11 +1755,12 @@ type txnCommit struct {
 }
 
 // batchScratch is the reusable per-call scratch of the transaction
-// ingest path, pooled so steady state allocates only the sink line
-// strings themselves.
+// ingest path, pooled so steady state allocates nothing: a call's sink
+// lines are built here, one buffer per sink, and copied into the sinks'
+// pending chunks.
 type batchScratch struct {
-	buf     []byte
-	commits []txnCommit
+	out, squid []byte
+	commits    []txnCommit
 }
 
 // debugTransaction logs per-transaction detail; the caller guards with
@@ -1617,7 +1774,7 @@ func (s *service) debugTransaction(r tlsproxy.Record, client string) {
 // onTransaction exports a completed transaction to the configured
 // sinks and feeds the client's online sessionizer. Record conversion,
 // line formatting and logging happen before the shard lock; only the
-// state mutation and the sink enqueue (which preserves the client's
+// state mutation and the sink append (which preserves the client's
 // record order) run under it.
 func (s *service) onTransaction(r tlsproxy.Record) {
 	client := clientHost(r.ClientAddr)
@@ -1628,20 +1785,14 @@ func (s *service) onTransaction(r tlsproxy.Record) {
 	}
 	txn := tlsproxy.ToCaptureTransaction(r, s.epoch)
 	s.mTxns.Inc()
-	var outLine, squidLine string
-	if s.out != nil || s.squid != nil {
-		sc := s.batchPool.Get().(*batchScratch)
-		buf := sc.buf
-		if s.out != nil {
-			buf = appendOutLine(buf[:0], client, txn)
-			outLine = string(buf)
-		}
-		if s.squid != nil {
-			buf = append(squidlog.AppendEntry(buf[:0], client, txn, float64(s.epoch.Unix())), '\n')
-			squidLine = string(buf)
-		}
-		sc.buf = buf
-		s.batchPool.Put(sc)
+	sc := s.batchPool.Get().(*batchScratch)
+	defer s.batchPool.Put(sc)
+	sc.out, sc.squid = sc.out[:0], sc.squid[:0]
+	if s.out != nil {
+		sc.out = appendOutLine(sc.out, client, txn)
+	}
+	if s.squid != nil {
+		sc.squid = append(squidlog.AppendEntry(sc.squid, client, txn, float64(s.epoch.Unix())), '\n')
 	}
 	if s.debugLog {
 		s.debugTransaction(r, client)
@@ -1650,27 +1801,28 @@ func (s *service) onTransaction(r tlsproxy.Record) {
 	sh := s.shardFor(client)
 	s.lockIngest(sh)
 	defer sh.mu.Unlock()
-	if outLine != "" {
-		s.enqueueSink(s.out, outLine)
+	if s.out != nil {
+		s.appendSink(s.out, sc.out)
 	}
-	if squidLine != "" {
-		s.enqueueSink(s.squid, squidLine)
+	if s.squid != nil {
+		s.appendSink(s.squid, sc.squid)
 	}
 	s.commitTransaction(sh, client, r.ConnID, txn)
 }
 
 // onTransactionBatch is onTransaction for a coalesced record batch,
 // split into two phases. Phase one walks the batch in delivery order
-// with no locks held: counters, sink lines (built in a pooled buffer
-// and enqueued immediately — order is preserved because one source
-// goroutine delivers all of a client's records, and the writer drains
-// in enqueue order), debug logs. Phase two commits per-client state
+// with no locks held: counters, sink lines (built in pooled buffers and
+// appended to each sink's pending chunk in one call per batch — order is
+// preserved because one source goroutine delivers all of a client's
+// records, and chunks reach the writer in append order), debug logs.
+// Phase two commits per-client state
 // grouped by shard, taking each shard's lock once per batch instead of
 // once per record; within a shard, commits apply in delivery order.
 func (s *service) onTransactionBatch(recs []tlsproxy.Record) {
 	sc := s.batchPool.Get().(*batchScratch)
 	commits := sc.commits[:0]
-	buf := sc.buf
+	out, squid := sc.out[:0], sc.squid[:0]
 	epochUnix := float64(s.epoch.Unix())
 	for _, r := range recs {
 		client := clientHost(r.ClientAddr)
@@ -1682,12 +1834,10 @@ func (s *service) onTransactionBatch(recs []tlsproxy.Record) {
 		txn := tlsproxy.ToCaptureTransaction(r, s.epoch)
 		s.mTxns.Inc()
 		if s.out != nil {
-			buf = appendOutLine(buf[:0], client, txn)
-			s.enqueueSink(s.out, string(buf))
+			out = appendOutLine(out, client, txn)
 		}
 		if s.squid != nil {
-			buf = append(squidlog.AppendEntry(buf[:0], client, txn, epochUnix), '\n')
-			s.enqueueSink(s.squid, string(buf))
+			squid = append(squidlog.AppendEntry(squid, client, txn, epochUnix), '\n')
 		}
 		if s.debugLog {
 			s.debugTransaction(r, client)
@@ -1698,6 +1848,12 @@ func (s *service) onTransactionBatch(recs []tlsproxy.Record) {
 			client: client,
 			txn:    txn,
 		})
+	}
+	if len(out) > 0 {
+		s.appendSink(s.out, out)
+	}
+	if len(squid) > 0 {
+		s.appendSink(s.squid, squid)
 	}
 	done := 0
 	for si := 0; si < len(s.shards) && done < len(commits); si++ {
@@ -1719,7 +1875,7 @@ func (s *service) onTransactionBatch(recs []tlsproxy.Record) {
 			sh.mu.Unlock()
 		}
 	}
-	sc.buf, sc.commits = buf, commits
+	sc.out, sc.squid, sc.commits = out, squid, commits
 	s.batchPool.Put(sc)
 }
 
@@ -1740,7 +1896,7 @@ func (s *service) commitTransaction(sh *shard, client string, connID uint64, txn
 	if cs.recent.push(txn) > 0 {
 		s.noteTruncation(cs)
 	}
-	delete(cs.activeStarts, connID)
+	cs.closeConn(connID)
 	// Insert sorted by start: connections end out of order, the
 	// sessionizer wants start order.
 	i := sort.Search(len(cs.buffer), func(j int) bool { return cs.buffer[j].Start > txn.Start })
@@ -1753,7 +1909,7 @@ func (s *service) commitTransaction(sh *shard, client string, connID uint64, txn
 	if capRun(&cs.buffer, s.opts.maxSessionTxns) > 0 {
 		s.noteTruncation(cs)
 	}
-	s.advance(client, cs)
+	s.advance(sh, client, cs)
 }
 
 // noteTruncation counts a client's current session toward
@@ -1769,22 +1925,15 @@ func (s *service) noteTruncation(cs *clientState) {
 // advance pushes every buffered transaction at or before the client's
 // watermark — the earliest start among still-open connections — into
 // the streaming sessionizer and applies the resulting decisions. The
-// caller holds the client's shard lock.
-func (s *service) advance(client string, cs *clientState) {
-	watermark := func() (float64, bool) {
-		if len(cs.activeStarts) == 0 {
-			return 0, false // no open connections: everything is safe
+// caller holds the client's shard lock (sh is the client's shard).
+func (s *service) advance(sh *shard, client string, cs *clientState) {
+	// No open connections: everything is safe.
+	wm, bounded := 0.0, false
+	for _, c := range cs.activeStarts {
+		if !bounded || c.start < wm {
+			wm, bounded = c.start, true
 		}
-		min := false
-		m := 0.0
-		for _, start := range cs.activeStarts {
-			if !min || start < m {
-				m, min = start, true
-			}
-		}
-		return m, true
 	}
-	wm, bounded := watermark()
 	for len(cs.buffer) > 0 {
 		if bounded && cs.buffer[0].Start > wm {
 			break
@@ -1793,14 +1942,14 @@ func (s *service) advance(client string, cs *clientState) {
 		cs.buffer = append(cs.buffer[:0], cs.buffer[1:]...)
 		cs.inFlight = append(cs.inFlight, txn)
 		decisions := cs.streamer.Push(sessionid.Transaction{Start: txn.Start, End: txn.End, SNI: txn.SNI})
-		s.apply(client, cs, decisions)
+		s.apply(sh, client, cs, decisions)
 	}
 }
 
 // apply consumes finalized sessionizer decisions: boundaries close the
 // current session, decided transactions join it. The caller holds the
-// client's shard lock.
-func (s *service) apply(client string, cs *clientState, decisions []sessionid.Decision) {
+// client's shard lock (sh is the client's shard).
+func (s *service) apply(sh *shard, client string, cs *clientState, decisions []sessionid.Decision) {
 	for _, d := range decisions {
 		full := cs.inFlight[0]
 		cs.inFlight = append(cs.inFlight[:0], cs.inFlight[1:]...)
@@ -1809,29 +1958,38 @@ func (s *service) apply(client string, cs *clientState, decisions []sessionid.De
 			s.mBoundaries.Inc()
 			if s.debugLog {
 				s.log.Debug("session boundary", "client", client, "boundaries", cs.boundaries,
-					"closed_session_txns", len(cs.current))
+					"closed_session_txns", len(cs.session()))
 			}
-			cs.current = cs.current[:0]
 			cs.truncated = false
 			if cs.tracked != nil {
 				cs.tracked.Reset()
+			} else {
+				cs.current = cs.current[:0]
 			}
 		}
-		cs.current = append(cs.current, full)
 		if cs.tracked != nil {
 			cs.tracked.Observe(full)
 			s.mIngested.Inc()
+		} else {
+			cs.current = append(cs.current, full)
 		}
 	}
-	if capRun(&cs.current, s.opts.maxSessionTxns) > 0 {
-		s.noteTruncation(cs)
-		if cs.tracked != nil {
-			// The accumulator only grows, so rebuild it over the capped
-			// session; classifications keep matching a batch extraction
-			// of exactly the retained transactions.
-			cs.tracked.Reset()
-			cs.tracked.ObserveAll(cs.current)
+	if cs.tracked == nil {
+		if capRun(&cs.current, s.opts.maxSessionTxns) > 0 {
+			s.noteTruncation(cs)
 		}
+		return
+	}
+	// Same cap and slack as capRun, over the accumulator's own list. The
+	// accumulator only grows, so rebuild it over the retained tail
+	// (copied out first: Reset recycles the list it lives in);
+	// classifications keep matching a batch extraction of exactly the
+	// retained transactions.
+	if limit, n := s.opts.maxSessionTxns, cs.tracked.Len(); limit > 0 && n > limit+limit/2 {
+		s.noteTruncation(cs)
+		sh.txns = append(sh.txns[:0], cs.tracked.Transactions()[n-limit:]...)
+		cs.tracked.Reset()
+		cs.tracked.ObserveAll(sh.txns)
 	}
 }
 
@@ -1906,27 +2064,29 @@ func (s *service) classifyPass(nowSec float64) {
 		sh.cCounts = sh.cCounts[:0]
 		sh.cRows = sh.cRows[:0]
 		sh.cBlock = sh.cBlock[:0]
+		rb := m.rowBuilders[worker]
 		sh.mu.Lock()
 		for client, cs := range sh.clients {
 			var row []float64
 			var n int
 			if s.track {
-				row, n = s.incrementalRow(m, cs)
+				row, n = s.incrementalRow(rb, sh, cs)
 			} else {
-				row, n = s.windowedRow(m, worker, cs, cutoff)
+				row, n = s.windowedRow(rb, sh, cs, cutoff)
 			}
 			if n == 0 {
 				continue
 			}
 			sh.cNames = append(sh.cNames, client)
 			sh.cCounts = append(sh.cCounts, n)
-			if batch > 0 {
-				sh.cBlock = append(sh.cBlock, row...)
-			} else {
-				sh.cRows = append(sh.cRows, row)
-			}
+			sh.cBlock = append(sh.cBlock, row...)
 		}
 		sh.mu.Unlock()
+		if batch <= 0 {
+			for r := range sh.cNames {
+				sh.cRows = append(sh.cRows, sh.cBlock[r*stride:(r+1)*stride])
+			}
+		}
 		build := time.Since(t0)
 		buildNanos.Add(int64(build))
 
@@ -1973,11 +2133,7 @@ func (s *service) classifyPass(nowSec float64) {
 			sh.cShadow = sh.cShadow[:0]
 		}
 		if m.drift != nil && err == nil {
-			if batch > 0 {
-				m.drift.observeBlock(sh.cBlock, rows, stride)
-			} else {
-				m.drift.observeRows(sh.cRows)
-			}
+			m.drift.observeBlock(sh.cBlock, rows, stride)
 		}
 		sweep := time.Since(t1)
 		sweepNanos.Add(int64(sweep))
@@ -2069,29 +2225,31 @@ func (s *service) shadowSweep(m *servingModel, sh *shard, rows, stride, nc, batc
 // accumulator, folding the still-undecided transactions (inFlight and
 // buffer, which follow the decided ones in start order) in
 // speculatively so the row covers the whole ongoing session. The
-// caller holds the client's shard lock; TrackedRow touches only the
-// session's own accumulator, so shards proceed in parallel. The
-// accumulator holds the full feature vector, so the pass's bundle m
-// projects its own subset regardless of which model ingested the
-// transactions — reloads across subsets stay correct.
-func (s *service) incrementalRow(m *servingModel, cs *clientState) ([]float64, int) {
-	cs.winTxns = append(cs.winTxns[:0], cs.inFlight...)
-	cs.winTxns = append(cs.winTxns, cs.buffer...)
-	n := cs.tracked.Len() + len(cs.winTxns)
+// caller holds the client's shard lock; the read touches only the
+// session's own accumulator, the worker's private RowBuilder rb and the
+// shard's scratch, so shards proceed in parallel. The returned row is
+// the shard's scratch, valid until the next row built on this shard.
+// The accumulator holds the full feature vector, so the pass's builder
+// projects its own model's subset regardless of which model ingested
+// the transactions — reloads across subsets stay correct.
+func (s *service) incrementalRow(rb *core.RowBuilder, sh *shard, cs *clientState) ([]float64, int) {
+	sh.txns = append(append(sh.txns[:0], cs.inFlight...), cs.buffer...)
+	n := cs.tracked.Len() + len(sh.txns)
 	if n == 0 {
 		return nil, 0
 	}
-	cs.row = m.est.TrackedRow(cs.tracked, cs.winTxns, cs.row)
-	return cs.row, n
+	sh.row = rb.TrackedRow(cs.tracked, sh.txns, sh.row)
+	return sh.row, n
 }
 
 // windowedRow builds a client's feature row over the transactions of
-// the ongoing session ending inside the sliding window, reusing the
-// client's scratch list and row buffer. The caller holds the client's
+// the ongoing session ending inside the sliding window, through the
+// shard's scratch list and row buffer (the returned row is valid until
+// the next row built on this shard). The caller holds the client's
 // shard lock; extraction goes through the worker's private RowBuilder
-// (the estimator's shared scratch is not concurrency-safe).
-func (s *service) windowedRow(m *servingModel, worker int, cs *clientState, cutoff float64) ([]float64, int) {
-	w := cs.winTxns[:0]
+// rb (the estimator's shared scratch is not concurrency-safe).
+func (s *service) windowedRow(rb *core.RowBuilder, sh *shard, cs *clientState, cutoff float64) ([]float64, int) {
+	w := sh.txns[:0]
 	for _, run := range [3][]capture.TLSTransaction{cs.current, cs.inFlight, cs.buffer} {
 		for _, t := range run {
 			if t.End >= cutoff {
@@ -2099,12 +2257,12 @@ func (s *service) windowedRow(m *servingModel, worker int, cs *clientState, cuto
 			}
 		}
 	}
-	cs.winTxns = w
+	sh.txns = w
 	if len(w) == 0 {
 		return nil, 0
 	}
-	cs.row = m.rowBuilders[worker].FeatureRow(w, cs.row)
-	return cs.row, len(w)
+	sh.row = rb.FeatureRow(w, sh.row)
+	return sh.row, len(w)
 }
 
 // byName sorts the classification results by client for deterministic
@@ -2157,8 +2315,8 @@ func (s *service) evictIdle(nowSec float64) {
 			if len(cs.activeStarts) > 0 || nowSec-cs.lastActivity < ttl.Seconds() {
 				continue
 			}
-			s.advance(client, cs)
-			s.apply(client, cs, cs.streamer.Flush())
+			s.advance(sh, client, cs)
+			s.apply(sh, client, cs, cs.streamer.Flush())
 			perShard[si] = append(perShard[si], evictee{
 				client:     client,
 				txns:       cs.recent.snapshot(nil),
@@ -2230,8 +2388,8 @@ func (s *service) drain() {
 		for c, cs := range sh.clients {
 			clients = append(clients, c)
 			// All connections have ended; the watermark is unbounded.
-			s.advance(c, cs)
-			s.apply(c, cs, cs.streamer.Flush())
+			s.advance(sh, c, cs)
+			s.apply(sh, c, cs, cs.streamer.Flush())
 		}
 		sh.mu.Unlock()
 	}
@@ -2266,8 +2424,13 @@ func (s *service) drain() {
 
 // clientHost strips the port from a client address. Bare addresses —
 // including bare IPv6 like "::1", which a naive LastIndex(":") cut
-// would mangle to "::" — pass through unchanged.
+// would mangle to "::" — pass through unchanged. An address without a
+// colon (every file source's) cannot carry a port and returns before
+// SplitHostPort, whose error path allocates.
 func clientHost(addr string) string {
+	if strings.IndexByte(addr, ':') < 0 {
+		return addr
+	}
 	host, _, err := net.SplitHostPort(addr)
 	if err != nil {
 		return addr

@@ -222,9 +222,10 @@ func TestClassifyPassPaths(t *testing.T) {
 			sh.mu.Lock()
 			cs := s.state(sh, "10.9.9.9")
 			for _, tx := range txns[:cut1] {
-				cs.current = append(cs.current, tx)
 				if cs.tracked != nil {
 					cs.tracked.Observe(tx)
+				} else {
+					cs.current = append(cs.current, tx)
 				}
 			}
 			cs.inFlight = append(cs.inFlight, txns[cut1:cut2]...)

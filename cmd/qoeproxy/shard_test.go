@@ -36,7 +36,7 @@ type invariantRun struct {
 // with the given shard/worker counts, running classification passes
 // mid-replay and an eviction sweep at the end, and returns the
 // invariant observables. The replay itself is single-goroutine, so the
-// sink enqueue order — and therefore the flushed sink bytes — is fully
+// sink append order — and therefore the flushed sink bytes — is fully
 // determined by the trace. A non-nil shadow rides along as the
 // champion/challenger scorer; its disagreement total is recorded under
 // the "shadow_disagreement" counter key (absent without a shadow, so
@@ -55,7 +55,7 @@ func replayTrace(t *testing.T, est *core.Estimator, traffic *dataset.Corpus, win
 		classifyBatch:   batch,
 	}, est, shadow)
 	var csv bytes.Buffer
-	s.out = &sink{w: &csv, name: "out"}
+	s.out = s.newSink(&csv, "out")
 
 	// Interleave the sessions across clients globally by start time so
 	// consecutive records hit different shards.
@@ -365,4 +365,68 @@ func BenchmarkConcurrentIngest(b *testing.B) {
 	b.Run(fmt.Sprintf("shards=%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
 		benchmarkIngest(b, runtime.GOMAXPROCS(0))
 	})
+}
+
+// BenchmarkCommitPath measures the per-record glue between a source and
+// the sessionizer over already-resident clients: onConnOpen plus a
+// 256-record onTransactionBatch with an -out sink — host parsing, the
+// watermark, shard locks, open-connection bookkeeping, line formatting,
+// chunked sink egress, the summary ring and the capped reorder buffer.
+// One op is one batch. Every client keeps one long-lived connection
+// open, which pins its watermark so transactions queue in the (capped)
+// reorder buffer and never reach the sessionizer: Streamer.Push returns
+// a fresh decision slice by contract, and this benchmark is the
+// scripts/check.sh gate that everything around it allocates nothing.
+func BenchmarkCommitPath(b *testing.B) {
+	const clients, batchLen, maxTxns = 512, 256, 64
+	s := newService(options{
+		window:          time.Hour,
+		maxSessionTxns:  maxTxns,
+		shards:          4,
+		classifyWorkers: 1,
+	}, slog.New(slog.NewJSONHandler(io.Discard, nil)), nil)
+	defer s.stopSinkWriter()
+	s.registerMetrics()
+	s.out = s.newSink(io.Discard, "out")
+
+	const sni = "cdn-01.svc1.example"
+	names := make([]string, clients)
+	for c := range names {
+		names[c] = fmt.Sprintf("10.60.%d.%d", c/250, c%250+1)
+		s.onConnOpen(tlsproxy.Record{ConnID: uint64(c + 1), SNI: sni, ClientAddr: names[c], Start: s.epoch})
+	}
+	batch := make([]tlsproxy.Record, 0, batchLen)
+	connID := uint64(clients)
+	step := func(i int) {
+		batch = batch[:0]
+		for j := 0; j < batchLen; j++ {
+			n := i*batchLen + j
+			connID++
+			start := s.epoch.Add(time.Duration(n) * time.Millisecond)
+			r := tlsproxy.Record{
+				ConnID: connID, SNI: sni, ClientAddr: names[n%clients],
+				Start: start, End: start.Add(5 * time.Millisecond),
+				UpBytes: 412, DownBytes: 180_000,
+			}
+			s.onConnOpen(r)
+			batch = append(batch, r)
+		}
+		s.onTransactionBatch(batch)
+	}
+	// Warm up until every ring is full and every reorder buffer has been
+	// through a truncation cycle, so capacities have stopped growing.
+	warm := clients * maxTxns * 2 / batchLen
+	for i := 0; i < warm; i++ {
+		step(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(warm + i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchLen), "ns/record")
+	if got, want := s.mTxns.Value(), int64((warm+b.N)*batchLen); got != want {
+		b.Fatalf("committed %d records, delivered %d", got, want)
+	}
 }

@@ -15,8 +15,8 @@ package main
 // The feature accumulator is deliberately NOT serialized: its state is
 // a pure function of the current-session transactions ingested in
 // order (apply already relies on this when it rebuilds after
-// truncation), so restore replays cs.current through a fresh
-// accumulator and gets the bit-identical vector back — the envelope
+// truncation), so restore replays the saved current session through a
+// fresh accumulator and gets the bit-identical vector back — the envelope
 // stays small and version-stable while the accumulator's internals
 // remain free to change.
 //
@@ -106,7 +106,7 @@ func (s *service) snapshotState() *savedSnapshot {
 				Streamer:      cs.streamer.State(),
 				Buffer:        append([]capture.TLSTransaction(nil), cs.buffer...),
 				InFlight:      append([]capture.TLSTransaction(nil), cs.inFlight...),
-				Current:       append([]capture.TLSTransaction(nil), cs.current...),
+				Current:       append([]capture.TLSTransaction(nil), cs.session()...),
 				Recent:        cs.recent.snapshot(nil),
 				RecentDropped: cs.recent.dropped,
 				LastActivity:  cs.lastActivity,
@@ -121,8 +121,8 @@ func (s *service) snapshotState() *savedSnapshot {
 			}
 			if len(cs.activeStarts) > 0 {
 				sc.ActiveStarts = make(map[uint64]float64, len(cs.activeStarts))
-				for id, start := range cs.activeStarts {
-					sc.ActiveStarts[id] = start
+				for _, c := range cs.activeStarts {
+					sc.ActiveStarts[c.connID] = c.start
 				}
 			}
 			snap.Clients = append(snap.Clients, sc)
@@ -213,10 +213,8 @@ func (s *service) restoreState(snap *savedSnapshot) (restored, skippedNotOwned i
 		}
 		cs := &clientState{
 			streamer:     sessionid.RestoreStreamer(sessionid.PaperParams, sc.Streamer),
-			activeStarts: map[uint64]float64{},
 			buffer:       append([]capture.TLSTransaction(nil), sc.Buffer...),
 			inFlight:     append([]capture.TLSTransaction(nil), sc.InFlight...),
-			current:      append([]capture.TLSTransaction(nil), sc.Current...),
 			recent:       newTxnRing(s.opts.maxSessionTxns),
 			lastActivity: sc.LastActivity,
 			txns:         sc.Txns,
@@ -228,7 +226,7 @@ func (s *service) restoreState(snap *savedSnapshot) (restored, skippedNotOwned i
 			hasClass:     sc.HasClass,
 		}
 		for id, start := range sc.ActiveStarts {
-			cs.activeStarts[id] = start
+			cs.activeStarts = append(cs.activeStarts, activeConn{id, start})
 		}
 		for _, t := range sc.Recent {
 			cs.recent.push(t)
@@ -237,7 +235,9 @@ func (s *service) restoreState(snap *savedSnapshot) (restored, skippedNotOwned i
 		cs.durStats.Restore(sc.Dur)
 		if s.track {
 			cs.tracked = core.NewTrackedSession()
-			cs.tracked.ObserveAll(cs.current)
+			cs.tracked.ObserveAll(sc.Current)
+		} else {
+			cs.current = append([]capture.TLSTransaction(nil), sc.Current...)
 		}
 		sh := s.shardFor(sc.Client)
 		sh.mu.Lock()

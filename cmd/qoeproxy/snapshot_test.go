@@ -169,7 +169,9 @@ func TestSnapshotRoundTripProfiles(t *testing.T) {
 					// Bit-level check under the classifications: every
 					// client's feature row in the restored service must equal
 					// the baseline's float for float.
-					m := baseline.model.Load()
+					// The rows are each service's own shard scratch, so the
+					// two stay valid side by side.
+					rb := baseline.model.Load().rowBuilders[0]
 					for _, sh := range baseline.shards {
 						for client, bcs := range sh.clients {
 							rcs := b.client(client)
@@ -178,11 +180,11 @@ func TestSnapshotRoundTripProfiles(t *testing.T) {
 							}
 							var wantRow, gotRow []float64
 							if baseline.track {
-								wantRow, _ = baseline.incrementalRow(m, bcs)
-								gotRow, _ = b.incrementalRow(m, rcs)
+								wantRow, _ = baseline.incrementalRow(rb, sh, bcs)
+								gotRow, _ = b.incrementalRow(rb, b.shardFor(client), rcs)
 							} else {
-								wantRow, _ = baseline.windowedRow(m, 0, bcs, endSec-opts.window.Seconds())
-								gotRow, _ = b.windowedRow(m, 0, rcs, endSec-opts.window.Seconds())
+								wantRow, _ = baseline.windowedRow(rb, sh, bcs, endSec-opts.window.Seconds())
+								gotRow, _ = b.windowedRow(rb, b.shardFor(client), rcs, endSec-opts.window.Seconds())
 							}
 							if len(gotRow) != len(wantRow) {
 								t.Fatalf("cut %d %s: row widths %d vs %d", cut, client, len(gotRow), len(wantRow))
@@ -250,7 +252,7 @@ func TestKillMidSessionHandoffEquivalence(t *testing.T) {
 	// The undisturbed baseline.
 	baseline, baseLogs := newTestService(t, opts, est)
 	var baseCSV bytes.Buffer
-	baseline.out = &sink{w: &baseCSV, name: "out"}
+	baseline.out = baseline.newSink(&baseCSV, "out")
 	for i, e := range events {
 		baseline.onConnOpen(e)
 		baseline.onTransaction(e)
@@ -267,7 +269,7 @@ func TestKillMidSessionHandoffEquivalence(t *testing.T) {
 	optsA.snapshotPath = snapPath
 	a, aLogs := newTestService(t, optsA, est)
 	var aCSV bytes.Buffer
-	a.out = &sink{w: &aCSV, name: "out"}
+	a.out = a.newSink(&aCSV, "out")
 	for i, e := range events[:cut] {
 		a.onConnOpen(e)
 		a.onTransaction(e)
@@ -284,7 +286,7 @@ func TestKillMidSessionHandoffEquivalence(t *testing.T) {
 	// Instance B: restore, then the second half.
 	b, bLogs := newTestService(t, opts, est)
 	var bCSV bytes.Buffer
-	b.out = &sink{w: &bCSV, name: "out"}
+	b.out = b.newSink(&bCSV, "out")
 	b.restoreFromFile(snapPath)
 	if n := bLogs.countLogMsg(t, "snapshot restored"); n != 1 {
 		t.Fatal("restore did not log success")

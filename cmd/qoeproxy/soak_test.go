@@ -125,7 +125,7 @@ func TestEvictionSoakBounded(t *testing.T) {
 			if got := cs.recent.len(); got > maxTxns {
 				t.Errorf("round %d %s: ring holds %d txns, cap %d", round, client, got, maxTxns)
 			}
-			if got := len(cs.current); got > maxTxns+maxTxns/2 {
+			if got := len(cs.session()); got > maxTxns+maxTxns/2 {
 				t.Errorf("round %d %s: current session holds %d txns, bound %d", round, client, got, maxTxns+maxTxns/2)
 			}
 			if got := len(cs.buffer); got > maxTxns+maxTxns/2 {

@@ -16,9 +16,17 @@
 // exactly what strconv.ParseFloat(string(b), 64) and
 // strconv.ParseInt(string(b), 10, 64) would, on every input, proven by
 // differential fuzzing.
+//
+// AppendFixed3 is the same bargain in the other direction: the sinks
+// render two "%.3f" timestamps per record, and an integer fast path
+// replaces strconv's arbitrary-precision decimal for the values
+// timestamps actually take, byte for byte.
 package bytesconv
 
-import "strconv"
+import (
+	"math"
+	"strconv"
+)
 
 // pow10 holds the powers of ten exactly representable as float64;
 // dividing an exact integer mantissa by one of these is a single
@@ -133,4 +141,39 @@ func ParseInt(b []byte) (int64, error) {
 		v = -v
 	}
 	return v, nil
+}
+
+// fixed3Limit is 2^43: below it v*1000 rounds to an integer under 2^53,
+// so the whole conversion stays in uint64 arithmetic.
+const fixed3Limit = 1 << 43
+
+// AppendFixed3 appends v in fixed-point notation with three fractional
+// digits, returning exactly what strconv.AppendFloat(dst, v, 'f', 3, 64)
+// would. strconv renders explicit-precision 'f' through its
+// arbitrary-precision decimal; for the positive normal values below
+// 2^43 that timestamps and offsets are, the same digits fall out of
+// integer arithmetic: v is mant·2^-sh exactly, so v·1000 rounded
+// half-to-even is (mant·1000) >> sh with the shifted-out bits deciding
+// the round. Everything else — zero, subnormals, negatives, NaN, ±Inf,
+// values of 2^43 and up — takes strconv itself.
+func AppendFixed3(dst []byte, v float64) []byte {
+	bits := math.Float64bits(v)
+	exp := int(bits >> 52) // sign bit included: negatives fail the range test
+	if exp == 0 || exp >= 1023+43 {
+		return strconv.AppendFloat(dst, v, 'f', 3, 64)
+	}
+	// v = mant * 2^(exp-1075) with mant in [2^52, 2^53); v < 2^43 makes
+	// the shift at least 10, and mant*1000 < 2^63 cannot overflow.
+	p := (bits&(1<<52-1) | 1<<52) * 1000
+	var n uint64
+	if sh := uint(1075 - exp); sh < 64 {
+		n = p >> sh
+		rem, half := p&(1<<sh-1), uint64(1)<<(sh-1)
+		if rem > half || (rem == half && n&1 == 1) {
+			n++
+		}
+	} // else v*1000 < 1/2: rounds to zero
+	dst = strconv.AppendUint(dst, n/1000, 10)
+	frac := n % 1000
+	return append(dst, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }

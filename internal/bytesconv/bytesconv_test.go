@@ -111,3 +111,73 @@ func BenchmarkParseFloatBytes(b *testing.B) {
 		}
 	}
 }
+
+// diffFixed3 asserts AppendFixed3 renders v exactly as strconv's
+// explicit-precision 'f' does, onto a non-empty prefix.
+func diffFixed3(t *testing.T, v float64) {
+	t.Helper()
+	got := string(AppendFixed3([]byte("x,"), v))
+	want := string(strconv.AppendFloat([]byte("x,"), v, 'f', 3, 64))
+	if got != want {
+		t.Fatalf("AppendFixed3(%v = %#x) = %q, strconv = %q", v, math.Float64bits(v), got, want)
+	}
+}
+
+var fixed3Cases = []float64{
+	// Exact binary ties at the fourth decimal: round half to even.
+	0.0625, 0.1875, 0.0005, 0.5, 0.4375, 999.9995, 2.0625, 1023.9375, 4398046511103.9375,
+	// Carries out of the fraction and across digit counts.
+	0.9995, 0.99951, 9.9996, 99.9999, 999.9994999999999, 0.0004999999999999999, 0.00050000000000000001,
+	// Timestamp-shaped values.
+	1588888888.123, 1700000000.9995, 12.345, 3600, 1, 1e-3, 1e-9, 123456.7895,
+	// The 2^43 edge: the last fast-path value, the first fallback ones.
+	math.Nextafter(1<<43, 0), 1 << 43, math.Nextafter(1<<43, math.Inf(1)), 1 << 52, 1 << 53, 1e22, math.MaxFloat64,
+	// Smallest normal and a shift of 64 and beyond (rounds to 0.000).
+	0x1p-1022, 0x1p-11, 0x1p-12, 0x1.fffffffffffffp-12, 0x1p-54, 0x1p-55,
+	// Fallback classes: zero, subnormal, negative, non-finite.
+	0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 0x1p-1023, -1.5, -0.0004, -1e-320,
+	math.NaN(), math.Inf(1), math.Inf(-1),
+}
+
+func TestAppendFixed3MatchesStrconv(t *testing.T) {
+	for _, v := range fixed3Cases {
+		diffFixed3(t, v)
+	}
+	// Every millisecond tick around a carry, as sums and as literals.
+	for i := 0; i < 4000; i++ {
+		diffFixed3(t, float64(i)/1000)
+		diffFixed3(t, 1588888887+float64(i)*0.0005)
+	}
+}
+
+// FuzzAppendFixed3MatchesStrconv proves the strconv equivalence on
+// arbitrary bit patterns.
+func FuzzAppendFixed3MatchesStrconv(f *testing.F) {
+	for _, v := range fixed3Cases {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) { diffFixed3(t, math.Float64frombits(bits)) })
+}
+
+func TestAppendFixed3Allocs(t *testing.T) {
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(1000, func() { buf = AppendFixed3(buf[:0], 1588888888.123) }); n != 0 {
+		t.Fatalf("AppendFixed3 allocates %v per call", n)
+	}
+}
+
+func BenchmarkAppendFixed3(b *testing.B) {
+	b.ReportAllocs()
+	buf := make([]byte, 0, 64)
+	for i := 0; i < b.N; i++ {
+		buf = AppendFixed3(buf[:0], 1588888888.123+float64(i&1023))
+	}
+}
+
+func BenchmarkAppendFloatStrconv(b *testing.B) {
+	b.ReportAllocs()
+	buf := make([]byte, 0, 64)
+	for i := 0; i < b.N; i++ {
+		buf = strconv.AppendFloat(buf[:0], 1588888888.123+float64(i&1023), 'f', 3, 64)
+	}
+}

@@ -9,15 +9,16 @@ import (
 )
 
 // TrackedSession is the incremental classify handle for one ongoing
-// session: an online feature accumulator plus a reusable full-vector
-// buffer. The owner feeds it committed transactions as they arrive
-// (Observe) and can classify at any moment — optionally folding in
-// not-yet-committed transactions speculatively — at a cost
-// proportional to the transactions observed since the last call, not
-// the session length. A TrackedSession is not safe for concurrent use.
+// session: an online feature accumulator and nothing else — the buffers
+// a read needs live in the RowBuilder doing the reading, so a service
+// holding a session per client pays only for session state. The owner
+// feeds it committed transactions as they arrive (Observe) and can
+// classify at any moment — optionally folding in not-yet-committed
+// transactions speculatively — at a cost proportional to the
+// transactions observed since the last call, not the session length. A
+// TrackedSession is not safe for concurrent use.
 type TrackedSession struct {
-	acc  *features.Accumulator
-	full []float64
+	acc *features.Accumulator
 }
 
 // NewTrackedSession returns an empty tracked session over the paper's
@@ -71,10 +72,11 @@ func (e *Estimator) projectInto(row, full []float64) []float64 {
 // and the cost is proportional to len(pending), not session length).
 // The result reuses row's backing array when possible and is
 // bit-identical to extracting the committed plus pending transactions
-// in one batch.
+// in one batch. Like FeatureRow it reads through the estimator's shared
+// RowBuilder, so it is not safe for concurrent use with itself on the
+// same Estimator; use NewRowBuilder for per-goroutine reads.
 func (e *Estimator) TrackedRow(ts *TrackedSession, pending []capture.TLSTransaction, row []float64) []float64 {
-	ts.full = ts.acc.VectorWithPending(ts.full, pending)
-	return e.projectInto(row, ts.full)
+	return e.sharedBuilder().TrackedRow(ts, pending, row)
 }
 
 // ClassifyTracked predicts the QoE class of a tracked session,
@@ -127,16 +129,18 @@ func (e *Estimator) ClassifyBlockInto(block []float64, n int, probs []float64, o
 	return nil
 }
 
-// RowBuilder extracts feature rows through a private batch scratch.
-// The estimator's own FeatureRow reuses one shared scratch, so
-// concurrent extractors — the sharded classify pool in cmd/qoeproxy —
-// hold one RowBuilder per worker goroutine instead. A RowBuilder is
-// not safe for concurrent use with itself; distinct builders over the
-// same estimator are independent (they only read the estimator's
-// feature projection).
+// RowBuilder builds feature rows through private scratch: the batch
+// extractor FeatureRow runs, the overlay TrackedRow reads through, and
+// the full-vector buffer both project from. The estimator's own
+// FeatureRow and TrackedRow share one builder, so concurrent readers —
+// the sharded classify pool in cmd/qoeproxy — hold one RowBuilder per
+// worker goroutine instead. A RowBuilder is not safe for concurrent
+// use with itself; distinct builders over the same estimator are
+// independent (they only read the estimator's feature projection).
 type RowBuilder struct {
 	e       *Estimator
 	scratch *features.Scratch
+	overlay features.Overlay
 	full    []float64
 }
 
@@ -154,14 +158,25 @@ func (b *RowBuilder) FeatureRow(txns []capture.TLSTransaction, row []float64) []
 	return b.e.projectInto(row, b.full)
 }
 
+// TrackedRow is Estimator.TrackedRow through this builder's scratch.
+func (b *RowBuilder) TrackedRow(ts *TrackedSession, pending []capture.TLSTransaction, row []float64) []float64 {
+	b.full = ts.acc.VectorWithPending(&b.overlay, b.full, pending)
+	return b.e.projectInto(row, b.full)
+}
+
+// sharedBuilder returns the estimator's own lazily built RowBuilder.
+func (e *Estimator) sharedBuilder() *RowBuilder {
+	if e.rb == nil {
+		e.rb = e.NewRowBuilder()
+	}
+	return e.rb
+}
+
 // FeatureRow extracts a session's feature row through the estimator's
 // reusable batch scratch, bit-identical to the row Train and Classify
 // compute. The result reuses row's backing array when possible. Not
 // safe for concurrent use with itself on the same Estimator; use
 // NewRowBuilder for per-goroutine extraction.
 func (e *Estimator) FeatureRow(txns []capture.TLSTransaction, row []float64) []float64 {
-	if e.rb == nil {
-		e.rb = e.NewRowBuilder()
-	}
-	return e.rb.FeatureRow(txns, row)
+	return e.sharedBuilder().FeatureRow(txns, row)
 }

@@ -39,14 +39,16 @@ type Accumulator struct {
 	cdl, cul []float64
 
 	mark accMark
-	ov   overlay
 }
 
-// overlay holds the reusable buffers of VectorWithPending: sorted
+// Overlay holds the reusable buffers of VectorWithPending: sorted
 // per-metric values of the pending transactions plus temporal-counter
 // copies, so a speculative read never touches (or resizes with) the
-// committed state.
-type overlay struct {
+// committed state. It is read-time scratch, not session state: one
+// Overlay serves any number of Accumulators read one after another, so
+// a service keeps one per reading goroutine rather than one per
+// session. The zero value is ready to use.
+type Overlay struct {
 	dl, ul, dur, tdr, d2u, iat []float64
 	cdl, cul                   []float64
 }
@@ -259,7 +261,8 @@ func (a *Accumulator) Rollback() {
 
 // VectorWithPending materializes the feature vector the session would
 // have if the pending transactions (in order) were ingested after the
-// committed ones, without mutating any committed state. Medians over
+// committed ones, without mutating any committed state; ov supplies the
+// scratch buffers and carries nothing between calls. Medians over
 // the combined multisets come from rank selection across the sorted
 // committed buffer and a small sorted pending buffer, so the cost is
 // O(len(pending)) plus the vector write — independent of how many
@@ -270,7 +273,7 @@ func (a *Accumulator) Rollback() {
 // session anchor: that shifts every temporal contribution, so the
 // counters replay over all transactions (callers feeding
 // start-ordered pending, like the proxy, never hit it).
-func (a *Accumulator) VectorWithPending(dst []float64, pending []capture.TLSTransaction) []float64 {
+func (a *Accumulator) VectorWithPending(ov *Overlay, dst []float64, pending []capture.TLSTransaction) []float64 {
 	if len(pending) == 0 {
 		return a.VectorInto(dst)
 	}
@@ -306,7 +309,6 @@ func (a *Accumulator) VectorWithPending(dst []float64, pending []capture.TLSTran
 
 	// Pending per-metric values, same expressions as Ingest, sorted into
 	// the overlay buffers.
-	ov := &a.ov
 	ov.dl, ov.ul = ov.dl[:0], ov.ul[:0]
 	ov.dur, ov.tdr = ov.dur[:0], ov.tdr[:0]
 	ov.d2u, ov.iat = ov.d2u[:0], ov.iat[:0]

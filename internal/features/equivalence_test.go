@@ -171,8 +171,10 @@ func TestAccumulatorSaveRollback(t *testing.T) {
 // a batch extraction over committed++pending AND must leave the
 // committed state untouched. Pending suffixes that start before the
 // committed anchor are generated too (randSession emits out-of-order
-// starts), covering the temporal replay path.
+// starts), covering the temporal replay path. One Overlay serves every
+// accumulator and grid in turn, as a service's per-reader scratch does.
 func TestAccumulatorVectorWithPending(t *testing.T) {
+	var ov Overlay
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(2000 + seed))
 		txns := randSession(rng, 1+rng.Intn(60))
@@ -185,7 +187,7 @@ func TestAccumulatorVectorWithPending(t *testing.T) {
 			committed := acc.Vector()
 
 			var buf []float64
-			buf = acc.VectorWithPending(buf, txns[cut:])
+			buf = acc.VectorWithPending(&ov, buf, txns[cut:])
 			want := referenceFromTLSWithIntervals(txns, grid)
 			requireBitsEqual(t, fmt.Sprintf("seed %d grid %d cut %d overlay", seed, gi, cut), buf, want)
 
@@ -196,7 +198,7 @@ func TestAccumulatorVectorWithPending(t *testing.T) {
 
 			// A second overlay read with warm buffers must not allocate
 			// beyond the result it already owns.
-			buf2 := acc.VectorWithPending(buf, txns[cut:])
+			buf2 := acc.VectorWithPending(&ov, buf, txns[cut:])
 			requireBitsEqual(t, fmt.Sprintf("seed %d grid %d cut %d overlay warm", seed, gi, cut), buf2, want)
 		}
 	}
@@ -212,10 +214,11 @@ func TestAccumulatorVectorWithPendingAllocs(t *testing.T) {
 		acc.Ingest(tx)
 	}
 	pending := txns[40:]
+	var ov Overlay
 	var dst []float64
-	dst = acc.VectorWithPending(dst, pending)
+	dst = acc.VectorWithPending(&ov, dst, pending)
 	allocs := testing.AllocsPerRun(20, func() {
-		dst = acc.VectorWithPending(dst, pending)
+		dst = acc.VectorWithPending(&ov, dst, pending)
 	})
 	if allocs != 0 {
 		t.Fatalf("VectorWithPending with warm buffers allocated %.1f times per run, want 0", allocs)

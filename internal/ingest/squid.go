@@ -110,66 +110,107 @@ const maxCarryBytes = 1 << 20
 // Name reports "squid".
 func (s *SquidSource) Name() string { return "squid" }
 
-// squidEvent is one pending delivery in the reorder heap.
-type squidEvent struct {
+// squidKey is one pending delivery in the reorder heap: the event time,
+// its sequence number (even = the connection's open, odd = its
+// transaction) and the slab slot holding the record both events share.
+type squidKey struct {
 	at   float64
 	seq  int64
-	open bool
-	rec  tlsproxy.Record
+	slot int32
 }
 
-// squidHeap is a typed min-heap of pending events ordered by
-// (time, sequence) — the same total order tlsproxy.RecordSource sorts
-// its partitions by. Hand-rolled sift-up/down instead of
-// container/heap so pushing an event does not box it into an
-// interface (two words and an allocation per event on the hot path).
-type squidHeap []squidEvent
+func (k squidKey) open() bool { return k.seq&1 == 0 }
 
-func (h squidHeap) less(a, b int) bool {
-	if h[a].at != h[b].at {
-		return h[a].at < h[b].at
+func (k squidKey) before(o squidKey) bool {
+	if k.at != o.at {
+		return k.at < o.at
 	}
-	return h[a].seq < h[b].seq
+	return k.seq < o.seq
 }
 
-func (h *squidHeap) push(e squidEvent) {
-	q := append(*h, e)
+// squidHeap is the reorder buffer: a min-heap of 24-byte keys ordered by
+// (time, sequence) — the same total order tlsproxy.RecordSource sorts
+// its partitions by — over a slab that holds each pending record once
+// for both of its events. Sifting moves keys, never records, and moves
+// each key into a hole instead of swapping pairs; slots return to a free
+// list when the transaction event pops, so the slab grows to the peak
+// number of pending records and no further. Hand-rolled instead of
+// container/heap so pushing a key does not box it into an interface.
+type squidHeap struct {
+	keys []squidKey
+	slab []tlsproxy.Record
+	free []int32
+}
+
+func (h *squidHeap) len() int { return len(h.keys) }
+
+// add schedules a record's open event at openAt and its transaction
+// event at closeAt (>= openAt), with sequence numbers 2i and 2i+1.
+func (h *squidHeap) add(rec tlsproxy.Record, i int64, openAt, closeAt float64) {
+	var slot int32
+	if n := len(h.free); n > 0 {
+		slot = h.free[n-1]
+		h.free = h.free[:n-1]
+		h.slab[slot] = rec
+	} else {
+		slot = int32(len(h.slab))
+		h.slab = append(h.slab, rec)
+	}
+	h.push(squidKey{at: openAt, seq: 2 * i, slot: slot})
+	h.push(squidKey{at: closeAt, seq: 2*i + 1, slot: slot})
+}
+
+func (h *squidHeap) push(k squidKey) {
+	q := append(h.keys, k)
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !k.before(q[parent]) {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		q[i] = q[parent]
 		i = parent
 	}
-	*h = q
+	q[i] = k
+	h.keys = q
 }
 
-func (h *squidHeap) pop() squidEvent {
-	q := *h
+// pop removes and returns the earliest event's key; its record stays at
+// slab[key.slot] until the caller releases the slot.
+func (h *squidHeap) pop() squidKey {
+	q := h.keys
 	top := q[0]
 	n := len(q) - 1
-	q[0] = q[n]
+	last := q[n]
 	q = q[:n]
 	i := 0
 	for {
-		l := 2*i + 1
-		if l >= n {
+		m := 2*i + 1
+		if m >= n {
 			break
 		}
-		m := l
-		if r := l + 1; r < n && q.less(r, l) {
+		if r := m + 1; r < n && q[r].before(q[m]) {
 			m = r
 		}
-		if !q.less(m, i) {
+		if !q[m].before(last) {
 			break
 		}
-		q[i], q[m] = q[m], q[i]
+		q[i] = q[m]
 		i = m
 	}
-	*h = q
+	if n > 0 {
+		q[i] = last
+	}
+	h.keys = q
 	return top
+}
+
+// release recycles a record's slot once its transaction event has been
+// delivered (the open, sequenced first at an earlier-or-equal time,
+// always has been by then).
+func (h *squidHeap) release(slot int32) {
+	h.slab[slot] = tlsproxy.Record{} // drop the interned strings
+	h.free = append(h.free, slot)
 }
 
 // squidDelivery owns the source's ordered-delivery state: the reorder
@@ -255,8 +296,7 @@ func (d *squidDelivery) entry(v squidlog.EntryView) {
 		UpBytes:    v.UpBytes,
 		DownBytes:  v.DownBytes,
 	}
-	d.q.push(squidEvent{at: qs, seq: 2 * i, open: true, rec: rec})
-	d.q.push(squidEvent{at: qe, seq: 2*i + 1, rec: rec})
+	d.q.add(rec, i, qs, qe)
 	if qe > d.maxEnd {
 		d.maxEnd = qe
 	}
@@ -267,7 +307,7 @@ func (d *squidDelivery) entry(v squidlog.EntryView) {
 // time, everything) in (time, sequence) order.
 func (d *squidDelivery) emit(all bool) {
 	wm := d.maxEnd - d.s.Horizon
-	for len(d.q) > 0 && (all || d.q[0].at <= wm) {
+	for d.q.len() > 0 && (all || d.q.keys[0].at <= wm) {
 		d.deliver(d.q.pop())
 	}
 	if all {
@@ -275,24 +315,26 @@ func (d *squidDelivery) emit(all bool) {
 	}
 }
 
-func (d *squidDelivery) deliver(ev squidEvent) {
-	if ev.open {
+func (d *squidDelivery) deliver(k squidKey) {
+	if k.open() {
 		// Opens must not overtake buffered transactions.
 		d.flushBatch()
 		if d.h.ConnOpen != nil {
-			d.h.ConnOpen(ev.rec)
+			d.h.ConnOpen(d.q.slab[k.slot])
 		}
 		return
 	}
+	rec := d.q.slab[k.slot]
+	d.q.release(k.slot)
 	if d.h.TransactionBatch != nil {
-		d.batch = append(d.batch, ev.rec)
+		d.batch = append(d.batch, rec)
 		if len(d.batch) >= d.maxBatch {
 			d.flushBatch()
 		}
 		return
 	}
 	if d.h.Transaction != nil {
-		d.h.Transaction(ev.rec)
+		d.h.Transaction(rec)
 	}
 	d.s.records.Add(1)
 }

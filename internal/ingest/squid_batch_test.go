@@ -3,6 +3,8 @@ package ingest
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -182,5 +184,64 @@ func TestSquidParseWorkersEquivalence(t *testing.T) {
 				t.Fatalf("pw=%d batch=%d: event %d = %q, want %q", cfg.pw, cfg.batch, i, got.events[i], ref.events[i])
 			}
 		}
+	}
+}
+
+// TestSquidHeapProperty drives the slab heap with random interleaved
+// adds and pops: events must pop in (time, sequence) order with each
+// record intact at its slot, the slab must never outgrow the peak
+// number of pending records, and freed slots must be reused.
+func TestSquidHeapProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var h squidHeap
+	var next int64
+	pending, peak := 0, 0 // records with their transaction event still queued
+	last := squidKey{at: math.Inf(-1)}
+	popOne := func() {
+		k := h.pop()
+		if k.before(last) {
+			t.Fatalf("popped (%v, %d) after (%v, %d)", k.at, k.seq, last.at, last.seq)
+		}
+		last = k
+		if got := h.slab[k.slot].ConnID; got != uint64(k.seq/2+1) {
+			t.Fatalf("event seq %d found record %d at slot %d", k.seq, got, k.slot)
+		}
+		if !k.open() {
+			h.release(k.slot)
+			pending--
+		}
+	}
+	for round := 0; round < 200; round++ {
+		// A round's adds start at or after floor and its pops stop short
+		// of the next floor, so the pop sequence is globally ordered.
+		floor := float64(round) * 10
+		for n := rng.Intn(60); n > 0; n-- {
+			start := floor + float64(rng.Intn(2000))/100 // coarse grid: plenty of time ties
+			end := start + float64(rng.Intn(500))/100
+			h.add(tlsproxy.Record{ConnID: uint64(next + 1)}, next, start, end)
+			next++
+			pending++
+			if pending > peak {
+				peak = pending
+			}
+		}
+		for h.len() > 0 && h.keys[0].at < floor+10 {
+			popOne()
+		}
+	}
+	for h.len() > 0 {
+		popOne()
+	}
+	if pending != 0 {
+		t.Fatalf("%d records never delivered their transaction event", pending)
+	}
+	if len(h.slab) > peak {
+		t.Errorf("slab grew to %d slots, peak pending records was %d", len(h.slab), peak)
+	}
+	if int64(len(h.slab)) >= next {
+		t.Errorf("slab holds %d slots for %d records: slots were not recycled", len(h.slab), next)
+	}
+	if len(h.free) != len(h.slab) {
+		t.Errorf("%d of %d slots on the free list after draining", len(h.free), len(h.slab))
 	}
 }

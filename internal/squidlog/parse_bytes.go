@@ -316,7 +316,7 @@ func isASCII(b []byte) bool {
 func AppendEntry(dst []byte, client string, txn capture.TLSTransaction, epochUnix float64) []byte {
 	end := epochUnix + txn.End
 	elapsedMs := txn.Duration() * 1000
-	dst = strconv.AppendFloat(dst, end, 'f', 3, 64)
+	dst = bytesconv.AppendFixed3(dst, end)
 	dst = append(dst, ' ')
 	// %6.0f: right-justified in a 6-column field.
 	var tmp [32]byte

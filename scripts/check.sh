@@ -27,7 +27,7 @@ echo "== go test -race (concurrent packages, incl. faultinject chaos tests and q
 # -timeout 20m: the experiments paper-shape suite takes ~10 wall-clock
 # minutes under the race detector on a 1-core host, right at go test's
 # default timeout.
-go test -race -timeout 20m ./internal/ml/... ./internal/core ./internal/dataset ./internal/tlsproxy ./internal/metrics ./internal/experiments ./internal/features ./internal/faultinject ./internal/intern ./internal/ingest ./internal/cluster ./cmd/qoeproxy
+go test -race -timeout 20m ./internal/ml/... ./internal/core ./internal/dataset ./internal/tlsproxy ./internal/metrics ./internal/experiments ./internal/features ./internal/faultinject ./internal/intern ./internal/ingest ./internal/bytesconv ./internal/cluster ./cmd/qoeproxy
 
 echo "== feature benchmarks (smoke) =="
 go test -run '^$' -bench Feature -benchtime 1x .
@@ -46,6 +46,20 @@ if ! echo "$parse_out" | grep -q "	       0 allocs/op"; then
 	echo "ParseLineBytes allocates; the zero-alloc ingest gate failed"
 	exit 1
 fi
+
+echo "== zero-alloc commit-path gate =="
+# One op is a 256-record batch through onConnOpen + onTransactionBatch
+# with an -out sink over resident clients, so a single allocation per
+# batch — let alone per record — fails the gate.
+commit_out=$(go test -run '^$' -bench 'CommitPath' -benchmem ./cmd/qoeproxy)
+echo "$commit_out"
+if ! echo "$commit_out" | grep -q "	       0 allocs/op"; then
+	echo "the ingest commit path allocates; the zero-alloc commit-path gate failed"
+	exit 1
+fi
+
+echo "== benchmark ledger (bench/ unit tests + 1/200-scale smoke of every workload) =="
+(cd bench && go test ./...)
 
 echo "== qoeproxy smoke (/metrics, /healthz, squid-log tail, model hot reload, SIGTERM drain) =="
 go run ./scripts/smoke

@@ -4,7 +4,9 @@
 // listening" log line, scrape /healthz and /metrics, assert every core
 // series exists, SIGTERM, require a clean drain), the squid-tail
 // smoke (daemon follows a generated access log, per-source ingest
-// counters track lines appended mid-run, SIGTERM drains cleanly), and
+// counters track lines appended mid-run, the records reach -out on the
+// sink's flush interval with the qoeproxy_sink_* series adding up,
+// SIGTERM drains cleanly), and
 // the model-reload smoke (daemon starts serving model A, rolls to
 // model B via POST /admin/reload and again via SIGHUP with the reload
 // counters tracking each swap, then a corrupt model file is rejected
@@ -44,6 +46,9 @@ var coreSeries = []string{
 	"qoeproxy_classification_errors_total",
 	"qoeproxy_sessions_truncated_total",
 	"qoeproxy_sink_write_failures_total",
+	"qoeproxy_sink_pending_bytes",
+	"qoeproxy_sink_bytes_written_total",
+	"qoeproxy_sink_writes_total",
 	"qoeproxy_clients_evicted_total",
 	"qoeproxy_qoe_predictions_total",
 	"qoeproxy_inference_seconds",
@@ -225,10 +230,12 @@ func smokeSquidTail(bin, tmp string) error {
 		return err
 	}
 
+	outPath := filepath.Join(tmp, "tail-transactions.csv")
 	daemon, addr, err := startDaemon(bin,
 		"-metrics", "127.0.0.1:0",
 		"-source", "squid",
 		"-input", logPath,
+		"-out", outPath,
 		"-ingest-epoch", "0",
 		"-ingest-horizon", "0s", // count entries as they are read, not at a watermark
 	)
@@ -266,6 +273,31 @@ func smokeSquidTail(bin, tmp string) error {
 		return fmt.Errorf("qoeproxy_transactions_total = %v, want 5", got)
 	}
 	fmt.Println("smoke: squid tail picked up lines appended while running")
+
+	// The five records must reach -out on the sink's own flush interval —
+	// nothing here fills a chunk — and the sink series must account for
+	// exactly the bytes in the file past the header.
+	const header = "session,sni,start,end,up_bytes,down_bytes\n"
+	var csv []byte
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		csv, err = os.ReadFile(outPath)
+		if err == nil && strings.Count(string(csv), "\n") == 6 {
+			break
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("-out never showed 5 records without a shutdown flush: %q (err %v)", csv, err)
+		}
+	}
+	if err := waitSeries(addr, "qoeproxy_sink_bytes_written_total", float64(len(csv)-len(header))); err != nil {
+		return err
+	}
+	if got := series(addr, "qoeproxy_sink_pending_bytes"); got != 0 {
+		return fmt.Errorf("qoeproxy_sink_pending_bytes = %v with every record on disk, want 0", got)
+	}
+	if got := series(addr, "qoeproxy_sink_writes_total"); got < 1 || got > 5 {
+		return fmt.Errorf("qoeproxy_sink_writes_total = %v for 5 records, want 1..5", got)
+	}
+	fmt.Println("smoke: -out received every record on the sink flush interval; sink series add up")
 
 	return stopDaemon(daemon)
 }

@@ -160,20 +160,18 @@ func runFleet(o loadOptions, bin, modelPath, dir string, w *workload, n int) (*f
 		m := &member{id: id, inst: inst, snapPath: filepath.Join(dir, fmt.Sprintf("fleet-%d-%s.snapshot.json", n, id))}
 		members[i] = m
 		args := []string{
-			"-listen", "127.0.0.1:0",
-			"-upstream", "127.0.0.1:1",
 			"-model", modelPath,
 			"-metrics", "127.0.0.1:0",
 			"-out", filepath.Join(dir, fmt.Sprintf("fleet-%d-%s.out.csv", n, id)),
 			"-classify-every", o.classifyEvery.String(),
 			"-window", o.window.String(),
-			"-classify-batch", fmt.Sprint(o.classifyBatch),
 			"-cluster-config", cfgPath,
 			"-instance-id", id,
 			"-snapshot", m.snapPath,
-			"-replay", csvPath,
-			"-replay-speed", fmt.Sprint(o.speed),
-			"-replay-workers", fmt.Sprint(o.replayWorkers),
+			"-source", "replay",
+			"-input", csvPath,
+			"-ingest-speed", fmt.Sprint(o.speed),
+			"-ingest-workers", fmt.Sprint(o.ingestWorkers),
 		}
 		if o.shards > 0 {
 			args = append(args, "-shards", fmt.Sprint(o.shards))

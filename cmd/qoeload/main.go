@@ -13,14 +13,15 @@
 //	        [-shapes steady,bursty] [-speed 0] [-ramp 60s]
 //	        [-transport replay|sockets|squid] [-slow-sink]
 //	        [-classify-every 500ms] [-window 0] [-shards N]
-//	        [-classify-workers N] [-classify-batch 256]
+//	        [-classify-workers N]
 //	        [-replay-workers 4] [-socket-workers 32]
 //	        [-instances N] [-settle 60s] [-out BENCH_load.json] [-bin path]
 //
 // Transport "replay" (the default) ships the workload to the daemon as
-// a CSV and lets qoeproxy -replay deliver it through the record-replay
-// seam at -speed times recorded time (0 = as fast as possible) —
-// this is how five-digit client counts fit on one box. Transport
+// a CSV and lets qoeproxy -source replay deliver it through the
+// record-replay seam at -speed times recorded time (0 = as fast as
+// possible) on -replay-workers delivery goroutines — no socket is
+// opened, which is how five-digit client counts fit on one box. Transport
 // "sockets" opens real TLS-shaped connections through the proxy
 // listener against a synthetic origin, bounded by -socket-workers
 // concurrent fetches; it exercises the full network path at smaller
@@ -86,8 +87,7 @@ type loadOptions struct {
 	window          time.Duration
 	shards          int
 	classifyWorkers int
-	classifyBatch   int
-	replayWorkers   int
+	ingestWorkers   int
 	socketWorkers   int
 
 	instances int
@@ -111,8 +111,7 @@ func main() {
 	flag.DurationVar(&o.window, "window", 0, "daemon classification window (0 = whole current session)")
 	flag.IntVar(&o.shards, "shards", 0, "daemon lock shards (0 = daemon default)")
 	flag.IntVar(&o.classifyWorkers, "classify-workers", 0, "daemon classify workers (0 = daemon default)")
-	flag.IntVar(&o.classifyBatch, "classify-batch", 256, "daemon batched-sweep rows per inference call (0 = row-at-a-time)")
-	flag.IntVar(&o.replayWorkers, "replay-workers", 4, "daemon replay delivery goroutines (replay transport)")
+	flag.IntVar(&o.ingestWorkers, "replay-workers", 4, "daemon -ingest-workers: replay delivery goroutines (replay transport)")
 	flag.IntVar(&o.socketWorkers, "socket-workers", 32, "concurrent fetches (sockets transport)")
 	flag.IntVar(&o.instances, "instances", 0, "also bench a consistent-hash partitioned fleet of N daemons against the shared workload (0 = skip the fleet section)")
 	flag.DurationVar(&o.settle, "settle", 60*time.Second, "how long to wait after replay for classification passes to accumulate")
@@ -185,8 +184,7 @@ func runLoad(o loadOptions) error {
 			"window":           o.window.String(),
 			"shards":           o.shards,
 			"classify_workers": o.classifyWorkers,
-			"classify_batch":   o.classifyBatch,
-			"replay_workers":   o.replayWorkers,
+			"replay_workers":   o.ingestWorkers,
 			"socket_workers":   o.socketWorkers,
 			"instances":        o.instances,
 		},
@@ -321,8 +319,7 @@ func watchStderr(r io.Reader, ev *daemonEvents) {
 				default:
 				}
 			}
-		case strings.Contains(line, `"msg":"replay complete"`),
-			strings.Contains(line, `"msg":"ingest complete"`):
+		case strings.Contains(line, `"msg":"ingest complete"`):
 			var e struct {
 				Records     int64   `json:"records"`
 				WallSeconds float64 `json:"wall_seconds"`
@@ -395,30 +392,12 @@ func runShape(o loadOptions, bin, modelPath, dir string, w *workload) (*shapeRes
 		}
 	}
 
-	// The upstream is only dialed by the sockets transport; replay mode
-	// never opens a backend connection.
-	var origin *tlsproxy.Origin
-	upstream := "127.0.0.1:1"
-	if o.transport == "sockets" {
-		ol, err := listenLoopback()
-		if err != nil {
-			return nil, err
-		}
-		origin = tlsproxy.NewOrigin(0)
-		go origin.Serve(ol)
-		defer origin.Close()
-		upstream = ol.Addr().String()
-	}
-
 	args := []string{
-		"-listen", "127.0.0.1:0",
-		"-upstream", upstream,
 		"-model", modelPath,
 		"-metrics", "127.0.0.1:0",
 		"-out", outPath,
 		"-classify-every", o.classifyEvery.String(),
 		"-window", o.window.String(),
-		"-classify-batch", fmt.Sprint(o.classifyBatch),
 	}
 	if o.shards > 0 {
 		args = append(args, "-shards", fmt.Sprint(o.shards))
@@ -427,11 +406,23 @@ func runShape(o loadOptions, bin, modelPath, dir string, w *workload) (*shapeRes
 		args = append(args, "-classify-workers", fmt.Sprint(o.classifyWorkers))
 	}
 	switch o.transport {
+	case "sockets":
+		// The only transport with a relay: the daemon listens, and dials an
+		// in-process origin for every connection driveSockets opens.
+		ol, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		origin := tlsproxy.NewOrigin(0)
+		go origin.Serve(ol)
+		defer origin.Close()
+		args = append(args, "-listen", "127.0.0.1:0", "-upstream", ol.Addr().String())
 	case "replay":
 		args = append(args,
-			"-replay", csvPath,
-			"-replay-speed", fmt.Sprint(o.speed),
-			"-replay-workers", fmt.Sprint(o.replayWorkers))
+			"-source", "replay",
+			"-input", csvPath,
+			"-ingest-speed", fmt.Sprint(o.speed),
+			"-ingest-workers", fmt.Sprint(o.ingestWorkers))
 	case "squid":
 		// Render the workload as an end-time-ordered access log — the
 		// order a real Squid writes — and let the daemon's tailer ingest
@@ -623,11 +614,6 @@ waitReplay:
 	return res, nil
 }
 
-// listenLoopback binds an ephemeral loopback listener.
-func listenLoopback() (net.Listener, error) {
-	return net.Listen("tcp", "127.0.0.1:0")
-}
-
 // driveSockets replays the workload as real proxied connections: each
 // record becomes a dial + fetch of its DownBytes through the proxy,
 // paced by RecordSource across -socket-workers lanes.
@@ -635,16 +621,18 @@ func driveSockets(proxyAddr string, w *workload, o loadOptions, ev *daemonEvents
 	src := &tlsproxy.RecordSource{Records: w.records, Speed: o.speed, Workers: o.socketWorkers}
 	start := time.Now()
 	var delivered atomic.Int64
-	src.Run(context.Background(), time.Now(), nil, func(r tlsproxy.Record) {
-		c, err := tlsproxy.Dial(proxyAddr, r.SNI)
-		if err != nil {
-			return
+	src.RunBatched(context.Background(), time.Now(), nil, func(recs []tlsproxy.Record) {
+		for _, r := range recs {
+			c, err := tlsproxy.Dial(proxyAddr, r.SNI)
+			if err != nil {
+				continue
+			}
+			if _, err := c.Fetch(r.DownBytes); err == nil {
+				delivered.Add(1)
+			}
+			c.Close()
 		}
-		if _, err := c.Fetch(r.DownBytes); err == nil {
-			delivered.Add(1)
-		}
-		c.Close()
-	})
+	}, 1)
 	select {
 	case ev.replayDone <- replayOutcome{delivered.Load(), time.Since(start).Seconds()}:
 	default:

@@ -58,21 +58,16 @@ func (b *logBuffer) countLogMsg(t *testing.T, msg string) int {
 	return n
 }
 
-// newTestService assembles a service around synthetic state: a real
-// (non-serving) proxy for the stats bridges, captured logs, and the
-// given options/estimator. An optional trailing estimator becomes the
-// shadow challenger, installed in the first serving bundle.
+// newTestService assembles a service around synthetic state: captured
+// logs and the given options/estimator, no relay (as for a file
+// source). An optional trailing estimator becomes the shadow
+// challenger, installed in the first serving bundle.
 func newTestService(t *testing.T, opts options, est *core.Estimator, shadow ...*core.Estimator) (*service, *logBuffer) {
 	t.Helper()
 	logs := &logBuffer{}
-	proxy, err := tlsproxy.New(tlsproxy.Config{Resolver: tlsproxy.StaticResolver("127.0.0.1:9")})
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := newService(opts, slog.New(slog.NewJSONHandler(logs, nil)), est)
 	t.Cleanup(s.stopSinkWriter)
 	s.epoch = time.Unix(1_700_000_000, 0)
-	s.proxy = proxy
 	if len(shadow) > 0 {
 		s.pendingShadow = shadow[0]
 	}
@@ -119,14 +114,21 @@ func healthStatus(t *testing.T, s *service) (string, int64) {
 	return h.Status, h.SinkWriteFailures
 }
 
-// feedRecords delivers n one-connection transactions for a client
-// through the record-at-a-time path, connection IDs from firstID.
+// deliver hands one completed record to the service as a one-element
+// batch: record-at-a-time delivery, which is all the live proxy ever
+// produces and what every file source does at Batch 1.
+func deliver(s *service, r tlsproxy.Record) {
+	s.onTransactionBatch([]tlsproxy.Record{r})
+}
+
+// feedRecords delivers n one-connection transactions for a client,
+// record at a time, connection IDs from firstID.
 func feedRecords(s *service, client string, firstID, n int) {
 	for i := 0; i < n; i++ {
 		at := float64(firstID + i)
 		r := s.record(uint64(firstID+i), client, "cdn-01.svc1.example", at, at+0.5, 100, 1000)
 		s.onConnOpen(r)
-		s.onTransaction(r)
+		deliver(s, r)
 	}
 }
 
@@ -207,7 +209,7 @@ func TestServeLoopDrainsOnListenerError(t *testing.T) {
 	for i := 0; i < n; i++ {
 		r := s.record(uint64(i+1), "10.2.2.2:6000", "cdn-01.svc1.example", float64(i*10), float64(i*10)+2, 100, 1000)
 		s.onConnOpen(r)
-		s.onTransaction(r)
+		deliver(s, r)
 	}
 	cs := s.client("10.2.2.2")
 	pending := len(cs.inFlight) + len(cs.buffer)
@@ -240,7 +242,7 @@ func TestClassificationErrorsMetric(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r := s.record(uint64(i+1), "10.3.3.3:7000", "cdn-01.svc1.example", float64(i), float64(i)+0.5, 100, 1000)
 		s.onConnOpen(r)
-		s.onTransaction(r)
+		deliver(s, r)
 	}
 	s.classifyPass(10)
 	if got := s.mClassErrors.Value(); got != 1 {
@@ -428,7 +430,7 @@ func TestSinkIntervalFlush(t *testing.T) {
 	s.out = s.newSink(w, "out")
 	r := s.record(1, "10.5.5.5:9000", "cdn-01.svc1.example", 0, 0.5, 1, 1000)
 	s.onConnOpen(r)
-	s.onTransaction(r)
+	deliver(s, r)
 	for deadline := time.Now().Add(5 * time.Second); w.lines() == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("a pending line was never flushed on the interval")

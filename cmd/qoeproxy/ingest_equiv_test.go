@@ -90,11 +90,10 @@ type equivRun struct {
 // runSource feeds one rendering of the canonical workload through a
 // fresh service via the given TransactionSource and returns every
 // invariant observable. The classification/eviction schedule is
-// computed from the canonical records, identical across sources. A
-// positive batch selects the daemon's shard-batched delivery handler
-// (onTransactionBatch), mirroring -ingest-batch; zero keeps the
-// record-at-a-time reference path.
-func runSource(t *testing.T, est *core.Estimator, recs []tlsproxy.ReplayRecord, batch int,
+// computed from the canonical records, identical across sources. The
+// source carries its own coalescing size (Batch); 1 is the
+// record-at-a-time reference.
+func runSource(t *testing.T, est *core.Estimator, recs []tlsproxy.ReplayRecord,
 	build func(base time.Time) (ingest.TransactionSource, error)) equivRun {
 	t.Helper()
 	const ttl = 120 * time.Second
@@ -113,12 +112,7 @@ func runSource(t *testing.T, est *core.Estimator, recs []tlsproxy.ReplayRecord, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := ingest.Handler{ConnOpen: s.onConnOpen}
-	if batch > 0 {
-		h.TransactionBatch = s.onTransactionBatch
-	} else {
-		h.Transaction = s.onTransaction
-	}
+	h := ingest.Handler{ConnOpen: s.onConnOpen, TransactionBatch: s.onTransactionBatch}
 	if err := src.Run(context.Background(), h); err != nil {
 		t.Fatalf("%s source: %v", src.Name(), err)
 	}
@@ -246,8 +240,17 @@ func TestCrossSourceEquivalence(t *testing.T) {
 	}
 	f.Close()
 
-	base := runSource(t, est, recs, 0, func(b time.Time) (ingest.TransactionSource, error) {
-		return ingest.NewReplaySource(csvPath, b, 0, 1)
+	// batched sets a loaded source's coalescing size.
+	batched := func(s *ingest.BatchSource, err error, batch int) (ingest.TransactionSource, error) {
+		if err != nil {
+			return nil, err
+		}
+		s.Batch = batch
+		return s, nil
+	}
+	base := runSource(t, est, recs, func(b time.Time) (ingest.TransactionSource, error) {
+		s, err := ingest.NewReplaySource(csvPath, b, 0, 1)
+		return batched(s, err, 1)
 	})
 	if len(base.classifications) == 0 {
 		t.Fatal("replay baseline produced no classifications")
@@ -259,9 +262,9 @@ func TestCrossSourceEquivalence(t *testing.T) {
 		t.Fatal("replay baseline left a sink empty")
 	}
 
-	// squidSrc renders a tailer config over the grid the daemon's
-	// -parse-workers/-ingest-batch flags expose; every combination must
-	// reproduce the per-record baseline byte for byte.
+	// squidSrc renders a tailer config over the (-parse-workers, batch
+	// size) grid; every combination must reproduce the record-at-a-time
+	// baseline byte for byte.
 	squidSrc := func(parseWorkers, batch int) func(b time.Time) (ingest.TransactionSource, error) {
 		return func(b time.Time) (ingest.TransactionSource, error) {
 			return &ingest.SquidSource{
@@ -275,35 +278,33 @@ func TestCrossSourceEquivalence(t *testing.T) {
 	}
 	others := []struct {
 		name  string
-		batch int
 		build func(b time.Time) (ingest.TransactionSource, error)
 	}{
-		{"squid", 0, squidSrc(1, 0)},
-		{"squid-batch8", 8, squidSrc(1, 8)},
-		{"squid-pw4-batch32", 32, squidSrc(4, 32)},
-		{"pcap", 0, func(b time.Time) (ingest.TransactionSource, error) {
-			return ingest.NewPcapSource(pcapPath, b, 0, 0, 1)
-		}},
-		{"pcap-batch32", 32, func(b time.Time) (ingest.TransactionSource, error) {
+		{"squid-batch1", squidSrc(1, 1)},
+		{"squid-batch8", squidSrc(1, 8)},
+		{"squid-pw4-batch32", squidSrc(4, 32)},
+		{"pcap-batch1", func(b time.Time) (ingest.TransactionSource, error) {
 			s, err := ingest.NewPcapSource(pcapPath, b, 0, 0, 1)
-			if err == nil {
-				s.Batch = 32
-			}
-			return s, err
+			return batched(s, err, 1)
 		}},
-		{"netflow", 0, func(b time.Time) (ingest.TransactionSource, error) {
-			return ingest.NewNetflowSource(flowPath, b, 0, 1)
+		{"pcap-batch32", func(b time.Time) (ingest.TransactionSource, error) {
+			s, err := ingest.NewPcapSource(pcapPath, b, 0, 0, 1)
+			return batched(s, err, 32)
 		}},
-		{"replay-batch16", 16, func(b time.Time) (ingest.TransactionSource, error) {
+		{"netflow-batch1", func(b time.Time) (ingest.TransactionSource, error) {
+			s, err := ingest.NewNetflowSource(flowPath, b, 0, 1)
+			return batched(s, err, 1)
+		}},
+		{"replay-batch16", func(b time.Time) (ingest.TransactionSource, error) {
 			s, err := ingest.NewReplaySource(csvPath, b, 0, 1)
-			if err == nil {
-				s.Batch = 16
-			}
-			return s, err
+			return batched(s, err, 16)
+		}},
+		{"replay-default", func(b time.Time) (ingest.TransactionSource, error) {
+			return ingest.NewReplaySource(csvPath, b, 0, 1)
 		}},
 	}
 	for _, o := range others {
-		got := runSource(t, est, recs, o.batch, o.build)
+		got := runSource(t, est, recs, o.build)
 		compareRuns(t, o.name, got.invariantRun, base.invariantRun)
 		if got.sinkSquid != base.sinkSquid {
 			t.Errorf("%s: squid-log sink diverged (%d bytes vs %d)", o.name, len(got.sinkSquid), len(base.sinkSquid))

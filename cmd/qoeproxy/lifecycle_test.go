@@ -234,7 +234,7 @@ func TestReloadUnderLoad(t *testing.T) {
 			at := float64(id) * 0.001
 			r := s.record(id, client, "cdn-01.svc1.example", at, at+0.0005, 400, 150_000)
 			s.onConnOpen(r)
-			s.onTransaction(r)
+			deliver(s, r)
 			if id%256 == 0 {
 				time.Sleep(time.Millisecond)
 			}
@@ -302,7 +302,7 @@ func TestReplaySpeedInvariance(t *testing.T) {
 			window:        0, // incremental: classify the whole ongoing session
 			clientTTL:     500 * time.Millisecond,
 			classifyBatch: 4,
-			replayPath:    "paced-workload", // any replay input selects the logical sweep clock
+			source:        "replay", // file sources select the logical sweep clock
 		}, est)
 		if !s.logicalClock {
 			t.Fatal("replay service must select the logical sweep clock")
@@ -321,7 +321,7 @@ func TestReplaySpeedInvariance(t *testing.T) {
 			mk("10.80.0.2", 1.00, 1.10), mk("10.80.0.2", 1.10, 1.20), mk("10.80.0.2", 1.20, 1.30),
 		}
 		src := &tlsproxy.RecordSource{Records: recs, Speed: speed, Workers: 2}
-		src.Run(context.Background(), s.epoch, s.onConnOpen, s.onTransaction)
+		src.RunBatched(context.Background(), s.epoch, s.onConnOpen, s.onTransactionBatch, 1)
 
 		ns := s.sweepNow(time.Now())
 		if ns != 1.3 {
@@ -385,7 +385,7 @@ func TestDriftGaugesMove(t *testing.T) {
 		r := s.record(uint64(i+1), "10.70.0.1:40000", "cdn-01.svc1.example",
 			float64(i), float64(i)+0.5, 5_000_000, 500_000_000)
 		s.onConnOpen(r)
-		s.onTransaction(r)
+		deliver(s, r)
 	}
 	s.classifyPass(30)
 
@@ -461,19 +461,17 @@ func TestRunSIGHUPReload(t *testing.T) {
 	}
 	wf.Close()
 
-	listen := freePort(t)
 	metricsAddr := freePort(t)
 	done := make(chan error, 1)
 	go func() {
 		done <- run(options{
-			listen:        listen,
-			upstream:      "127.0.0.1:1",
 			modelPath:     modelPath,
 			metricsAddr:   metricsAddr,
 			classifyEvery: 100 * time.Millisecond,
 			classifyBatch: 8,
-			replayPath:    workloadPath,
-			replayWorkers: 2,
+			source:        "replay",
+			input:         workloadPath,
+			ingestWorkers: 2,
 		})
 	}()
 

@@ -15,12 +15,10 @@
 //	         [-shadow-model challenger.json]
 //	         [-metrics 127.0.0.1:9090] [-classify-every 30s]
 //	         [-window 4m] [-client-ttl 1h] [-max-session-txns 4096]
-//	         [-shards N] [-classify-workers N] [-classify-batch N]
-//	         [-replay workload.csv] [-replay-speed X] [-replay-workers N]
+//	         [-shards N] [-classify-workers N]
 //	         [-source proxy|squid|pcap|netflow|replay] [-input FILE]
 //	         [-ingest-speed X] [-ingest-workers N] [-ingest-epoch T]
-//	         [-ingest-horizon 5m] [-follow=true]
-//	         [-ingest-batch N] [-parse-workers N]
+//	         [-ingest-horizon 5m] [-follow=true] [-parse-workers N]
 //	         [-cluster-config cluster.json] [-instance-id ID]
 //	         [-snapshot state.json] [-restore state.json]
 //	         [-v]
@@ -45,15 +43,14 @@
 // connections ingest in parallel, and the classify tick fans out
 // across shards on a -classify-workers pool, sweeping each shard's
 // feature rows through the compiled scorer in contiguous row-major
-// blocks of -classify-batch rows; outputs stay ordered through a
+// blocks; outputs stay ordered through a
 // single sink-writer goroutine that writes record lines a ~64 KiB chunk
 // at a time (or every 100ms, so a quiet proxy's files stay current).
-// With -replay the daemon additionally
-// replays a recorded workload CSV (internal/tlsproxy.ReadWorkload)
-// straight into the ingest path — same callbacks, logical timestamps —
-// at -replay-speed times recorded speed, which is how cmd/qoeload
-// drives tens of thousands of simulated clients through the real
-// serving loop without a socket per session.
+// -source replay feeds a recorded workload CSV
+// (internal/tlsproxy.ReadWorkload) into the ingest path — same
+// callbacks, logical timestamps — at -ingest-speed times recorded
+// speed, which is how cmd/qoeload drives tens of thousands of simulated
+// clients through the real serving loop without a socket per session.
 //
 // The model is operated like production ML, not loaded once and served
 // forever. SIGHUP or POST /admin/reload (loopback callers only, on the
@@ -120,38 +117,7 @@ import (
 
 func main() {
 	var opts options
-	flag.StringVar(&opts.listen, "listen", "127.0.0.1:8443", "address to listen on")
-	flag.StringVar(&opts.upstream, "upstream", "", "default backend address (required unless every SNI is mapped)")
-	flag.StringVar(&opts.resolve, "resolve", "", "file of 'sni backend:port' mappings")
-	flag.StringVar(&opts.outPath, "out", "", "append transaction CSV records to this file")
-	flag.StringVar(&opts.squidPath, "squid-log", "", "append Squid-format log lines to this file")
-	flag.StringVar(&opts.modelPath, "model", "", "saved model (cmd/qoeinfer -save) for online and shutdown classification")
-	flag.StringVar(&opts.shadowPath, "shadow-model", "", "challenger model scored over the same rows as -model; disagreements are counted, output is untouched")
-	flag.StringVar(&opts.metricsAddr, "metrics", "127.0.0.1:9090", "address for /metrics and /healthz (empty disables)")
-	flag.DurationVar(&opts.classifyEvery, "classify-every", 30*time.Second, "interval between online classification passes (0 disables)")
-	flag.DurationVar(&opts.window, "window", 4*time.Minute, "sliding window of transactions classified per pass (0 = whole current session)")
-	flag.DurationVar(&opts.clientTTL, "client-ttl", time.Hour, "evict a client's state after this much idle time, emitting its final classification (0 disables; swept on the classify tick)")
-	flag.IntVar(&opts.maxSessionTxns, "max-session-txns", 4096, "most transactions retained per client session and summary buffer; oldest are dropped beyond it (0 = unbounded)")
-	flag.IntVar(&opts.shards, "shards", 0, "lock shards for per-client state; ingest for clients on different shards never contends (0 = GOMAXPROCS)")
-	flag.IntVar(&opts.classifyWorkers, "classify-workers", 0, "goroutines fanning the classify tick across shards (0 = GOMAXPROCS, capped at -shards)")
-	flag.IntVar(&opts.classifyBatch, "classify-batch", 256, "feature rows swept per batched inference call in a classification pass (0 = row-at-a-time)")
-	flag.StringVar(&opts.replayPath, "replay", "", "replay this workload CSV (see internal/tlsproxy.ReadWorkload) into the ingest path alongside live traffic")
-	flag.Float64Var(&opts.replaySpeed, "replay-speed", 0, "time-compression factor for -replay: 1 = recorded speed, 0 = as fast as possible")
-	flag.IntVar(&opts.replayWorkers, "replay-workers", 4, "goroutines delivering -replay records (clients are hash-partitioned across them)")
-	flag.StringVar(&opts.source, "source", "proxy", "primary telemetry source: proxy|squid|pcap|netflow|replay (docs/INGEST.md)")
-	flag.StringVar(&opts.input, "input", "", "input file for a non-proxy -source: Squid access log, pcap trace, flow CSV or workload CSV")
-	flag.Float64Var(&opts.ingestSpeed, "ingest-speed", 0, "time-compression factor for file sources: 1 = recorded pace, 0 = as fast as possible")
-	flag.IntVar(&opts.ingestWorkers, "ingest-workers", 1, "delivery goroutines for batch file sources (clients hash-partitioned; per-client order preserved)")
-	flag.Float64Var(&opts.ingestEpoch, "ingest-epoch", -1, "Unix time mapped to offset 0 for squid/pcap sources (-1 = first event's time)")
-	flag.DurationVar(&opts.ingestHorizon, "ingest-horizon", 5*time.Minute, "reordering slack for -source=squid: entries are released once the log's end-time watermark is this far past them")
-	flag.BoolVar(&opts.follow, "follow", true, "for -source=squid: keep tailing the log across rotation/truncation (false stops at EOF)")
-	flag.IntVar(&opts.ingestBatch, "ingest-batch", 256, "transactions coalesced per shard-batched ingest commit; 0 delivers record-at-a-time")
-	flag.IntVar(&opts.parseWorkers, "parse-workers", 1, "for -source=squid: goroutines decoding log lines (output is identical at any setting)")
-	flag.StringVar(&opts.clusterConfig, "cluster-config", "", "cluster membership file (internal/cluster JSON); this instance serves only the clients the ring assigns it")
-	flag.StringVar(&opts.instanceID, "instance-id", "", "this daemon's id in -cluster-config (required with it)")
-	flag.StringVar(&opts.snapshotPath, "snapshot", "", "write the serving state here on shutdown (and on POST /admin/snapshot) instead of printing the shutdown summary")
-	flag.StringVar(&opts.restorePath, "restore", "", "restore serving state from this snapshot at startup (missing/corrupt files log and start cold)")
-	flag.BoolVar(&opts.verbose, "v", false, "log per-transaction detail (debug level)")
+	registerFlags(flag.CommandLine, &opts)
 	flag.Parse()
 	if err := run(opts); err != nil {
 		fmt.Fprintln(os.Stderr, "qoeproxy:", err)
@@ -159,7 +125,43 @@ func main() {
 	}
 }
 
+// registerFlags declares the daemon's whole command line on fs. The flag
+// table in docs/OPERATIONS.md is checked against it, name by name and
+// default by default (TestFlagsMatchOperationsDoc).
+func registerFlags(fs *flag.FlagSet, opts *options) {
+	fs.StringVar(&opts.listen, "listen", "127.0.0.1:8443", "address to listen on")
+	fs.StringVar(&opts.upstream, "upstream", "", "default backend address (required unless every SNI is mapped)")
+	fs.StringVar(&opts.resolve, "resolve", "", "file of 'sni backend:port' mappings")
+	fs.StringVar(&opts.outPath, "out", "", "append transaction CSV records to this file")
+	fs.StringVar(&opts.squidPath, "squid-log", "", "append Squid-format log lines to this file")
+	fs.StringVar(&opts.modelPath, "model", "", "saved model (cmd/qoeinfer -save) for online and shutdown classification")
+	fs.StringVar(&opts.shadowPath, "shadow-model", "", "challenger model scored over the same rows as -model; disagreements are counted, output is untouched")
+	fs.StringVar(&opts.metricsAddr, "metrics", "127.0.0.1:9090", "address for /metrics and /healthz (empty disables)")
+	fs.DurationVar(&opts.classifyEvery, "classify-every", 30*time.Second, "interval between online classification passes (0 disables)")
+	fs.DurationVar(&opts.window, "window", 4*time.Minute, "sliding window of transactions classified per pass (0 = whole current session)")
+	fs.DurationVar(&opts.clientTTL, "client-ttl", time.Hour, "evict a client's state after this much idle time, emitting its final classification (0 disables; swept on the classify tick)")
+	fs.IntVar(&opts.maxSessionTxns, "max-session-txns", 4096, "most transactions retained per client session and summary buffer; oldest are dropped beyond it (0 = unbounded)")
+	fs.IntVar(&opts.shards, "shards", 0, "lock shards for per-client state; ingest for clients on different shards never contends (0 = GOMAXPROCS)")
+	fs.IntVar(&opts.classifyWorkers, "classify-workers", 0, "goroutines fanning the classify tick across shards (0 = GOMAXPROCS, capped at -shards)")
+	fs.StringVar(&opts.source, "source", "proxy", "primary telemetry source: proxy|squid|pcap|netflow|replay (docs/INGEST.md)")
+	fs.StringVar(&opts.input, "input", "", "input file for a non-proxy -source: Squid access log, pcap trace, flow CSV or workload CSV")
+	fs.Float64Var(&opts.ingestSpeed, "ingest-speed", 0, "time-compression factor for file sources: 1 = recorded pace, 0 = as fast as possible")
+	fs.IntVar(&opts.ingestWorkers, "ingest-workers", 1, "delivery goroutines for batch file sources (clients hash-partitioned; per-client order preserved)")
+	fs.Float64Var(&opts.ingestEpoch, "ingest-epoch", -1, "Unix time mapped to offset 0 for squid/pcap sources (-1 = first event's time)")
+	fs.DurationVar(&opts.ingestHorizon, "ingest-horizon", 5*time.Minute, "reordering slack for -source=squid: entries are released once the log's end-time watermark is this far past them")
+	fs.BoolVar(&opts.follow, "follow", true, "for -source=squid: keep tailing the log across rotation/truncation (false stops at EOF)")
+	fs.IntVar(&opts.parseWorkers, "parse-workers", 1, "for -source=squid: goroutines decoding log lines (output is identical at any setting)")
+	fs.StringVar(&opts.clusterConfig, "cluster-config", "", "cluster membership file (internal/cluster JSON); this instance serves only the clients the ring assigns it")
+	fs.StringVar(&opts.instanceID, "instance-id", "", "this daemon's id in -cluster-config (required with it)")
+	fs.StringVar(&opts.snapshotPath, "snapshot", "", "write the serving state here on shutdown (and on POST /admin/snapshot) instead of printing the shutdown summary")
+	fs.StringVar(&opts.restorePath, "restore", "", "restore serving state from this snapshot at startup (missing/corrupt files log and start cold)")
+	fs.BoolVar(&opts.verbose, "v", false, "log per-transaction detail (debug level)")
+}
+
 // options collects every flag so tests can drive run directly.
+// classifyBatch has no flag: it is an in-process seam for the invariance
+// suites, which sweep inference block sizes down to 1 (the row-at-a-time
+// reference); <= 0 selects the serving default of 256.
 type options struct {
 	listen, upstream, resolve     string
 	outPath, squidPath, modelPath string
@@ -170,16 +172,12 @@ type options struct {
 	maxSessionTxns                int
 	shards, classifyWorkers       int
 	classifyBatch                 int
-	replayPath                    string
-	replaySpeed                   float64
-	replayWorkers                 int
 	source, input                 string
 	ingestSpeed                   float64
 	ingestWorkers                 int
 	ingestEpoch                   float64
 	ingestHorizon                 time.Duration
 	follow                        bool
-	ingestBatch                   int
 	parseWorkers                  int
 	clusterConfig, instanceID     string
 	snapshotPath, restorePath     string
@@ -431,9 +429,11 @@ type service struct {
 	// that a production (info-level) daemon would throw away.
 	debugLog bool
 	// batchPool recycles the scratch (line buffer, commit list) of
-	// onTransactionBatch / onTransaction calls across goroutines.
+	// onTransactionBatch calls across goroutines.
 	batchPool sync.Pool
-	proxy     *tlsproxy.Proxy
+	// proxy is the live relay, set only for -source proxy; file sources
+	// relay nothing and register none of its series.
+	proxy *tlsproxy.Proxy
 	// src is the primary TransactionSource feeding the ingest path;
 	// its Stats back the qoeproxy_ingest_source_* series. Nil in tests
 	// that drive callbacks directly.
@@ -490,9 +490,8 @@ type shard struct {
 	// nothing else ever touches them.
 	cNames   []string
 	cCounts  []int
-	cRows    [][]float64 // row-at-a-time path (-classify-batch 0): views into cBlock
-	cBlock   []float64   // row-major block, cap(cNames) x stride
-	cProbs   []float64   // per-sweep probability scratch
+	cBlock   []float64 // row-major block, cap(cNames) x stride
+	cProbs   []float64 // per-sweep probability scratch
 	cClasses []int
 	cShadow  []int // challenger classes over the same rows (-shadow-model)
 
@@ -506,11 +505,19 @@ type shard struct {
 	row  []float64
 }
 
+// defaultClassifyBatch is how many feature rows one batched inference
+// call sweeps: large enough to amortize the call, small enough that the
+// probability scratch stays in cache.
+const defaultClassifyBatch = 256
+
 // newService assembles the daemon state around the given options,
 // normalising the concurrency knobs and starting the sink writer.
-// The caller attaches the proxy and calls registerMetrics before
-// serving traffic.
+// The caller attaches the proxy (proxy mode) and calls registerMetrics
+// before serving traffic.
 func newService(opts options, logger *slog.Logger, est *core.Estimator) *service {
+	if opts.classifyBatch <= 0 {
+		opts.classifyBatch = defaultClassifyBatch
+	}
 	if opts.shards <= 0 {
 		opts.shards = runtime.GOMAXPROCS(0)
 	}
@@ -531,7 +538,7 @@ func newService(opts options, logger *slog.Logger, est *core.Estimator) *service
 	if est != nil {
 		s.track = opts.window <= 0
 	}
-	s.logicalClock = (opts.source != "" && opts.source != "proxy") || opts.replayPath != ""
+	s.logicalClock = opts.source != "" && opts.source != "proxy"
 	s.shards = make([]*shard, opts.shards)
 	for i := range s.shards {
 		s.shards[i] = &shard{clients: map[string]*clientState{}}
@@ -738,9 +745,9 @@ func (s *service) noteEventTime(t float64) {
 
 // sweepNow converts a tick's wall time to the sweep clock in epoch
 // seconds: the ingest watermark for file and replay sources (whose
-// record timestamps are logical and scaled by -ingest-speed or
-// -replay-speed, so the -window cutoff and -client-ttl comparisons
-// must use the records' own timescale), wall time for the live proxy.
+// record timestamps are logical and scaled by -ingest-speed, so the
+// -window cutoff and -client-ttl comparisons must use the records' own
+// timescale), wall time for the live proxy.
 func (s *service) sweepNow(now time.Time) float64 {
 	if s.logicalClock {
 		return math.Float64frombits(s.watermark.Load())
@@ -898,7 +905,7 @@ func (s *service) newSink(w io.Writer, name string) *sink {
 // appendSink adds whole record lines to a sink's pending chunk, handing
 // the chunk to the writer once it is full. A client's lines must be
 // appended by calls ordered one after another (one source goroutine per
-// client, or the client's shard lock) to keep their order in the file.
+// client) to keep their order in the file.
 func (s *service) appendSink(k *sink, lines []byte) {
 	s.sinks.queued.Add(int64(len(lines)))
 	k.mu.Lock()
@@ -1017,19 +1024,6 @@ func run(opts options) error {
 		}
 	}
 
-	var resolver tlsproxy.Resolver
-	if source == "proxy" {
-		var err error
-		resolver, err = loadResolver(opts.resolve, opts.upstream)
-		if err != nil {
-			return err
-		}
-	} else {
-		// File sources never dial a backend; the stub keeps the proxy's
-		// stats bridges alive without requiring -upstream.
-		resolver = tlsproxy.StaticResolver("127.0.0.1:9")
-	}
-
 	// Validate every output path and the model BEFORE binding the
 	// listener: a daemon that accepts traffic and then dies on a bad
 	// -out path would leave clients mid-relay and files half-written.
@@ -1050,21 +1044,6 @@ func run(opts options) error {
 		}
 		if err := validateShadow(est, shadowEst); err != nil {
 			return fmt.Errorf("-shadow-model: %w", err)
-		}
-	}
-	var replayRecs []tlsproxy.ReplayRecord
-	if opts.replayPath != "" {
-		f, err := os.Open(opts.replayPath)
-		if err != nil {
-			return fmt.Errorf("-replay: %w", err)
-		}
-		replayRecs, err = tlsproxy.ReadWorkload(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		if len(replayRecs) == 0 {
-			return fmt.Errorf("-replay: workload %s is empty", opts.replayPath)
 		}
 	}
 	s := newService(opts, logger, est)
@@ -1106,14 +1085,15 @@ func run(opts options) error {
 	}
 
 	// Build the primary TransactionSource. Proxy mode serves live
-	// traffic; file sources feed the same callbacks from disk. Either
-	// way a tlsproxy.Proxy exists (a stub for file sources) so the
-	// proxy-stats metric bridges and /healthz stay live.
+	// traffic; file sources feed the same callbacks from disk.
 	var src ingest.TransactionSource
 	var ps *ingest.ProxySource
 	switch source {
 	case "proxy":
-		var err error
+		resolver, err := loadResolver(opts.resolve, opts.upstream)
+		if err != nil {
+			return err
+		}
 		ps, err = ingest.NewProxySource(tlsproxy.Config{Resolver: resolver})
 		if err != nil {
 			return err
@@ -1135,45 +1115,57 @@ func run(opts options) error {
 			Horizon:      opts.ingestHorizon.Seconds(),
 			Follow:       opts.follow,
 			ParseWorkers: opts.parseWorkers,
-			Batch:        opts.ingestBatch,
 		}
 	case "pcap":
 		bs, err := ingest.NewPcapSource(opts.input, s.epoch, opts.ingestEpoch, opts.ingestSpeed, opts.ingestWorkers)
 		if err != nil {
 			return err
 		}
-		bs.Batch = opts.ingestBatch
 		src = bs
 	case "netflow":
 		bs, err := ingest.NewNetflowSource(opts.input, s.epoch, opts.ingestSpeed, opts.ingestWorkers)
 		if err != nil {
 			return err
 		}
-		bs.Batch = opts.ingestBatch
 		src = bs
 	case "replay":
 		bs, err := ingest.NewReplaySource(opts.input, s.epoch, opts.ingestSpeed, opts.ingestWorkers)
 		if err != nil {
 			return err
 		}
-		bs.Batch = opts.ingestBatch
 		src = bs
-	}
-	if s.proxy == nil {
-		stub, err := tlsproxy.New(tlsproxy.Config{Resolver: resolver})
-		if err != nil {
-			return err
-		}
-		s.proxy = stub
 	}
 	s.src = src
 	s.registerMetrics()
 
-	// Outputs validated, model loaded: now bind (proxy mode only; file
-	// sources accept no traffic).
+	// Outputs validated, model loaded: now bind. -metrics binds here too,
+	// before the source runs: a file source that had already ingested
+	// (and appended to -out) when the bind failed would leave records
+	// behind a daemon that then exits with an error.
+	httpSrv := &http.Server{Handler: s.httpHandler()}
+	if opts.metricsAddr != "" {
+		ml, err := net.Listen("tcp", opts.metricsAddr)
+		if err != nil {
+			return fmt.Errorf("-metrics: %w", err)
+		}
+		go func() {
+			if err := httpSrv.Serve(ml); err != nil && err != http.ErrServerClosed {
+				logger.Error("metrics server", "err", err)
+			}
+		}()
+		logger.Info("metrics listening", "addr", ml.Addr().String())
+	}
+	// With -metrics disabled nothing was served and Shutdown is a no-op.
+	stopHTTP := func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		httpSrv.Shutdown(ctx)
+		cancel()
+	}
+	// Proxy mode only; file sources accept no traffic.
 	if ps != nil {
 		l, err := net.Listen("tcp", opts.listen)
 		if err != nil {
+			stopHTTP()
 			return err
 		}
 		ps.Listener = l
@@ -1191,16 +1183,7 @@ func run(opts options) error {
 	if ps == nil {
 		logger.Info("ingesting", "source", src.Name(), "input", opts.input)
 	}
-	// A positive -ingest-batch selects shard-batched delivery: records
-	// arrive coalesced and each shard lock is taken once per batch. Zero
-	// keeps the record-at-a-time path (useful for bisecting and as the
-	// reference ordering in tests).
-	handler := ingest.Handler{ConnOpen: s.onConnOpen}
-	if opts.ingestBatch > 0 {
-		handler.TransactionBatch = s.onTransactionBatch
-	} else {
-		handler.Transaction = s.onTransaction
-	}
+	handler := ingest.Handler{ConnOpen: s.onConnOpen, TransactionBatch: s.onTransactionBatch}
 	go func() {
 		defer close(runDone)
 		err := src.Run(srcCtx, handler)
@@ -1223,22 +1206,6 @@ func run(opts options) error {
 		<-runDone
 	}
 
-	var httpSrv *http.Server
-	if opts.metricsAddr != "" {
-		ml, err := net.Listen("tcp", opts.metricsAddr)
-		if err != nil {
-			stopSource()
-			return fmt.Errorf("-metrics: %w", err)
-		}
-		httpSrv = &http.Server{Handler: s.httpHandler()}
-		go func() {
-			if err := httpSrv.Serve(ml); err != nil && err != http.ErrServerClosed {
-				logger.Error("metrics server", "err", err)
-			}
-		}()
-		logger.Info("metrics listening", "addr", ml.Addr().String())
-	}
-
 	// The tick drives both classification passes and the idle-client
 	// eviction sweep, so it runs whenever either needs it.
 	var tick <-chan time.Time
@@ -1248,53 +1215,6 @@ func run(opts options) error {
 		tick = ticker.C
 	}
 
-	stopHTTP := func() {}
-	if httpSrv != nil {
-		stopHTTP = func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			httpSrv.Shutdown(ctx)
-			cancel()
-		}
-	}
-
-	// stopAux is everything serveLoop must halt before draining: the
-	// replay source first (no ingest may follow drain), then the metrics
-	// endpoint.
-	stopAux := stopHTTP
-	if len(replayRecs) > 0 {
-		rctx, rcancel := context.WithCancel(context.Background())
-		replayDone := make(chan struct{})
-		src := &tlsproxy.RecordSource{
-			Records: replayRecs,
-			Speed:   opts.replaySpeed,
-			Workers: opts.replayWorkers,
-		}
-		logger.Info("replaying workload", "path", opts.replayPath,
-			"records", len(replayRecs), "speed", opts.replaySpeed, "workers", src.Workers)
-		go func() {
-			defer close(replayDone)
-			var st tlsproxy.ReplayStats
-			if opts.ingestBatch > 0 {
-				st = src.RunBatched(rctx, s.epoch, s.onConnOpen, s.onTransactionBatch, opts.ingestBatch)
-			} else {
-				st = src.Run(rctx, s.epoch, s.onConnOpen, s.onTransaction)
-			}
-			attrs := []any{"records", st.Records, "clients", st.Clients,
-				"wall_seconds", st.Wall.Seconds(),
-				"records_per_second", float64(st.Records) / st.Wall.Seconds()}
-			if rctx.Err() != nil {
-				logger.Info("replay cancelled", attrs...)
-				return
-			}
-			logger.Info("replay complete", attrs...)
-		}()
-		stopAux = func() {
-			rcancel()
-			<-replayDone
-			stopHTTP()
-		}
-	}
-
 	// SIGHUP is registered alongside the shutdown signals: unregistered
 	// its default disposition would kill the daemon on a conventional
 	// `kill -HUP` log-rotation sweep; registered it triggers a model
@@ -1302,24 +1222,23 @@ func run(opts options) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
 	defer signal.Stop(sig)
-	return s.serveLoop(errCh, tick, sig, stopSource, stopAux)
+	return s.serveLoop(errCh, tick, sig, stopSource, stopHTTP)
 }
 
 // serveLoop is the daemon's main loop: it reacts to fatal source
 // errors, classification/eviction ticks, SIGHUP model reloads and
 // shutdown signals. Ticks are converted to the sweep clock (wall or
 // ingest watermark) before classifyPass/evictIdle see them. Both
-// exits — source death and a signal — stop the primary source, then
-// stopAux (the legacy -replay source, then the metrics endpoint),
-// before draining the sessionizers, so no ingest follows the drain and
-// pending decisions and the shutdown summary are never lost to a
-// crash-landing listener.
-func (s *service) serveLoop(errCh <-chan error, tick <-chan time.Time, sig <-chan os.Signal, stopSource, stopAux func()) error {
+// exits — source death and a signal — stop the source, then the
+// metrics endpoint, before draining the sessionizers, so no ingest
+// follows the drain and pending decisions and the shutdown summary are
+// never lost to a crash-landing listener.
+func (s *service) serveLoop(errCh <-chan error, tick <-chan time.Time, sig <-chan os.Signal, stopSource, stopHTTP func()) error {
 	for {
 		select {
 		case err := <-errCh:
 			stopSource()
-			stopAux()
+			stopHTTP()
 			s.shutdownState()
 			return err
 		case now := <-tick:
@@ -1336,10 +1255,10 @@ func (s *service) serveLoop(errCh <-chan error, tick <-chan time.Time, sig <-cha
 			s.log.Info("shutting down", "signal", got.String())
 			// Stop the source: in proxy mode that stops accepting and
 			// drains open relays (their final records arrive through
-			// onTransaction before Run returns); file sources flush their
-			// reorder buffers. Then stop replay and the metrics endpoint.
+			// onTransactionBatch before Run returns); file sources flush
+			// their reorder buffers. Then stop the metrics endpoint.
 			stopSource()
-			stopAux()
+			stopHTTP()
 			s.shutdownState()
 			return nil
 		}
@@ -1514,20 +1433,24 @@ func (s *service) registerMetrics() {
 		mSrcMalformed.With(name, func() int64 { return src.Stats().Malformed })
 		mSrcRotations.With(name, func() int64 { return src.Stats().Rotations })
 	}
-	r.NewCounterFunc("qoeproxy_connections_total",
-		"Client connections accepted.", func() int64 { return s.proxy.Stats().TotalConnections })
-	r.NewGaugeFunc("qoeproxy_connections_active",
-		"Client connections currently relayed.", func() float64 { return float64(s.proxy.Stats().ActiveConnections) })
-	r.NewCounterFunc("qoeproxy_hello_parse_failures_total",
-		"Connections dropped: ClientHello missing, timed out or unparseable.", func() int64 { return s.proxy.Stats().HelloFailures })
-	r.NewCounterFunc("qoeproxy_resolve_failures_total",
-		"Connections dropped: no backend for the SNI.", func() int64 { return s.proxy.Stats().ResolveFailures })
-	r.NewCounterFunc("qoeproxy_dial_failures_total",
-		"Connections dropped: backend dial failed.", func() int64 { return s.proxy.Stats().DialFailures })
-	r.NewCounterFunc("qoeproxy_relayed_up_bytes_total",
-		"Bytes relayed client to server.", func() int64 { return s.proxy.Stats().RelayedUpBytes })
-	r.NewCounterFunc("qoeproxy_relayed_down_bytes_total",
-		"Bytes relayed server to client.", func() int64 { return s.proxy.Stats().RelayedDownBytes })
+	// The relay's own series exist only when there is a relay: a file
+	// source that exported them would report seven permanent zeros.
+	if p := s.proxy; p != nil {
+		r.NewCounterFunc("qoeproxy_connections_total",
+			"Client connections accepted.", func() int64 { return p.Stats().TotalConnections })
+		r.NewGaugeFunc("qoeproxy_connections_active",
+			"Client connections currently relayed.", func() float64 { return float64(p.Stats().ActiveConnections) })
+		r.NewCounterFunc("qoeproxy_hello_parse_failures_total",
+			"Connections dropped: ClientHello missing, timed out or unparseable.", func() int64 { return p.Stats().HelloFailures })
+		r.NewCounterFunc("qoeproxy_resolve_failures_total",
+			"Connections dropped: no backend for the SNI.", func() int64 { return p.Stats().ResolveFailures })
+		r.NewCounterFunc("qoeproxy_dial_failures_total",
+			"Connections dropped: backend dial failed.", func() int64 { return p.Stats().DialFailures })
+		r.NewCounterFunc("qoeproxy_relayed_up_bytes_total",
+			"Bytes relayed client to server.", func() int64 { return p.Stats().RelayedUpBytes })
+		r.NewCounterFunc("qoeproxy_relayed_down_bytes_total",
+			"Bytes relayed server to client.", func() int64 { return p.Stats().RelayedDownBytes })
+	}
 	r.NewGaugeFunc("qoeproxy_active_sessions",
 		"Clients with transactions in their current (ongoing) session.", func() float64 {
 			n := 0
@@ -1636,7 +1559,7 @@ func (s *service) httpHandler() http.Handler {
 		json.NewEncoder(w).Encode(body)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		st := s.proxy.Stats()
+		st := s.proxyStats()
 		clients := s.clientCount()
 		degraded := s.sinksDegraded()
 		status := "ok"
@@ -1662,6 +1585,15 @@ func (s *service) httpHandler() http.Handler {
 		})
 	})
 	return mux
+}
+
+// proxyStats reads the relay's counters; all zero for file sources,
+// which have no relay.
+func (s *service) proxyStats() tlsproxy.Stats {
+	if s.proxy == nil {
+		return tlsproxy.Stats{}
+	}
+	return s.proxy.Stats()
 }
 
 // isLoopbackHost reports whether an address host is loopback (IPv4
@@ -1771,54 +1703,17 @@ func (s *service) debugTransaction(r tlsproxy.Record, client string) {
 		"duration_s", r.End.Sub(r.Start).Seconds(), "up_bytes", r.UpBytes, "down_bytes", r.DownBytes)
 }
 
-// onTransaction exports a completed transaction to the configured
-// sinks and feeds the client's online sessionizer. Record conversion,
-// line formatting and logging happen before the shard lock; only the
-// state mutation and the sink append (which preserves the client's
-// record order) run under it.
-func (s *service) onTransaction(r tlsproxy.Record) {
-	client := clientHost(r.ClientAddr)
-	if !s.owns(client) {
-		s.noteEventTime(r.End.Sub(s.epoch).Seconds())
-		s.mSkipped.Inc()
-		return
-	}
-	txn := tlsproxy.ToCaptureTransaction(r, s.epoch)
-	s.mTxns.Inc()
-	sc := s.batchPool.Get().(*batchScratch)
-	defer s.batchPool.Put(sc)
-	sc.out, sc.squid = sc.out[:0], sc.squid[:0]
-	if s.out != nil {
-		sc.out = appendOutLine(sc.out, client, txn)
-	}
-	if s.squid != nil {
-		sc.squid = append(squidlog.AppendEntry(sc.squid, client, txn, float64(s.epoch.Unix())), '\n')
-	}
-	if s.debugLog {
-		s.debugTransaction(r, client)
-	}
-
-	sh := s.shardFor(client)
-	s.lockIngest(sh)
-	defer sh.mu.Unlock()
-	if s.out != nil {
-		s.appendSink(s.out, sc.out)
-	}
-	if s.squid != nil {
-		s.appendSink(s.squid, sc.squid)
-	}
-	s.commitTransaction(sh, client, r.ConnID, txn)
-}
-
-// onTransactionBatch is onTransaction for a coalesced record batch,
-// split into two phases. Phase one walks the batch in delivery order
-// with no locks held: counters, sink lines (built in pooled buffers and
-// appended to each sink's pending chunk in one call per batch — order is
-// preserved because one source goroutine delivers all of a client's
-// records, and chunks reach the writer in append order), debug logs.
-// Phase two commits per-client state
-// grouped by shard, taking each shard's lock once per batch instead of
-// once per record; within a shard, commits apply in delivery order.
+// onTransactionBatch exports a run of completed transactions to the
+// configured sinks and feeds each client's online sessionizer, in two
+// phases. Phase one walks the batch in delivery order with no locks
+// held: record conversion, counters, sink lines (built in pooled buffers
+// and appended to each sink's pending chunk in one call per batch —
+// order is preserved because one source goroutine delivers all of a
+// client's records, and chunks reach the writer in append order), debug
+// logs. Phase two commits per-client state grouped by shard, taking
+// each shard's lock once per batch instead of once per record; within a
+// shard, commits apply in delivery order. A one-record batch (all the
+// live proxy ever delivers) is the record-at-a-time case.
 func (s *service) onTransactionBatch(recs []tlsproxy.Record) {
 	sc := s.batchPool.Get().(*batchScratch)
 	commits := sc.commits[:0]
@@ -2033,11 +1928,10 @@ func (s *service) forEachShard(fn func(worker, si int)) {
 // feature rows are gathered into one contiguous row-major block under
 // that shard's lock only — ingest on other shards never stalls — and
 // then swept through the compiled scorer's batched predictor outside
-// the lock, -classify-batch rows per call (0 falls back to the
-// row-at-a-time predictor). The per-shard results merge in shard order
+// the lock (sweepBlock). The per-shard results merge in shard order
 // and sort by client, so logs, counters and stored classes are
-// identical at every (shards, workers, batch) setting. Safe to call
-// concurrently with traffic.
+// identical at every (shards, workers, block size) setting. Safe to
+// call concurrently with traffic.
 //
 // The serving bundle is Loaded exactly once, up front: a reload landing
 // mid-pass takes effect at the next pass, never inside one. When the
@@ -2051,9 +1945,6 @@ func (s *service) classifyPass(nowSec float64) {
 		return
 	}
 	cutoff := nowSec - s.opts.window.Seconds()
-	stride := m.est.NumFeatures()
-	nc := m.est.NumClasses()
-	batch := s.opts.classifyBatch
 	var buildNanos, sweepNanos atomic.Int64
 	var errMu sync.Mutex
 	var passErr error
@@ -2062,7 +1953,6 @@ func (s *service) classifyPass(nowSec float64) {
 		t0 := time.Now()
 		sh.cNames = sh.cNames[:0]
 		sh.cCounts = sh.cCounts[:0]
-		sh.cRows = sh.cRows[:0]
 		sh.cBlock = sh.cBlock[:0]
 		rb := m.rowBuilders[worker]
 		sh.mu.Lock()
@@ -2082,58 +1972,26 @@ func (s *service) classifyPass(nowSec float64) {
 			sh.cBlock = append(sh.cBlock, row...)
 		}
 		sh.mu.Unlock()
-		if batch <= 0 {
-			for r := range sh.cNames {
-				sh.cRows = append(sh.cRows, sh.cBlock[r*stride:(r+1)*stride])
-			}
-		}
 		build := time.Since(t0)
 		buildNanos.Add(int64(build))
 
 		// Sweep the gathered block outside the shard lock; ingest can
 		// proceed while inference runs.
 		t1 := time.Now()
-		rows := len(sh.cNames)
-		if cap(sh.cClasses) < rows {
-			sh.cClasses = make([]int, rows)
-		}
-		sh.cClasses = sh.cClasses[:rows]
 		var err error
-		if batch > 0 {
-			if cap(sh.cProbs) < batch*nc {
-				sh.cProbs = make([]float64, batch*nc)
-			}
-			for lo := 0; lo < rows && err == nil; lo += batch {
-				hi := lo + batch
-				if hi > rows {
-					hi = rows
-				}
-				err = m.est.ClassifyBlockInto(sh.cBlock[lo*stride:hi*stride],
-					hi-lo, sh.cProbs[:(hi-lo)*nc], sh.cClasses[lo:hi])
-			}
-		} else if rows > 0 {
-			var classes []int
-			classes, err = m.est.ClassifyRows(sh.cRows)
-			if err == nil {
-				copy(sh.cClasses, classes)
-			}
-		}
+		sh.cClasses, err = s.sweepBlock(m.est, sh, sh.cClasses)
 		// The challenger sweeps the same rows after the primary; its only
 		// output is counters, so a shadow failure never fails the pass.
+		sh.cShadow = sh.cShadow[:0]
 		if m.shadow != nil && err == nil {
-			if cap(sh.cShadow) < rows {
-				sh.cShadow = make([]int, rows)
-			}
-			sh.cShadow = sh.cShadow[:rows]
-			if serr := s.shadowSweep(m, sh, rows, stride, nc, batch); serr != nil {
+			var serr error
+			if sh.cShadow, serr = s.sweepBlock(m.shadow.est, sh, sh.cShadow); serr != nil {
 				s.log.Error("shadow classification failed", "err", serr)
 				sh.cShadow = sh.cShadow[:0]
 			}
-		} else {
-			sh.cShadow = sh.cShadow[:0]
 		}
 		if m.drift != nil && err == nil {
-			m.drift.observeBlock(sh.cBlock, rows, stride)
+			m.drift.observeBlock(sh.cBlock, len(sh.cNames), m.est.NumFeatures())
 		}
 		sweep := time.Since(t1)
 		sweepNanos.Add(int64(sweep))
@@ -2171,6 +2029,7 @@ func (s *service) classifyPass(nowSec float64) {
 	// Champion/challenger comparison: order-independent counter bumps,
 	// done on the pre-sort merge so the sort below stays three-column.
 	if shadowOK {
+		nc := m.est.NumClasses()
 		for i, p := range classes {
 			if c := shadowClasses[i]; c != p {
 				s.mShadowDis.Inc()
@@ -2194,31 +2053,31 @@ func (s *service) classifyPass(nowSec float64) {
 	}
 }
 
-// shadowSweep runs the challenger over a shard's already-gathered rows
-// into sh.cShadow, mirroring the primary's batched/row-at-a-time split.
-func (s *service) shadowSweep(m *servingModel, sh *shard, rows, stride, nc, batch int) error {
-	if batch > 0 {
-		for lo := 0; lo < rows; lo += batch {
-			hi := lo + batch
-			if hi > rows {
-				hi = rows
-			}
-			if err := m.shadow.est.ClassifyBlockInto(sh.cBlock[lo*stride:hi*stride],
-				hi-lo, sh.cProbs[:(hi-lo)*nc], sh.cShadow[lo:hi]); err != nil {
-				return err
-			}
+// sweepBlock scores a shard's gathered row block through est — the
+// primary or the challenger — classifyBatch rows per inference call,
+// and returns the classes in out's backing array (grown when short),
+// one per gathered row.
+func (s *service) sweepBlock(est *core.Estimator, sh *shard, out []int) ([]int, error) {
+	rows, stride, nc := len(sh.cNames), est.NumFeatures(), est.NumClasses()
+	batch := s.opts.classifyBatch
+	if cap(out) < rows {
+		out = make([]int, rows)
+	}
+	out = out[:rows]
+	if cap(sh.cProbs) < batch*nc {
+		sh.cProbs = make([]float64, batch*nc)
+	}
+	for lo := 0; lo < rows; lo += batch {
+		hi := lo + batch
+		if hi > rows {
+			hi = rows
 		}
-		return nil
+		if err := est.ClassifyBlockInto(sh.cBlock[lo*stride:hi*stride],
+			hi-lo, sh.cProbs[:(hi-lo)*nc], out[lo:hi]); err != nil {
+			return out, err
+		}
 	}
-	if rows == 0 {
-		return nil
-	}
-	classes, err := m.shadow.est.ClassifyRows(sh.cRows)
-	if err != nil {
-		return err
-	}
-	copy(sh.cShadow, classes)
-	return nil
+	return out, nil
 }
 
 // incrementalRow builds a client's feature row from its maintained

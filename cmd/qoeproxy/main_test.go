@@ -151,6 +151,58 @@ func TestRunValidatesOutputsBeforeBinding(t *testing.T) {
 	}
 }
 
+// TestRunBindsMetricsBeforeIngest occupies the -metrics port and runs a
+// file source: the bind failure must surface before the source
+// delivers anything, so -out holds its header and not one record. (The
+// bind once followed the source's start, and a fast file source had
+// appended its records by the time the daemon exited with the error.)
+func TestRunBindsMetricsBeforeIngest(t *testing.T) {
+	occupied, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer occupied.Close()
+
+	dir := t.TempDir()
+	workloadPath := filepath.Join(dir, "workload.csv")
+	wf, err := os.Create(workloadPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []tlsproxy.ReplayRecord
+	for i := 0; i < 500; i++ {
+		recs = append(recs, tlsproxy.ReplayRecord{
+			Client: fmt.Sprintf("10.44.0.%d:40000", i%50+1), SNI: "cdn-01.svc1.example",
+			Start: float64(i), End: float64(i) + 0.5, UpBytes: 400, DownBytes: 150_000,
+		})
+	}
+	if err := tlsproxy.WriteWorkload(wf, recs); err != nil {
+		t.Fatal(err)
+	}
+	wf.Close()
+
+	outPath := filepath.Join(dir, "txns.csv")
+	err = run(options{
+		metricsAddr: occupied.Addr().String(),
+		source:      "replay",
+		input:       workloadPath,
+		outPath:     outPath,
+	})
+	if err == nil {
+		t.Fatal("run started on an occupied -metrics address")
+	}
+	if !strings.Contains(err.Error(), "-metrics") {
+		t.Errorf("error does not name the flag: %v", err)
+	}
+	out, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(out), "\n"); lines != 1 {
+		t.Errorf("-out holds %d lines after a failed start, want the header alone:\n%.300s", lines, out)
+	}
+}
+
 // scrape fetches a URL body, failing the test on any error.
 func scrape(t *testing.T, url string) string {
 	t.Helper()
@@ -255,8 +307,8 @@ func TestClassifyPassPaths(t *testing.T) {
 	}
 }
 
-// TestRunReplay boots the daemon with a -replay workload instead of
-// live traffic and checks the records flow through the real ingest
+// TestRunReplay boots the daemon on a -source replay workload instead
+// of live traffic and checks the records flow through the real ingest
 // path: transaction and classification metrics move, and shutdown
 // still drains cleanly.
 func TestRunReplay(t *testing.T) {
@@ -309,19 +361,17 @@ func TestRunReplay(t *testing.T) {
 	}
 	wf.Close()
 
-	listen := freePort(t)
 	metricsAddr := freePort(t)
 	done := make(chan error, 1)
 	go func() {
 		done <- run(options{
-			listen:        listen,
-			upstream:      "127.0.0.1:1",
 			modelPath:     modelPath,
 			metricsAddr:   metricsAddr,
 			classifyEvery: 100 * time.Millisecond,
 			classifyBatch: 8,
-			replayPath:    workloadPath,
-			replayWorkers: 2,
+			source:        "replay",
+			input:         workloadPath,
+			ingestWorkers: 2,
 		})
 	}()
 

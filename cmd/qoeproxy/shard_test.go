@@ -88,7 +88,7 @@ func replayTrace(t *testing.T, est *core.Estimator, traffic *dataset.Corpus, win
 
 	for i, e := range events {
 		s.onConnOpen(e.rec)
-		s.onTransaction(e.rec)
+		deliver(s, e.rec)
 		if i == len(events)/3 || i == 2*len(events)/3 {
 			s.classifyPass(e.rec.End.Sub(s.epoch).Seconds())
 		}
@@ -223,8 +223,8 @@ func compareRuns(t *testing.T, name string, got, base invariantRun) {
 }
 
 // TestBatchInvariance is the acceptance test for the batched per-shard
-// inference sweep: the same trace replayed with batching disabled
-// (classifyBatch 0, the row-at-a-time scorer) is the baseline, and
+// inference sweep: the same trace replayed one row per inference call
+// (classifyBatch 1 on one shard, one worker) is the baseline, and
 // every (shards, workers, batch) configuration — batch sizes that
 // split a shard's rows mid-block included — must reproduce its
 // classification sequence, eviction summaries, metric totals and sink
@@ -244,7 +244,7 @@ func TestBatchInvariance(t *testing.T) {
 		{"windowed", time.Hour},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			base := replayTrace(t, est, traffic, mode.window, 1, 1, 0, nil)
+			base := replayTrace(t, est, traffic, mode.window, 1, 1, 1, nil)
 			if len(base.classifications) == 0 {
 				t.Fatal("row-at-a-time baseline produced no classifications")
 			}
@@ -260,7 +260,8 @@ func TestBatchInvariance(t *testing.T) {
 // -shadow-model sweeping the same gathered rows must not change a byte
 // of the primary's output — classification sequences, eviction
 // summaries, metric totals and sink bytes all match a shadowless run
-// exactly, in both row-building modes and with batching on and off.
+// exactly, in both row-building modes, one row per inference call and
+// blocked.
 // The challenger is trained on deliberately scrambled labels (each
 // session's TLS paired with another session's QoE) so the two models
 // actually disagree (asserted via the disagreement counter): the
@@ -293,7 +294,7 @@ func TestShadowInvariance(t *testing.T) {
 		{"windowed", time.Hour},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			for _, batch := range []int{0, 8} {
+			for _, batch := range []int{1, 8} {
 				base := replayTrace(t, est, traffic, mode.window, 4, 2, batch, nil)
 				if len(base.classifications) == 0 {
 					t.Fatal("shadowless baseline produced no classifications")
@@ -310,8 +311,8 @@ func TestShadowInvariance(t *testing.T) {
 
 // benchmarkIngest measures concurrent ingest throughput: GOMAXPROCS
 // goroutines, each a distinct client, pushing completed transactions
-// through the full onConnOpen/onTransaction path (sessionizer, ring,
-// reorder buffer) with the given shard count. No estimator and no
+// through the full onConnOpen/onTransactionBatch path (sessionizer,
+// ring, reorder buffer), one record per batch as the live proxy delivers, with the given shard count. No estimator and no
 // sinks: this isolates the state-mutation path the locks guard.
 func benchmarkIngest(b *testing.B, shards int) {
 	s := newService(options{
@@ -321,7 +322,7 @@ func benchmarkIngest(b *testing.B, shards int) {
 		classifyWorkers: 1,
 	}, slog.New(slog.NewJSONHandler(io.Discard, nil)), nil)
 	defer s.stopSinkWriter()
-	s.registerMetrics() // the proxy-stats bridges are never scraped here
+	s.registerMetrics()
 
 	var connID atomic.Uint64
 	var clientSeq atomic.Uint64
@@ -338,7 +339,7 @@ func benchmarkIngest(b *testing.B, shards int) {
 			id := connID.Add(1)
 			start := s.epoch.Add(time.Duration(i) * time.Second)
 			s.onConnOpen(tlsproxy.Record{ConnID: id, SNI: "cdn-01.svc1.example", ClientAddr: client, Start: start})
-			s.onTransaction(tlsproxy.Record{
+			deliver(s, tlsproxy.Record{
 				ConnID:     id,
 				SNI:        "cdn-01.svc1.example",
 				ClientAddr: client,

@@ -77,7 +77,7 @@ func profileEvents(t *testing.T, profile *has.ServiceProfile, seed int64, sessio
 func feed(s *service, events []tlsproxy.Record) {
 	for _, e := range events {
 		s.onConnOpen(e)
-		s.onTransaction(e)
+		deliver(s, e)
 	}
 }
 
@@ -255,7 +255,7 @@ func TestKillMidSessionHandoffEquivalence(t *testing.T) {
 	baseline.out = baseline.newSink(&baseCSV, "out")
 	for i, e := range events {
 		baseline.onConnOpen(e)
-		baseline.onTransaction(e)
+		deliver(baseline, e)
 		passAt(baseline, i)
 	}
 	finish(baseline)
@@ -272,7 +272,7 @@ func TestKillMidSessionHandoffEquivalence(t *testing.T) {
 	a.out = a.newSink(&aCSV, "out")
 	for i, e := range events[:cut] {
 		a.onConnOpen(e)
-		a.onTransaction(e)
+		deliver(a, e)
 		passAt(a, i)
 	}
 	a.shutdownState()
@@ -293,7 +293,7 @@ func TestKillMidSessionHandoffEquivalence(t *testing.T) {
 	}
 	for i, e := range events[cut:] {
 		b.onConnOpen(e)
-		b.onTransaction(e)
+		deliver(b, e)
 		passAt(b, cut+i)
 	}
 	finish(b)
@@ -381,7 +381,7 @@ func TestSnapshotCorruptRejectedColdStart(t *testing.T) {
 			// Cold but alive: the daemon must serve normally afterwards.
 			rec := s.record(1, "10.0.0.1:4000", "cdn.example", 1, 2, 100, 200)
 			s.onConnOpen(rec)
-			s.onTransaction(rec)
+			deliver(s, rec)
 			s.classifyPass(3)
 			if s.clientCount() != 1 {
 				t.Fatal("service not usable after failed restore")

@@ -112,7 +112,7 @@ func TestEvictionSoakBounded(t *testing.T) {
 					DownBytes: txn.DownBytes,
 				})
 				s.onConnOpen(rec)
-				s.onTransaction(rec)
+				deliver(s, rec)
 				if e := base + txn.End; e > roundEnd {
 					roundEnd = e
 				}

@@ -167,7 +167,7 @@ func run(dir string, sessions int, seed int64) error {
 	}
 	var n int
 	err = src.Run(context.Background(), ingest.Handler{
-		Transaction: func(tlsproxy.Record) { n++ },
+		TransactionBatch: func(recs []tlsproxy.Record) { n += len(recs) },
 	})
 	if err != nil {
 		return err

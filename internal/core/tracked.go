@@ -89,17 +89,6 @@ func (e *Estimator) ClassifyTracked(ts *TrackedSession, pending []capture.TLSTra
 	return e.scorer.Predict(e.TrackedRow(ts, pending, nil)), nil
 }
 
-// ClassifyRows predicts classes for pre-extracted feature rows (as
-// produced by TrackedRow or FeatureRow), fanning across CPUs via the
-// compiled scorer's batch predictor. It lets callers build rows under
-// their own locking and run inference outside it.
-func (e *Estimator) ClassifyRows(rows [][]float64) ([]int, error) {
-	if !e.trained {
-		return nil, fmt.Errorf("core: estimator not trained")
-	}
-	return e.scorer.PredictBatch(rows), nil
-}
-
 // NumFeatures returns the width of the estimator's feature rows (the
 // configured subset of the paper's TLS features) — the stride of the
 // row-major blocks ClassifyBlockInto consumes.

@@ -74,14 +74,14 @@ func TestClassifyTrackedMatchesClassify(t *testing.T) {
 	if _, err := est.ClassifyTracked(ts, nil); err == nil {
 		t.Error("untrained estimator classified tracked session")
 	}
-	if _, err := est.ClassifyRows(nil); err == nil {
+	if err := est.ClassifyBlockInto(nil, 0, nil, nil); err == nil {
 		t.Error("untrained estimator classified rows")
 	}
 
 	if err := est.Train(sessions); err != nil {
 		t.Fatal(err)
 	}
-	var rows [][]float64
+	var block []float64
 	var want []int
 	for _, s := range sessions[:15] {
 		ts.Reset()
@@ -98,16 +98,17 @@ func TestClassifyTrackedMatchesClassify(t *testing.T) {
 		if got != batch {
 			t.Fatalf("ClassifyTracked = %d, Classify = %d", got, batch)
 		}
-		rows = append(rows, est.TrackedRow(ts, s.TLS[cut:], nil))
+		block = append(block, est.TrackedRow(ts, s.TLS[cut:], nil)...)
 		want = append(want, batch)
 	}
-	preds, err := est.ClassifyRows(rows)
-	if err != nil {
+	preds := make([]int, len(want))
+	probs := make([]float64, len(want)*est.NumClasses())
+	if err := est.ClassifyBlockInto(block, len(want), probs, preds); err != nil {
 		t.Fatal(err)
 	}
 	for i := range preds {
 		if preds[i] != want[i] {
-			t.Fatalf("ClassifyRows[%d] = %d, want %d", i, preds[i], want[i])
+			t.Fatalf("ClassifyBlockInto[%d] = %d, want %d", i, preds[i], want[i])
 		}
 	}
 }

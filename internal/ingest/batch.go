@@ -12,15 +12,13 @@ import (
 )
 
 // BatchSource replays a fully-loaded workload — pcap flows, NetFlow
-// records, or a replay CSV — through tlsproxy.RecordSource, so batch
-// formats inherit the exact event ordering, ConnID assignment and
-// pacing semantics the daemon's legacy replay path already has. Offsets
-// are quantized to the microsecond grid at construction; constructors
-// fail fast on unreadable or empty inputs.
+// records, or a replay CSV — through tlsproxy.RecordSource, so every
+// batch format shares one event ordering, ConnID assignment and pacing
+// rule. Offsets are quantized to the microsecond grid at construction;
+// constructors fail fast on unreadable or empty inputs.
 type BatchSource struct {
 	// Batch caps how many completed records are coalesced per
-	// TransactionBatch call when the handler batches; <= 0 means the
-	// default (256). Ignored for handlers using per-record Transaction.
+	// TransactionBatch call; <= 0 means the default (256).
 	Batch int
 
 	name    string
@@ -31,8 +29,8 @@ type BatchSource struct {
 	tally
 }
 
-// defaultBatch is the transaction coalescing size when a batching
-// handler does not choose one.
+// defaultBatch is the transaction coalescing size when a source's Batch
+// is unset.
 const defaultBatch = 256
 
 // newBatchSource quantizes the workload's offsets and pre-counts the
@@ -57,37 +55,21 @@ func newBatchSource(name string, recs []tlsproxy.ReplayRecord, base time.Time, s
 // Name reports which format the workload came from.
 func (s *BatchSource) Name() string { return s.name }
 
-// Run replays the workload into h at the configured pace. Delivery of
-// a loaded workload cannot fail, so Run always returns nil — either
-// every event was delivered or ctx was cancelled. A handler with
-// TransactionBatch set receives records coalesced (up to Batch per
-// call) through tlsproxy.RecordSource's batched delivery path.
+// Run replays the workload into h at the configured pace, completed
+// records coalesced up to Batch per call. Delivery of a loaded workload
+// cannot fail, so Run always returns nil — either every event was
+// delivered or ctx was cancelled.
 func (s *BatchSource) Run(ctx context.Context, h Handler) error {
 	src := &tlsproxy.RecordSource{Records: s.records, Speed: s.speed, Workers: s.workers}
-	open := func(r tlsproxy.Record) {
-		if h.ConnOpen != nil {
-			h.ConnOpen(r)
-		}
+	maxBatch := s.Batch
+	if maxBatch <= 0 {
+		maxBatch = defaultBatch
 	}
-	if h.TransactionBatch != nil {
-		maxBatch := s.Batch
-		if maxBatch <= 0 {
-			maxBatch = defaultBatch
-		}
-		src.RunBatched(ctx, s.base, open,
-			func(recs []tlsproxy.Record) {
-				h.TransactionBatch(recs)
-				s.tally.records.Add(int64(len(recs)))
-			}, maxBatch)
-		return nil
-	}
-	src.Run(ctx, s.base, open,
-		func(r tlsproxy.Record) {
-			if h.Transaction != nil {
-				h.Transaction(r)
-			}
-			s.tally.records.Add(1)
-		})
+	src.RunBatched(ctx, s.base, h.ConnOpen,
+		func(recs []tlsproxy.Record) {
+			h.deliverBatch(recs)
+			s.tally.records.Add(int64(len(recs)))
+		}, maxBatch)
 	return nil
 }
 

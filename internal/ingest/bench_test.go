@@ -53,7 +53,7 @@ func BenchmarkIngestEndToEnd(b *testing.B) {
 		name      string
 		pw, batch int
 	}{
-		{"serial", 1, 0},
+		{"serial", 1, 1},
 		{"batch256", 1, 256},
 		{"pw2-batch256", 2, 256},
 		{"pw4-batch256", 4, 256},
@@ -66,12 +66,7 @@ func BenchmarkIngestEndToEnd(b *testing.B) {
 				src := &SquidSource{Path: path, Base: time.Unix(0, 0), EpochUnix: 0,
 					Horizon: 30, Follow: false, ParseWorkers: cfg.pw, Batch: cfg.batch}
 				var n int64
-				h := Handler{}
-				if cfg.batch > 0 {
-					h.TransactionBatch = func(recs []tlsproxy.Record) { n += int64(len(recs)) }
-				} else {
-					h.Transaction = func(tlsproxy.Record) { n++ }
-				}
+				h := Handler{TransactionBatch: func(recs []tlsproxy.Record) { n += int64(len(recs)) }}
 				if err := src.Run(context.Background(), h); err != nil {
 					b.Fatal(err)
 				}

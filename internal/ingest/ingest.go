@@ -12,7 +12,7 @@
 //
 // A source delivers two event kinds, mirroring tlsproxy's callbacks:
 // ConnOpen announces a connection at its start time (a partial Record),
-// Transaction delivers the completed record at its end time. For every
+// TransactionBatch delivers completed records at their end times. For every
 // client, events arrive on a single goroutine in non-decreasing event
 // time, and a connection's open always precedes its transaction. File
 // sources replay the global event sequence sorted by (event time, file
@@ -51,37 +51,28 @@ import (
 	"droppackets/internal/tlsproxy"
 )
 
-// Handler receives a source's events. Any callback may be nil.
+// Handler receives a source's events. Either callback may be nil.
 type Handler struct {
 	// ConnOpen is invoked at a connection's start time with a partial
 	// record (no end time or byte counts yet).
 	ConnOpen func(tlsproxy.Record)
-	// Transaction is invoked at a connection's end time with the
-	// completed record.
-	Transaction func(tlsproxy.Record)
-	// TransactionBatch, when set, replaces Transaction (which is then
-	// ignored): sources that can coalesce deliver completed records in
-	// runs, taking downstream locks once per run instead of once per
-	// record. The event order a batching source presents is unchanged —
-	// batches are flushed before any ConnOpen on the same goroutine,
-	// before pacing sleeps, and at end of input, and records within a
-	// batch appear in delivery order. The slice is reused after the call
-	// returns; handlers must copy anything they retain. Sources with no
-	// natural batching (the live proxy) wrap each record in a
-	// one-element batch.
+	// TransactionBatch is invoked with completed records, each due at its
+	// connection's end time, coalesced into runs so downstream locks are
+	// taken once per run instead of once per record. Batching never
+	// changes the event order a source presents: batches are flushed
+	// before any ConnOpen on the same goroutine, before pacing sleeps,
+	// and at end of input, and records within a batch appear in delivery
+	// order. The slice is reused after the call returns; handlers must
+	// copy anything they retain. Sources with no natural batching (the
+	// live proxy) deliver one-element batches, which is also what a
+	// source's Batch of 1 produces — the record-at-a-time reference.
 	TransactionBatch func([]tlsproxy.Record)
 }
 
-// deliver routes one completed record through whichever transaction
-// callback the handler carries.
-func (h Handler) deliver(r tlsproxy.Record) {
+// deliverBatch hands a run of completed records to the handler.
+func (h Handler) deliverBatch(recs []tlsproxy.Record) {
 	if h.TransactionBatch != nil {
-		one := [1]tlsproxy.Record{r}
-		h.TransactionBatch(one[:])
-		return
-	}
-	if h.Transaction != nil {
-		h.Transaction(r)
+		h.TransactionBatch(recs)
 	}
 }
 
@@ -91,7 +82,9 @@ func (h Handler) deliver(r tlsproxy.Record) {
 type Stats struct {
 	// Records counts completed transactions delivered to the handler.
 	Records int64
-	// Clients counts distinct client addresses seen.
+	// Clients counts distinct client addresses seen by a file source; the
+	// live proxy reports 0 (the daemon's qoeproxy_clients gauge is the
+	// live figure).
 	Clients int64
 	// Skipped counts well-formed input units that are out of scope:
 	// non-CONNECT Squid lines, flow records with no DNS-resolved host.

@@ -58,9 +58,9 @@ type tailCollector struct {
 }
 
 func (c *tailCollector) handler() Handler {
-	return Handler{Transaction: func(r tlsproxy.Record) {
+	return Handler{TransactionBatch: func(recs []tlsproxy.Record) {
 		c.mu.Lock()
-		c.txns = append(c.txns, r)
+		c.txns = append(c.txns, recs...)
 		c.mu.Unlock()
 	}}
 }
@@ -187,8 +187,10 @@ func TestSquidSourceBoundedFile(t *testing.T) {
 		ConnOpen: func(r tlsproxy.Record) {
 			got = append(got, fmt.Sprintf("open:%s@%v", r.SNI, r.Start.Sub(time.Unix(0, 0)).Seconds()))
 		},
-		Transaction: func(r tlsproxy.Record) {
-			got = append(got, fmt.Sprintf("txn:%s@%v", r.SNI, r.End.Sub(time.Unix(0, 0)).Seconds()))
+		TransactionBatch: func(recs []tlsproxy.Record) {
+			for _, r := range recs {
+				got = append(got, fmt.Sprintf("txn:%s@%v", r.SNI, r.End.Sub(time.Unix(0, 0)).Seconds()))
+			}
 		},
 	}
 	if err := src.Run(context.Background(), h); err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"sync"
 
 	"droppackets/internal/tlsproxy"
 )
@@ -14,7 +13,9 @@ import (
 // callbacks forward into the Run handler. Unlike file sources the
 // proxy's events arrive on per-connection goroutines as traffic
 // happens — per-connection open-before-transaction ordering holds, but
-// there is no global replay order to reproduce.
+// there is no global replay order to reproduce. Stats().Clients stays
+// 0: counting distinct hosts would need a set that grows for as long as
+// the daemon runs, and the daemon's own client map already knows.
 type ProxySource struct {
 	// Listener accepts the proxy's client connections; it must be set
 	// before Run (the daemon binds it so address errors surface before
@@ -22,9 +23,9 @@ type ProxySource struct {
 	Listener net.Listener
 
 	proxy *tlsproxy.Proxy
-	mu    sync.Mutex
-	h     Handler
-	seen  map[string]struct{}
+	// h is written once by Run before it calls Serve; every callback runs
+	// on a goroutine Serve started, so reads need no lock.
+	h Handler
 	tally
 }
 
@@ -32,7 +33,7 @@ type ProxySource struct {
 // and OnTransaction callbacks to forward into whatever handler Run is
 // given.
 func NewProxySource(cfg tlsproxy.Config) (*ProxySource, error) {
-	s := &ProxySource{seen: map[string]struct{}{}}
+	s := &ProxySource{}
 	cfg.OnConnOpen = s.connOpen
 	cfg.OnTransaction = s.transaction
 	p, err := tlsproxy.New(cfg)
@@ -56,9 +57,7 @@ func (s *ProxySource) Run(ctx context.Context, h Handler) error {
 	if s.Listener == nil {
 		return errors.New("ingest: ProxySource.Run needs a Listener")
 	}
-	s.mu.Lock()
 	s.h = h
-	s.mu.Unlock()
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
@@ -75,34 +74,17 @@ func (s *ProxySource) Run(ctx context.Context, h Handler) error {
 	return err
 }
 
-// handler snapshots the forwarding target under the lock.
-func (s *ProxySource) handler() Handler {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.h
-}
-
-// connOpen forwards a connection-open event and tracks distinct client
-// hosts.
+// connOpen forwards a connection-open event.
 func (s *ProxySource) connOpen(r tlsproxy.Record) {
-	host := r.ClientAddr
-	if h, _, err := net.SplitHostPort(host); err == nil {
-		host = h
-	}
-	s.mu.Lock()
-	if _, dup := s.seen[host]; !dup {
-		s.seen[host] = struct{}{}
-		s.clients.Add(1)
-	}
-	s.mu.Unlock()
-	if h := s.handler(); h.ConnOpen != nil {
-		h.ConnOpen(r)
+	if s.h.ConnOpen != nil {
+		s.h.ConnOpen(r)
 	}
 }
 
 // transaction forwards a completed record; the live proxy has no
-// natural batch, so a batching handler sees one-element batches.
+// natural batch, so the handler sees one-element batches.
 func (s *ProxySource) transaction(r tlsproxy.Record) {
 	s.records.Add(1)
-	s.handler().deliver(r)
+	one := [1]tlsproxy.Record{r}
+	s.h.deliverBatch(one[:])
 }

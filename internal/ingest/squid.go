@@ -65,8 +65,7 @@ type SquidSource struct {
 	// every downstream byte — is identical at any worker count.
 	ParseWorkers int
 	// Batch caps how many transaction events are coalesced per
-	// TransactionBatch call for handlers that batch; <= 0 means the
-	// package default. Ignored for per-record handlers.
+	// TransactionBatch call; <= 0 means the package default.
 	Batch int
 
 	tally
@@ -324,26 +323,18 @@ func (d *squidDelivery) deliver(k squidKey) {
 		}
 		return
 	}
-	rec := d.q.slab[k.slot]
+	d.batch = append(d.batch, d.q.slab[k.slot])
 	d.q.release(k.slot)
-	if d.h.TransactionBatch != nil {
-		d.batch = append(d.batch, rec)
-		if len(d.batch) >= d.maxBatch {
-			d.flushBatch()
-		}
-		return
+	if len(d.batch) >= d.maxBatch {
+		d.flushBatch()
 	}
-	if d.h.Transaction != nil {
-		d.h.Transaction(rec)
-	}
-	d.s.records.Add(1)
 }
 
 func (d *squidDelivery) flushBatch() {
 	if len(d.batch) == 0 {
 		return
 	}
-	d.h.TransactionBatch(d.batch)
+	d.h.deliverBatch(d.batch)
 	d.s.records.Add(int64(len(d.batch)))
 	d.batch = d.batch[:0]
 }
@@ -376,9 +367,7 @@ func (s *SquidSource) Run(ctx context.Context, h Handler) error {
 		haveEpoch: s.EpochUnix >= 0,
 		maxEnd:    math.Inf(-1),
 		maxBatch:  maxBatch,
-	}
-	if h.TransactionBatch != nil {
-		d.batch = make([]tlsproxy.Record, 0, maxBatch)
+		batch:     make([]tlsproxy.Record, 0, maxBatch),
 	}
 	var sink lineSink = d
 	if s.ParseWorkers > 1 {

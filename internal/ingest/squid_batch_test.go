@@ -14,8 +14,8 @@ import (
 	"droppackets/internal/tlsproxy"
 )
 
-// eventCollector records the delivery sequence — opens, per-record
-// transactions or batches — as one flat event-string slice. Sources
+// eventCollector records the delivery sequence — opens and transaction
+// batches — as one flat event-string slice. Sources
 // deliver on a single goroutine and Run's return synchronizes with it,
 // so no lock is needed.
 type eventCollector struct {
@@ -24,12 +24,12 @@ type eventCollector struct {
 	batchTxns int
 }
 
-func (c *eventCollector) handler(batch bool) Handler {
-	h := Handler{ConnOpen: func(r tlsproxy.Record) {
-		c.events = append(c.events, "open:"+r.SNI)
-	}}
-	if batch {
-		h.TransactionBatch = func(recs []tlsproxy.Record) {
+func (c *eventCollector) handler() Handler {
+	return Handler{
+		ConnOpen: func(r tlsproxy.Record) {
+			c.events = append(c.events, "open:"+r.SNI)
+		},
+		TransactionBatch: func(recs []tlsproxy.Record) {
 			if len(recs) > c.maxBatch {
 				c.maxBatch = len(recs)
 			}
@@ -37,13 +37,8 @@ func (c *eventCollector) handler(batch bool) Handler {
 			for _, r := range recs {
 				c.events = append(c.events, txnEvent(r))
 			}
-		}
-	} else {
-		h.Transaction = func(r tlsproxy.Record) {
-			c.events = append(c.events, txnEvent(r))
-		}
+		},
 	}
-	return h
 }
 
 func txnEvent(r tlsproxy.Record) string {
@@ -68,7 +63,7 @@ func TestSquidCarryOverflow(t *testing.T) {
 	}
 	src := &SquidSource{Path: path, Base: time.Unix(0, 0), EpochUnix: 0, Horizon: 3600, Follow: false}
 	var col eventCollector
-	if err := src.Run(context.Background(), col.handler(false)); err != nil {
+	if err := src.Run(context.Background(), col.handler()); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"open:a.example", "txn:c1:a.example@1", "open:b.example", "txn:c2:b.example@2"}
@@ -81,10 +76,10 @@ func TestSquidCarryOverflow(t *testing.T) {
 	}
 }
 
-// TestSquidBatchDelivery runs the bounded-file scenario through the
-// batched handler: the flattened event sequence must equal the
-// per-record order (batches flush before every open), while at least
-// one batch actually coalesces multiple transactions.
+// TestSquidBatchDelivery runs the bounded-file scenario at two batch
+// sizes: the flattened event sequence at Batch 8 must equal the
+// record-at-a-time (Batch 1) order (batches flush before every open),
+// while at least one batch actually coalesces multiple transactions.
 func TestSquidBatchDelivery(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "access.log")
@@ -100,12 +95,15 @@ func TestSquidBatchDelivery(t *testing.T) {
 	}
 
 	var ref eventCollector
-	if err := newSrc(0).Run(context.Background(), ref.handler(false)); err != nil {
+	if err := newSrc(1).Run(context.Background(), ref.handler()); err != nil {
 		t.Fatal(err)
+	}
+	if ref.maxBatch != 1 {
+		t.Fatalf("Batch 1 delivered a batch of %d", ref.maxBatch)
 	}
 	var got eventCollector
 	src := newSrc(8)
-	if err := src.Run(context.Background(), got.handler(true)); err != nil {
+	if err := src.Run(context.Background(), got.handler()); err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got.events) != fmt.Sprint(ref.events) {
@@ -123,8 +121,8 @@ func TestSquidBatchDelivery(t *testing.T) {
 // TestSquidParseWorkersEquivalence generates a sizeable log — good
 // CONNECT entries with jittered end times, skipped GET lines, malformed
 // garbage — and asserts every (ParseWorkers, Batch) configuration
-// reproduces the serial per-record delivery sequence and counters
-// exactly. This is the re-sequencing contract the daemon's
+// reproduces the serial record-at-a-time (Batch 1) delivery sequence
+// and counters exactly. This is the re-sequencing contract the daemon's
 // -parse-workers flag relies on.
 func TestSquidParseWorkersEquivalence(t *testing.T) {
 	dir := t.TempDir()
@@ -162,12 +160,12 @@ func TestSquidParseWorkersEquivalence(t *testing.T) {
 		src := &SquidSource{Path: path, Base: time.Unix(0, 0), EpochUnix: 0,
 			Horizon: 10, Follow: false, ParseWorkers: parseWorkers, Batch: batch}
 		var col eventCollector
-		if err := src.Run(context.Background(), col.handler(batch > 0)); err != nil {
+		if err := src.Run(context.Background(), col.handler()); err != nil {
 			t.Fatal(err)
 		}
 		return &col, src.Stats()
 	}
-	ref, refStats := run(1, 0)
+	ref, refStats := run(1, 1)
 	if refStats.Records == 0 || refStats.Malformed == 0 || refStats.Skipped == 0 {
 		t.Fatalf("reference stats %+v exercise too little", refStats)
 	}

@@ -77,14 +77,18 @@ func TestRecordSourceDelivery(t *testing.T) {
 	opened := map[uint64]Record{}
 	txns := map[uint64]Record{}
 	lastEnd := map[string]float64{}
-	stats := src.Run(context.Background(), base, func(r Record) {
+	stats := src.RunBatched(context.Background(), base, func(r Record) {
 		mu.Lock()
 		defer mu.Unlock()
 		if _, dup := opened[r.ConnID]; dup {
 			t.Errorf("conn %d opened twice", r.ConnID)
 		}
 		opened[r.ConnID] = r
-	}, func(r Record) {
+	}, func(batch []Record) {
+		if len(batch) != 1 {
+			t.Errorf("maxBatch 1 delivered a batch of %d", len(batch))
+		}
+		r := batch[0]
 		mu.Lock()
 		defer mu.Unlock()
 		if _, ok := opened[r.ConnID]; !ok {
@@ -101,7 +105,7 @@ func TestRecordSourceDelivery(t *testing.T) {
 			t.Errorf("client %s transactions out of order: %v after %v", r.ClientAddr, end, lastEnd[r.ClientAddr])
 		}
 		lastEnd[r.ClientAddr] = end
-	})
+	}, 1)
 
 	if stats.Records != int64(len(recs)) {
 		t.Fatalf("stats.Records = %d, want %d", stats.Records, len(recs))
@@ -142,7 +146,7 @@ func TestRecordSourcePacing(t *testing.T) {
 	}
 	base := time.Now()
 
-	fast := (&RecordSource{Records: recs}).Run(context.Background(), base, nil, nil)
+	fast := (&RecordSource{Records: recs}).RunBatched(context.Background(), base, nil, nil, 1)
 	if fast.Records != 2 {
 		t.Fatalf("full-speed run delivered %d", fast.Records)
 	}
@@ -150,7 +154,7 @@ func TestRecordSourcePacing(t *testing.T) {
 		t.Errorf("full-speed replay took %v", fast.Wall)
 	}
 
-	paced := (&RecordSource{Records: recs, Speed: 4}).Run(context.Background(), base, nil, nil)
+	paced := (&RecordSource{Records: recs, Speed: 4}).RunBatched(context.Background(), base, nil, nil, 1)
 	if paced.Records != 2 {
 		t.Fatalf("paced run delivered %d", paced.Records)
 	}
@@ -159,12 +163,13 @@ func TestRecordSourcePacing(t *testing.T) {
 	}
 }
 
-// TestRunBatchedMatchesRun pins the batched delivery seam against the
-// per-record path: with one worker, the flattened batch stream must
-// reproduce Run's event sequence exactly — same interleaving of opens
-// and transactions, same stats — while actually coalescing, and a
-// maxBatch of 1 must degenerate to one-record batches.
-func TestRunBatchedMatchesRun(t *testing.T) {
+// TestRunBatchedBatchInvariance pins the delivery seam across batch
+// sizes: with one worker, the flattened batch stream at every maxBatch
+// must reproduce the record-at-a-time (maxBatch 1) event sequence
+// exactly — same interleaving of opens and transactions, same stats —
+// while actually coalescing, and a maxBatch of 1 must deliver
+// one-record batches.
+func TestRunBatchedBatchInvariance(t *testing.T) {
 	recs := testWorkload(200)
 	base := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 
@@ -176,12 +181,6 @@ func TestRunBatchedMatchesRun(t *testing.T) {
 		var r run
 		src := &RecordSource{Records: recs, Workers: 1}
 		open := func(rec Record) { r.events = append(r.events, "open:"+fmtConnEvent(rec)) }
-		if maxBatch == 0 {
-			src.Run(context.Background(), base, open, func(rec Record) {
-				r.events = append(r.events, "txn:"+fmtConnEvent(rec))
-			})
-			return r
-		}
 		st := src.RunBatched(context.Background(), base, open, func(batch []Record) {
 			if len(batch) > r.maxBatch {
 				r.maxBatch = len(batch)
@@ -196,8 +195,11 @@ func TestRunBatchedMatchesRun(t *testing.T) {
 		return r
 	}
 
-	ref := collect(0)
-	for _, maxBatch := range []int{1, 7, 64} {
+	ref := collect(1)
+	if ref.maxBatch != 1 {
+		t.Errorf("maxBatch=1 produced a batch of %d", ref.maxBatch)
+	}
+	for _, maxBatch := range []int{7, 256} {
 		got := collect(maxBatch)
 		if len(got.events) != len(ref.events) {
 			t.Fatalf("maxBatch=%d: %d events, want %d", maxBatch, len(got.events), len(ref.events))
@@ -207,11 +209,8 @@ func TestRunBatchedMatchesRun(t *testing.T) {
 				t.Fatalf("maxBatch=%d: event %d = %q, want %q", maxBatch, i, got.events[i], ref.events[i])
 			}
 		}
-		if maxBatch == 1 && got.maxBatch != 1 {
-			t.Errorf("maxBatch=1 produced a batch of %d", got.maxBatch)
-		}
-		if maxBatch == 64 && got.maxBatch < 2 {
-			t.Errorf("maxBatch=64 never coalesced")
+		if maxBatch == 256 && got.maxBatch < 2 {
+			t.Errorf("maxBatch=256 never coalesced")
 		}
 	}
 }
@@ -230,7 +229,7 @@ func TestRecordSourceCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan ReplayStats, 1)
 	go func() {
-		done <- (&RecordSource{Records: recs, Speed: 1, Workers: 2}).Run(ctx, time.Now(), nil, nil)
+		done <- (&RecordSource{Records: recs, Speed: 1, Workers: 2}).RunBatched(ctx, time.Now(), nil, nil, 1)
 	}()
 	time.Sleep(20 * time.Millisecond)
 	cancel()

@@ -2,11 +2,12 @@
 // builds the daemon once and runs three scenarios: the proxy smoke
 // (start on ephemeral ports, wait for the structured "metrics
 // listening" log line, scrape /healthz and /metrics, assert every core
-// series exists, SIGTERM, require a clean drain), the squid-tail
-// smoke (daemon follows a generated access log, per-source ingest
-// counters track lines appended mid-run, the records reach -out on the
-// sink's flush interval with the qoeproxy_sink_* series adding up,
-// SIGTERM drains cleanly), and
+// and relay series exists, SIGTERM, require a clean drain), the
+// squid-tail smoke (daemon follows a generated access log, /healthz
+// answers and the core series export without a relay while the relay's
+// own series stay absent, per-source ingest counters track lines
+// appended mid-run, the records reach -out on the sink's flush interval
+// with the qoeproxy_sink_* series adding up, SIGTERM drains cleanly), and
 // the model-reload smoke (daemon starts serving model A, rolls to
 // model B via POST /admin/reload and again via SIGHUP with the reload
 // counters tracking each swap, then a corrupt model file is rejected
@@ -37,8 +38,9 @@ import (
 	"droppackets/internal/qoe"
 )
 
-// coreSeries are the metric families operators alert on; docs/OPERATIONS.md
-// documents each. The smoke run fails if any is missing from a scrape.
+// coreSeries are the metric families operators alert on, exported for
+// every -source; docs/OPERATIONS.md documents each. The smoke run fails
+// if any is missing from a scrape.
 var coreSeries = []string{
 	"qoeproxy_transactions_total",
 	"qoeproxy_session_boundaries_total",
@@ -68,13 +70,6 @@ var coreSeries = []string{
 	"qoeproxy_shadow_confusion_total",
 	"qoeproxy_feature_drift_zscore",
 	"qoeproxy_interned_strings",
-	"qoeproxy_connections_total",
-	"qoeproxy_connections_active",
-	"qoeproxy_hello_parse_failures_total",
-	"qoeproxy_resolve_failures_total",
-	"qoeproxy_dial_failures_total",
-	"qoeproxy_relayed_up_bytes_total",
-	"qoeproxy_relayed_down_bytes_total",
 	"qoeproxy_active_sessions",
 	"qoeproxy_clients",
 	"qoeproxy_uptime_seconds",
@@ -83,6 +78,48 @@ var coreSeries = []string{
 	"qoeproxy_heap_alloc_bytes_total",
 	"qoeproxy_heap_inuse_bytes",
 	"qoeproxy_goroutines",
+}
+
+// proxySeries are the live relay's own families: exported with
+// -source proxy and with no other source, which has no relay to report.
+var proxySeries = []string{
+	"qoeproxy_connections_total",
+	"qoeproxy_connections_active",
+	"qoeproxy_hello_parse_failures_total",
+	"qoeproxy_resolve_failures_total",
+	"qoeproxy_dial_failures_total",
+	"qoeproxy_relayed_up_bytes_total",
+	"qoeproxy_relayed_down_bytes_total",
+}
+
+// checkSeries scrapes /metrics and requires every listed family to be
+// exported (want) or every one to be absent (!want).
+func checkSeries(addr string, families []string, want bool) error {
+	body, err := get("http://" + addr + "/metrics")
+	if err != nil {
+		return err
+	}
+	for _, series := range families {
+		if strings.Contains(body, "# TYPE "+series+" ") != want {
+			return fmt.Errorf("series %s exported: want %v, scrape says otherwise:\n%s", series, want, body)
+		}
+	}
+	return nil
+}
+
+// checkHealthz requires /healthz to answer with status ok.
+func checkHealthz(addr string) error {
+	health, err := get("http://" + addr + "/healthz")
+	if err != nil {
+		return err
+	}
+	var status struct {
+		Status string `json:"status"`
+	}
+	if err := json.Unmarshal([]byte(health), &status); err != nil || status.Status != "ok" {
+		return fmt.Errorf("healthz = %q (parse err %v)", health, err)
+	}
+	return nil
 }
 
 func main() {
@@ -184,28 +221,18 @@ func smokeProxy(bin string) error {
 	}
 	defer daemon.Process.Kill() // no-op after a clean Wait
 
-	health, err := get("http://" + addr + "/healthz")
-	if err != nil {
+	if err := checkHealthz(addr); err != nil {
 		return err
-	}
-	var status struct {
-		Status string `json:"status"`
-	}
-	if err := json.Unmarshal([]byte(health), &status); err != nil || status.Status != "ok" {
-		return fmt.Errorf("healthz = %q (parse err %v)", health, err)
 	}
 	fmt.Println("smoke: /healthz ok")
 
-	body, err := get("http://" + addr + "/metrics")
-	if err != nil {
+	if err := checkSeries(addr, coreSeries, true); err != nil {
 		return err
 	}
-	for _, series := range coreSeries {
-		if !strings.Contains(body, "# TYPE "+series+" ") {
-			return fmt.Errorf("scrape is missing core series %s:\n%s", series, body)
-		}
+	if err := checkSeries(addr, proxySeries, true); err != nil {
+		return err
 	}
-	fmt.Printf("smoke: /metrics exports all %d core series\n", len(coreSeries))
+	fmt.Printf("smoke: /metrics exports all %d core and %d relay series\n", len(coreSeries), len(proxySeries))
 
 	return stopDaemon(daemon)
 }
@@ -243,6 +270,17 @@ func smokeSquidTail(bin, tmp string) error {
 		return err
 	}
 	defer daemon.Process.Kill()
+
+	if err := checkHealthz(addr); err != nil {
+		return err
+	}
+	if err := checkSeries(addr, coreSeries, true); err != nil {
+		return err
+	}
+	if err := checkSeries(addr, proxySeries, false); err != nil {
+		return err
+	}
+	fmt.Printf("smoke: a file source serves /healthz and all %d core series, and none of the relay's\n", len(coreSeries))
 
 	records := `qoeproxy_ingest_source_records_total{source="squid"}`
 	if err := waitSeries(addr, records, 3); err != nil {
@@ -434,15 +472,8 @@ func smokeReload(bin, tmp string) error {
 	if got := series(addr, `qoeproxy_model_reloads_total{result="ok"}`); got != 2 {
 		return fmt.Errorf("ok reloads after corrupt attempt = %v, want still 2", got)
 	}
-	health, err := get("http://" + addr + "/healthz")
-	if err != nil {
-		return fmt.Errorf("daemon unhealthy after rejected reload: %w", err)
-	}
-	var status struct {
-		Status string `json:"status"`
-	}
-	if err := json.Unmarshal([]byte(health), &status); err != nil || status.Status != "ok" {
-		return fmt.Errorf("healthz after rejected reload = %q (parse err %v)", health, err)
+	if err := checkHealthz(addr); err != nil {
+		return fmt.Errorf("after rejected reload: %w", err)
 	}
 	fmt.Println("smoke: corrupt model rejected with 422; previous model still serving")
 

@@ -29,7 +29,7 @@ import (
 // trainSmallEstimator trains a compact estimator on the shared
 // synthetic corpus; seed and tree count differentiate champion from
 // challenger models.
-func trainSmallEstimator(t *testing.T, seed int64, trees int) *core.Estimator {
+func trainSmallEstimator(t testing.TB, seed int64, trees int) *core.Estimator {
 	t.Helper()
 	corpus, err := dataset.Build(dataset.Config{Seed: 5, Sessions: 60}, has.Svc1())
 	if err != nil {

@@ -95,6 +95,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -109,6 +110,7 @@ import (
 	"droppackets/internal/core"
 	"droppackets/internal/ingest"
 	"droppackets/internal/metrics"
+	"droppackets/internal/qoe"
 	"droppackets/internal/sessionid"
 	"droppackets/internal/squidlog"
 	"droppackets/internal/stats"
@@ -282,10 +284,31 @@ type clientState struct {
 	// truncated marks that the current session already counted toward
 	// qoeproxy_sessions_truncated_total; reset at each boundary.
 	truncated bool
-	// lastClass is the most recent online classification (hasClass
-	// guards it).
+	// lastClass is the client's current online verdict (hasClass guards
+	// it): what a pass compares a fresh class against to decide whether
+	// to log, and what qoeproxy_sessions_by_class counts the client under.
 	lastClass int
 	hasClass  bool
+	// gen counts the commits folded into this client. commitTransaction
+	// is the only place the inputs of the client's feature row (tracked,
+	// inFlight, buffer/current) change, so an unchanged gen means an
+	// unchanged row — except at the window edge, see rowEdge.
+	gen uint32
+	// scoredGen and scoredBy say what lastClass was scored from: the
+	// generation gathered and the serving bundle that scored it. Both are
+	// written when the class is stored, not when the row is gathered, so
+	// a commit landing in between, or a failed pass, leaves the client
+	// dirty. A pass skips a client whose scoredGen is its gen and whose
+	// scoredBy is the pass's bundle; a reload, a shadow swap and a
+	// snapshot restore (scoredBy nil) therefore re-score everyone once.
+	scoredGen uint32
+	scoredBy  *servingModel
+	// rowEdge is the earliest End among the transactions of the last
+	// scored row in windowed mode: once a pass's cutoff passes it a
+	// transaction has aged out, and the client is dirty without a commit.
+	// The cutoff only moves forward, so nothing excluded comes back. +Inf
+	// in incremental mode and after an empty row.
+	rowEdge float64
 }
 
 // activeConn is one in-flight connection of a client.
@@ -451,6 +474,19 @@ type service struct {
 	// host. Immutable after newService.
 	shards []*shard
 
+	// byClass counts resident clients by current verdict (clientState
+	// lastClass), moved where a class is stored, restored or evicted —
+	// never by walking the clients — behind qoeproxy_sessions_by_class.
+	byClass [qoe.NumCategories]atomic.Int64
+
+	// pass is the classification pass in progress and classifyShardFn its
+	// per-shard half bound once, so a pass that scores nothing allocates
+	// nothing; cLines is the pass's log-line scratch. classifyPass only,
+	// one call at a time.
+	pass            classifyRun
+	classifyShardFn func(worker, si int)
+	cLines          []classLine
+
 	mTxns          *metrics.Counter
 	mBoundaries    *metrics.Counter
 	mRuns          *metrics.Counter
@@ -488,12 +524,12 @@ type shard struct {
 	// exclusively), so these need no lock of their own: the gather phase
 	// fills them under mu, the sweep reads them after release — and
 	// nothing else ever touches them.
-	cNames   []string
-	cCounts  []int
-	cBlock   []float64 // row-major block, cap(cNames) x stride
-	cProbs   []float64 // per-sweep probability scratch
-	cClasses []int
-	cShadow  []int // challenger classes over the same rows (-shadow-model)
+	cRows     []classifyRow // gathered (dirty) clients, one per block row
+	cBlock    []float64     // row-major block, len(cRows) x stride
+	cProbs    []float64     // per-sweep probability scratch
+	cClasses  []int
+	cShadow   []int // challenger classes over the same rows (-shadow-model)
+	cResident int   // clients resident at the gather
 
 	// Per-client read-time scratch, shared by every client of the shard
 	// because it is only ever used under mu, one client at a time: the
@@ -503,6 +539,33 @@ type shard struct {
 	// on clientState saves their capacity once per resident client.
 	txns []capture.TLSTransaction
 	row  []float64
+}
+
+// classifyRow is the bookkeeping of one gathered feature row,
+// index-aligned with its shard's cBlock rows and cClasses.
+type classifyRow struct {
+	client string
+	cs     *clientState
+	txns   int     // transactions in the row
+	gen    uint32  // cs.gen at the gather
+	edge   float64 // the row's clientState.rowEdge
+}
+
+// classifyRun is the state one classification pass shares with its
+// shard workers.
+type classifyRun struct {
+	m                      *servingModel
+	cutoff                 float64
+	buildNanos, sweepNanos atomic.Int64
+	errMu                  sync.Mutex
+	err                    error
+}
+
+// classLine is one "classification" log line of a pass: a client's
+// first verdict (prev < 0) or a change of class.
+type classLine struct {
+	client            string
+	class, prev, txns int
 }
 
 // defaultClassifyBatch is how many feature rows one batched inference
@@ -535,6 +598,7 @@ func newService(opts options, logger *slog.Logger, est *core.Estimator) *service
 		debugLog:   logger.Enabled(context.Background(), slog.LevelDebug),
 	}
 	s.batchPool.New = func() any { return &batchScratch{} }
+	s.classifyShardFn = s.classifyShard
 	if est != nil {
 		s.track = opts.window <= 0
 	}
@@ -1333,7 +1397,20 @@ func (s *service) registerMetrics() {
 	s.mClassErrors = r.NewCounter("qoeproxy_classification_errors_total",
 		"Periodic classification passes that failed (model/feature mismatch).")
 	s.mPred = r.NewCounterVec("qoeproxy_qoe_predictions_total",
-		"Online QoE predictions by class.", "class")
+		"Feature rows scored online, by predicted class: a classification pass scores the clients whose state changed since their last verdict, and an eviction its final classification.", "class")
+	mByClass := r.NewGaugeVecFunc("qoeproxy_sessions_by_class",
+		"Resident clients by their current online verdict (clients not yet classified are in none).", "class")
+	mByClass.Set(func() ([]string, []float64) {
+		m := s.model.Load()
+		if m == nil {
+			return nil, nil
+		}
+		n := make([]float64, len(m.names))
+		for i := range n {
+			n[i] = float64(s.byClass[i].Load())
+		}
+		return m.names, n
+	})
 	// Model-lifecycle series. The reload results are pre-declared so
 	// dashboards see zeros before the first reload; the per-class
 	// prediction and confusion handles are cached per serving bundle.
@@ -1780,6 +1857,7 @@ func (s *service) onTransactionBatch(recs []tlsproxy.Record) {
 // business.
 func (s *service) commitTransaction(sh *shard, client string, connID uint64, txn capture.TLSTransaction) {
 	cs := s.state(sh, client)
+	cs.gen++
 	s.noteEventTime(txn.End)
 	if txn.End > cs.lastActivity {
 		cs.lastActivity = txn.End
@@ -1921,135 +1999,184 @@ func (s *service) forEachShard(fn func(worker, si int)) {
 	wg.Wait()
 }
 
-// classifyPass classifies every client's ongoing session, updating
-// prediction counters, the latency histograms and the structured log.
-// nowSec is the sweep clock in epoch seconds (see sweepNow). The pass
-// fans out across shards on the classify-worker pool: each shard's
-// feature rows are gathered into one contiguous row-major block under
-// that shard's lock only — ingest on other shards never stalls — and
-// then swept through the compiled scorer's batched predictor outside
-// the lock (sweepBlock). The per-shard results merge in shard order
-// and sort by client, so logs, counters and stored classes are
+// classifyPass brings every client's online verdict up to date,
+// updating prediction counters, the latency histograms and the
+// structured log. nowSec is the sweep clock in epoch seconds (see
+// sweepNow). A pass costs what changed, not what is resident: a client
+// is gathered only when it is dirty — commits since its class was
+// stored (clientState.gen), a class stored by another serving bundle
+// (after a reload or a restore), or, in windowed mode, a transaction
+// aged out of the window (clientState.rowEdge) — and a clean client
+// costs one map step. The pass fans out across shards on the
+// classify-worker pool: each shard's dirty rows are gathered into one
+// contiguous row-major block under that shard's lock only — ingest on
+// other shards never stalls — and then swept through the compiled
+// scorer's batched predictor outside the lock (classifyShard). The
+// classes are then stored shard by shard, one lock acquisition each,
+// and a "classification" line is logged for a client's first verdict
+// and for a change of class only, sorted by client; steady state is
+// qoeproxy_sessions_by_class. Logs, counters and stored classes are
 // identical at every (shards, workers, block size) setting. Safe to
-// call concurrently with traffic.
+// call concurrently with traffic, not with itself.
 //
 // The serving bundle is Loaded exactly once, up front: a reload landing
 // mid-pass takes effect at the next pass, never inside one. When the
 // bundle carries a shadow challenger, the gathered rows are additionally
 // swept through it and compared row-for-row — counters only, nothing in
 // the primary's output changes. When it carries a drift tracker, the
-// gathered rows are folded into the per-feature running stats.
+// gathered rows are folded into the per-feature running stats. Both see
+// the rows scored in the pass, which is the clients whose state changed.
 func (s *service) classifyPass(nowSec float64) {
 	m := s.model.Load()
 	if m == nil {
 		return
 	}
-	cutoff := nowSec - s.opts.window.Seconds()
-	var buildNanos, sweepNanos atomic.Int64
-	var errMu sync.Mutex
-	var passErr error
-	s.forEachShard(func(worker, si int) {
-		sh := s.shards[si]
-		t0 := time.Now()
-		sh.cNames = sh.cNames[:0]
-		sh.cCounts = sh.cCounts[:0]
-		sh.cBlock = sh.cBlock[:0]
-		rb := m.rowBuilders[worker]
-		sh.mu.Lock()
-		for client, cs := range sh.clients {
-			var row []float64
-			var n int
-			if s.track {
-				row, n = s.incrementalRow(rb, sh, cs)
-			} else {
-				row, n = s.windowedRow(rb, sh, cs, cutoff)
-			}
-			if n == 0 {
-				continue
-			}
-			sh.cNames = append(sh.cNames, client)
-			sh.cCounts = append(sh.cCounts, n)
-			sh.cBlock = append(sh.cBlock, row...)
-		}
-		sh.mu.Unlock()
-		build := time.Since(t0)
-		buildNanos.Add(int64(build))
+	p := &s.pass
+	p.m, p.cutoff, p.err = m, nowSec-s.opts.window.Seconds(), nil
+	p.buildNanos.Store(0)
+	p.sweepNanos.Store(0)
+	s.forEachShard(s.classifyShardFn)
 
-		// Sweep the gathered block outside the shard lock; ingest can
-		// proceed while inference runs.
-		t1 := time.Now()
-		var err error
-		sh.cClasses, err = s.sweepBlock(m.est, sh, sh.cClasses)
-		// The challenger sweeps the same rows after the primary; its only
-		// output is counters, so a shadow failure never fails the pass.
-		sh.cShadow = sh.cShadow[:0]
-		if m.shadow != nil && err == nil {
-			var serr error
-			if sh.cShadow, serr = s.sweepBlock(m.shadow.est, sh, sh.cShadow); serr != nil {
-				s.log.Error("shadow classification failed", "err", serr)
-				sh.cShadow = sh.cShadow[:0]
-			}
-		}
-		if m.drift != nil && err == nil {
-			m.drift.observeBlock(sh.cBlock, len(sh.cNames), m.est.NumFeatures())
-		}
-		sweep := time.Since(t1)
-		sweepNanos.Add(int64(sweep))
-		s.mShardClassify.Observe((build + sweep).Seconds())
-		if err != nil {
-			errMu.Lock()
-			if passErr == nil {
-				passErr = err
-			}
-			errMu.Unlock()
-		}
-	})
-	var names []string
-	var classes, counts, shadowClasses []int
-	shadowOK := m.shadow != nil
+	resident, shadowOK := 0, m.shadow != nil
 	for _, sh := range s.shards {
-		names = append(names, sh.cNames...)
-		classes = append(classes, sh.cClasses...)
-		counts = append(counts, sh.cCounts...)
-		if len(sh.cShadow) != len(sh.cNames) {
+		resident += sh.cResident
+		if len(sh.cShadow) != len(sh.cRows) {
 			shadowOK = false // a shard's shadow sweep failed; skip comparison
 		}
-		shadowClasses = append(shadowClasses, sh.cShadow...)
 	}
-	if len(names) == 0 {
+	if resident == 0 {
 		return
 	}
-	s.mExtract.Observe(time.Duration(buildNanos.Load()).Seconds())
-	s.mInfer.Observe(time.Duration(sweepNanos.Load()).Seconds())
-	if passErr != nil {
+	s.mExtract.Observe(time.Duration(p.buildNanos.Load()).Seconds())
+	s.mInfer.Observe(time.Duration(p.sweepNanos.Load()).Seconds())
+	if p.err != nil {
 		s.mClassErrors.Inc()
-		s.log.Error("classification failed", "err", passErr)
+		s.log.Error("classification failed", "err", p.err)
+		for _, sh := range s.shards {
+			clear(sh.cRows)
+		}
 		return
 	}
-	// Champion/challenger comparison: order-independent counter bumps,
-	// done on the pre-sort merge so the sort below stays three-column.
-	if shadowOK {
-		nc := m.est.NumClasses()
-		for i, p := range classes {
-			if c := shadowClasses[i]; c != p {
-				s.mShadowDis.Inc()
-				m.shadow.confusion[p*nc+c].Inc()
-			}
-		}
-	}
+	// The pass completed: it counts as a run even when every client was
+	// clean and nothing was scored.
 	s.mRuns.Inc()
-	sort.Sort(byName{names, classes, counts})
-	for i, client := range names {
-		sh := s.shardFor(client)
+	lines := s.cLines[:0]
+	nc := m.est.NumClasses()
+	var scored [qoe.NumCategories]int64
+	for _, sh := range s.shards {
+		if len(sh.cRows) == 0 {
+			continue
+		}
 		sh.mu.Lock()
-		if cs, ok := sh.clients[client]; ok {
-			cs.lastClass, cs.hasClass = classes[i], true
+		for i := range sh.cRows {
+			r, class := &sh.cRows[i], sh.cClasses[i]
+			scored[class]++
+			// Champion/challenger comparison: order-independent counter bumps.
+			if shadowOK {
+				if c := sh.cShadow[i]; c != class {
+					s.mShadowDis.Inc()
+					m.shadow.confusion[class*nc+c].Inc()
+				}
+			}
+			cs := r.cs
+			if sh.clients[r.client] != cs {
+				continue // evicted since the gather
+			}
+			if prev := cs.lastClass; !cs.hasClass || prev != class {
+				if cs.hasClass {
+					s.byClass[prev].Add(-1)
+				} else {
+					prev = -1
+				}
+				s.byClass[class].Add(1)
+				cs.lastClass, cs.hasClass = class, true
+				lines = append(lines, classLine{client: r.client, class: class, prev: prev, txns: r.txns})
+			}
+			cs.scoredGen, cs.scoredBy, cs.rowEdge = r.gen, m, r.edge
 		}
 		sh.mu.Unlock()
+		clear(sh.cRows) // drop the client pointers: an evicted client must not live on in scratch
 	}
-	for i, client := range names {
-		m.predClass[classes[i]].Inc()
-		s.log.Info("classification", "client", client, "class", m.names[classes[i]], "transactions", counts[i])
+	for class, n := range scored {
+		m.predClass[class].Add(n)
+	}
+	slices.SortFunc(lines, func(a, b classLine) int { return strings.Compare(a.client, b.client) })
+	for _, l := range lines {
+		if l.prev < 0 {
+			s.log.Info("classification", "client", l.client, "class", m.names[l.class], "transactions", l.txns)
+		} else {
+			s.log.Info("classification", "client", l.client, "class", m.names[l.class], "transactions", l.txns,
+				"previous", m.names[l.prev])
+		}
+	}
+	clear(lines)
+	s.cLines = lines[:0]
+}
+
+// classifyShard is one shard's half of the pass in s.pass: gather the
+// dirty clients' rows under the shard lock, then sweep the block through
+// the primary (and the challenger, and the drift tracker) outside it, so
+// ingest can proceed while inference runs.
+func (s *service) classifyShard(worker, si int) {
+	p := &s.pass
+	m := p.m
+	sh := s.shards[si]
+	t0 := time.Now()
+	sh.cRows = sh.cRows[:0]
+	sh.cBlock = sh.cBlock[:0]
+	rb := m.rowBuilders[worker]
+	sh.mu.Lock()
+	sh.cResident = len(sh.clients)
+	for client, cs := range sh.clients {
+		if cs.scoredBy == m && cs.scoredGen == cs.gen && p.cutoff <= cs.rowEdge {
+			continue
+		}
+		var row []float64
+		var n int
+		edge := math.Inf(1)
+		if s.track {
+			row, n = s.incrementalRow(rb, sh, cs)
+		} else {
+			row, n, edge = s.windowedRow(rb, sh, cs, p.cutoff)
+		}
+		if n == 0 {
+			// An empty row has no verdict to wait for: the client is clean
+			// until its next commit.
+			cs.scoredGen, cs.scoredBy, cs.rowEdge = cs.gen, m, edge
+			continue
+		}
+		sh.cRows = append(sh.cRows, classifyRow{client: client, cs: cs, txns: n, gen: cs.gen, edge: edge})
+		sh.cBlock = append(sh.cBlock, row...)
+	}
+	sh.mu.Unlock()
+	build := time.Since(t0)
+	p.buildNanos.Add(int64(build))
+
+	t1 := time.Now()
+	var err error
+	sh.cClasses, err = s.sweepBlock(m.est, sh, sh.cClasses)
+	// The challenger sweeps the same rows after the primary; its only
+	// output is counters, so a shadow failure never fails the pass.
+	sh.cShadow = sh.cShadow[:0]
+	if m.shadow != nil && err == nil {
+		var serr error
+		if sh.cShadow, serr = s.sweepBlock(m.shadow.est, sh, sh.cShadow); serr != nil {
+			s.log.Error("shadow classification failed", "err", serr)
+			sh.cShadow = sh.cShadow[:0]
+		}
+	}
+	if m.drift != nil && err == nil {
+		m.drift.observeBlock(sh.cBlock, len(sh.cRows), m.est.NumFeatures())
+	}
+	sweep := time.Since(t1)
+	p.sweepNanos.Add(int64(sweep))
+	s.mShardClassify.Observe((build + sweep).Seconds())
+	if err != nil {
+		p.errMu.Lock()
+		if p.err == nil {
+			p.err = err
+		}
+		p.errMu.Unlock()
 	}
 }
 
@@ -2058,7 +2185,7 @@ func (s *service) classifyPass(nowSec float64) {
 // and returns the classes in out's backing array (grown when short),
 // one per gathered row.
 func (s *service) sweepBlock(est *core.Estimator, sh *shard, out []int) ([]int, error) {
-	rows, stride, nc := len(sh.cNames), est.NumFeatures(), est.NumClasses()
+	rows, stride, nc := len(sh.cRows), est.NumFeatures(), est.NumClasses()
 	batch := s.opts.classifyBatch
 	if cap(out) < rows {
 		out = make([]int, rows)
@@ -2104,41 +2231,31 @@ func (s *service) incrementalRow(rb *core.RowBuilder, sh *shard, cs *clientState
 // windowedRow builds a client's feature row over the transactions of
 // the ongoing session ending inside the sliding window, through the
 // shard's scratch list and row buffer (the returned row is valid until
-// the next row built on this shard). The caller holds the client's
-// shard lock; extraction goes through the worker's private RowBuilder
-// rb (the estimator's shared scratch is not concurrency-safe).
-func (s *service) windowedRow(rb *core.RowBuilder, sh *shard, cs *clientState, cutoff float64) ([]float64, int) {
+// the next row built on this shard), and reports the earliest End among
+// them — the cutoff at which the row next changes without a commit
+// (+Inf for an empty row). The caller holds the client's shard lock;
+// extraction goes through the worker's private RowBuilder rb (the
+// estimator's shared scratch is not concurrency-safe).
+func (s *service) windowedRow(rb *core.RowBuilder, sh *shard, cs *clientState, cutoff float64) (row []float64, n int, edge float64) {
 	w := sh.txns[:0]
+	edge = math.Inf(1)
 	for _, run := range [3][]capture.TLSTransaction{cs.current, cs.inFlight, cs.buffer} {
 		for _, t := range run {
 			if t.End >= cutoff {
 				w = append(w, t)
+				if t.End < edge {
+					edge = t.End
+				}
 			}
 		}
 	}
 	sh.txns = w
 	if len(w) == 0 {
-		return nil, 0
+		return nil, 0, edge
 	}
 	sh.row = rb.FeatureRow(w, sh.row)
-	return sh.row, len(w)
+	return sh.row, len(w), edge
 }
-
-// byName sorts the classification results by client for deterministic
-// logs and tests.
-type byName struct {
-	names   []string
-	classes []int
-	counts  []int
-}
-
-func (b byName) Len() int { return len(b.names) }
-func (b byName) Swap(i, j int) {
-	b.names[i], b.names[j] = b.names[j], b.names[i]
-	b.classes[i], b.classes[j] = b.classes[j], b.classes[i]
-	b.counts[i], b.counts[j] = b.counts[j], b.counts[i]
-}
-func (b byName) Less(i, j int) bool { return b.names[i] < b.names[j] }
 
 // evictIdle removes every client whose last activity predates
 // -client-ttl and has no open connections: the client's streamer is
@@ -2184,6 +2301,9 @@ func (s *service) evictIdle(nowSec float64) {
 				meanDur:    cs.durStats.Mean(),
 				downBytes:  cs.downBytes,
 			})
+			if cs.hasClass {
+				s.byClass[cs.lastClass].Add(-1)
+			}
 			delete(sh.clients, client)
 			s.mEvicted.Inc()
 		}

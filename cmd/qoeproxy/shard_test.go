@@ -25,8 +25,12 @@ import (
 // emissions, the deterministic metric totals, and the sink bytes.
 // Timing histograms, uptime and the contention counter are excluded by
 // construction — they measure the concurrency, not the traffic.
+// A pass logs a client's first verdict and its changes of class, not
+// every client, so stored lists what the log no longer repeats: every
+// resident client's class after each pass.
 type invariantRun struct {
 	classifications []string
+	stored          []string
 	evictions       []string
 	counters        map[string]int64
 	sinkCSV         string
@@ -86,15 +90,20 @@ func replayTrace(t *testing.T, est *core.Estimator, traffic *dataset.Corpus, win
 	}
 	sort.SliceStable(events, func(i, j int) bool { return events[i].rec.Start.Before(events[j].rec.Start) })
 
+	var stored []string
+	pass := func(now float64) {
+		s.classifyPass(now)
+		stored = append(stored, fmt.Sprint(verdicts(t, s)))
+	}
 	for i, e := range events {
 		s.onConnOpen(e.rec)
 		deliver(s, e.rec)
 		if i == len(events)/3 || i == 2*len(events)/3 {
-			s.classifyPass(e.rec.End.Sub(s.epoch).Seconds())
+			pass(e.rec.End.Sub(s.epoch).Seconds())
 		}
 	}
 	endOfTrace := s.epoch.Add(time.Duration(lastEnd * float64(time.Second)))
-	s.classifyPass(endOfTrace.Sub(s.epoch).Seconds())
+	pass(endOfTrace.Sub(s.epoch).Seconds())
 	s.evictIdle(endOfTrace.Add(ttl + time.Second).Sub(s.epoch).Seconds())
 	s.flushSinks()
 
@@ -107,7 +116,7 @@ func replayTrace(t *testing.T, est *core.Estimator, traffic *dataset.Corpus, win
 		"truncated":    s.mTruncated.Value(),
 		"evicted":      s.mEvicted.Value(),
 		"clients_left": int64(s.clientCount()),
-	}, sinkCSV: csv.String()}
+	}, sinkCSV: csv.String(), stored: stored}
 	for _, n := range s.model.Load().names {
 		run.counters["pred_"+n] = s.mPred.Value(n)
 	}
@@ -207,6 +216,9 @@ func compareRuns(t *testing.T, name string, got, base invariantRun) {
 	if fmt.Sprint(got.classifications) != fmt.Sprint(base.classifications) {
 		t.Errorf("%s: classification sequence diverged\n got %v\nwant %v",
 			name, got.classifications, base.classifications)
+	}
+	if fmt.Sprint(got.stored) != fmt.Sprint(base.stored) {
+		t.Errorf("%s: stored classes diverged\n got %v\nwant %v", name, got.stored, base.stored)
 	}
 	if fmt.Sprint(got.evictions) != fmt.Sprint(base.evictions) {
 		t.Errorf("%s: eviction sequence diverged\n got %v\nwant %v",

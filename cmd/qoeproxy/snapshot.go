@@ -205,12 +205,24 @@ func loadSnapshotFile(path string) (*savedSnapshot, error) {
 func (s *service) restoreState(snap *savedSnapshot) (restored, skippedNotOwned int) {
 	s.epoch = time.Unix(0, snap.EpochUnixNanos)
 	s.watermark.Store(math.Float64bits(snap.Watermark))
+	numClasses := 0
+	if m := s.model.Load(); m != nil {
+		numClasses = m.est.NumClasses()
+	} else if s.pendingEst != nil { // run() restores before the first bundle is built
+		numClasses = s.pendingEst.NumClasses()
+	}
 	for i := range snap.Clients {
 		sc := &snap.Clients[i]
 		if !s.owns(sc.Client) {
 			skippedNotOwned++
 			continue
 		}
+		// The restored verdict drives class-change logging and the
+		// by-class gauge, so one the serving model cannot name — a
+		// snapshot from a model with more classes, a damaged envelope, no
+		// model here at all — is dropped: the client's next verdict is
+		// logged as its first.
+		hasClass := sc.HasClass && sc.LastClass >= 0 && sc.LastClass < numClasses
 		cs := &clientState{
 			streamer:     sessionid.RestoreStreamer(sessionid.PaperParams, sc.Streamer),
 			buffer:       append([]capture.TLSTransaction(nil), sc.Buffer...),
@@ -222,8 +234,11 @@ func (s *service) restoreState(snap *savedSnapshot) (restored, skippedNotOwned i
 			downBytes:    sc.DownBytes,
 			boundaries:   sc.Boundaries,
 			truncated:    sc.Truncated,
-			lastClass:    sc.LastClass,
-			hasClass:     sc.HasClass,
+			hasClass:     hasClass,
+		}
+		if hasClass {
+			cs.lastClass = sc.LastClass
+			s.byClass[cs.lastClass].Add(1)
 		}
 		for id, start := range sc.ActiveStarts {
 			cs.activeStarts = append(cs.activeStarts, activeConn{id, start})

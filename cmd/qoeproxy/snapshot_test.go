@@ -183,8 +183,8 @@ func TestSnapshotRoundTripProfiles(t *testing.T) {
 								wantRow, _ = baseline.incrementalRow(rb, sh, bcs)
 								gotRow, _ = b.incrementalRow(rb, b.shardFor(client), rcs)
 							} else {
-								wantRow, _ = baseline.windowedRow(rb, sh, bcs, endSec-opts.window.Seconds())
-								gotRow, _ = b.windowedRow(rb, b.shardFor(client), rcs, endSec-opts.window.Seconds())
+								wantRow, _, _ = baseline.windowedRow(rb, sh, bcs, endSec-opts.window.Seconds())
+								gotRow, _, _ = b.windowedRow(rb, b.shardFor(client), rcs, endSec-opts.window.Seconds())
 							}
 							if len(gotRow) != len(wantRow) {
 								t.Fatalf("cut %d %s: row widths %d vs %d", cut, client, len(gotRow), len(wantRow))
@@ -317,10 +317,22 @@ func TestKillMidSessionHandoffEquivalence(t *testing.T) {
 	for k, v := range counters(b) {
 		gotCounters[k] += v
 	}
+	// A restore leaves every client dirty, so B's first pass also scores
+	// the clients the baseline found unchanged since A's last pass: the
+	// prediction counters (rows scored) may exceed the baseline's by at
+	// most one row per restored client; everything else is exact.
+	var extraRows int64
 	for k, want := range wantCounters {
+		if strings.HasPrefix(k, "pred_") {
+			extraRows += gotCounters[k] - want
+			continue
+		}
 		if gotCounters[k] != want {
 			t.Errorf("counter %s: A+B = %d, baseline %d", k, gotCounters[k], want)
 		}
+	}
+	if restored := int64(len(a.snapshotState().Clients)); extraRows < 0 || extraRows > restored {
+		t.Errorf("A+B scored %d rows more than the baseline, want 0..%d (the restored clients, once)", extraRows, restored)
 	}
 
 	// Sink bytes: A's lines then B's lines are the baseline's bytes.
@@ -580,5 +592,62 @@ func TestHealthzFleetFields(t *testing.T) {
 	}
 	if body.PartitionsOwned != ring.Partitions("a") || body.PartitionsOwned == 0 {
 		t.Errorf("partitions_owned = %d, want %d", body.PartitionsOwned, ring.Partitions("a"))
+	}
+}
+
+// TestRestoreDropsUnnameableClass is the hardening case for the restored
+// verdict: lastClass indexes the class names and the by-class gauge, so
+// a snapshot carrying a class the serving model does not have (written
+// under a model with more classes, or damaged) — or any class at all
+// when no model is loaded — restores as "not yet classified" instead of
+// indexing out of range at the client's next verdict.
+func TestRestoreDropsUnnameableClass(t *testing.T) {
+	est := snapTestEstimator(t)
+	donor, _ := newTestService(t, options{window: 0}, est)
+	feed(donor, profileEvents(t, has.Svc1(), 71, 8, 4))
+	donor.classifyPass(1e6)
+	snap := donor.snapshotState()
+	if len(snap.Clients) != 4 {
+		t.Fatalf("donor snapshot has %d clients, test wants 4", len(snap.Clients))
+	}
+	for _, c := range snap.Clients {
+		if !c.HasClass {
+			t.Fatalf("donor client %s was never classified", c.Client)
+		}
+	}
+	kept := snap.Clients[0].Client
+	snap.Clients[1].LastClass = est.NumClasses()
+	snap.Clients[2].LastClass = 1 << 40
+	snap.Clients[3].LastClass = -1
+
+	s, logs := newTestService(t, options{window: 0}, est)
+	if restored, _ := s.restoreState(snap); restored != 4 {
+		t.Fatalf("restored %d clients, want 4", restored)
+	}
+	for _, c := range snap.Clients {
+		if got, want := s.client(c.Client).hasClass, c.Client == kept; got != want {
+			t.Errorf("client %s (last_class %d): hasClass = %v after restore, want %v", c.Client, c.LastClass, got, want)
+		}
+	}
+	verdicts(t, s)
+	s.classifyPass(1e6) // must not index out of range
+	for _, l := range classLogs(t, logs) {
+		if l.Client == kept || l.Previous != "" {
+			t.Errorf("unexpected line after restore: %+v (dropped classes log as first verdicts, the kept one not at all)", l)
+		}
+	}
+	if got := len(classLogs(t, logs)); got != 3 {
+		t.Errorf("%d classification lines after restore, want 3 first verdicts", got)
+	}
+	verdicts(t, s)
+
+	bare, _ := newTestService(t, options{window: time.Hour}, nil)
+	bare.restoreState(donor.snapshotState())
+	for _, sh := range bare.shards {
+		for client, cs := range sh.clients {
+			if cs.hasClass {
+				t.Errorf("client %s restored with a class into a daemon with no model", client)
+			}
+		}
 	}
 }

@@ -157,8 +157,20 @@ func TestEvictionSoakBounded(t *testing.T) {
 
 		// The classify tick: a pass, then the eviction sweep past the TTL.
 		evictAt := s.epoch.Add(time.Duration((roundEnd + ttl.Seconds() + 1) * float64(time.Second)))
+		byClass := func() (n float64) {
+			for _, name := range names {
+				n += gaugeValue(fmt.Sprintf("qoeproxy_sessions_by_class{class=%q}", name))
+			}
+			return n
+		}
 		s.classifyPass(evictAt.Sub(s.epoch).Seconds())
+		if got := byClass(); got != numClients {
+			t.Fatalf("round %d: qoeproxy_sessions_by_class sums to %v after the pass, want %d", round, got, numClients)
+		}
 		s.evictIdle(evictAt.Sub(s.epoch).Seconds())
+		if got := byClass(); got != 0 {
+			t.Fatalf("round %d: qoeproxy_sessions_by_class sums to %v after every client was evicted, want 0", round, got)
+		}
 
 		if left := s.clientCount(); left != 0 {
 			t.Fatalf("round %d: %d clients survived the eviction sweep", round, left)

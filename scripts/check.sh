@@ -58,6 +58,18 @@ if ! echo "$commit_out" | grep -q "	       0 allocs/op"; then
 	exit 1
 fi
 
+echo "== zero-alloc clean-classify-pass gate =="
+# One op is a classification pass over 4,096 resident clients that all
+# hold a verdict and have had no commit since: the steady state must
+# neither score a row (the benchmark fails itself if one is) nor
+# allocate.
+clean_out=$(go test -run '^$' -bench 'ClassifyPassClean' -benchmem ./cmd/qoeproxy)
+echo "$clean_out"
+if ! echo "$clean_out" | grep -q "	       0 allocs/op"; then
+	echo "a classification pass over unchanged clients allocates; the zero-alloc clean-pass gate failed"
+	exit 1
+fi
+
 echo "== benchmark ledger (bench/ unit tests + 1/200-scale smoke of every workload) =="
 (cd bench && go test ./...)
 

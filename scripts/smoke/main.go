@@ -53,6 +53,7 @@ var coreSeries = []string{
 	"qoeproxy_sink_writes_total",
 	"qoeproxy_clients_evicted_total",
 	"qoeproxy_qoe_predictions_total",
+	"qoeproxy_sessions_by_class",
 	"qoeproxy_inference_seconds",
 	"qoeproxy_feature_extraction_seconds",
 	"qoeproxy_shard_classify_seconds",

@@ -11,12 +11,10 @@ package droppackets_test
 // at the paper's full corpus sizes.
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
 	"droppackets/internal/capture"
-	"droppackets/internal/core"
 	"droppackets/internal/dataset"
 	"droppackets/internal/experiments"
 	"droppackets/internal/features"
@@ -322,109 +320,6 @@ func BenchmarkFeatureExtractTLS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		features.FromTLS(txns)
-	}
-}
-
-// BenchmarkFromTLS measures the batch TLS extractor's cost per session
-// on a realistic record, allocations included (the pooled scratch path
-// should allocate only the result vector).
-func BenchmarkFromTLS(b *testing.B) {
-	c := microData(b)
-	txns := c.Records[0].Capture.TLS
-	b.ReportMetric(float64(len(txns)), "transactions")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		features.FromTLS(txns)
-	}
-}
-
-// BenchmarkFromTLSInto is the fully allocation-free variant: caller-
-// owned Scratch and result buffer, as the experiment sweeps run it.
-func BenchmarkFromTLSInto(b *testing.B) {
-	c := microData(b)
-	txns := c.Records[0].Capture.TLS
-	scratch := features.NewScratch()
-	var buf []float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = scratch.FromTLSInto(buf, txns, features.TemporalIntervals)
-	}
-}
-
-// synthSession builds a deterministic start-ordered transaction stream
-// for the incremental-path benches.
-func synthSession(n int) []capture.TLSTransaction {
-	txns := make([]capture.TLSTransaction, n)
-	for i := range txns {
-		s := float64(i) * 0.25
-		txns[i] = capture.TLSTransaction{
-			SNI:       "cdn.example",
-			Start:     s,
-			End:       s + 3.5,
-			DownBytes: int64(50_000 + (i%37)*1000),
-			UpBytes:   int64(800 + (i%11)*50),
-			HTTPCount: 1,
-		}
-	}
-	return txns
-}
-
-// BenchmarkAccumulatorIngest measures the per-transaction cost of the
-// online feature engine, resetting periodically so the sorted buffers
-// stay at a realistic session size.
-func BenchmarkAccumulatorIngest(b *testing.B) {
-	txns := synthSession(4096)
-	acc := features.NewAccumulator()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if acc.Len() >= len(txns) {
-			acc.Reset()
-		}
-		acc.Ingest(txns[acc.Len()])
-	}
-}
-
-// BenchmarkProxyClassifyPass emulates qoeproxy's periodic classify
-// pass over one client at growing session lengths, at a fixed 8 new
-// transactions per pass. The incremental sub-benches (accumulator +
-// speculative pending, what window 0 mode runs) should stay near-flat
-// across session sizes, while the batch sub-benches (re-extracting the
-// whole session, the old behavior) grow linearly with session length.
-func BenchmarkProxyClassifyPass(b *testing.B) {
-	c := microData(b)
-	var training []core.TrainingSession
-	for _, r := range c.Records {
-		training = append(training, core.TrainingSession{TLS: r.Capture.TLS, QoE: r.QoE})
-	}
-	est := core.NewEstimator(core.Config{Forest: forest.Config{NumTrees: 10, MinLeaf: 2, Seed: 3}})
-	if err := est.Train(training); err != nil {
-		b.Fatal(err)
-	}
-	const newPerPass = 8
-	for _, sessionLen := range []int{100, 1000, 10000} {
-		txns := synthSession(sessionLen + newPerPass)
-		committed, pending := txns[:sessionLen], txns[sessionLen:]
-		b.Run(fmt.Sprintf("incremental/session=%d", sessionLen), func(b *testing.B) {
-			ts := core.NewTrackedSession()
-			ts.ObserveAll(committed)
-			var row []float64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				row = est.TrackedRow(ts, pending, row)
-			}
-		})
-		b.Run(fmt.Sprintf("batch/session=%d", sessionLen), func(b *testing.B) {
-			var row []float64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				row = est.FeatureRow(txns, row)
-			}
-		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"droppackets/internal/tlsproxy"
 )
@@ -156,33 +157,50 @@ func TestParseMetrics(t *testing.T) {
 	if h.total != 100 || h.sum != 2.5 || len(h.bounds) != 3 {
 		t.Fatalf("histogram = %+v", h)
 	}
-	// p50: rank 50 inside (0.001, 0.01], 10 -> 70 cumulative:
-	// 0.001 + (0.01-0.001)*(50-10)/60 = 0.007
-	if got := h.quantile(0.5); math.Abs(got-0.007) > 1e-12 {
-		t.Errorf("p50 = %g, want 0.007", got)
-	}
-	// p99: rank 99 inside (0.01, 0.1]: 0.01 + 0.09*(99-70)/30 = 0.097
-	if got := h.quantile(0.99); math.Abs(got-0.097) > 1e-12 {
-		t.Errorf("p99 = %g, want 0.097", got)
-	}
-	sum := summarize(h)
-	if sum.Count != 100 || sum.Sum != 2.5 || sum.P50 == 0 || sum.P95 == 0 {
-		t.Errorf("summary = %+v", sum)
-	}
-	if got := summarize(nil); got.Count != 0 {
-		t.Errorf("nil summary = %+v", got)
+	if h.counts[1] != 70 || h.bounds[2] != 0.1 {
+		t.Fatalf("histogram buckets = %+v", h)
 	}
 }
 
-func TestQuantileEdgeCases(t *testing.T) {
-	var empty *histData
-	if got := empty.quantile(0.5); got != 0 {
-		t.Errorf("nil quantile = %g", got)
+// TestAwaitSettled pins the settle predicate both soaks share: it wants
+// exactly the expected transaction count and enough classification
+// passes, words the deadline failure from the last scrape that
+// answered, and — the case that used to dereference nil — reports a
+// /metrics endpoint that never answered instead of panicking.
+func TestAwaitSettled(t *testing.T) {
+	at := func(txns, runs float64) *scrapeData {
+		return &scrapeData{values: map[string]float64{
+			"qoeproxy_transactions_total":        txns,
+			"qoeproxy_classification_runs_total": runs,
+		}}
 	}
-	h := &histData{bounds: []float64{1}, counts: []int64{0}, total: 5}
-	// All observations beyond the last finite bound clamp to it.
-	if got := h.quantile(0.5); got != 1 {
-		t.Errorf("overflow quantile = %g, want clamp to 1", got)
+	replies := func(seq ...*scrapeData) func() *scrapeData {
+		i := 0
+		return func() *scrapeData {
+			s := seq[min(i, len(seq)-1)]
+			i++
+			return s
+		}
+	}
+
+	last, err := awaitSettled(replies(nil), 100, 3, 0)
+	if last != nil || err == nil || !strings.Contains(err.Error(), "metrics endpoint never answered") {
+		t.Errorf("silent endpoint: last = %v, err = %v", last, err)
+	}
+	// Unanswered scrapes and partial progress are retried.
+	last, err = awaitSettled(replies(nil, at(40, 0), at(100, 2), at(100, 3)), 100, 3, time.Minute)
+	if err != nil || last.value("qoeproxy_classification_runs_total") != 3 {
+		t.Errorf("settling daemon: last = %+v, err = %v", last, err)
+	}
+	// Too many transactions is not settled either: the count must match.
+	last, err = awaitSettled(replies(at(101, 9)), 100, 3, 0)
+	if last == nil || err == nil || !strings.Contains(err.Error(), "transactions 101/100, runs 9") {
+		t.Errorf("overcount: last = %+v, err = %v", last, err)
+	}
+	// The failure is worded from the last scrape that answered.
+	last, err = awaitSettled(replies(at(7, 1), nil), 100, 3, 300*time.Millisecond)
+	if last == nil || err == nil || !strings.Contains(err.Error(), "transactions 7/100, runs 1") {
+		t.Errorf("endpoint went quiet: last = %+v, err = %v", last, err)
 	}
 }
 

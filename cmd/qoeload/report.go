@@ -1,15 +1,21 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"os/exec"
 	"strconv"
 	"strings"
+	"time"
 )
 
-// This file reads the daemon back: a minimal parser for the Prometheus
-// text exposition format (unlabeled series plus histograms — all
-// qoeload consumes) and the percentile interpolation that turns
-// qoeproxy_shard_classify_seconds buckets into p50/p95/p99.
+// This file reads the daemon back: its /healthz, its exit status, a
+// /metrics fetch and a minimal parser for the Prometheus text
+// exposition format. The checks read
+// unlabeled series only; histogram families are still reassembled, so a
+// scrape with a malformed bucket line is rejected rather than trusted.
 
 // histData is one parsed histogram family.
 type histData struct {
@@ -28,10 +34,64 @@ type scrapeData struct {
 // value returns an unlabeled series, or 0 when absent.
 func (s *scrapeData) value(name string) float64 { return s.values[name] }
 
+// scrape fetches and parses a daemon's /metrics, nil on any failure
+// (the caller retries).
+func scrape(base string) *scrapeData {
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		return nil
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil
+	}
+	s, err := parseMetrics(string(body))
+	if err != nil {
+		return nil
+	}
+	return s
+}
+
+// healthReply is what the checks read from /healthz.
+type healthReply struct {
+	Status   string `json:"status"`
+	Instance string `json:"instance"`
+}
+
+// healthz fetches a daemon's /healthz; the reply is empty when the
+// endpoint does not answer.
+func healthz(base string) healthReply {
+	var h healthReply
+	if resp, err := http.Get(base + "/healthz"); err == nil {
+		json.NewDecoder(resp.Body).Decode(&h)
+		resp.Body.Close()
+	}
+	return h
+}
+
+// awaitExit waits for a daemon that has been sent SIGTERM to exit,
+// killing it after 60s; the error says how the exit was unclean.
+func awaitExit(cmd *exec.Cmd) error {
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	select {
+	case err := <-exited:
+		if err != nil {
+			return fmt.Errorf("exited with %v", err)
+		}
+		return nil
+	case <-time.After(60 * time.Second):
+		cmd.Process.Kill()
+		<-exited
+		return fmt.Errorf("did not exit within 60s of SIGTERM")
+	}
+}
+
 // parseMetrics parses a Prometheus text scrape, keeping unlabeled
 // sample values and reassembling histogram bucket series. Labeled
 // non-histogram series (the per-class prediction counters) are
-// ignored; qoeload reads totals, not breakdowns.
+// ignored; qoeload checks totals, not breakdowns.
 func parseMetrics(text string) (*scrapeData, error) {
 	s := &scrapeData{values: map[string]float64{}, hists: map[string]*histData{}}
 	for ln, line := range strings.Split(text, "\n") {
@@ -95,97 +155,4 @@ func cutLabel(labels, key string) (string, bool) {
 		return "", false
 	}
 	return rest[:j], true
-}
-
-// quantile estimates the q-quantile (0 < q < 1) from cumulative
-// buckets by linear interpolation inside the containing bucket — the
-// standard histogram_quantile estimate. Returns 0 for an empty
-// histogram; observations beyond the last finite bound clamp to it.
-func (h *histData) quantile(q float64) float64 {
-	if h == nil || h.total == 0 {
-		return 0
-	}
-	rank := q * float64(h.total)
-	prevBound, prevCount := 0.0, int64(0)
-	for i, b := range h.bounds {
-		c := h.counts[i]
-		if float64(c) >= rank {
-			width := float64(c - prevCount)
-			if width == 0 {
-				return b
-			}
-			return prevBound + (b-prevBound)*(rank-float64(prevCount))/width
-		}
-		prevBound, prevCount = b, c
-	}
-	if len(h.bounds) > 0 {
-		return h.bounds[len(h.bounds)-1]
-	}
-	return 0
-}
-
-// histSummary is the percentile digest recorded per histogram.
-type histSummary struct {
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum_seconds"`
-	P50   float64 `json:"p50_seconds"`
-	P95   float64 `json:"p95_seconds"`
-	P99   float64 `json:"p99_seconds"`
-}
-
-func summarize(h *histData) histSummary {
-	if h == nil {
-		return histSummary{}
-	}
-	return histSummary{
-		Count: h.total,
-		Sum:   h.sum,
-		P50:   h.quantile(0.50),
-		P95:   h.quantile(0.95),
-		P99:   h.quantile(0.99),
-	}
-}
-
-// shapeResult is the per-shape section of BENCH_load.json.
-type shapeResult struct {
-	Records           int     `json:"records"`
-	Clients           int     `json:"clients"`
-	SimSeconds        float64 `json:"sim_seconds"`
-	SimPeakConcurrent int     `json:"sim_peak_concurrent_sessions"`
-
-	ReplayWallSeconds float64 `json:"replay_wall_seconds"`
-	RecordsPerSecond  float64 `json:"records_per_second"`
-
-	TransactionsTotal    int64 `json:"transactions_total"`
-	SessionBoundaries    int64 `json:"session_boundaries_total"`
-	ClassificationRuns   int64 `json:"classification_runs_total"`
-	ClassificationErrors int64 `json:"classification_errors_total"`
-	SinkWriteFailures    int64 `json:"sink_write_failures_total"`
-	IngestContention     int64 `json:"ingest_contention_total"`
-
-	PeakActiveSessions float64 `json:"peak_active_sessions"`
-	PeakGoroutines     float64 `json:"peak_goroutines"`
-	PeakHeapInuse      float64 `json:"peak_heap_inuse_bytes"`
-	GCPauseSeconds     float64 `json:"gc_pause_seconds_total"`
-	GCRuns             int64   `json:"gc_runs_total"`
-	HeapAllocBytes     int64   `json:"heap_alloc_bytes_total"`
-
-	ShardClassify histSummary `json:"shard_classify_seconds"`
-	Inference     histSummary `json:"inference_seconds"`
-
-	Healthz   string `json:"healthz"`
-	CleanExit bool   `json:"clean_exit"`
-
-	Failures []string `json:"failures,omitempty"`
-}
-
-// benchReport is the whole BENCH_load.json document.
-type benchReport struct {
-	Date   string                  `json:"date"`
-	Host   map[string]any          `json:"host"`
-	Config map[string]any          `json:"config"`
-	Shapes map[string]*shapeResult `json:"shapes"`
-	// Fleet holds the -instances scale-out runs, keyed by instance
-	// count ("1" is the single-member baseline).
-	Fleet map[string]*fleetResult `json:"fleet,omitempty"`
 }

@@ -373,7 +373,7 @@ func TestSinkConcurrentProducersKeepClientOrder(t *testing.T) {
 	}
 }
 
-// TestSinkBackpressureWithoutLoss is the qoeload -slow-sink shape: the
+// TestSinkBackpressureWithoutLoss is the slow-sink shape: the
 // writer is blocked (a FIFO nobody reads), producers must stall once
 // every chunk is in flight rather than drop or grow without bound, and
 // when the reader resumes every line arrives, in order.

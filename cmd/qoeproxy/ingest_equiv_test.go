@@ -27,7 +27,7 @@ import (
 // bit-exactly. Squid logs carry millisecond end times and integer
 // millisecond durations, the coarsest of the formats, so each
 // transaction is first snapped to that grid using the exact float
-// expressions squidlog.ParseLine evaluates on read-back
+// expressions squidlog.ParseLineBytes evaluates on read-back
 // (end = endMs/1000, start = end - durMs/1000); the replay CSV and
 // flow-file formats print floats losslessly, and the pcap writer's
 // microsecond grid is ingest.QuantizeMicros's grid, so all four
@@ -262,17 +262,15 @@ func TestCrossSourceEquivalence(t *testing.T) {
 		t.Fatal("replay baseline left a sink empty")
 	}
 
-	// squidSrc renders a tailer config over the (-parse-workers, batch
-	// size) grid; every combination must reproduce the record-at-a-time
-	// baseline byte for byte.
-	squidSrc := func(parseWorkers, batch int) func(b time.Time) (ingest.TransactionSource, error) {
+	// squidSrc renders a tailer config at one batch size; every size must
+	// reproduce the record-at-a-time baseline byte for byte.
+	squidSrc := func(batch int) func(b time.Time) (ingest.TransactionSource, error) {
 		return func(b time.Time) (ingest.TransactionSource, error) {
 			return &ingest.SquidSource{
 				Path: logPath, Base: b, EpochUnix: 0,
-				Horizon:      1 << 20, // hold everything until the EOF flush: global time order
-				Follow:       false,
-				ParseWorkers: parseWorkers,
-				Batch:        batch,
+				Horizon: 1 << 20, // hold everything until the EOF flush: global time order
+				Follow:  false,
+				Batch:   batch,
 			}, nil
 		}
 	}
@@ -280,9 +278,9 @@ func TestCrossSourceEquivalence(t *testing.T) {
 		name  string
 		build func(b time.Time) (ingest.TransactionSource, error)
 	}{
-		{"squid-batch1", squidSrc(1, 1)},
-		{"squid-batch8", squidSrc(1, 8)},
-		{"squid-pw4-batch32", squidSrc(4, 32)},
+		{"squid-batch1", squidSrc(1)},
+		{"squid-batch8", squidSrc(8)},
+		{"squid-batch32", squidSrc(32)},
 		{"pcap-batch1", func(b time.Time) (ingest.TransactionSource, error) {
 			s, err := ingest.NewPcapSource(pcapPath, b, 0, 0, 1)
 			return batched(s, err, 1)

@@ -18,7 +18,7 @@
 //	         [-shards N] [-classify-workers N]
 //	         [-source proxy|squid|pcap|netflow|replay] [-input FILE]
 //	         [-ingest-speed X] [-ingest-workers N] [-ingest-epoch T]
-//	         [-ingest-horizon 5m] [-follow=true] [-parse-workers N]
+//	         [-ingest-horizon 5m] [-follow=true]
 //	         [-cluster-config cluster.json] [-instance-id ID]
 //	         [-snapshot state.json] [-restore state.json]
 //	         [-v]
@@ -152,7 +152,6 @@ func registerFlags(fs *flag.FlagSet, opts *options) {
 	fs.Float64Var(&opts.ingestEpoch, "ingest-epoch", -1, "Unix time mapped to offset 0 for squid/pcap sources (-1 = first event's time)")
 	fs.DurationVar(&opts.ingestHorizon, "ingest-horizon", 5*time.Minute, "reordering slack for -source=squid: entries are released once the log's end-time watermark is this far past them")
 	fs.BoolVar(&opts.follow, "follow", true, "for -source=squid: keep tailing the log across rotation/truncation (false stops at EOF)")
-	fs.IntVar(&opts.parseWorkers, "parse-workers", 1, "for -source=squid: goroutines decoding log lines (output is identical at any setting)")
 	fs.StringVar(&opts.clusterConfig, "cluster-config", "", "cluster membership file (internal/cluster JSON); this instance serves only the clients the ring assigns it")
 	fs.StringVar(&opts.instanceID, "instance-id", "", "this daemon's id in -cluster-config (required with it)")
 	fs.StringVar(&opts.snapshotPath, "snapshot", "", "write the serving state here on shutdown (and on POST /admin/snapshot) instead of printing the shutdown summary")
@@ -180,7 +179,6 @@ type options struct {
 	ingestEpoch                   float64
 	ingestHorizon                 time.Duration
 	follow                        bool
-	parseWorkers                  int
 	clusterConfig, instanceID     string
 	snapshotPath, restorePath     string
 	verbose                       bool
@@ -1053,6 +1051,19 @@ func (s *service) sinksDegraded() bool {
 // run wires the service together and blocks until SIGINT/SIGTERM or a
 // listener error.
 func run(opts options) error {
+	// Signals are registered before anything else: one that lands while
+	// the model loads or the listeners bind waits in the channel and
+	// serveLoop handles it as a normal shutdown, where the default
+	// disposition would kill the process mid-start-up. SIGHUP is
+	// registered alongside the shutdown signals: unregistered it would
+	// kill the daemon on a conventional `kill -HUP` log-rotation sweep;
+	// registered it triggers a model reload (a no-op when -model is
+	// unset). Capacity 2: a reload and a shutdown may both arrive before
+	// serveLoop starts receiving.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
+	defer signal.Stop(sig)
+
 	level := slog.LevelInfo
 	if opts.verbose {
 		level = slog.LevelDebug
@@ -1173,12 +1184,11 @@ func run(opts options) error {
 		}
 		f.Close()
 		src = &ingest.SquidSource{
-			Path:         opts.input,
-			Base:         s.epoch,
-			EpochUnix:    opts.ingestEpoch,
-			Horizon:      opts.ingestHorizon.Seconds(),
-			Follow:       opts.follow,
-			ParseWorkers: opts.parseWorkers,
+			Path:      opts.input,
+			Base:      s.epoch,
+			EpochUnix: opts.ingestEpoch,
+			Horizon:   opts.ingestHorizon.Seconds(),
+			Follow:    opts.follow,
 		}
 	case "pcap":
 		bs, err := ingest.NewPcapSource(opts.input, s.epoch, opts.ingestEpoch, opts.ingestSpeed, opts.ingestWorkers)
@@ -1279,13 +1289,6 @@ func run(opts options) error {
 		tick = ticker.C
 	}
 
-	// SIGHUP is registered alongside the shutdown signals: unregistered
-	// its default disposition would kill the daemon on a conventional
-	// `kill -HUP` log-rotation sweep; registered it triggers a model
-	// reload (a no-op when -model is unset).
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
-	defer signal.Stop(sig)
 	return s.serveLoop(errCh, tick, sig, stopSource, stopHTTP)
 }
 

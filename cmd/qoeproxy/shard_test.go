@@ -371,8 +371,9 @@ func benchmarkIngest(b *testing.B, shards int) {
 }
 
 // BenchmarkConcurrentIngest compares the single-mutex baseline
-// (shards=1) against one shard per core; BENCH_serving.json records
-// the GOMAXPROCS=8 results.
+// (shards=1) against one shard per core. scripts/check.sh runs it as a
+// smoke; the ledger's qoeproxy.ingest_contention_total is the number
+// to quote.
 func BenchmarkConcurrentIngest(b *testing.B) {
 	b.Run("shards=1", func(b *testing.B) { benchmarkIngest(b, 1) })
 	b.Run(fmt.Sprintf("shards=%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {

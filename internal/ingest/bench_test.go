@@ -43,38 +43,25 @@ func benchLog(b *testing.B, lines int) (path string, size int64) {
 }
 
 // BenchmarkIngestEndToEnd replays a pre-rendered 20k-line access log
-// through SquidSource across the (ParseWorkers, Batch) grid the daemon
-// exposes, reporting records/s alongside the usual per-op numbers.
-// scripts/benchingest records the results in BENCH_ingest.json.
+// through SquidSource at the daemon's default batch size, reporting
+// records/s alongside the usual per-op numbers. scripts/check.sh runs
+// one iteration as a smoke; figures to quote come from bench/.
 func BenchmarkIngestEndToEnd(b *testing.B) {
 	const lines = 20_000
 	path, size := benchLog(b, lines)
-	configs := []struct {
-		name      string
-		pw, batch int
-	}{
-		{"serial", 1, 1},
-		{"batch256", 1, 256},
-		{"pw2-batch256", 2, 256},
-		{"pw4-batch256", 4, 256},
+	b.ReportAllocs()
+	b.SetBytes(size)
+	for i := 0; i < b.N; i++ {
+		src := &SquidSource{Path: path, Base: time.Unix(0, 0), EpochUnix: 0,
+			Horizon: 30, Follow: false}
+		var n int64
+		h := Handler{TransactionBatch: func(recs []tlsproxy.Record) { n += int64(len(recs)) }}
+		if err := src.Run(context.Background(), h); err != nil {
+			b.Fatal(err)
+		}
+		if n != lines {
+			b.Fatalf("delivered %d records, want %d", n, lines)
+		}
 	}
-	for _, cfg := range configs {
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(size)
-			for i := 0; i < b.N; i++ {
-				src := &SquidSource{Path: path, Base: time.Unix(0, 0), EpochUnix: 0,
-					Horizon: 30, Follow: false, ParseWorkers: cfg.pw, Batch: cfg.batch}
-				var n int64
-				h := Handler{TransactionBatch: func(recs []tlsproxy.Record) { n += int64(len(recs)) }}
-				if err := src.Run(context.Background(), h); err != nil {
-					b.Fatal(err)
-				}
-				if n != lines {
-					b.Fatalf("delivered %d records, want %d", n, lines)
-				}
-			}
-			b.ReportMetric(float64(lines)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-		})
-	}
+	b.ReportMetric(float64(lines)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }

@@ -96,17 +96,6 @@ func TestSquidTailerRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	appendTo := func(p, content string) {
-		t.Helper()
-		f, err := os.OpenFile(p, os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteString(content); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-	}
 
 	write(path,
 		squidLine("10.1.0.1", "a.example", 0, 1, 10, 100)+
@@ -142,7 +131,7 @@ func TestSquidTailerRotation(t *testing.T) {
 	// size-based tail (like this one, or tail -F) cannot tell.
 	write(path, "")
 	waitFor(t, "truncation detected", func() bool { return src.Stats().Rotations == 2 })
-	appendTo(path, squidLine("10.1.0.1", "e.example", 4, 5, 50, 500))
+	appendLog(t, path, squidLine("10.1.0.1", "e.example", 4, 5, 50, 500))
 	waitFor(t, "post-truncation entry", func() bool { return col.count() == 5 })
 
 	cancel()

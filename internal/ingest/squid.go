@@ -36,10 +36,12 @@ import (
 // oversized line) so a corrupt newline-free stretch cannot grow the
 // carry buffer without bound.
 //
-// The hot path is allocation-free: lines are scanned in place from the
-// reader's buffer (squidlog.ParseLineBytes) and client and SNI strings
-// are interned, so steady state allocates only on the first sighting
-// of a distinct endpoint.
+// The hot path is allocation-free: lines are packed into reused blocks
+// and scanned in place (squidlog.ParseLineBytes), and client and SNI
+// strings are interned, so steady state allocates only on the first
+// sighting of a distinct endpoint. Handler callbacks run on one
+// goroutine that Run starts and waits for; none is made after Run
+// returns.
 type SquidSource struct {
 	// Path is the access log to read.
 	Path string
@@ -59,11 +61,6 @@ type SquidSource struct {
 	// Poll is how often to re-check the file for growth or rotation
 	// while following. Defaults to 200ms.
 	Poll time.Duration
-	// ParseWorkers is how many goroutines decode lines; <= 1 parses
-	// inline on the reader goroutine. Parsed blocks are re-sequenced
-	// before the reorder buffer, so delivery order — and therefore
-	// every downstream byte — is identical at any worker count.
-	ParseWorkers int
 	// Batch caps how many transaction events are coalesced per
 	// TransactionBatch call; <= 0 means the package default.
 	Batch int
@@ -214,8 +211,7 @@ func (h *squidHeap) release(slot int32) {
 
 // squidDelivery owns the source's ordered-delivery state: the reorder
 // heap, the epoch, connection sequencing and the transaction batch.
-// Exactly one goroutine drives it — the reader in serial mode, the
-// re-sequencing delivery goroutine when parse workers are on.
+// Exactly one goroutine drives it — the pipeline's delivery goroutine.
 type squidDelivery struct {
 	s         *SquidSource
 	h         Handler
@@ -227,42 +223,6 @@ type squidDelivery struct {
 	batch     []tlsproxy.Record
 	maxBatch  int
 }
-
-// lineSink is what the reader loop feeds: complete lines, idle
-// notifications before each tail poll, and one finish at end of input.
-type lineSink interface {
-	// line consumes one complete line (terminator included; the sink
-	// trims). The slice is invalid after the call returns.
-	line(raw []byte)
-	// idle is called when the tail catches up with the file, before the
-	// reader sleeps: buffered work must become visible downstream.
-	idle()
-	// finish is called exactly once at end of input and delivers
-	// everything still buffered.
-	finish()
-}
-
-// line parses and delivers one raw line (serial mode).
-func (d *squidDelivery) line(raw []byte) {
-	line := bytes.TrimSpace(raw)
-	if len(line) == 0 {
-		return
-	}
-	v, ok, err := squidlog.ParseLineBytes(line)
-	if err != nil {
-		d.s.malformed.Add(1)
-		return
-	}
-	if !ok {
-		d.s.skipped.Add(1)
-		return
-	}
-	d.entry(v)
-}
-
-func (d *squidDelivery) idle() { d.flushBatch() }
-
-func (d *squidDelivery) finish() { d.emit(true) }
 
 // entry turns one parsed view into open and transaction events,
 // interning the identity strings, and releases whatever the watermark
@@ -369,10 +329,11 @@ func (s *SquidSource) Run(ctx context.Context, h Handler) error {
 		maxBatch:  maxBatch,
 		batch:     make([]tlsproxy.Record, 0, maxBatch),
 	}
-	var sink lineSink = d
-	if s.ParseWorkers > 1 {
-		sink = newParsePipeline(d, s.ParseWorkers)
-	}
+	// Every return below this point hands off the last block, closes the
+	// channel and waits for the delivery goroutine: nothing is delivered
+	// after Run returns.
+	p := startSquidPipeline(d)
+	defer p.close()
 
 	var (
 		carry    []byte
@@ -400,7 +361,7 @@ func (s *SquidSource) Run(ctx context.Context, h Handler) error {
 				carry = append(carry, chunk...)
 				line = carry
 			}
-			sink.line(line)
+			p.line(line)
 			carry = carry[:0]
 			return
 		}
@@ -409,7 +370,7 @@ func (s *SquidSource) Run(ctx context.Context, h Handler) error {
 	// finalLine delivers a trailing unterminated line at end of input.
 	finalLine := func() {
 		if !overflow && len(carry) > 0 {
-			sink.line(carry)
+			p.line(carry)
 			carry = carry[:0]
 		}
 	}
@@ -428,23 +389,21 @@ func (s *SquidSource) Run(ctx context.Context, h Handler) error {
 		}
 		consume(chunk, false)
 		if rerr != io.EOF {
-			sink.finish()
 			return fmt.Errorf("ingest: read squid log: %w", rerr)
 		}
 		if !s.Follow {
 			finalLine()
-			sink.finish()
 			return nil
 		}
-		// At EOF while following: surface buffered work, wait, then look
-		// for growth, rotation (new inode at the path) or truncation
-		// (file shrank below what we already consumed).
-		sink.idle()
+		// At EOF while following: hand the partial block off before
+		// sleeping (a line must not wait out a poll interval for its block
+		// to fill), then look for growth, rotation (new inode at the path)
+		// or truncation (file shrank below what we already consumed).
+		p.handoff()
 		timer.Reset(poll)
 		select {
 		case <-ctx.Done():
 			finalLine()
-			sink.finish()
 			return nil
 		case <-timer.C:
 		}
@@ -456,7 +415,6 @@ func (s *SquidSource) Run(ctx context.Context, h Handler) error {
 		}
 		pos, perr := f.Seek(0, io.SeekCurrent)
 		if perr != nil {
-			sink.finish()
 			return fmt.Errorf("ingest: squid log position: %w", perr)
 		}
 		rotated := !os.SameFile(st, info)
@@ -482,19 +440,23 @@ func (s *SquidSource) Run(ctx context.Context, h Handler) error {
 	}
 }
 
-// Parallel parse pipeline: the reader packs lines into blocks, decode
-// workers parse each block in place, and a single delivery goroutine
-// consumes blocks in read order — waiting for each block's parse to
-// complete — so the reorder heap sees entries in exactly the sequence
-// the serial path would produce. Only the parse (field scanning and
-// number conversion) runs concurrently; everything order-sensitive
-// stays single-goroutine.
+// The read path has two stages. The reader (Run's goroutine) packs
+// complete lines into blocks and parses each block in place; a single
+// delivery goroutine consumes the parsed blocks in read order, so the
+// reorder heap sees entries in exactly file order. Only the parse (field
+// scanning and number conversion) overlaps with delivery; everything
+// order-sensitive stays on one goroutine.
 
 const (
-	// blockLines and blockBytes bound one parse block; whichever fills
-	// first dispatches it.
+	// blockLines and blockBytes bound one block; whichever fills first
+	// hands it off.
 	blockLines = 512
 	blockBytes = 64 << 10
+	// blocksInFlight is the channel capacity between the stages: enough
+	// parsed blocks that the reader keeps working while one block's
+	// entries release a backlog from the reorder heap, few enough that a
+	// stalled handler holds back well under 1 MiB of log.
+	blocksInFlight = 4
 )
 
 type lineKind int8
@@ -514,12 +476,11 @@ type parsedLine struct {
 }
 
 // lineBlock is a batch of raw lines plus their parse results. Line i
-// is buf[offs[i]:offs[i+1]]; done closes when parsed is filled.
+// is buf[offs[i]:offs[i+1]].
 type lineBlock struct {
 	buf    []byte
 	offs   []int32
 	parsed []parsedLine
-	done   chan struct{}
 }
 
 func (b *lineBlock) lines() int { return len(b.offs) - 1 }
@@ -543,25 +504,23 @@ func parseBlock(blk *lineBlock) {
 			blk.parsed[i] = parsedLine{v: v, kind: lineGood}
 		}
 	}
-	close(blk.done)
 }
 
-type parsePipeline struct {
-	d            *squidDelivery
-	work         chan *lineBlock // to decode workers, unordered
-	ordered      chan *lineBlock // to the delivery goroutine, read order
-	pool         sync.Pool
-	cur          *lineBlock
-	workers      sync.WaitGroup
-	deliveryDone chan struct{}
+// squidPipeline joins the two stages: line and handoff run on the
+// reader, deliverLoop on the delivery goroutine.
+type squidPipeline struct {
+	d       *squidDelivery
+	blocks  chan *lineBlock // parsed, in read order
+	pool    sync.Pool
+	cur     *lineBlock // the block being packed; nil or non-empty
+	drained chan struct{}
 }
 
-func newParsePipeline(d *squidDelivery, workers int) *parsePipeline {
-	p := &parsePipeline{
-		d:            d,
-		work:         make(chan *lineBlock, workers*2),
-		ordered:      make(chan *lineBlock, workers*4),
-		deliveryDone: make(chan struct{}),
+func startSquidPipeline(d *squidDelivery) *squidPipeline {
+	p := &squidPipeline{
+		d:       d,
+		blocks:  make(chan *lineBlock, blocksInFlight),
+		drained: make(chan struct{}),
 	}
 	p.pool.New = func() any {
 		return &lineBlock{
@@ -570,26 +529,15 @@ func newParsePipeline(d *squidDelivery, workers int) *parsePipeline {
 			parsed: make([]parsedLine, 0, blockLines),
 		}
 	}
-	for i := 0; i < workers; i++ {
-		p.workers.Add(1)
-		go func() {
-			defer p.workers.Done()
-			for blk := range p.work {
-				parseBlock(blk)
-			}
-		}()
-	}
 	go p.deliverLoop()
 	return p
 }
 
-// deliverLoop re-sequences: blocks arrive in read order, each awaited
-// until parsed, then fed to the shared delivery core. Counters are
-// bumped here, on one goroutine, in line order.
-func (p *parsePipeline) deliverLoop() {
-	defer close(p.deliveryDone)
-	for blk := range p.ordered {
-		<-blk.done
+// deliverLoop feeds each block's entries to the delivery core and bumps
+// the counters, on one goroutine, in line order.
+func (p *squidPipeline) deliverLoop() {
+	defer close(p.drained)
+	for blk := range p.blocks {
 		for i := range blk.parsed {
 			switch pl := &blk.parsed[i]; pl.kind {
 			case lineGood:
@@ -607,41 +555,41 @@ func (p *parsePipeline) deliverLoop() {
 		blk.buf = blk.buf[:0]
 		blk.offs = blk.offs[:1]
 		blk.parsed = blk.parsed[:0]
-		blk.done = nil
 		p.pool.Put(blk)
 	}
 	p.d.emit(true)
 }
 
-func (p *parsePipeline) line(raw []byte) {
+// line packs one complete line (terminator included; parseBlock trims)
+// into the current block. The slice is invalid after the call returns.
+func (p *squidPipeline) line(raw []byte) {
 	if p.cur == nil {
 		p.cur = p.pool.Get().(*lineBlock)
-		p.cur.done = make(chan struct{})
 	}
 	blk := p.cur
 	blk.buf = append(blk.buf, raw...)
 	blk.offs = append(blk.offs, int32(len(blk.buf)))
 	if blk.lines() >= blockLines || len(blk.buf) >= blockBytes {
-		p.dispatch()
+		p.handoff()
 	}
 }
 
-func (p *parsePipeline) dispatch() {
+// handoff parses the current block, if any, and queues it for delivery.
+func (p *squidPipeline) handoff() {
 	blk := p.cur
-	if blk == nil || blk.lines() == 0 {
+	if blk == nil {
 		return
 	}
 	p.cur = nil
-	p.work <- blk
-	p.ordered <- blk
+	parseBlock(blk)
+	p.blocks <- blk
 }
 
-func (p *parsePipeline) idle() { p.dispatch() }
-
-func (p *parsePipeline) finish() {
-	p.dispatch()
-	close(p.work)
-	p.workers.Wait()
-	close(p.ordered)
-	<-p.deliveryDone
+// close ends the input: the last block is handed off, and close returns
+// once the delivery goroutine has delivered everything still buffered
+// in the reorder heap and exited.
+func (p *squidPipeline) close() {
+	p.handoff()
+	close(p.blocks)
+	<-p.drained
 }

@@ -7,10 +7,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"droppackets/internal/squidlog"
 	"droppackets/internal/tlsproxy"
 )
 
@@ -118,13 +121,14 @@ func TestSquidBatchDelivery(t *testing.T) {
 	}
 }
 
-// TestSquidParseWorkersEquivalence generates a sizeable log — good
-// CONNECT entries with jittered end times, skipped GET lines, malformed
-// garbage — and asserts every (ParseWorkers, Batch) configuration
-// reproduces the serial record-at-a-time (Batch 1) delivery sequence
-// and counters exactly. This is the re-sequencing contract the daemon's
-// -parse-workers flag relies on.
-func TestSquidParseWorkersEquivalence(t *testing.T) {
+// TestSquidBatchInvariance generates a sizeable log — good CONNECT
+// entries with jittered end times, skipped GET lines, malformed garbage,
+// several parse blocks long — and asserts that the delivery sequence
+// and counters are the same at every Batch setting as record-at-a-time
+// (Batch 1), and that this sequence is the global (time, sequence)
+// order worked out from the file alone: block boundaries and the
+// hand-off between the reader and the delivery goroutine must not show.
+func TestSquidBatchInvariance(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "access.log")
 	var sb strings.Builder
@@ -156,33 +160,186 @@ func TestSquidParseWorkersEquivalence(t *testing.T) {
 	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	run := func(parseWorkers, batch int) (*eventCollector, Stats) {
+	run := func(batch int) (*eventCollector, Stats) {
 		src := &SquidSource{Path: path, Base: time.Unix(0, 0), EpochUnix: 0,
-			Horizon: 10, Follow: false, ParseWorkers: parseWorkers, Batch: batch}
+			Horizon: 10, Follow: false, Batch: batch}
 		var col eventCollector
 		if err := src.Run(context.Background(), col.handler()); err != nil {
 			t.Fatal(err)
 		}
 		return &col, src.Stats()
 	}
-	ref, refStats := run(1, 1)
+	ref, refStats := run(1)
 	if refStats.Records == 0 || refStats.Malformed == 0 || refStats.Skipped == 0 {
 		t.Fatalf("reference stats %+v exercise too little", refStats)
 	}
-	for _, cfg := range []struct{ pw, batch int }{{1, 8}, {2, 0}, {4, 32}, {8, 1}} {
-		got, st := run(cfg.pw, cfg.batch)
+	if refStats.Records <= 2*blockLines {
+		t.Fatalf("%d records do not span several blocks of %d", refStats.Records, blockLines)
+	}
+
+	// The log is end-ordered and no connection outlasts the horizon, so
+	// the contract is the global order: every event by (time, 2i for
+	// entry i's open, 2i+1 for its transaction).
+	type event struct {
+		at   float64
+		seq  int
+		text string
+	}
+	var want []event
+	for i, line := range strings.Split(sb.String(), "\n") {
+		v, ok, err := squidlog.ParseLineBytes([]byte(line))
+		if err != nil || !ok {
+			continue
+		}
+		endAt := QuantizeMicros(v.EndUnix)
+		want = append(want,
+			event{QuantizeMicros(v.EndUnix - v.ElapsedSec), 2 * i, "open:" + string(v.Host)},
+			event{endAt, 2*i + 1, fmt.Sprintf("txn:%s:%s@%v", v.Client, v.Host,
+				offsetTime(time.Unix(0, 0), endAt).Sub(time.Unix(0, 0)).Seconds())})
+	}
+	sort.Slice(want, func(a, b int) bool {
+		if want[a].at != want[b].at {
+			return want[a].at < want[b].at
+		}
+		return want[a].seq < want[b].seq
+	})
+	if len(ref.events) != len(want) {
+		t.Fatalf("%d events delivered, the file holds %d", len(ref.events), len(want))
+	}
+	for i := range want {
+		if ref.events[i] != want[i].text {
+			t.Fatalf("event %d = %q, global order has %q", i, ref.events[i], want[i].text)
+		}
+	}
+
+	for _, batch := range []int{8, 0, 32} {
+		got, st := run(batch)
 		if st != refStats {
-			t.Errorf("pw=%d batch=%d: stats %+v, want %+v", cfg.pw, cfg.batch, st, refStats)
+			t.Errorf("batch=%d: stats %+v, want %+v", batch, st, refStats)
 		}
 		if len(got.events) != len(ref.events) {
-			t.Fatalf("pw=%d batch=%d: %d events, want %d", cfg.pw, cfg.batch, len(got.events), len(ref.events))
+			t.Fatalf("batch=%d: %d events, want %d", batch, len(got.events), len(ref.events))
 		}
 		for i := range got.events {
 			if got.events[i] != ref.events[i] {
-				t.Fatalf("pw=%d batch=%d: event %d = %q, want %q", cfg.pw, cfg.batch, i, got.events[i], ref.events[i])
+				t.Fatalf("batch=%d: event %d = %q, want %q", batch, i, got.events[i], ref.events[i])
 			}
 		}
 	}
+}
+
+// appendLog appends content to the log at path, as Squid would.
+func appendLog(t *testing.T, path, content string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(content); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSquidTailPartialBlock pins the latency side of the block reader:
+// a followed log that grows by far fewer than blockLines lines must
+// not wait for the block to fill. The lines already in the file are
+// delivered before the first poll sleep ends — which fails if the tail
+// hands its partial block off after sleeping rather than before — and
+// appended lines within two poll intervals.
+func TestSquidTailPartialBlock(t *testing.T) {
+	const poll = time.Second
+	path := filepath.Join(t.TempDir(), "access.log")
+	initial := squidLine("c1", "a.example", 0, 1, 1, 2) +
+		squidLine("c2", "b.example", 0.5, 2, 3, 4) +
+		squidLine("c3", "c.example", 1, 3, 5, 6)
+	if err := os.WriteFile(path, []byte(initial), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src := &SquidSource{Path: path, Base: time.Unix(0, 0), EpochUnix: 0,
+		Horizon: 0, Follow: true, Poll: poll}
+	var col tailCollector
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- src.Run(ctx, col.handler()) }()
+
+	within := func(limit time.Duration, what string, n int) {
+		t.Helper()
+		start := time.Now()
+		for col.count() < n {
+			if time.Since(start) > limit {
+				t.Fatalf("%s: %d of %d records after %v", what, col.count(), n, limit)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	within(poll/2, "lines present at start", 3)
+	appendLog(t, path, squidLine("c1", "d.example", 2, 4, 7, 8)+
+		squidLine("c2", "e.example", 3, 5, 9, 10))
+	within(2*poll, "appended lines", 5)
+
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("Run returned %v, want nil on cancellation", err)
+	}
+	if n := col.count(); n != 5 {
+		t.Fatalf("%d records delivered, want 5", n)
+	}
+}
+
+// TestSquidCancelDeliversOnce cancels a follow-mode tail whose reorder
+// horizon is holding every entry back: Run must return only after the
+// delivery goroutine has flushed each line read exactly once, in order,
+// and exited. The collector is unsynchronized on purpose, so under
+// -race a delivery that outlives Run is a reported data race.
+func TestSquidCancelDeliversOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "access.log")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	src := &SquidSource{Path: path, Base: time.Unix(0, 0), EpochUnix: 0,
+		Horizon: 3600, Follow: true, Poll: 2 * time.Millisecond}
+	var col eventCollector
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- src.Run(ctx, col.handler()) }()
+
+	// Appends of 1 to 700 lines: partial blocks, full blocks, and blocks
+	// that straddle an append. One client per line, so the Clients
+	// counter says when the delivery goroutine has seen them all.
+	const total = 1500
+	var want []string
+	for n, burst := 0, 1; n < total; burst *= 3 {
+		var sb strings.Builder
+		for end := min(n+burst, total); n < end; n++ {
+			client, sni := fmt.Sprintf("10.9.%d.%d", n/250, n%250), fmt.Sprintf("s%d.example", n)
+			sb.WriteString(squidLine(client, sni, float64(n), float64(n)+0.5, 1, 2))
+			want = append(want, "open:"+sni, fmt.Sprintf("txn:%s:%s@%v", client, sni, float64(n)+0.5))
+		}
+		appendLog(t, path, sb.String())
+		time.Sleep(3 * time.Millisecond)
+	}
+	waitFor(t, "every line read", func() bool { return src.Stats().Clients == total })
+
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("Run returned %v, want nil on cancellation", err)
+	}
+	if len(col.events) != len(want) {
+		t.Fatalf("%d events delivered, want %d", len(col.events), len(want))
+	}
+	for i := range want {
+		if col.events[i] != want[i] {
+			t.Fatalf("event %d = %q, want %q", i, col.events[i], want[i])
+		}
+	}
+	if st := src.Stats(); st.Records != total {
+		t.Fatalf("stats = %+v, want %d records", st, total)
+	}
+	waitFor(t, "the delivery goroutine to exit", func() bool { return runtime.NumGoroutine() <= before })
 }
 
 // TestSquidHeapProperty drives the slab heap with random interleaved

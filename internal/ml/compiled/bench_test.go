@@ -47,8 +47,8 @@ func benchModels(b *testing.B) (*forest.Classifier, *compiled.Forest, *gbdt.Clas
 // BenchmarkForestPredictProbaSeed reconstructs the serving path as it
 // stood before this change: the forest's inner loop called each tree's
 // allocating PredictProba, one fresh probability slice per tree per
-// row. This is the "interpreted" baseline BENCH_serving.json compares
-// the compiled scorer against.
+// row. This is the "interpreted" baseline the compiled scorer is
+// compared against.
 func BenchmarkForestPredictProbaSeed(b *testing.B) {
 	f, _, _, _, rows := benchModels(b)
 	probs := make([]float64, f.NumClasses())

@@ -1,21 +1,20 @@
 package squidlog
 
-// This file is the allocation-free twin of ParseLine. The streaming
-// ingest path (internal/ingest.SquidSource) reads lines into reused
-// bufio buffers; parsing them through strings.Fields would allocate a
-// field slice plus one substring per field per line — the dominant cost
-// the ingest benchmarks measured before this path existed. ParseLineBytes
-// scans fields in place and returns views into the caller's buffer,
-// deferring the only unavoidable string allocations (client and host
-// identity) to the caller's intern table, which pays them once per
-// distinct value rather than once per line.
+// This file is the line parser. The streaming ingest path
+// (internal/ingest.SquidSource) reads lines into reused buffers, and
+// fielding them through strings.Fields would allocate a field slice plus
+// one substring per field per line. ParseLineBytes scans fields in place
+// and returns views into the caller's buffer, deferring the only
+// unavoidable string allocations (client and host identity) to the
+// caller's intern table, which pays them once per distinct value rather
+// than once per line.
 //
-// Equivalence contract: for every input, ParseLineBytes(line) agrees
-// with ParseLine(string(line)) on the parsed entry, the ok flag and
-// error presence — pinned by the differential fuzz test. Lines carrying
-// non-ASCII bytes take a fallback through ParseLine itself (allocating,
-// but such lines do not occur in real Squid logs), so the byte scanner
-// only ever has to replicate strings.Fields' ASCII whitespace rules.
+// Fields are separated by ASCII whitespace (space, \t, \n, \v, \f,
+// \r), which is all Squid writes; every other byte, non-ASCII included,
+// is field content and is preserved. The string-based reference parser
+// in oracle_test.go separates on Unicode whitespace as well; the
+// differential fuzz test pins the two together on every input free of
+// non-ASCII whitespace.
 
 import (
 	"bytes"
@@ -61,8 +60,8 @@ func (v EntryView) Entry() Entry {
 	}
 }
 
-// asciiSpace marks the byte values strings.Fields treats as separators
-// within ASCII — the same table the standard library keeps.
+// asciiSpace marks the separator bytes — the same table the standard
+// library keeps for ASCII input.
 var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // nextField returns the next whitespace-separated field of line at or
@@ -85,12 +84,12 @@ func nextField(line []byte, pos *int) (field []byte, ok bool) {
 }
 
 // fieldSplit accumulates a line's whitespace-separated fields: the
-// first seven (everything ParseLine names) plus the total count, with
+// first seven (everything an entry names) plus the total count, with
 // extension fields (index 11 onward, where Squid appends key=value
 // annotations) processed as they stream past so no second scan is
-// needed. Extension errors are recorded, not returned, preserving
-// ParseLine's error precedence — the caller consults extErr only after
-// the mandatory fields validate.
+// needed. Extension errors are recorded, not returned, so the mandatory
+// fields' errors take precedence — the caller consults extErr only
+// after those validate.
 type fieldSplit struct {
 	f       [7][]byte
 	nFields int
@@ -116,7 +115,7 @@ func (s *fieldSplit) emit(field []byte) {
 }
 
 // splitGeneric fields the line with the table-driven scanner — the
-// slow path for ASCII lines containing control whitespace (\t..\r) or
+// slow path for lines containing control whitespace (\t..\r) or
 // pathological space counts.
 func (s *fieldSplit) splitGeneric(line []byte) {
 	pos := 0
@@ -129,28 +128,17 @@ func (s *fieldSplit) splitGeneric(line []byte) {
 	}
 }
 
-type splitResult int
-
-const (
-	splitOK splitResult = iota
-	// splitSlow: the line is unusual (control whitespace, or more
-	// spaces than the fast path tracks); refield it with splitGeneric
-	// after confirming it is ASCII.
-	splitSlow
-	// splitNonASCII: multi-byte runes; only ParseLine's unicode-aware
-	// fielding is faithful.
-	splitNonASCII
-)
-
 // split fields a plain line in one word-wise pass, doing the work of
-// three byte-at-a-time scans at once: reject non-ASCII bytes (high
-// bit), reject control whitespace \t..\r (an exact SWAR range test —
-// per-byte operands never carry, so there are no false flags), and
-// collect every space position via an exact zero-byte mask on
-// x ^ '  ...'. Fields are then cut between the recorded spaces without
-// touching the line again. Real Squid log lines — ASCII, space
-// separated, ~a dozen fields — always take this path.
-func (s *fieldSplit) split(line []byte) splitResult {
+// two byte-at-a-time scans at once: spot control whitespace \t..\r (an
+// exact SWAR range test — per-byte operands never carry, and a byte
+// with its high bit set is never flagged) and collect every space
+// position via an exact zero-byte mask on x ^ '  ...'. Fields are then
+// cut between the recorded spaces without touching the line again. It
+// reports false, having emitted nothing, for the unusual line — control
+// whitespace, or more spaces than it tracks — that splitGeneric must
+// field instead. Real Squid log lines — space separated, ~a dozen
+// fields — always take this path.
+func (s *fieldSplit) split(line []byte) bool {
 	const (
 		lo = 0x0101010101010101
 		hi = 0x8080808080808080
@@ -161,18 +149,15 @@ func (s *fieldSplit) split(line []byte) splitResult {
 	off := 0
 	for ; n-off >= 8; off += 8 {
 		x := binary.LittleEndian.Uint64(line[off:])
-		if x&hi != 0 {
-			return splitNonASCII
-		}
 		low7 := x & (lo * 127)
 		if (lo*(127+14)-low7)&^x&(low7+lo*(127-8))&hi != 0 {
-			return splitSlow
+			return false
 		}
 		xs := x ^ (lo * ' ')
 		z := ^(((xs & ^uint64(hi)) + ^uint64(hi)) | xs | ^uint64(hi)) & hi
 		for z != 0 {
 			if ns == len(spaces) {
-				return splitSlow
+				return false
 			}
 			spaces[ns] = int32(off + bits.TrailingZeros64(z)>>3)
 			ns++
@@ -181,13 +166,11 @@ func (s *fieldSplit) split(line []byte) splitResult {
 	}
 	for ; off < n; off++ {
 		switch c := line[off]; {
-		case c >= 0x80:
-			return splitNonASCII
 		case c >= '\t' && c <= '\r':
-			return splitSlow
+			return false
 		case c == ' ':
 			if ns == len(spaces) {
-				return splitSlow
+				return false
 			}
 			spaces[ns] = int32(off)
 			ns++
@@ -204,27 +187,19 @@ func (s *fieldSplit) split(line []byte) splitResult {
 	if prev < n {
 		s.emit(line[prev:])
 	}
-	return splitOK
+	return true
 }
 
-// ParseLineBytes parses a single access.log line in place, with
-// ParseLine's exact semantics: ok == false without error for
-// well-formed non-CONNECT lines, an error for malformed ones. The
-// returned view borrows line's bytes; it is valid until the caller
-// reuses the buffer. Steady-state (well-formed ASCII lines) it
-// performs no allocations.
+// ParseLineBytes parses a single access.log line in place. It returns
+// ok == false without error for well-formed lines that are not CONNECT
+// tunnels (plain HTTP, ICP queries, comments), and an error for
+// malformed ones. The returned view borrows line's bytes; it is valid
+// until the caller reuses the buffer. On well-formed lines it performs
+// no allocations.
 func ParseLineBytes(line []byte) (EntryView, bool, error) {
 	var s fieldSplit
-	switch s.split(line) {
-	case splitOK:
-	case splitSlow:
-		if !isASCII(line) {
-			return parseLineFallback(line)
-		}
-		s = fieldSplit{}
+	if !s.split(line) {
 		s.splitGeneric(line)
-	case splitNonASCII:
-		return parseLineFallback(line)
 	}
 	if s.nFields == 0 || s.f[0][0] == '#' {
 		return EntryView{}, false, nil
@@ -268,46 +243,10 @@ func ParseLineBytes(line []byte) (EntryView, bool, error) {
 	return v, true, nil
 }
 
-// parseLineFallback delegates non-ASCII lines to the reference parser
-// rather than replicate unicode.IsSpace fielding (allocating, but such
-// lines do not occur in real Squid logs).
-func parseLineFallback(line []byte) (EntryView, bool, error) {
-	e, ok, err := ParseLine(string(line))
-	if !ok || err != nil {
-		return EntryView{}, ok, err
-	}
-	return EntryView{
-		EndUnix:    e.EndUnix,
-		ElapsedSec: e.ElapsedSec,
-		Client:     []byte(e.Client),
-		Action:     []byte(e.Action),
-		Host:       []byte(e.Host),
-		DownBytes:  e.DownBytes,
-		UpBytes:    e.UpBytes,
-	}, true, nil
-}
-
 var (
 	connectVerb        = []byte("CONNECT")
 	requestBytesPrefix = []byte("request_bytes=")
 )
-
-// isASCII reports whether b holds only single-byte runes, checking the
-// high bit eight bytes at a time.
-func isASCII(b []byte) bool {
-	for len(b) >= 8 {
-		if binary.LittleEndian.Uint64(b)&0x8080808080808080 != 0 {
-			return false
-		}
-		b = b[8:]
-	}
-	for _, c := range b {
-		if c >= 0x80 {
-			return false
-		}
-	}
-	return true
-}
 
 // AppendEntry renders a transaction in Squid's log format onto dst and
 // returns the extended buffer — FormatEntry without the fmt machinery,

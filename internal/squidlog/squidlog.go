@@ -16,15 +16,17 @@
 // byte counter (bytes to the client); deployments that add Squid's
 // %>st format code get uplink bytes from an extra trailing
 // "request_bytes=N" field.
+//
+// ParseLineBytes parses one line in place and is what the streaming
+// ingest path calls; Parse reads a whole bounded log through it.
 package squidlog
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"droppackets/internal/capture"
 )
@@ -47,57 +49,6 @@ type Entry struct {
 	UpBytes int64
 }
 
-// ParseLine parses a single access.log line. It returns ok == false
-// for well-formed lines that are not CONNECT tunnels (plain HTTP,
-// ICP queries, etc.), and an error for malformed lines.
-func ParseLine(line string) (Entry, bool, error) {
-	fields := strings.Fields(line)
-	if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
-		return Entry{}, false, nil
-	}
-	if len(fields) < 10 {
-		return Entry{}, false, fmt.Errorf("squidlog: %d fields, want >= 10", len(fields))
-	}
-	var e Entry
-	var err error
-	if e.EndUnix, err = strconv.ParseFloat(fields[0], 64); err != nil {
-		return Entry{}, false, fmt.Errorf("squidlog: bad timestamp %q: %w", fields[0], err)
-	}
-	elapsedMs, err := strconv.ParseFloat(fields[1], 64)
-	if err != nil {
-		return Entry{}, false, fmt.Errorf("squidlog: bad elapsed %q: %w", fields[1], err)
-	}
-	if elapsedMs < 0 {
-		elapsedMs = 0
-	}
-	e.ElapsedSec = elapsedMs / 1000
-	e.Client = fields[2]
-	e.Action = fields[3]
-	if e.DownBytes, err = strconv.ParseInt(fields[4], 10, 64); err != nil {
-		return Entry{}, false, fmt.Errorf("squidlog: bad bytes %q: %w", fields[4], err)
-	}
-	if fields[5] != "CONNECT" {
-		return Entry{}, false, nil
-	}
-	host := fields[6]
-	if i := strings.LastIndex(host, ":"); i >= 0 {
-		host = host[:i]
-	}
-	if host == "" {
-		return Entry{}, false, fmt.Errorf("squidlog: empty CONNECT host")
-	}
-	e.Host = host
-	// Optional extension fields.
-	for _, f := range fields[10:] {
-		if v, ok := strings.CutPrefix(f, "request_bytes="); ok {
-			if e.UpBytes, err = strconv.ParseInt(v, 10, 64); err != nil {
-				return Entry{}, false, fmt.Errorf("squidlog: bad request_bytes %q: %w", v, err)
-			}
-		}
-	}
-	return e, true, nil
-}
-
 // Parse reads a whole log, returning CONNECT entries in file order.
 // Malformed lines abort with an error naming the line number.
 func Parse(r io.Reader) ([]Entry, error) {
@@ -107,16 +58,16 @@ func Parse(r io.Reader) ([]Entry, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		e, ok, err := ParseLine(line)
+		v, ok, err := ParseLineBytes(line)
 		if err != nil {
 			return nil, fmt.Errorf("squidlog: line %d: %w", lineNo, err)
 		}
 		if ok {
-			out = append(out, e)
+			out = append(out, v.Entry())
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -12,10 +12,19 @@ import (
 
 const sampleLine = "1588888888.123   5125 10.0.0.5 TCP_TUNNEL/200 1583231 CONNECT cdn-01.svc1.example:443 - HIER_DIRECT/203.0.113.9 -"
 
+// parseLine runs the production parser on line, first holding it to the
+// oracle, and returns its result as an owned Entry.
+func parseLine(t *testing.T, line string) (Entry, bool, error) {
+	t.Helper()
+	checkLineEquivalence(t, line)
+	v, ok, err := ParseLineBytes([]byte(line))
+	return v.Entry(), ok, err
+}
+
 func TestParseLine(t *testing.T) {
-	e, ok, err := ParseLine(sampleLine)
+	e, ok, err := parseLine(t, sampleLine)
 	if err != nil || !ok {
-		t.Fatalf("ParseLine: ok=%v err=%v", ok, err)
+		t.Fatalf("ParseLineBytes: ok=%v err=%v", ok, err)
 	}
 	if e.Host != "cdn-01.svc1.example" {
 		t.Errorf("host %q", e.Host)
@@ -35,7 +44,7 @@ func TestParseLine(t *testing.T) {
 }
 
 func TestParseLineExtendedUplink(t *testing.T) {
-	e, ok, err := ParseLine(sampleLine + " request_bytes=20480")
+	e, ok, err := parseLine(t, sampleLine+" request_bytes=20480")
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -46,13 +55,13 @@ func TestParseLineExtendedUplink(t *testing.T) {
 
 func TestParseLineSkipsNonConnect(t *testing.T) {
 	nonTunnel := "1588888888.123 12 10.0.0.5 TCP_MISS/200 3821 GET http://plain.example/x - HIER_DIRECT/203.0.113.9 text/html"
-	if _, ok, err := ParseLine(nonTunnel); ok || err != nil {
+	if _, ok, err := parseLine(t, nonTunnel); ok || err != nil {
 		t.Errorf("GET line: ok=%v err=%v", ok, err)
 	}
-	if _, ok, err := ParseLine("# comment"); ok || err != nil {
+	if _, ok, err := parseLine(t, "# comment"); ok || err != nil {
 		t.Errorf("comment: ok=%v err=%v", ok, err)
 	}
-	if _, ok, err := ParseLine(""); ok || err != nil {
+	if _, ok, err := parseLine(t, ""); ok || err != nil {
 		t.Errorf("blank: ok=%v err=%v", ok, err)
 	}
 }
@@ -67,7 +76,7 @@ func TestParseLineErrors(t *testing.T) {
 		sampleLine + " request_bytes=abc",
 	}
 	for i, line := range bad {
-		if _, _, err := ParseLine(line); err == nil {
+		if _, _, err := parseLine(t, line); err == nil {
 			t.Errorf("bad line %d accepted", i)
 		}
 	}

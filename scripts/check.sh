@@ -27,7 +27,7 @@ echo "== go test -race (concurrent packages, incl. faultinject chaos tests and q
 # -timeout 20m: the experiments paper-shape suite takes ~10 wall-clock
 # minutes under the race detector on a 1-core host, right at go test's
 # default timeout.
-go test -race -timeout 20m ./internal/ml/... ./internal/core ./internal/dataset ./internal/tlsproxy ./internal/metrics ./internal/experiments ./internal/features ./internal/faultinject ./internal/intern ./internal/ingest ./internal/bytesconv ./internal/cluster ./cmd/qoeproxy
+go test -race -timeout 20m ./internal/ml/... ./internal/core ./internal/dataset ./internal/tlsproxy ./internal/metrics ./internal/experiments ./internal/features ./internal/faultinject ./internal/intern ./internal/ingest ./internal/squidlog ./internal/bytesconv ./internal/cluster ./cmd/qoeproxy
 
 echo "== feature benchmarks (smoke) =="
 go test -run '^$' -bench Feature -benchtime 1x .
@@ -39,7 +39,7 @@ go test -run '^$' -bench ConcurrentIngest -benchtime 100x ./cmd/qoeproxy
 echo "== ingest benchmarks (smoke) + zero-alloc parser gate =="
 go test -run '^$' -bench IngestEndToEnd -benchtime 1x ./internal/ingest
 # The byte parser is the per-line hot path; any allocation is a
-# regression. BENCH_ingest.json proper comes from scripts/benchingest.
+# regression.
 parse_out=$(go test -run '^$' -bench 'SquidParse/bytes' -benchmem ./internal/squidlog)
 echo "$parse_out"
 if ! echo "$parse_out" | grep -q "	       0 allocs/op"; then
@@ -77,11 +77,12 @@ echo "== qoeproxy smoke (/metrics, /healthz, squid-log tail, model hot reload, S
 go run ./scripts/smoke
 
 echo "== qoeload soak (replay a few hundred clients through the real service loop) =="
-# Fails on dropped records, classification errors, sink write failures
-# or a dead /healthz. Small enough (~10s including the daemon build) to
-# run on every check; BENCH_load.json proper uses 10k+ clients.
+# Both arrival shapes (steady, bursty). Fails on dropped records,
+# classification errors, sink write failures, a dead /healthz or an
+# unclean SIGTERM. Small enough (~10s including the daemon build) to
+# run on every check; it verifies, bench/run.sh measures.
 go run ./cmd/qoeload -clients 300 -pool 20 -ramp 10s -classify-every 200ms \
-	-settle 45s -out /tmp/qoeload-soak.json
+	-settle 45s
 
 echo "== qoeload fleet soak (2-instance consistent-hash ring: exactly-once coverage, SIGTERM-with-snapshot) =="
 # Two daemons behind one ring, fed the identical workload: fails on any
@@ -89,6 +90,14 @@ echo "== qoeload fleet soak (2-instance consistent-hash ring: exactly-once cover
 # exactly once), a missing or unloadable shutdown snapshot, or an
 # unclean exit. ~10s on top of the daemon build cached above.
 go run ./cmd/qoeload -clients 300 -pool 20 -ramp 10s -classify-every 200ms \
-	-shapes "" -instances 2 -settle 45s -out /tmp/qoeload-fleet.json
+	-shapes "" -instances 2 -settle 45s
 
 echo "All checks passed."
+
+# The two numbers the simplification round tracks, printed (not gated)
+# so every PR shows its direction.
+echo "== size =="
+loc=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l)
+flags=$(grep -c '^	fs\.[A-Za-z0-9]*Var(' cmd/qoeproxy/main.go)
+echo "non-test Go lines outside bench/: $loc"
+echo "qoeproxy flags (registerFlags): $flags"

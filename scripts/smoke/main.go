@@ -1,8 +1,9 @@
 // Command smoke is the CI gate for qoeproxy's service surface. It
 // builds the daemon once and runs three scenarios: the proxy smoke
-// (start on ephemeral ports, wait for the structured "metrics
-// listening" log line, scrape /healthz and /metrics, assert every core
-// and relay series exists, SIGTERM, require a clean drain), the
+// (start on ephemeral ports, read the metrics address from the
+// structured "metrics listening" log line, wait for /healthz to answer
+// ok, scrape /metrics, assert every core and relay series exists,
+// SIGTERM, require a clean drain), the
 // squid-tail smoke (daemon follows a generated access log, /healthz
 // answers and the core series export without a relay while the relay's
 // own series stay absent, per-source ingest counters track lines
@@ -155,8 +156,10 @@ func main() {
 	fmt.Println("smoke: qoeproxy hot-reloads models via /admin/reload and SIGHUP and rejects corrupt files")
 }
 
-// startDaemon launches the built daemon and returns it along with the
-// metrics address from its "metrics listening" log line.
+// startDaemon launches the built daemon and returns it, along with the
+// metrics address from its "metrics listening" log line, once /healthz
+// answers ok: the log line says where to ask, the endpoint says the
+// daemon is up and may be signalled.
 func startDaemon(bin string, args ...string) (*exec.Cmd, string, error) {
 	daemon := exec.Command(bin, args...)
 	stderr, err := daemon.StderrPipe()
@@ -182,12 +185,24 @@ func startDaemon(bin string, args ...string) (*exec.Cmd, string, error) {
 			}
 		}
 	}()
+	var addr string
 	select {
-	case addr := <-addrCh:
-		return daemon, addr, nil
+	case addr = <-addrCh:
 	case <-time.After(10 * time.Second):
 		daemon.Process.Kill()
 		return nil, "", fmt.Errorf("no 'metrics listening' log line within 10s")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		err := checkHealthz(addr)
+		if err == nil {
+			return daemon, addr, nil
+		}
+		if time.Now().After(deadline) {
+			daemon.Process.Kill()
+			return nil, "", fmt.Errorf("/healthz not ok within 10s of the listening line: %w", err)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -154,7 +155,8 @@ func TestDirtySkipEquivalence(t *testing.T) {
 		window time.Duration
 	}{{"incremental", 0}, {"windowed", 90 * time.Second}} {
 		t.Run(mode.name, func(t *testing.T) {
-			opts := options{window: mode.window, clientTTL: ttl, maxSessionTxns: 64, shards: 4, classifyWorkers: 2}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+			opts := options{window: mode.window, clientTTL: ttl, maxSessionTxns: 64, shards: 4}
 			tracked, trackedLogs := newTestService(t, opts, est)
 			forced, forcedLogs := newTestService(t, opts, est)
 			pass := func(now float64) {
@@ -321,7 +323,8 @@ func TestBundleChangeRescoresOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	opts := options{window: 0, shards: 4, classifyWorkers: 2, modelPath: modelPath}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	opts := options{window: 0, shards: 4, modelPath: modelPath}
 	s, logs := newTestService(t, opts, estA)
 	events := staggeredEvents(t, 19, 24, 12, 5)
 	feed(s, events)
@@ -447,7 +450,9 @@ func TestFailedPassLeavesClientsDirty(t *testing.T) {
 func BenchmarkClassifyPassClean(b *testing.B) {
 	const clients = 4096
 	est := trainSmallEstimator(b, 5, 8)
-	s := newService(options{shards: 4, classifyWorkers: 1},
+	// One classify worker: the pass runs inline, as on a 1-CPU host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := newService(options{shards: 4},
 		slog.New(slog.NewJSONHandler(io.Discard, nil)), est)
 	defer s.stopSinkWriter()
 	s.registerMetrics()

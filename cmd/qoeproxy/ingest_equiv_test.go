@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -97,12 +98,12 @@ func runSource(t *testing.T, est *core.Estimator, recs []tlsproxy.ReplayRecord,
 	build func(base time.Time) (ingest.TransactionSource, error)) equivRun {
 	t.Helper()
 	const ttl = 120 * time.Second
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	s, logs := newTestService(t, options{
-		clientTTL:       ttl,
-		maxSessionTxns:  64,
-		shards:          4,
-		classifyWorkers: 2,
-		classifyBatch:   32,
+		clientTTL:      ttl,
+		maxSessionTxns: 64,
+		shards:         4,
+		classifyBatch:  32,
 	}, est)
 	var csv, sq bytes.Buffer
 	s.out = s.newSink(&csv, "out")

@@ -15,7 +15,7 @@
 //	         [-shadow-model challenger.json]
 //	         [-metrics 127.0.0.1:9090] [-classify-every 30s]
 //	         [-window 4m] [-client-ttl 1h] [-max-session-txns 4096]
-//	         [-shards N] [-classify-workers N]
+//	         [-shards N]
 //	         [-source proxy|squid|pcap|netflow|replay] [-input FILE]
 //	         [-ingest-speed X] [-ingest-workers N] [-ingest-epoch T]
 //	         [-ingest-horizon 5m] [-follow=true]
@@ -41,16 +41,17 @@
 // not O(all traffic ever seen). Per-client state is partitioned into
 // -shards lock-sharded maps (default GOMAXPROCS) so concurrent
 // connections ingest in parallel, and the classify tick fans out
-// across shards on a -classify-workers pool, sweeping each shard's
-// feature rows through the compiled scorer in contiguous row-major
-// blocks; outputs stay ordered through a
+// across shards on min(GOMAXPROCS, -shards) workers, sweeping each
+// shard's feature rows through the compiled scorer in contiguous
+// row-major blocks; outputs stay ordered through a
 // single sink-writer goroutine that writes record lines a ~64 KiB chunk
 // at a time (or every 100ms, so a quiet proxy's files stay current).
 // -source replay feeds a recorded workload CSV
 // (internal/tlsproxy.ReadWorkload) into the ingest path — same
 // callbacks, logical timestamps — at -ingest-speed times recorded
-// speed, which is how cmd/qoeload drives tens of thousands of simulated
-// clients through the real serving loop without a socket per session.
+// speed, which is how the benchmark ledger and scripts/smoke drive
+// thousands of simulated clients through the real serving loop without
+// a socket per session.
 //
 // The model is operated like production ML, not loaded once and served
 // forever. SIGHUP or POST /admin/reload (loopback callers only, on the
@@ -144,7 +145,6 @@ func registerFlags(fs *flag.FlagSet, opts *options) {
 	fs.DurationVar(&opts.clientTTL, "client-ttl", time.Hour, "evict a client's state after this much idle time, emitting its final classification (0 disables; swept on the classify tick)")
 	fs.IntVar(&opts.maxSessionTxns, "max-session-txns", 4096, "most transactions retained per client session and summary buffer; oldest are dropped beyond it (0 = unbounded)")
 	fs.IntVar(&opts.shards, "shards", 0, "lock shards for per-client state; ingest for clients on different shards never contends (0 = GOMAXPROCS)")
-	fs.IntVar(&opts.classifyWorkers, "classify-workers", 0, "goroutines fanning the classify tick across shards (0 = GOMAXPROCS, capped at -shards)")
 	fs.StringVar(&opts.source, "source", "proxy", "primary telemetry source: proxy|squid|pcap|netflow|replay (docs/INGEST.md)")
 	fs.StringVar(&opts.input, "input", "", "input file for a non-proxy -source: Squid access log, pcap trace, flow CSV or workload CSV")
 	fs.Float64Var(&opts.ingestSpeed, "ingest-speed", 0, "time-compression factor for file sources: 1 = recorded pace, 0 = as fast as possible")
@@ -171,7 +171,7 @@ type options struct {
 	classifyEvery, window         time.Duration
 	clientTTL                     time.Duration
 	maxSessionTxns                int
-	shards, classifyWorkers       int
+	shards                        int
 	classifyBatch                 int
 	source, input                 string
 	ingestSpeed                   float64
@@ -471,6 +471,9 @@ type service struct {
 	// shards partition the per-client state by FNV hash of the client
 	// host. Immutable after newService.
 	shards []*shard
+	// workers is the classify tick's fan-out across shards,
+	// min(GOMAXPROCS, shards) at newService.
+	workers int
 
 	// byClass counts resident clients by current verdict (clientState
 	// lastClass), moved where a class is stored, restored or evicted —
@@ -582,14 +585,9 @@ func newService(opts options, logger *slog.Logger, est *core.Estimator) *service
 	if opts.shards <= 0 {
 		opts.shards = runtime.GOMAXPROCS(0)
 	}
-	if opts.classifyWorkers <= 0 {
-		opts.classifyWorkers = runtime.GOMAXPROCS(0)
-	}
-	if opts.classifyWorkers > opts.shards {
-		opts.classifyWorkers = opts.shards
-	}
 	s := &service{
 		opts:       opts,
+		workers:    min(runtime.GOMAXPROCS(0), opts.shards),
 		log:        logger,
 		pendingEst: est,
 		epoch:      time.Now(),
@@ -721,7 +719,7 @@ func (s *service) buildModel(est, shadow *core.Estimator) (*servingModel, error)
 	for i, n := range m.names {
 		m.predClass[i] = s.mPred.WithLabel(n)
 	}
-	m.rowBuilders = make([]*core.RowBuilder, s.opts.classifyWorkers)
+	m.rowBuilders = make([]*core.RowBuilder, s.workers)
 	for i := range m.rowBuilders {
 		m.rowBuilders[i] = est.NewRowBuilder()
 	}
@@ -1970,15 +1968,11 @@ func (s *service) apply(sh *shard, client string, cs *clientState, decisions []s
 }
 
 // forEachShard runs fn(worker, shardIndex) for every shard, fanning
-// across the -classify-workers pool. Worker indices are stable and
+// across the s.workers pool. Worker indices are stable and
 // exclusive within one call, so fn may use per-worker scratch (the
 // rowBuilders). With one worker it runs inline, shards in order.
 func (s *service) forEachShard(fn func(worker, si int)) {
-	workers := s.opts.classifyWorkers
-	if workers > len(s.shards) {
-		workers = len(s.shards)
-	}
-	if workers <= 1 {
+	if s.workers <= 1 {
 		for si := range s.shards {
 			fn(0, si)
 		}
@@ -1986,7 +1980,7 @@ func (s *service) forEachShard(fn func(worker, si int)) {
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < s.workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()

@@ -37,7 +37,8 @@ type invariantRun struct {
 }
 
 // replayTrace feeds a fixed multi-client trace through a service built
-// with the given shard/worker counts, running classification passes
+// with the given shard count and GOMAXPROCS = workers (the classify
+// fan-out is min(GOMAXPROCS, shards)), running classification passes
 // mid-replay and an eviction sweep at the end, and returns the
 // invariant observables. The replay itself is single-goroutine, so the
 // sink append order — and therefore the flushed sink bytes — is fully
@@ -50,13 +51,13 @@ func replayTrace(t *testing.T, est *core.Estimator, traffic *dataset.Corpus, win
 	const numClients = 6
 	const ttl = 120 * time.Second
 
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	s, logs := newTestService(t, options{
-		window:          window,
-		clientTTL:       ttl,
-		maxSessionTxns:  64,
-		shards:          shards,
-		classifyWorkers: workers,
-		classifyBatch:   batch,
+		window:         window,
+		clientTTL:      ttl,
+		maxSessionTxns: 64,
+		shards:         shards,
+		classifyBatch:  batch,
 	}, est, shadow)
 	var csv bytes.Buffer
 	s.out = s.newSink(&csv, "out")
@@ -328,10 +329,9 @@ func TestShadowInvariance(t *testing.T) {
 // sinks: this isolates the state-mutation path the locks guard.
 func benchmarkIngest(b *testing.B, shards int) {
 	s := newService(options{
-		window:          time.Hour,
-		maxSessionTxns:  256,
-		shards:          shards,
-		classifyWorkers: 1,
+		window:         time.Hour,
+		maxSessionTxns: 256,
+		shards:         shards,
 	}, slog.New(slog.NewJSONHandler(io.Discard, nil)), nil)
 	defer s.stopSinkWriter()
 	s.registerMetrics()
@@ -394,10 +394,9 @@ func BenchmarkConcurrentIngest(b *testing.B) {
 func BenchmarkCommitPath(b *testing.B) {
 	const clients, batchLen, maxTxns = 512, 256, 64
 	s := newService(options{
-		window:          time.Hour,
-		maxSessionTxns:  maxTxns,
-		shards:          4,
-		classifyWorkers: 1,
+		window:         time.Hour,
+		maxSessionTxns: maxTxns,
+		shards:         4,
 	}, slog.New(slog.NewJSONHandler(io.Discard, nil)), nil)
 	defer s.stopSinkWriter()
 	s.registerMetrics()

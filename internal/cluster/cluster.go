@@ -23,9 +23,9 @@
 // finalizer over the config's own strings, no process-local seed — so
 // the assignment is stable across
 // processes, hosts and restarts. That determinism is load-bearing:
-// cmd/qoeload uses the same ring to pre-partition workloads, and the
-// snapshot restore path uses it to reject clients the local instance
-// no longer owns.
+// scripts/smoke uses the same ring to work out each fleet member's
+// share of a workload ahead of time, and the snapshot restore path uses
+// it to reject clients the local instance no longer owns.
 package cluster
 
 import (
@@ -40,6 +40,10 @@ import (
 // when the config does not choose a count.
 const DefaultVNodes = 64
 
+// maxVNodes bounds a config's virtual points per instance, so a bad
+// membership file cannot make every member allocate a huge ring.
+const maxVNodes = 4096
+
 // configVersion is the config file layout version this package writes
 // and the newest it accepts.
 const configVersion = 1
@@ -51,8 +55,8 @@ type Instance struct {
 	// ring hash, so renaming an instance reassigns its partitions.
 	ID string `json:"id"`
 	// Metrics optionally records where the instance serves /metrics and
-	// /healthz, so operators and the qoeload fleet harness can find every
-	// member from the one shared file. The ring itself never uses it.
+	// /healthz, so operators can find every member from the one shared
+	// file. Nothing in the daemon reads it.
 	Metrics string `json:"metrics,omitempty"`
 }
 
@@ -77,8 +81,8 @@ func LoadConfig(r io.Reader) (*Config, error) {
 	if cfg.Version < 1 || cfg.Version > configVersion {
 		return nil, fmt.Errorf("cluster: config version %d, want 1..%d", cfg.Version, configVersion)
 	}
-	if cfg.VNodes < 0 {
-		return nil, fmt.Errorf("cluster: vnodes %d is negative", cfg.VNodes)
+	if cfg.VNodes < 0 || cfg.VNodes > maxVNodes {
+		return nil, fmt.Errorf("cluster: vnodes %d, want 0..%d", cfg.VNodes, maxVNodes)
 	}
 	if cfg.VNodes == 0 {
 		cfg.VNodes = DefaultVNodes
@@ -119,7 +123,6 @@ type point struct {
 // Config. Safe for concurrent use.
 type Ring struct {
 	instances []string
-	metrics   []string
 	points    []point
 	// owned[i] counts instance i's virtual points — the partitions the
 	// instance owns, summing to len(points) across the fleet.
@@ -140,13 +143,11 @@ func New(cfg *Config) (*Ring, error) {
 	}
 	r := &Ring{
 		instances: make([]string, len(cfg.Instances)),
-		metrics:   make([]string, len(cfg.Instances)),
 		points:    make([]point, 0, vnodes*len(cfg.Instances)),
 		owned:     make([]int, len(cfg.Instances)),
 	}
 	for i, in := range cfg.Instances {
 		r.instances[i] = in.ID
-		r.metrics[i] = in.Metrics
 		for k := 0; k < vnodes; k++ {
 			r.points = append(r.points, point{hash: vnodeHash(in.ID, k), owner: i})
 		}
@@ -250,17 +251,6 @@ func (r *Ring) Owns(instanceID, client string) bool {
 // Instances returns the member ids in config order. The slice is the
 // ring's own storage; callers must not mutate it.
 func (r *Ring) Instances() []string { return r.instances }
-
-// MetricsAddr returns the configured metrics address of an instance
-// ("" when the config omitted it or the id is unknown).
-func (r *Ring) MetricsAddr(instanceID string) string {
-	for i, id := range r.instances {
-		if id == instanceID {
-			return r.metrics[i]
-		}
-	}
-	return ""
-}
 
 // Has reports whether the ring knows the instance id.
 func (r *Ring) Has(instanceID string) bool {

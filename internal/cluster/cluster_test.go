@@ -14,31 +14,39 @@ func testConfig(ids ...string) *Config {
 	return cfg
 }
 
+// sampleConfig is a valid two-member membership file.
+const sampleConfig = `{
+	"version": 1,
+	"vnodes": 32,
+	"instances": [
+		{"id": "a", "metrics": "127.0.0.1:9090"},
+		{"id": "b", "metrics": "127.0.0.1:9091"}
+	]
+}`
+
+// badConfigs are membership files LoadConfig must reject.
+var badConfigs = []struct{ name, doc string }{
+	{"not json", `{{`},
+	{"version 0", `{"version":0,"instances":[{"id":"a"}]}`},
+	{"version future", `{"version":99,"instances":[{"id":"a"}]}`},
+	{"no instances", `{"version":1,"instances":[]}`},
+	{"empty id", `{"version":1,"instances":[{"id":""}]}`},
+	{"duplicate id", `{"version":1,"instances":[{"id":"a"},{"id":"a"}]}`},
+	{"negative vnodes", `{"version":1,"vnodes":-1,"instances":[{"id":"a"}]}`},
+	{"too many vnodes", `{"version":1,"vnodes":4097,"instances":[{"id":"a"}]}`},
+}
+
 func TestLoadConfig(t *testing.T) {
-	doc := `{
-		"version": 1,
-		"vnodes": 32,
-		"instances": [
-			{"id": "a", "metrics": "127.0.0.1:9090"},
-			{"id": "b", "metrics": "127.0.0.1:9091"}
-		]
-	}`
-	cfg, err := LoadConfig(strings.NewReader(doc))
+	cfg, err := LoadConfig(strings.NewReader(sampleConfig))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.VNodes != 32 || len(cfg.Instances) != 2 {
+	if cfg.VNodes != 32 || len(cfg.Instances) != 2 || cfg.Instances[1].Metrics != "127.0.0.1:9091" {
 		t.Errorf("cfg = %+v", cfg)
 	}
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := r.MetricsAddr("b"); got != "127.0.0.1:9091" {
-		t.Errorf("MetricsAddr(b) = %q", got)
-	}
-	if r.MetricsAddr("nope") != "" {
-		t.Error("unknown instance reported a metrics address")
 	}
 	if !r.Has("a") || r.Has("zzz") {
 		t.Error("Has misreports membership")
@@ -56,16 +64,7 @@ func TestLoadConfigDefaultsVNodes(t *testing.T) {
 }
 
 func TestLoadConfigErrors(t *testing.T) {
-	cases := []struct{ name, doc string }{
-		{"not json", `{{`},
-		{"version 0", `{"version":0,"instances":[{"id":"a"}]}`},
-		{"version future", `{"version":99,"instances":[{"id":"a"}]}`},
-		{"no instances", `{"version":1,"instances":[]}`},
-		{"empty id", `{"version":1,"instances":[{"id":""}]}`},
-		{"duplicate id", `{"version":1,"instances":[{"id":"a"},{"id":"a"}]}`},
-		{"negative vnodes", `{"version":1,"vnodes":-1,"instances":[{"id":"a"}]}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range badConfigs {
 		if _, err := LoadConfig(strings.NewReader(tc.doc)); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}

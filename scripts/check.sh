@@ -73,24 +73,8 @@ fi
 echo "== benchmark ledger (bench/ unit tests + 1/200-scale smoke of every workload) =="
 (cd bench && go test ./...)
 
-echo "== qoeproxy smoke (/metrics, /healthz, squid-log tail, model hot reload, SIGTERM drain) =="
+echo "== qoeproxy smoke (/metrics, /healthz, squid-log tail, model hot reload, SIGTERM drain, two-member fleet + snapshot hand-off) =="
 go run ./scripts/smoke
-
-echo "== qoeload soak (replay a few hundred clients through the real service loop) =="
-# Both arrival shapes (steady, bursty). Fails on dropped records,
-# classification errors, sink write failures, a dead /healthz or an
-# unclean SIGTERM. Small enough (~10s including the daemon build) to
-# run on every check; it verifies, bench/run.sh measures.
-go run ./cmd/qoeload -clients 300 -pool 20 -ramp 10s -classify-every 200ms \
-	-settle 45s
-
-echo "== qoeload fleet soak (2-instance consistent-hash ring: exactly-once coverage, SIGTERM-with-snapshot) =="
-# Two daemons behind one ring, fed the identical workload: fails on any
-# overlap or gap in client ownership (owned sums must cover the stream
-# exactly once), a missing or unloadable shutdown snapshot, or an
-# unclean exit. ~10s on top of the daemon build cached above.
-go run ./cmd/qoeload -clients 300 -pool 20 -ramp 10s -classify-every 200ms \
-	-shapes "" -instances 2 -settle 45s
 
 echo "All checks passed."
 

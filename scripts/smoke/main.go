@@ -1,5 +1,5 @@
 // Command smoke is the CI gate for qoeproxy's service surface. It
-// builds the daemon once and runs three scenarios: the proxy smoke
+// builds the daemon once and runs four scenarios: the proxy smoke
 // (start on ephemeral ports, read the metrics address from the
 // structured "metrics listening" log line, wait for /healthz to answer
 // ok, scrape /metrics, assert every core and relay series exists,
@@ -12,13 +12,15 @@
 // the model-reload smoke (daemon starts serving model A, rolls to
 // model B via POST /admin/reload and again via SIGHUP with the reload
 // counters tracking each swap, then a corrupt model file is rejected
-// with the old model still serving). Run from the repo root:
+// with the old model still serving), and the fleet smoke (two daemons
+// on one consistent-hash ring cover a workload exactly once, then hand
+// their state over through SIGTERM snapshots and -restore). Run from
+// the repo root:
 //
 //	go run ./scripts/smoke
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -29,14 +31,17 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
+	"droppackets/internal/cluster"
 	"droppackets/internal/core"
 	"droppackets/internal/dataset"
 	"droppackets/internal/has"
 	"droppackets/internal/ml/forest"
 	"droppackets/internal/qoe"
+	"droppackets/internal/tlsproxy"
 )
 
 // coreSeries are the metric families operators alert on, exported for
@@ -154,53 +159,87 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("smoke: qoeproxy hot-reloads models via /admin/reload and SIGHUP and rejects corrupt files")
+	if err := smokeFleet(bin, tmp); err != nil {
+		fmt.Fprintln(os.Stderr, "smoke: FAIL: fleet:", err)
+		os.Exit(1)
+	}
+	fmt.Println("smoke: a two-member fleet covers its workload exactly once and hands its state over through snapshots")
+}
+
+// logEntry is the part of a daemon's JSON log line smoke reads.
+type logEntry struct {
+	Msg     string `json:"msg"`
+	Addr    string `json:"addr"`
+	Clients int    `json:"clients"`
+}
+
+// daemonLog keeps the latest stderr log line of each msg a daemon
+// wrote. exec copies stderr into it and Wait returns only after that
+// copy ends, so once stopDaemon returns every line is here.
+type daemonLog struct {
+	mu      sync.Mutex
+	partial []byte
+	entries map[string]logEntry
+}
+
+func (l *daemonLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.partial = append(l.partial, p...)
+	for {
+		i := bytes.IndexByte(l.partial, '\n')
+		if i < 0 {
+			return len(p), nil
+		}
+		var e logEntry
+		if json.Unmarshal(l.partial[:i], &e) == nil {
+			l.entries[e.Msg] = e
+		}
+		l.partial = l.partial[i+1:]
+	}
+}
+
+// wait polls for a log line with the given msg until 15s elapse.
+func (l *daemonLog) wait(msg string) (logEntry, error) {
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		l.mu.Lock()
+		e, ok := l.entries[msg]
+		l.mu.Unlock()
+		if ok {
+			return e, nil
+		}
+		if time.Now().After(deadline) {
+			return logEntry{}, fmt.Errorf("no %q log line within 15s", msg)
+		}
+	}
 }
 
 // startDaemon launches the built daemon and returns it, along with the
-// metrics address from its "metrics listening" log line, once /healthz
-// answers ok: the log line says where to ask, the endpoint says the
-// daemon is up and may be signalled.
-func startDaemon(bin string, args ...string) (*exec.Cmd, string, error) {
+// metrics address from its "metrics listening" log line and its log,
+// once /healthz answers ok: the log line says where to ask, the
+// endpoint says the daemon is up and may be signalled.
+func startDaemon(bin string, args ...string) (*exec.Cmd, string, *daemonLog, error) {
 	daemon := exec.Command(bin, args...)
-	stderr, err := daemon.StderrPipe()
-	if err != nil {
-		return nil, "", err
-	}
+	log := &daemonLog{entries: map[string]logEntry{}}
+	daemon.Stderr = log
 	if err := daemon.Start(); err != nil {
-		return nil, "", fmt.Errorf("starting qoeproxy: %w", err)
+		return nil, "", nil, fmt.Errorf("starting qoeproxy: %w", err)
 	}
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			var entry struct {
-				Msg  string `json:"msg"`
-				Addr string `json:"addr"`
-			}
-			if json.Unmarshal(sc.Bytes(), &entry) == nil && entry.Msg == "metrics listening" {
-				select {
-				case addrCh <- entry.Addr:
-				default:
-				}
-			}
-		}
-	}()
-	var addr string
-	select {
-	case addr = <-addrCh:
-	case <-time.After(10 * time.Second):
+	listening, err := log.wait("metrics listening")
+	if err != nil {
 		daemon.Process.Kill()
-		return nil, "", fmt.Errorf("no 'metrics listening' log line within 10s")
+		return nil, "", nil, err
 	}
+	addr := listening.Addr
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		err := checkHealthz(addr)
 		if err == nil {
-			return daemon, addr, nil
+			return daemon, addr, log, nil
 		}
 		if time.Now().After(deadline) {
 			daemon.Process.Kill()
-			return nil, "", fmt.Errorf("/healthz not ok within 10s of the listening line: %w", err)
+			return nil, "", nil, fmt.Errorf("/healthz not ok within 10s of the listening line: %w", err)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -227,7 +266,7 @@ func stopDaemon(daemon *exec.Cmd) error {
 
 // smokeProxy runs the serving-surface scenario; any error fails CI.
 func smokeProxy(bin string) error {
-	daemon, addr, err := startDaemon(bin,
+	daemon, addr, _, err := startDaemon(bin,
 		"-listen", "127.0.0.1:0",
 		"-metrics", "127.0.0.1:0",
 		"-upstream", "127.0.0.1:9", // never dialed: no traffic flows in the smoke
@@ -274,7 +313,7 @@ func smokeSquidTail(bin, tmp string) error {
 	}
 
 	outPath := filepath.Join(tmp, "tail-transactions.csv")
-	daemon, addr, err := startDaemon(bin,
+	daemon, addr, _, err := startDaemon(bin,
 		"-metrics", "127.0.0.1:0",
 		"-source", "squid",
 		"-input", logPath,
@@ -428,7 +467,7 @@ func smokeReload(bin, tmp string) error {
 		return err
 	}
 
-	daemon, addr, err := startDaemon(bin,
+	daemon, addr, _, err := startDaemon(bin,
 		"-listen", "127.0.0.1:0",
 		"-metrics", "127.0.0.1:0",
 		"-upstream", "127.0.0.1:9",
@@ -494,6 +533,117 @@ func smokeReload(bin, tmp string) error {
 	fmt.Println("smoke: corrupt model rejected with 422; previous model still serving")
 
 	return stopDaemon(daemon)
+}
+
+// smokeFleet runs the fleet scenario: two daemons on one ring replay
+// the same workload. Each must commit exactly the share the ring gives
+// it here ahead of time and skip the rest, together they must cover the
+// workload and the ring once, and each restarted with -restore must get
+// back every client its SIGTERM snapshot wrote.
+func smokeFleet(bin, tmp string) error {
+	corpus, err := dataset.Build(dataset.Config{Seed: 11, Sessions: 30}, has.Svc1())
+	if err != nil {
+		return err
+	}
+	const cfgJSON = `{"version": 1, "instances": [{"id": "a"}, {"id": "b"}]}`
+	cfg, err := cluster.LoadConfig(strings.NewReader(cfgJSON))
+	if err != nil {
+		return err
+	}
+	ring, err := cluster.New(cfg)
+	if err != nil {
+		return err
+	}
+	var records []tlsproxy.ReplayRecord
+	owned := map[string]int{}
+	for i := 0; i < 300; i++ {
+		host := fmt.Sprintf("10.70.%d.%d", i/250, i%250+1)
+		at := float64(i) * 0.05
+		for _, txn := range corpus.Records[i%len(corpus.Records)].Capture.TLS {
+			records = append(records, tlsproxy.ReplayRecord{Client: host + ":40000", SNI: txn.SNI,
+				Start: at + txn.Start, End: at + txn.End, UpBytes: txn.UpBytes, DownBytes: txn.DownBytes})
+			owned[ring.Owner(host)]++
+		}
+	}
+	var workload bytes.Buffer
+	if err := tlsproxy.WriteWorkload(&workload, records); err != nil {
+		return err
+	}
+	csvPath, cfgPath := filepath.Join(tmp, "fleet.csv"), filepath.Join(tmp, "cluster.json")
+	for path, data := range map[string][]byte{csvPath: workload.Bytes(), cfgPath: []byte(cfgJSON)} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			return err
+		}
+	}
+
+	// Both members run at once, each over the whole workload.
+	type member struct {
+		id, snapPath, addr string
+		daemon             *exec.Cmd
+		log                *daemonLog
+	}
+	var members []*member
+	for _, in := range cfg.Instances {
+		m := &member{id: in.ID, snapPath: filepath.Join(tmp, "fleet-"+in.ID+".snapshot.json")}
+		m.daemon, m.addr, m.log, err = startDaemon(bin, "-metrics", "127.0.0.1:0", "-source", "replay", "-input", csvPath,
+			"-ingest-workers", "2", "-cluster-config", cfgPath, "-instance-id", m.id, "-snapshot", m.snapPath)
+		if err != nil {
+			return fmt.Errorf("member %s: %w", m.id, err)
+		}
+		defer m.daemon.Process.Kill()
+		members = append(members, m)
+	}
+	var committed, partitions float64
+	for _, m := range members {
+		if _, err := m.log.wait("ingest complete"); err != nil {
+			return fmt.Errorf("member %s: %w", m.id, err)
+		}
+		if err := waitSeries(m.addr, "qoeproxy_transactions_total", float64(owned[m.id])); err != nil {
+			return fmt.Errorf("member %s committed other than its ring share (overlap or gap): %w", m.id, err)
+		}
+		if err := waitSeries(m.addr, "qoeproxy_cluster_clients_skipped_total", float64(len(records)-owned[m.id])); err != nil {
+			return fmt.Errorf("member %s: owned + skipped is not the whole workload: %w", m.id, err)
+		}
+		committed += series(m.addr, "qoeproxy_transactions_total")
+		partitions += series(m.addr, "qoeproxy_partitions_owned")
+		if health, err := get("http://" + m.addr + "/healthz"); err != nil || !strings.Contains(health, `"instance":"`+m.id+`"`) {
+			return fmt.Errorf("member %s: /healthz = %q (%v), want instance %q", m.id, health, err, m.id)
+		}
+	}
+	if total := float64(ring.TotalPartitions()); committed != float64(len(records)) || partitions != total {
+		return fmt.Errorf("the fleet committed %v of %d records and owns %v of %v partitions, want each exactly once",
+			committed, len(records), partitions, total)
+	}
+
+	// SIGTERM writes each snapshot; a relay restart ingests nothing.
+	for _, m := range members {
+		if err := stopDaemon(m.daemon); err != nil {
+			return fmt.Errorf("member %s: %w", m.id, err)
+		}
+		written, err := m.log.wait("state snapshot written")
+		if err != nil {
+			return fmt.Errorf("member %s: %w", m.id, err)
+		}
+		daemon, _, log, err := startDaemon(bin, "-metrics", "127.0.0.1:0", "-listen", "127.0.0.1:0", "-upstream", "127.0.0.1:9",
+			"-cluster-config", cfgPath, "-instance-id", m.id, "-restore", m.snapPath)
+		if err != nil {
+			return fmt.Errorf("member %s restart: %w", m.id, err)
+		}
+		defer daemon.Process.Kill()
+		restored, err := log.wait("snapshot restored")
+		if err != nil {
+			return fmt.Errorf("member %s restart: %w", m.id, err)
+		}
+		if written.Clients == 0 || restored.Clients != written.Clients {
+			return fmt.Errorf("member %s: snapshot hand-off restored %d clients, its SIGTERM snapshot wrote %d",
+				m.id, restored.Clients, written.Clients)
+		}
+		if err := stopDaemon(daemon); err != nil {
+			return fmt.Errorf("member %s restart: %w", m.id, err)
+		}
+		fmt.Printf("smoke: fleet member %s committed its %d-record share, restored %d clients\n", m.id, owned[m.id], restored.Clients)
+	}
+	return nil
 }
 
 // post sends an empty POST with a deadline and returns status + body.

@@ -442,6 +442,28 @@ func TestFailedPassLeavesClientsDirty(t *testing.T) {
 	verdicts(t, s)
 }
 
+// residentService returns a -window 0 service with one classify worker
+// (the pass runs inline, as on a 1-CPU host) holding clients resident
+// clients of four transactions each, every one scored once by a
+// warm-up pass at sweep clock 1e6.
+func residentService(b *testing.B, clients int) *service {
+	est := trainSmallEstimator(b, 5, 8)
+	prev := runtime.GOMAXPROCS(1)
+	b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	s := newService(options{shards: 4},
+		slog.New(slog.NewJSONHandler(io.Discard, nil)), est)
+	b.Cleanup(s.stopSinkWriter)
+	s.registerMetrics()
+	for c := 0; c < clients; c++ {
+		feedRecords(s, fmt.Sprintf("10.61.%d.%d", c/250, c%250+1), c*4+1, 4)
+	}
+	s.classifyPass(1e6)
+	if got := rowsScored(s); got != int64(clients) {
+		b.Fatalf("warm-up pass scored %d rows, want %d", got, clients)
+	}
+	return s
+}
+
 // BenchmarkClassifyPassClean is the steady state of a resident
 // population: one op is a pass over 4,096 clients that all hold a class
 // and have had no commit since. The pass must skip every one of them —
@@ -449,20 +471,7 @@ func TestFailedPassLeavesClientsDirty(t *testing.T) {
 // fails unless it allocates nothing.
 func BenchmarkClassifyPassClean(b *testing.B) {
 	const clients = 4096
-	est := trainSmallEstimator(b, 5, 8)
-	// One classify worker: the pass runs inline, as on a 1-CPU host.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	s := newService(options{shards: 4},
-		slog.New(slog.NewJSONHandler(io.Discard, nil)), est)
-	defer s.stopSinkWriter()
-	s.registerMetrics()
-	for c := 0; c < clients; c++ {
-		feedRecords(s, fmt.Sprintf("10.61.%d.%d", c/250, c%250+1), c*4+1, 4)
-	}
-	s.classifyPass(1e6)
-	if got := rowsScored(s); got != clients {
-		b.Fatalf("warm-up pass scored %d rows, want %d", got, clients)
-	}
+	s := residentService(b, clients)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -474,5 +483,32 @@ func BenchmarkClassifyPassClean(b *testing.B) {
 	}
 	if got, want := s.mRuns.Value(), int64(b.N+1); got != want {
 		b.Fatalf("classification_runs_total = %d after %d passes", got, want)
+	}
+}
+
+// BenchmarkClassifyPassDirty is the opposite end: one op is a pass over
+// 4,096 resident clients that have all changed since their last
+// verdict (a gen bump outside the timer stands in for a commit), so the
+// pass rebuilds and scores every row from the client's transaction
+// runs. The benchmark fails unless every client is scored on every
+// pass, and scripts/check.sh fails unless it allocates nothing.
+func BenchmarkClassifyPassDirty(b *testing.B) {
+	const clients = 4096
+	s := residentService(b, clients)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for _, sh := range s.shards {
+			for _, cs := range sh.clients {
+				cs.gen++
+			}
+		}
+		b.StartTimer()
+		s.classifyPass(1e6)
+	}
+	b.StopTimer()
+	if got, want := rowsScored(s), int64(clients*(b.N+1)); got != want {
+		b.Fatalf("%d rows scored after %d dirty passes over %d clients, want %d", got, b.N, clients, want)
 	}
 }

@@ -228,8 +228,8 @@ func TestServeLoopDrainsOnListenerError(t *testing.T) {
 		t.Errorf("listener-error exit left %d in-flight and %d buffered transactions undrained",
 			len(cs.inFlight), len(cs.buffer))
 	}
-	if len(cs.session()) != n {
-		t.Errorf("current session has %d transactions after drain, want %d", len(cs.session()), n)
+	if len(cs.current) != n {
+		t.Errorf("current session has %d transactions after drain, want %d", len(cs.current), n)
 	}
 }
 

@@ -141,7 +141,6 @@ func runSource(t *testing.T, est *core.Estimator, recs []tlsproxy.ReplayRecord,
 		"boundaries":   s.mBoundaries.Value(),
 		"runs":         s.mRuns.Value(),
 		"class_errors": s.mClassErrors.Value(),
-		"ingested":     s.mIngested.Value(),
 		"truncated":    s.mTruncated.Value(),
 		"evicted":      s.mEvicted.Value(),
 		"clients_left": int64(s.clientCount()),

@@ -299,7 +299,7 @@ func TestReplaySpeedInvariance(t *testing.T) {
 
 	runAt := func(speed float64) (classifications, evictions []string) {
 		s, logs := newTestService(t, options{
-			window:        0, // incremental: classify the whole ongoing session
+			window:        0, // no cutoff: classify the whole ongoing session
 			clientTTL:     500 * time.Millisecond,
 			classifyBatch: 4,
 			source:        "replay", // file sources select the logical sweep clock

@@ -141,7 +141,7 @@ func registerFlags(fs *flag.FlagSet, opts *options) {
 	fs.StringVar(&opts.shadowPath, "shadow-model", "", "challenger model scored over the same rows as -model; disagreements are counted, output is untouched")
 	fs.StringVar(&opts.metricsAddr, "metrics", "127.0.0.1:9090", "address for /metrics and /healthz (empty disables)")
 	fs.DurationVar(&opts.classifyEvery, "classify-every", 30*time.Second, "interval between online classification passes (0 disables)")
-	fs.DurationVar(&opts.window, "window", 4*time.Minute, "sliding window of transactions classified per pass (0 = whole current session)")
+	fs.DurationVar(&opts.window, "window", 4*time.Minute, "sliding window of transactions classified per pass (0 = no cutoff: the whole current session)")
 	fs.DurationVar(&opts.clientTTL, "client-ttl", time.Hour, "evict a client's state after this much idle time, emitting its final classification (0 disables; swept on the classify tick)")
 	fs.IntVar(&opts.maxSessionTxns, "max-session-txns", 4096, "most transactions retained per client session and summary buffer; oldest are dropped beyond it (0 = unbounded)")
 	fs.IntVar(&opts.shards, "shards", 0, "lock shards for per-client state; ingest for clients on different shards never contends (0 = GOMAXPROCS)")
@@ -255,16 +255,11 @@ type clientState struct {
 	// byte counts; decisions pop from the front.
 	inFlight []capture.TLSTransaction
 	// current accumulates the decided transactions of the current
-	// session; a detected boundary resets it. Windowed mode only: with
-	// tracked set the accumulator's own transaction list is the session
-	// (see session) and current stays nil.
+	// session; a detected boundary resets it. A classify pass rescans
+	// current ++ inFlight ++ buffer for the client's feature row — about
+	// ten transactions for a typical session, so no per-client feature
+	// state is kept between passes.
 	current []capture.TLSTransaction
-	// tracked holds the current session in an incremental feature
-	// accumulator (window 0 mode only): classify passes read the
-	// maintained vector and fold the still-undecided transactions in
-	// speculatively, so a pass costs O(new transactions), not O(session
-	// length).
-	tracked *core.TrackedSession
 	// recent retains the most recent transactions (capped at
 	// -max-session-txns) for the shutdown/eviction summary; lifetime
 	// aggregates below summarize what the ring has dropped.
@@ -288,8 +283,8 @@ type clientState struct {
 	lastClass int
 	hasClass  bool
 	// gen counts the commits folded into this client. commitTransaction
-	// is the only place the inputs of the client's feature row (tracked,
-	// inFlight, buffer/current) change, so an unchanged gen means an
+	// is the only place the inputs of the client's feature row (current,
+	// inFlight, buffer) change, so an unchanged gen means an
 	// unchanged row — except at the window edge, see rowEdge.
 	gen uint32
 	// scoredGen and scoredBy say what lastClass was scored from: the
@@ -302,10 +297,10 @@ type clientState struct {
 	scoredGen uint32
 	scoredBy  *servingModel
 	// rowEdge is the earliest End among the transactions of the last
-	// scored row in windowed mode: once a pass's cutoff passes it a
-	// transaction has aged out, and the client is dirty without a commit.
-	// The cutoff only moves forward, so nothing excluded comes back. +Inf
-	// in incremental mode and after an empty row.
+	// scored row: once a pass's cutoff passes it a transaction has aged
+	// out, and the client is dirty without a commit. The cutoff only
+	// moves forward, so nothing excluded comes back; with -window 0 it is
+	// -Inf and never passes. +Inf after an empty row.
 	rowEdge float64
 }
 
@@ -313,16 +308,6 @@ type clientState struct {
 type activeConn struct {
 	connID uint64
 	start  float64
-}
-
-// session returns the decided transactions of the client's current
-// session in start order — a view of whichever structure owns them,
-// valid until the next commit. The caller holds the shard lock.
-func (cs *clientState) session() []capture.TLSTransaction {
-	if cs.tracked != nil {
-		return cs.tracked.Transactions()
-	}
-	return cs.current
 }
 
 // openConn records an in-flight connection's start; a repeated ID
@@ -398,7 +383,7 @@ func capRun(run *[]capture.TLSTransaction, limit int) int {
 	return drop
 }
 
-// ongoingOrdered invariant: cs.session() ++ cs.inFlight ++ cs.buffer is
+// ongoingOrdered invariant: cs.current ++ cs.inFlight ++ cs.buffer is
 // the client's ongoing session in start order, with no sort needed.
 // The watermark (minimum start among open connections) never
 // decreases, transactions are released to the streamer in start order,
@@ -431,7 +416,6 @@ type service struct {
 	// reloadMu serializes reloads (SIGHUP racing /admin/reload); the
 	// serving path never takes it.
 	reloadMu sync.Mutex
-	track    bool // maintain incremental accumulators (est set, window 0)
 	epoch    time.Time
 	// watermark is the latest record event time delivered into the
 	// ingest path, in epoch seconds (float bits, CAS-max). For file and
@@ -501,7 +485,6 @@ type service struct {
 	mInfer         *metrics.Histogram
 	mExtract       *metrics.Histogram
 	mShardClassify *metrics.Histogram
-	mIngested      *metrics.Counter
 	mTruncated     *metrics.Counter
 	mSinkFailures  *metrics.Counter
 	mEvicted       *metrics.Counter
@@ -514,8 +497,8 @@ type service struct {
 }
 
 // shard owns one partition of the per-client state: its mutex guards
-// the map and every clientState (and its sessionizer/accumulator)
-// reached through it.
+// the map and every clientState (and its sessionizer) reached through
+// it.
 type shard struct {
 	mu      sync.Mutex
 	clients map[string]*clientState
@@ -535,9 +518,9 @@ type shard struct {
 	// Per-client read-time scratch, shared by every client of the shard
 	// because it is only ever used under mu, one client at a time: the
 	// gather phase lists a client's transactions in txns and builds its
-	// row in row before copying it into cBlock; the commit path borrows
-	// txns to rebuild a truncated session. Keeping these here instead of
-	// on clientState saves their capacity once per resident client.
+	// row in row before copying it into cBlock. Keeping these here
+	// instead of on clientState saves their capacity once per resident
+	// client.
 	txns []capture.TLSTransaction
 	row  []float64
 }
@@ -595,9 +578,6 @@ func newService(opts options, logger *slog.Logger, est *core.Estimator) *service
 	}
 	s.batchPool.New = func() any { return &batchScratch{} }
 	s.classifyShardFn = s.classifyShard
-	if est != nil {
-		s.track = opts.window <= 0
-	}
 	s.logicalClock = opts.source != "" && opts.source != "proxy"
 	s.shards = make([]*shard, opts.shards)
 	for i := range s.shards {
@@ -1451,8 +1431,6 @@ func (s *service) registerMetrics() {
 		"Latency of the model-prediction half of one classification pass (summed across shard sweeps).", classifyBuckets)
 	s.mExtract = r.NewHistogram("qoeproxy_feature_extraction_seconds",
 		"Latency of building every client's feature row in one classification pass (summed across shards).", classifyBuckets)
-	s.mIngested = r.NewCounter("qoeproxy_feature_transactions_ingested_total",
-		"Transactions folded into the incremental per-session feature accumulators.")
 	s.mTruncated = r.NewCounter("qoeproxy_sessions_truncated_total",
 		"Client sessions whose retained transaction state hit -max-session-txns and dropped oldest entries.")
 	s.mSinkFailures = r.NewCounter("qoeproxy_sink_write_failures_total",
@@ -1535,7 +1513,7 @@ func (s *service) registerMetrics() {
 			for _, sh := range s.shards {
 				sh.mu.Lock()
 				for _, cs := range sh.clients {
-					if len(cs.session())+len(cs.inFlight)+len(cs.buffer) > 0 {
+					if len(cs.current)+len(cs.inFlight)+len(cs.buffer) > 0 {
 						n++
 					}
 				}
@@ -1700,9 +1678,6 @@ func (s *service) state(sh *shard, client string) *clientState {
 		cs = &clientState{
 			streamer: sessionid.NewStreamer(sessionid.PaperParams),
 			recent:   newTxnRing(s.opts.maxSessionTxns),
-		}
-		if s.track {
-			cs.tracked = core.NewTrackedSession()
 		}
 		sh.clients[client] = cs
 	}
@@ -1883,7 +1858,7 @@ func (s *service) commitTransaction(sh *shard, client string, connID uint64, txn
 	if capRun(&cs.buffer, s.opts.maxSessionTxns) > 0 {
 		s.noteTruncation(cs)
 	}
-	s.advance(sh, client, cs)
+	s.advance(client, cs)
 }
 
 // noteTruncation counts a client's current session toward
@@ -1899,8 +1874,8 @@ func (s *service) noteTruncation(cs *clientState) {
 // advance pushes every buffered transaction at or before the client's
 // watermark — the earliest start among still-open connections — into
 // the streaming sessionizer and applies the resulting decisions. The
-// caller holds the client's shard lock (sh is the client's shard).
-func (s *service) advance(sh *shard, client string, cs *clientState) {
+// caller holds the client's shard lock.
+func (s *service) advance(client string, cs *clientState) {
 	// No open connections: everything is safe.
 	wm, bounded := 0.0, false
 	for _, c := range cs.activeStarts {
@@ -1916,14 +1891,14 @@ func (s *service) advance(sh *shard, client string, cs *clientState) {
 		cs.buffer = append(cs.buffer[:0], cs.buffer[1:]...)
 		cs.inFlight = append(cs.inFlight, txn)
 		decisions := cs.streamer.Push(sessionid.Transaction{Start: txn.Start, End: txn.End, SNI: txn.SNI})
-		s.apply(sh, client, cs, decisions)
+		s.apply(client, cs, decisions)
 	}
 }
 
 // apply consumes finalized sessionizer decisions: boundaries close the
 // current session, decided transactions join it. The caller holds the
-// client's shard lock (sh is the client's shard).
-func (s *service) apply(sh *shard, client string, cs *clientState, decisions []sessionid.Decision) {
+// client's shard lock.
+func (s *service) apply(client string, cs *clientState, decisions []sessionid.Decision) {
 	for _, d := range decisions {
 		full := cs.inFlight[0]
 		cs.inFlight = append(cs.inFlight[:0], cs.inFlight[1:]...)
@@ -1932,38 +1907,15 @@ func (s *service) apply(sh *shard, client string, cs *clientState, decisions []s
 			s.mBoundaries.Inc()
 			if s.debugLog {
 				s.log.Debug("session boundary", "client", client, "boundaries", cs.boundaries,
-					"closed_session_txns", len(cs.session()))
+					"closed_session_txns", len(cs.current))
 			}
 			cs.truncated = false
-			if cs.tracked != nil {
-				cs.tracked.Reset()
-			} else {
-				cs.current = cs.current[:0]
-			}
+			cs.current = cs.current[:0]
 		}
-		if cs.tracked != nil {
-			cs.tracked.Observe(full)
-			s.mIngested.Inc()
-		} else {
-			cs.current = append(cs.current, full)
-		}
+		cs.current = append(cs.current, full)
 	}
-	if cs.tracked == nil {
-		if capRun(&cs.current, s.opts.maxSessionTxns) > 0 {
-			s.noteTruncation(cs)
-		}
-		return
-	}
-	// Same cap and slack as capRun, over the accumulator's own list. The
-	// accumulator only grows, so rebuild it over the retained tail
-	// (copied out first: Reset recycles the list it lives in);
-	// classifications keep matching a batch extraction of exactly the
-	// retained transactions.
-	if limit, n := s.opts.maxSessionTxns, cs.tracked.Len(); limit > 0 && n > limit+limit/2 {
+	if capRun(&cs.current, s.opts.maxSessionTxns) > 0 {
 		s.noteTruncation(cs)
-		sh.txns = append(sh.txns[:0], cs.tracked.Transactions()[n-limit:]...)
-		cs.tracked.Reset()
-		cs.tracked.ObserveAll(sh.txns)
 	}
 }
 
@@ -2002,9 +1954,9 @@ func (s *service) forEachShard(fn func(worker, si int)) {
 // sweepNow). A pass costs what changed, not what is resident: a client
 // is gathered only when it is dirty — commits since its class was
 // stored (clientState.gen), a class stored by another serving bundle
-// (after a reload or a restore), or, in windowed mode, a transaction
-// aged out of the window (clientState.rowEdge) — and a clean client
-// costs one map step. The pass fans out across shards on the
+// (after a reload or a restore), or, with a non-zero -window, a
+// transaction aged out of the window (clientState.rowEdge) — and a
+// clean client costs one map step. The pass fans out across shards on the
 // classify-worker pool: each shard's dirty rows are gathered into one
 // contiguous row-major block under that shard's lock only — ingest on
 // other shards never stalls — and then swept through the compiled
@@ -2029,7 +1981,10 @@ func (s *service) classifyPass(nowSec float64) {
 		return
 	}
 	p := &s.pass
-	p.m, p.cutoff, p.err = m, nowSec-s.opts.window.Seconds(), nil
+	p.m, p.cutoff, p.err = m, math.Inf(-1), nil // -window 0: no cutoff
+	if s.opts.window > 0 {
+		p.cutoff = nowSec - s.opts.window.Seconds()
+	}
 	p.buildNanos.Store(0)
 	p.sweepNanos.Store(0)
 	s.forEachShard(s.classifyShardFn)
@@ -2128,14 +2083,7 @@ func (s *service) classifyShard(worker, si int) {
 		if cs.scoredBy == m && cs.scoredGen == cs.gen && p.cutoff <= cs.rowEdge {
 			continue
 		}
-		var row []float64
-		var n int
-		edge := math.Inf(1)
-		if s.track {
-			row, n = s.incrementalRow(rb, sh, cs)
-		} else {
-			row, n, edge = s.windowedRow(rb, sh, cs, p.cutoff)
-		}
+		row, n, edge := s.windowedRow(rb, sh, cs, p.cutoff)
 		if n == 0 {
 			// An empty row has no verdict to wait for: the client is clean
 			// until its next commit.
@@ -2204,35 +2152,16 @@ func (s *service) sweepBlock(est *core.Estimator, sh *shard, out []int) ([]int, 
 	return out, nil
 }
 
-// incrementalRow builds a client's feature row from its maintained
-// accumulator, folding the still-undecided transactions (inFlight and
-// buffer, which follow the decided ones in start order) in
-// speculatively so the row covers the whole ongoing session. The
-// caller holds the client's shard lock; the read touches only the
-// session's own accumulator, the worker's private RowBuilder rb and the
-// shard's scratch, so shards proceed in parallel. The returned row is
-// the shard's scratch, valid until the next row built on this shard.
-// The accumulator holds the full feature vector, so the pass's builder
-// projects its own model's subset regardless of which model ingested
-// the transactions — reloads across subsets stay correct.
-func (s *service) incrementalRow(rb *core.RowBuilder, sh *shard, cs *clientState) ([]float64, int) {
-	sh.txns = append(append(sh.txns[:0], cs.inFlight...), cs.buffer...)
-	n := cs.tracked.Len() + len(sh.txns)
-	if n == 0 {
-		return nil, 0
-	}
-	sh.row = rb.TrackedRow(cs.tracked, sh.txns, sh.row)
-	return sh.row, n
-}
-
 // windowedRow builds a client's feature row over the transactions of
-// the ongoing session ending inside the sliding window, through the
-// shard's scratch list and row buffer (the returned row is valid until
-// the next row built on this shard), and reports the earliest End among
-// them — the cutoff at which the row next changes without a commit
-// (+Inf for an empty row). The caller holds the client's shard lock;
-// extraction goes through the worker's private RowBuilder rb (the
-// estimator's shared scratch is not concurrency-safe).
+// the ongoing session (current ++ inFlight ++ buffer, in start order)
+// ending at or after cutoff — all of them at -window 0, whose cutoff is
+// -Inf — through the shard's scratch list and row buffer (the returned
+// row is valid until the next row built on this shard), and reports the
+// earliest End among them: the cutoff at which the row next changes
+// without a commit (+Inf for an empty row). The caller holds the
+// client's shard lock; extraction goes through the worker's private
+// RowBuilder rb (the estimator's shared scratch is not
+// concurrency-safe), so shards proceed in parallel.
 func (s *service) windowedRow(rb *core.RowBuilder, sh *shard, cs *clientState, cutoff float64) (row []float64, n int, edge float64) {
 	w := sh.txns[:0]
 	edge = math.Inf(1)
@@ -2288,8 +2217,8 @@ func (s *service) evictIdle(nowSec float64) {
 			if len(cs.activeStarts) > 0 || nowSec-cs.lastActivity < ttl.Seconds() {
 				continue
 			}
-			s.advance(sh, client, cs)
-			s.apply(sh, client, cs, cs.streamer.Flush())
+			s.advance(client, cs)
+			s.apply(client, cs, cs.streamer.Flush())
 			perShard[si] = append(perShard[si], evictee{
 				client:     client,
 				txns:       cs.recent.snapshot(nil),
@@ -2364,8 +2293,8 @@ func (s *service) drain() {
 		for c, cs := range sh.clients {
 			clients = append(clients, c)
 			// All connections have ended; the watermark is unbounded.
-			s.advance(sh, c, cs)
-			s.apply(sh, c, cs, cs.streamer.Flush())
+			s.advance(c, cs)
+			s.apply(c, cs, cs.streamer.Flush())
 		}
 		sh.mu.Unlock()
 	}

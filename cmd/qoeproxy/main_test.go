@@ -237,11 +237,13 @@ func metricValue(t *testing.T, body, series string) float64 {
 	return 0
 }
 
-// TestClassifyPassPaths drives classifyPass directly through both the
-// incremental (window 0, accumulator-backed) and the sliding-window
-// row builders on the same synthetic client state — transactions split
-// across decided, in-flight and buffered runs — and requires each to
-// agree with a plain batch classification of the whole session.
+// TestClassifyPassPaths drives classifyPass directly at -window 0 and
+// with a sliding window that holds the whole session, on the same
+// synthetic client state — transactions split across decided,
+// in-flight and buffered runs — and requires each to agree with a
+// plain batch classification of the whole session. Window 0 has no
+// cutoff, so it must score the whole session at any sweep clock, a
+// far-future one included.
 func TestClassifyPassPaths(t *testing.T) {
 	corpus, err := dataset.Build(dataset.Config{Seed: 5, Sessions: 60}, has.Svc1())
 	if err != nil {
@@ -256,40 +258,37 @@ func TestClassifyPassPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	txns := corpus.Records[1].Capture.TLS
+	if len(txns) < 3 {
+		t.Fatal("record too small to split")
+	}
+	want, err := est.Classify(txns)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, mode := range []struct {
 		name   string
 		window time.Duration
+		now    float64 // sweep clock of every pass
 	}{
-		{"incremental", 0},
-		{"windowed", time.Hour},
+		{"incremental", 0, 1}, // -window 0
+		{"window0-far-future", 0, 1e6},
+		{"windowed", time.Hour, 1},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			s, _ := newTestService(t, options{window: mode.window}, est)
-			txns := corpus.Records[1].Capture.TLS
-			if len(txns) < 3 {
-				t.Skip("record too small to split")
-			}
 			cut1, cut2 := len(txns)/3, 2*len(txns)/3
 			sh := s.shardFor("10.9.9.9")
 			sh.mu.Lock()
 			cs := s.state(sh, "10.9.9.9")
-			for _, tx := range txns[:cut1] {
-				if cs.tracked != nil {
-					cs.tracked.Observe(tx)
-				} else {
-					cs.current = append(cs.current, tx)
-				}
-			}
+			cs.current = append(cs.current, txns[:cut1]...)
 			cs.inFlight = append(cs.inFlight, txns[cut1:cut2]...)
 			cs.buffer = append(cs.buffer, txns[cut2:]...)
 			sh.mu.Unlock()
 
-			want, err := est.Classify(txns)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for pass := 0; pass < 2; pass++ { // second pass reuses warm buffers
-				s.classifyPass(1)
+				cs.gen++ // re-dirty, so the second pass scores again
+				s.classifyPass(mode.now)
 				sh.mu.Lock()
 				got, has := cs.lastClass, cs.hasClass
 				sh.mu.Unlock()
@@ -299,9 +298,12 @@ func TestClassifyPassPaths(t *testing.T) {
 				if got != want {
 					t.Fatalf("pass %d: class = %d, batch Classify = %d", pass, got, want)
 				}
+				if scored := rowsScored(s); scored != int64(pass+1) {
+					t.Fatalf("pass %d: %d rows scored in all, want %d", pass, scored, pass+1)
+				}
 			}
-			if cs.tracked != nil && cs.tracked.Len() != cut1 {
-				t.Fatalf("speculative pass leaked state: tracked.Len = %d, want %d", cs.tracked.Len(), cut1)
+			if len(cs.current) != cut1 {
+				t.Fatalf("a pass changed the decided run: %d transactions, want %d", len(cs.current), cut1)
 			}
 		})
 	}
@@ -555,7 +557,6 @@ func TestRunEndToEnd(t *testing.T) {
 		"qoeproxy_resolve_failures_total",
 		"qoeproxy_dial_failures_total",
 		"qoeproxy_session_boundaries_total",
-		"qoeproxy_feature_transactions_ingested_total",
 		"qoeproxy_active_sessions",
 	} {
 		metricValue(t, body, series)

@@ -113,7 +113,6 @@ func replayTrace(t *testing.T, est *core.Estimator, traffic *dataset.Corpus, win
 		"boundaries":   s.mBoundaries.Value(),
 		"runs":         s.mRuns.Value(),
 		"class_errors": s.mClassErrors.Value(),
-		"ingested":     s.mIngested.Value(),
 		"truncated":    s.mTruncated.Value(),
 		"evicted":      s.mEvicted.Value(),
 		"clients_left": int64(s.clientCount()),
@@ -188,7 +187,7 @@ func TestShardInvariance(t *testing.T) {
 		name   string
 		window time.Duration
 	}{
-		{"incremental", 0},
+		{"incremental", 0}, // -window 0: no cutoff, the whole session
 		{"windowed", time.Hour},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
@@ -253,7 +252,7 @@ func TestBatchInvariance(t *testing.T) {
 		name   string
 		window time.Duration
 	}{
-		{"incremental", 0},
+		{"incremental", 0}, // -window 0: no cutoff, the whole session
 		{"windowed", time.Hour},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
@@ -303,7 +302,7 @@ func TestShadowInvariance(t *testing.T) {
 		name   string
 		window time.Duration
 	}{
-		{"incremental", 0},
+		{"incremental", 0}, // -window 0: no cutoff, the whole session
 		{"windowed", time.Hour},
 	} {
 		t.Run(mode.name, func(t *testing.T) {

@@ -12,13 +12,9 @@ package main
 // byte-identical to a daemon that never stopped; the equivalence tests
 // in snapshot_test.go pin this.
 //
-// The feature accumulator is deliberately NOT serialized: its state is
-// a pure function of the current-session transactions ingested in
-// order (apply already relies on this when it rebuilds after
-// truncation), so restore replays the saved current session through a
-// fresh accumulator and gets the bit-identical vector back — the envelope
-// stays small and version-stable while the accumulator's internals
-// remain free to change.
+// No feature state is serialized: a client's feature row is rebuilt
+// from its transaction runs on every pass that scores it, so restoring
+// the runs restores the bit-identical row.
 //
 // The envelope carries the epoch of the instance that wrote it, and
 // restore adopts it: every float in the state is epoch-relative
@@ -37,7 +33,6 @@ import (
 	"time"
 
 	"droppackets/internal/capture"
-	"droppackets/internal/core"
 	"droppackets/internal/sessionid"
 	"droppackets/internal/stats"
 )
@@ -106,7 +101,7 @@ func (s *service) snapshotState() *savedSnapshot {
 				Streamer:      cs.streamer.State(),
 				Buffer:        append([]capture.TLSTransaction(nil), cs.buffer...),
 				InFlight:      append([]capture.TLSTransaction(nil), cs.inFlight...),
-				Current:       append([]capture.TLSTransaction(nil), cs.session()...),
+				Current:       append([]capture.TLSTransaction(nil), cs.current...),
 				Recent:        cs.recent.snapshot(nil),
 				RecentDropped: cs.recent.dropped,
 				LastActivity:  cs.lastActivity,
@@ -193,8 +188,7 @@ func loadSnapshotFile(path string) (*savedSnapshot, error) {
 
 // restoreState rebuilds the serving state from a snapshot: the epoch
 // and watermark are adopted wholesale, and every owned client's state
-// is reconstructed exactly — the feature accumulator by replaying the
-// current session (bit-identical, see the package comment). Clients
+// is reconstructed exactly (see the package comment). Clients
 // the cluster ring no longer assigns to this instance are dropped, not
 // resurrected: their partitions moved to a peer, and keeping their
 // state (or re-interning their strings) here would double-classify
@@ -248,12 +242,7 @@ func (s *service) restoreState(snap *savedSnapshot) (restored, skippedNotOwned i
 		}
 		cs.recent.dropped = sc.RecentDropped
 		cs.durStats.Restore(sc.Dur)
-		if s.track {
-			cs.tracked = core.NewTrackedSession()
-			cs.tracked.ObserveAll(sc.Current)
-		} else {
-			cs.current = append([]capture.TLSTransaction(nil), sc.Current...)
-		}
+		cs.current = append([]capture.TLSTransaction(nil), sc.Current...)
 		sh := s.shardFor(sc.Client)
 		sh.mu.Lock()
 		sh.clients[sc.Client] = cs

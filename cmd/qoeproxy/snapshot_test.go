@@ -108,7 +108,7 @@ func classificationLines(t *testing.T, logs *logBuffer) []string {
 
 // TestSnapshotRoundTripProfiles is the randomized round-trip property:
 // across all three service profiles and both classify modes
-// (incremental and windowed), cutting a stream at several points,
+// (-window 0 and windowed), cutting a stream at several points,
 // snapshotting to disk, restoring into a fresh service and feeding the
 // remainder must classify bit-identically — same classes, same
 // transaction counts, same feature rows float for float — as a service
@@ -178,14 +178,9 @@ func TestSnapshotRoundTripProfiles(t *testing.T) {
 							if rcs == nil {
 								t.Fatalf("cut %d: client %s missing after restore", cut, client)
 							}
-							var wantRow, gotRow []float64
-							if baseline.track {
-								wantRow, _ = baseline.incrementalRow(rb, sh, bcs)
-								gotRow, _ = b.incrementalRow(rb, b.shardFor(client), rcs)
-							} else {
-								wantRow, _, _ = baseline.windowedRow(rb, sh, bcs, endSec-opts.window.Seconds())
-								gotRow, _, _ = b.windowedRow(rb, b.shardFor(client), rcs, endSec-opts.window.Seconds())
-							}
+							cutoff := baseline.pass.cutoff // the last pass's, at endSec
+							wantRow, _, _ := baseline.windowedRow(rb, sh, bcs, cutoff)
+							gotRow, _, _ := b.windowedRow(rb, b.shardFor(client), rcs, cutoff)
 							if len(gotRow) != len(wantRow) {
 								t.Fatalf("cut %d %s: row widths %d vs %d", cut, client, len(gotRow), len(wantRow))
 							}
@@ -238,7 +233,6 @@ func TestKillMidSessionHandoffEquivalence(t *testing.T) {
 		c := map[string]int64{
 			"transactions": s.mTxns.Value(),
 			"boundaries":   s.mBoundaries.Value(),
-			"ingested":     s.mIngested.Value(),
 			"truncated":    s.mTruncated.Value(),
 			"evicted":      s.mEvicted.Value(),
 		}

@@ -57,7 +57,7 @@ func TestEvictionSoakBounded(t *testing.T) {
 	}
 
 	s, logs := newTestService(t, options{
-		window:         0, // incremental mode: tracked accumulators in play
+		window:         0, // no window cutoff: the whole session
 		clientTTL:      ttl,
 		maxSessionTxns: maxTxns,
 	}, est)
@@ -125,7 +125,7 @@ func TestEvictionSoakBounded(t *testing.T) {
 			if got := cs.recent.len(); got > maxTxns {
 				t.Errorf("round %d %s: ring holds %d txns, cap %d", round, client, got, maxTxns)
 			}
-			if got := len(cs.session()); got > maxTxns+maxTxns/2 {
+			if got := len(cs.current); got > maxTxns+maxTxns/2 {
 				t.Errorf("round %d %s: current session holds %d txns, bound %d", round, client, got, maxTxns+maxTxns/2)
 			}
 			if got := len(cs.buffer); got > maxTxns+maxTxns/2 {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 )
 
 // trainingData builds a small labeled corpus once per test binary.
-func trainingData(t *testing.T, n int) []TrainingSession {
+func trainingData(t testing.TB, n int) []TrainingSession {
 	t.Helper()
 	c, err := dataset.Build(dataset.Config{Seed: 50, Sessions: n}, has.Svc1())
 	if err != nil {
@@ -340,18 +341,46 @@ func TestEstimatorSaveLoad(t *testing.T) {
 	}
 }
 
+// garbageEstimators are model files LoadEstimator must reject; they
+// also seed FuzzLoadEstimator.
+var garbageEstimators = []string{
+	"",
+	"nope",
+	`{"version":9,"metric":2,"subset":3,"model":{}}`,
+	`{"version":1,"metric":7,"subset":3,"model":{}}`,
+	`{"version":1,"metric":2,"subset":9,"model":{}}`,
+	`{"version":1,"metric":2,"subset":3,"model":{"version":1,"num_classes":3,"trees":[]}}`,
+}
+
 func TestLoadEstimatorRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"",
-		"nope",
-		`{"version":9,"metric":2,"subset":3,"model":{}}`,
-		`{"version":1,"metric":7,"subset":3,"model":{}}`,
-		`{"version":1,"metric":2,"subset":9,"model":{}}`,
-		`{"version":1,"metric":2,"subset":3,"model":{"version":1,"num_classes":3,"trees":[]}}`,
-	}
-	for i, c := range cases {
+	for i, c := range garbageEstimators {
 		if _, err := LoadEstimator(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d: garbage estimator loaded", i)
+		}
+	}
+}
+
+// TestLoadEstimatorRejectsUnservableModels pins two corrupt shapes
+// FuzzLoadEstimator found loading and then panicking in
+// ClassifyBlockInto or Classify: a forest whose class count is not the
+// QoE category count, and a split on a feature the subset's rows do
+// not have. The same one-split tree over feature 0 is the control.
+func TestLoadEstimatorRejectsUnservableModels(t *testing.T) {
+	envelope := func(classes, feature int) string {
+		leaf := strings.TrimSuffix(strings.Repeat("0.5,", classes), ",")
+		return fmt.Sprintf(`{"version":2,"metric":2,"subset":3,"model":{"version":1,"num_classes":%d,`+
+			`"trees":[[{"f":%d,"t":1,"l":1,"r":2},{"f":-1,"d":[%s]},{"f":-1,"d":[%s]}]]}}`,
+			classes, feature, leaf, leaf)
+	}
+	if _, err := LoadEstimator(strings.NewReader(envelope(qoe.NumCategories, 0))); err != nil {
+		t.Fatalf("control model rejected: %v", err)
+	}
+	for name, doc := range map[string]string{
+		"seven classes":        envelope(7, 0),
+		"feature out of range": envelope(qoe.NumCategories, 99),
+	} {
+		if _, err := LoadEstimator(strings.NewReader(doc)); err == nil {
+			t.Errorf("%s: loaded", name)
 		}
 	}
 }

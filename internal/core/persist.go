@@ -85,8 +85,18 @@ func LoadEstimator(r io.Reader) (*Estimator, error) {
 	if err != nil {
 		return nil, err
 	}
+	if nc := model.NumClasses(); nc != qoe.NumCategories {
+		return nil, fmt.Errorf("core: model has %d classes, want %d", nc, qoe.NumCategories)
+	}
 	e := NewEstimator(Config{Metric: metric, Subset: subset})
 	e.model = model
+	for ti := 0; ti < model.NumTrees(); ti++ {
+		for node, f := range model.Tree(ti).FlatView().Feature {
+			if int(f) >= len(e.cols) {
+				return nil, fmt.Errorf("core: tree %d node %d splits on feature %d, subset has %d", ti, node, f, len(e.cols))
+			}
+		}
+	}
 	if b := in.Baseline; b != nil {
 		if len(b.Means) != len(e.cols) || len(b.Stds) != len(e.cols) {
 			return nil, fmt.Errorf("core: baseline has %d/%d features, subset has %d",
@@ -94,8 +104,9 @@ func LoadEstimator(r io.Reader) (*Estimator, error) {
 		}
 		e.baseMean, e.baseStd = b.Means, b.Stds
 	}
-	// Compile for serving: a structurally corrupt model file fails here,
-	// at load time, instead of panicking inside the classify loop.
+	// Compile for serving: a structurally corrupt model file fails here
+	// or above, at load time, instead of panicking inside the classify
+	// loop.
 	if err := e.compile(); err != nil {
 		return nil, err
 	}

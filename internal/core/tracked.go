@@ -12,11 +12,13 @@ import (
 // session: an online feature accumulator and nothing else — the buffers
 // a read needs live in the RowBuilder doing the reading, so a service
 // holding a session per client pays only for session state. The owner
-// feeds it committed transactions as they arrive (Observe) and can
-// classify at any moment — optionally folding in not-yet-committed
-// transactions speculatively — at a cost proportional to the
-// transactions observed since the last call, not the session length. A
-// TrackedSession is not safe for concurrent use.
+// feeds it committed transactions as they arrive (Observe) and can read
+// the session's feature row at any moment (TrackedRow) — optionally
+// folding in not-yet-committed transactions speculatively — at a cost
+// independent of the session length. cmd/qoeproxy rescans the session
+// instead (a typical session is about ten transactions); the benchmark
+// ledger's layer breakdown still composes this path. A TrackedSession
+// is not safe for concurrent use.
 type TrackedSession struct {
 	acc *features.Accumulator
 }
@@ -77,16 +79,6 @@ func (e *Estimator) projectInto(row, full []float64) []float64 {
 // same Estimator; use NewRowBuilder for per-goroutine reads.
 func (e *Estimator) TrackedRow(ts *TrackedSession, pending []capture.TLSTransaction, row []float64) []float64 {
 	return e.sharedBuilder().TrackedRow(ts, pending, row)
-}
-
-// ClassifyTracked predicts the QoE class of a tracked session,
-// speculatively including pending transactions. Results are identical
-// to Classify over the concatenated transactions.
-func (e *Estimator) ClassifyTracked(ts *TrackedSession, pending []capture.TLSTransaction) (int, error) {
-	if !e.trained {
-		return 0, fmt.Errorf("core: estimator not trained")
-	}
-	return e.scorer.Predict(e.TrackedRow(ts, pending, nil)), nil
 }
 
 // NumFeatures returns the width of the estimator's feature rows (the

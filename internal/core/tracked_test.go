@@ -64,55 +64,6 @@ func TestTrackedRowMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestClassifyTrackedMatchesClassify checks incremental predictions
-// agree with the batch entry points, including via pre-extracted rows.
-func TestClassifyTrackedMatchesClassify(t *testing.T) {
-	sessions := trainingData(t, 120)
-	est := newEstimator()
-
-	ts := NewTrackedSession()
-	if _, err := est.ClassifyTracked(ts, nil); err == nil {
-		t.Error("untrained estimator classified tracked session")
-	}
-	if err := est.ClassifyBlockInto(nil, 0, nil, nil); err == nil {
-		t.Error("untrained estimator classified rows")
-	}
-
-	if err := est.Train(sessions); err != nil {
-		t.Fatal(err)
-	}
-	var block []float64
-	var want []int
-	for _, s := range sessions[:15] {
-		ts.Reset()
-		cut := len(s.TLS) / 2
-		ts.ObserveAll(s.TLS[:cut])
-		got, err := est.ClassifyTracked(ts, s.TLS[cut:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch, err := est.Classify(s.TLS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != batch {
-			t.Fatalf("ClassifyTracked = %d, Classify = %d", got, batch)
-		}
-		block = append(block, est.TrackedRow(ts, s.TLS[cut:], nil)...)
-		want = append(want, batch)
-	}
-	preds := make([]int, len(want))
-	probs := make([]float64, len(want)*est.NumClasses())
-	if err := est.ClassifyBlockInto(block, len(want), probs, preds); err != nil {
-		t.Fatal(err)
-	}
-	for i := range preds {
-		if preds[i] != want[i] {
-			t.Fatalf("ClassifyBlockInto[%d] = %d, want %d", i, preds[i], want[i])
-		}
-	}
-}
-
 // TestClassifyBlockIntoMatchesClassify checks the zero-alloc row-major
 // block sweep against the per-session path: same classes, untrained
 // and size-mismatch errors, and no allocations with caller buffers.

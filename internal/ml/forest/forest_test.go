@@ -191,6 +191,9 @@ func TestForestLoadRejectsGarbage(t *testing.T) {
 		`{"version":1,"num_classes":3,"trees":[]}`,
 		`{"version":1,"num_classes":3,"trees":[[{"f":0,"l":5,"r":6}]]}`,
 		`{"version":1,"num_classes":3,"trees":[[{"f":0,"l":0,"r":0}]]}`,
+		// Over maxClasses: each leaf without a distribution would cost
+		// num_classes floats.
+		`{"version":1,"num_classes":1048576,"trees":[[{"f":-1}]]}`,
 	}
 	for i, c := range cases {
 		if _, err := Load(strings.NewReader(c)); err == nil {

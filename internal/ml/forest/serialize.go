@@ -19,6 +19,11 @@ type model struct {
 // modelVersion guards against decoding incompatible files.
 const modelVersion = 1
 
+// maxClasses bounds the class count Load accepts. The decoder gives a
+// leaf saved without a distribution num_classes zeros, so an unbounded
+// count in a corrupt file would turn a few bytes into gigabytes.
+const maxClasses = 1 << 10
+
 // Save writes the fitted forest as JSON.
 func (f *Classifier) Save(w io.Writer) error {
 	if len(f.trees) == 0 {
@@ -49,7 +54,7 @@ func Load(r io.Reader) (*Classifier, error) {
 	if m.Version != modelVersion {
 		return nil, fmt.Errorf("forest: model version %d, want %d", m.Version, modelVersion)
 	}
-	if m.NumClasses < 2 || len(m.Trees) == 0 {
+	if m.NumClasses < 2 || m.NumClasses > maxClasses || len(m.Trees) == 0 {
 		return nil, fmt.Errorf("forest: malformed model (%d classes, %d trees)", m.NumClasses, len(m.Trees))
 	}
 	f := &Classifier{numClasses: m.NumClasses, importances: m.Importances}

@@ -6,6 +6,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"droppackets/internal/bytesconv"
@@ -56,7 +57,7 @@ func WriteFlows(w io.Writer, flows []ClientFlow) error {
 
 // ReadFlows parses a flow-record CSV, validating the header and every
 // row. An empty host is legal (an unresolved flow); an empty client or
-// an inverted time span is not.
+// an inverted, negative or non-finite time span is not.
 //
 // The scanner works on raw line bytes (splitting on commas and parsing
 // numbers in place) and interns client and host strings, so a
@@ -113,7 +114,7 @@ func ReadFlows(r io.Reader) ([]ClientFlow, error) {
 				if cf.Flow.DownBytes, err = bytesconv.ParseInt(f[5]); err != nil {
 					return nil, fmt.Errorf("netflow: flow line %d down_bytes: %w", rec, err)
 				}
-				if cf.Client == "" || cf.Flow.End < cf.Flow.Start || cf.Flow.Start < 0 {
+				if cf.Client == "" || !validSpan(cf.Flow.Start, cf.Flow.End) {
 					return nil, fmt.Errorf("netflow: flow line %d invalid (client=%q start=%v end=%v)",
 						rec, cf.Client, cf.Flow.Start, cf.Flow.End)
 				}
@@ -181,6 +182,12 @@ func parseFlowFields(raw []byte, rec int, f *[6][]byte) error {
 	return nil
 }
 
+// validSpan reports whether a flow's times are finite, non-negative and
+// in order. NaN fails every comparison, so it is rejected too.
+func validSpan(start, end float64) bool {
+	return start >= 0 && end >= start && !math.IsInf(end, 1)
+}
+
 // readFlowsCSV is the encoding/csv reference implementation ReadFlows
 // is pinned against.
 func readFlowsCSV(r io.Reader) ([]ClientFlow, error) {
@@ -217,7 +224,7 @@ func readFlowsCSV(r io.Reader) ([]ClientFlow, error) {
 		if cf.Flow.DownBytes, err = strconv.ParseInt(row[5], 10, 64); err != nil {
 			return nil, fmt.Errorf("netflow: flow line %d down_bytes: %w", line, err)
 		}
-		if cf.Client == "" || cf.Flow.End < cf.Flow.Start || cf.Flow.Start < 0 {
+		if cf.Client == "" || !validSpan(cf.Flow.Start, cf.Flow.End) {
 			return nil, fmt.Errorf("netflow: flow line %d invalid (client=%q start=%v end=%v)",
 				line, cf.Client, cf.Flow.Start, cf.Flow.End)
 		}

@@ -7,15 +7,19 @@ import (
 	"testing"
 )
 
+// sampleFlows is a small collector export, an unresolved (empty-host)
+// flow included.
+var sampleFlows = []ClientFlow{
+	{Client: "10.0.0.1", Flow: Record{Host: "cdn-01.svc1.example", Start: 0.5, End: 60.25, UpBytes: 1000, DownBytes: 2_000_000}},
+	{Client: "10.0.0.2", Flow: Record{Host: "", Start: 1, End: 2, UpBytes: 10, DownBytes: 20}},
+	{Client: "10.0.0.1", Flow: Record{Host: "cdn-02.svc1.example", Start: 61.125, End: 121, UpBytes: 900, DownBytes: 1_500_000}},
+}
+
 // TestFlowFileRoundTrip pins the collector-export serialization:
 // WriteFlows then ReadFlows is identity, unresolved (empty-host) flows
 // included.
 func TestFlowFileRoundTrip(t *testing.T) {
-	flows := []ClientFlow{
-		{Client: "10.0.0.1", Flow: Record{Host: "cdn-01.svc1.example", Start: 0.5, End: 60.25, UpBytes: 1000, DownBytes: 2_000_000}},
-		{Client: "10.0.0.2", Flow: Record{Host: "", Start: 1, End: 2, UpBytes: 10, DownBytes: 20}},
-		{Client: "10.0.0.1", Flow: Record{Host: "cdn-02.svc1.example", Start: 61.125, End: 121, UpBytes: 900, DownBytes: 1_500_000}},
-	}
+	flows := sampleFlows
 	var buf bytes.Buffer
 	if err := WriteFlows(&buf, flows); err != nil {
 		t.Fatal(err)
@@ -36,6 +40,8 @@ func TestReadFlowsRejectsBadInput(t *testing.T) {
 		"empty client": "client,host,start_sec,end_sec,up_bytes,down_bytes\n,h,0,1,2,3\n",
 		"end<start":    "client,host,start_sec,end_sec,up_bytes,down_bytes\nc,h,5,1,2,3\n",
 		"bad number":   "client,host,start_sec,end_sec,up_bytes,down_bytes\nc,h,x,1,2,3\n",
+		"nan start":    "client,host,start_sec,end_sec,up_bytes,down_bytes\nc,h,NaN,1,2,3\n",
+		"infinite end": "client,host,start_sec,end_sec,up_bytes,down_bytes\nc,h,0,Inf,2,3\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadFlows(strings.NewReader(in)); err == nil {
@@ -44,31 +50,40 @@ func TestReadFlowsRejectsBadInput(t *testing.T) {
 	}
 }
 
+// flowHeaderLine is the header row every flow file starts with.
+const flowHeaderLine = "client,host,start_sec,end_sec,up_bytes,down_bytes\n"
+
+// flowFileInputs are flow files accepted and rejected alike: the cases
+// ReadFlows is pinned against its encoding/csv reference on, and seeds
+// of FuzzReadFlows.
+var flowFileInputs = map[string]string{
+	"empty":          "",
+	"header only":    flowHeaderLine,
+	"plain rows":     flowHeaderLine + "10.0.0.1,cdn.example,0.5,60.25,1000,2000000\n10.0.0.2,,1,2,10,20\n",
+	"no final nl":    flowHeaderLine + "c,h,0,1,2,3",
+	"crlf":           "client,host,start_sec,end_sec,up_bytes,down_bytes\r\nc,h,0,1,2,3\r\n",
+	"blank lines":    flowHeaderLine + "\nc,h,0,1,2,3\n\n",
+	"quoted host":    flowHeaderLine + "c,\"ho,st.example\",0,1,2,3\n",
+	"quoted quote":   flowHeaderLine + "c,\"say \"\"hi\"\"\",0,1,2,3\n",
+	"bare quote":     flowHeaderLine + "c,h\"x,0,1,2,3\n",
+	"too few":        flowHeaderLine + "c,h,0,1\n",
+	"too many":       flowHeaderLine + "c,h,0,1,2,3,4\n",
+	"bad header":     "who,host,start_sec,end_sec,up_bytes,down_bytes\nc,h,0,1,2,3\n",
+	"bad float":      flowHeaderLine + "c,h,x,1,2,3\n",
+	"bad int":        flowHeaderLine + "c,h,0,1,2.5,3\n",
+	"negative start": flowHeaderLine + "c,h,-1,1,2,3\n",
+	"nan start":      flowHeaderLine + "c,h,NaN,1,2,3\n",
+	"nan end":        flowHeaderLine + "c,h,0,nan,2,3\n",
+	"infinite end":   flowHeaderLine + "c,h,0,+Inf,2,3\n",
+	"exponent":       flowHeaderLine + "c,h,6.025e1,1e2,2,3\n",
+	"spaces kept":    flowHeaderLine + "c, h ,0,1,2,3\n",
+}
+
 // TestReadFlowsMatchesCSVReference pins the byte scanner against the
 // encoding/csv implementation it replaced: identical flows on accepted
 // inputs, errors on the same rejected inputs.
 func TestReadFlowsMatchesCSVReference(t *testing.T) {
-	header := "client,host,start_sec,end_sec,up_bytes,down_bytes\n"
-	inputs := map[string]string{
-		"empty":          "",
-		"header only":    header,
-		"plain rows":     header + "10.0.0.1,cdn.example,0.5,60.25,1000,2000000\n10.0.0.2,,1,2,10,20\n",
-		"no final nl":    header + "c,h,0,1,2,3",
-		"crlf":           "client,host,start_sec,end_sec,up_bytes,down_bytes\r\nc,h,0,1,2,3\r\n",
-		"blank lines":    header + "\nc,h,0,1,2,3\n\n",
-		"quoted host":    header + "c,\"ho,st.example\",0,1,2,3\n",
-		"quoted quote":   header + "c,\"say \"\"hi\"\"\",0,1,2,3\n",
-		"bare quote":     header + "c,h\"x,0,1,2,3\n",
-		"too few":        header + "c,h,0,1\n",
-		"too many":       header + "c,h,0,1,2,3,4\n",
-		"bad header":     "who,host,start_sec,end_sec,up_bytes,down_bytes\nc,h,0,1,2,3\n",
-		"bad float":      header + "c,h,x,1,2,3\n",
-		"bad int":        header + "c,h,0,1,2.5,3\n",
-		"negative start": header + "c,h,-1,1,2,3\n",
-		"exponent":       header + "c,h,6.025e1,1e2,2,3\n",
-		"spaces kept":    header + "c, h ,0,1,2,3\n",
-	}
-	for name, in := range inputs {
+	for name, in := range flowFileInputs {
 		want, wantErr := readFlowsCSV(strings.NewReader(in))
 		got, gotErr := ReadFlows(strings.NewReader(in))
 		if (gotErr != nil) != (wantErr != nil) {

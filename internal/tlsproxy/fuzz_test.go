@@ -3,6 +3,7 @@ package tlsproxy
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -62,6 +63,38 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		}
 		if gotType != typ || !bytes.Equal(gotPayload, payload) {
 			t.Fatal("record round trip mismatch")
+		}
+	})
+}
+
+// FuzzReadWorkload asserts ReadWorkload (the -source replay reader)
+// never panics on arbitrary bytes, and that every file it accepts
+// round-trips: WriteWorkload of the records read back through
+// ReadWorkload yields the same records.
+func FuzzReadWorkload(f *testing.F) {
+	var sample bytes.Buffer
+	if err := WriteWorkload(&sample, testWorkload(5)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sample.Bytes())
+	for _, in := range badWorkloads {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		recs, err := ReadWorkload(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteWorkload(&buf, recs); err != nil {
+			t.Fatalf("WriteWorkload of accepted records: %v", err)
+		}
+		again, err := ReadWorkload(&buf)
+		if err != nil {
+			t.Fatalf("re-reading written workload: %v\n%q", err, buf.String())
+		}
+		if !reflect.DeepEqual(again, recs) {
+			t.Fatalf("round trip diverged\n got %+v\nwant %+v", again, recs)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -32,7 +33,8 @@ type ReplayRecord struct {
 	// SNI is the hostname the connection asked for.
 	SNI string
 	// Start and End are the connection's open and close offsets in
-	// seconds from the replay base. End < Start is rejected at load.
+	// seconds from the replay base. A negative, non-finite or inverted
+	// span is rejected at load.
 	Start, End float64
 	// UpBytes and DownBytes are the relayed byte counts.
 	UpBytes, DownBytes int64
@@ -99,7 +101,8 @@ func ReadWorkload(r io.Reader) ([]ReplayRecord, error) {
 		if rec.DownBytes, err = strconv.ParseInt(row[5], 10, 64); err != nil {
 			return nil, fmt.Errorf("tlsproxy: workload line %d down_bytes: %w", line, err)
 		}
-		if rec.Client == "" || rec.End < rec.Start || rec.Start < 0 {
+		// NaN fails every comparison, so it is rejected with the rest.
+		if rec.Client == "" || !(rec.Start >= 0 && rec.End >= rec.Start) || math.IsInf(rec.End, 1) {
 			return nil, fmt.Errorf("tlsproxy: workload line %d invalid (client=%q start=%v end=%v)", line, rec.Client, rec.Start, rec.End)
 		}
 		recs = append(recs, rec)

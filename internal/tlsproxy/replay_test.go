@@ -46,17 +46,23 @@ func TestWorkloadCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// badWorkloads are workload files ReadWorkload must reject; they also
+// seed FuzzReadWorkload.
+var badWorkloads = map[string]string{
+	"bad header":   "who,sni,start_sec,end_sec,up_bytes,down_bytes\n",
+	"bad float":    "client,sni,start_sec,end_sec,up_bytes,down_bytes\na:1,x,zero,1,2,3\n",
+	"bad int":      "client,sni,start_sec,end_sec,up_bytes,down_bytes\na:1,x,0,1,two,3\n",
+	"end<start":    "client,sni,start_sec,end_sec,up_bytes,down_bytes\na:1,x,5,1,2,3\n",
+	"empty client": "client,sni,start_sec,end_sec,up_bytes,down_bytes\n,x,0,1,2,3\n",
+	"neg start":    "client,sni,start_sec,end_sec,up_bytes,down_bytes\na:1,x,-1,1,2,3\n",
+	"short row":    "client,sni,start_sec,end_sec,up_bytes,down_bytes\na:1,x,0,1\n",
+	"nan start":    "client,sni,start_sec,end_sec,up_bytes,down_bytes\na:1,x,NaN,1,2,3\n",
+	"nan end":      "client,sni,start_sec,end_sec,up_bytes,down_bytes\na:1,x,0,nan,2,3\n",
+	"infinite end": "client,sni,start_sec,end_sec,up_bytes,down_bytes\na:1,x,0,+Inf,2,3\n",
+}
+
 func TestReadWorkloadRejectsBadInput(t *testing.T) {
-	cases := map[string]string{
-		"bad header":   "who,sni,start_sec,end_sec,up_bytes,down_bytes\n",
-		"bad float":    "client,sni,start_sec,end_sec,up_bytes,down_bytes\na:1,x,zero,1,2,3\n",
-		"bad int":      "client,sni,start_sec,end_sec,up_bytes,down_bytes\na:1,x,0,1,two,3\n",
-		"end<start":    "client,sni,start_sec,end_sec,up_bytes,down_bytes\na:1,x,5,1,2,3\n",
-		"empty client": "client,sni,start_sec,end_sec,up_bytes,down_bytes\n,x,0,1,2,3\n",
-		"neg start":    "client,sni,start_sec,end_sec,up_bytes,down_bytes\na:1,x,-1,1,2,3\n",
-		"short row":    "client,sni,start_sec,end_sec,up_bytes,down_bytes\na:1,x,0,1\n",
-	}
-	for name, in := range cases {
+	for name, in := range badWorkloads {
 		if _, err := ReadWorkload(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}

@@ -70,6 +70,18 @@ if ! echo "$clean_out" | grep -q "	       0 allocs/op"; then
 	exit 1
 fi
 
+echo "== zero-alloc dirty-classify-pass gate =="
+# One op is a classification pass over 4,096 resident clients that have
+# all changed since their last verdict: every row is rebuilt from the
+# client's transactions and scored (the benchmark fails itself if one
+# is skipped), through per-shard scratch that must not allocate.
+dirty_out=$(go test -run '^$' -bench 'ClassifyPassDirty' -benchmem ./cmd/qoeproxy)
+echo "$dirty_out"
+if ! echo "$dirty_out" | grep -q "	       0 allocs/op"; then
+	echo "a classification pass over changed clients allocates; the zero-alloc dirty-pass gate failed"
+	exit 1
+fi
+
 echo "== benchmark ledger (bench/ unit tests + 1/200-scale smoke of every workload) =="
 (cd bench && go test ./...)
 

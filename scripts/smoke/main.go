@@ -66,7 +66,6 @@ var coreSeries = []string{
 	"qoeproxy_ingest_contention_total",
 	"qoeproxy_cluster_clients_skipped_total",
 	"qoeproxy_partitions_owned",
-	"qoeproxy_feature_transactions_ingested_total",
 	"qoeproxy_ingest_source_records_total",
 	"qoeproxy_ingest_source_skipped_total",
 	"qoeproxy_ingest_source_malformed_total",

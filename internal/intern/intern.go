@@ -20,7 +20,10 @@
 // of rotations.
 package intern
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
 // shardCount spreads lock contention; a power of two so the hash folds
 // with a mask.
@@ -86,8 +89,9 @@ func (t *Table) Bytes(b []byte) (s string, added bool) {
 }
 
 // String is Bytes for an already-materialized string: it returns the
-// canonical copy (letting the original be collected) and reports first
-// sightings.
+// canonical copy and reports first sightings. A first sighting is
+// stored as a copy of v, so v — often a substring of a whole input
+// line — can be collected.
 func (t *Table) String(v string) (s string, added bool) {
 	sh := &t.shards[fnv1aString(v)&(shardCount-1)]
 	sh.mu.RLock()
@@ -97,7 +101,7 @@ func (t *Table) String(v string) (s string, added bool) {
 		return s, false
 	}
 	sh.mu.Lock()
-	s, added = sh.insertLocked(v)
+	s, added = sh.insertLocked(strings.Clone(v))
 	sh.mu.Unlock()
 	return s, added
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestBytesCanonical(t *testing.T) {
@@ -31,6 +32,24 @@ func TestBytesCanonical(t *testing.T) {
 	}
 	if got := tab.Len(); got != 2 {
 		t.Fatalf("Len = %d, want 2", got)
+	}
+}
+
+// TestStringCopiesFirstSighting checks that String does not keep its
+// argument's backing array: interning a field sliced out of a whole
+// line must not pin the line.
+func TestStringCopiesFirstSighting(t *testing.T) {
+	tab := NewTable()
+	line := "10.0.0.5:40001,cdn.example,0,1,2,3"
+	s, added := tab.String(line[:14])
+	if !added || s != "10.0.0.5:40001" {
+		t.Fatalf("String = (%q, %v)", s, added)
+	}
+	if unsafe.StringData(s) == unsafe.StringData(line) {
+		t.Fatal("interned value shares the line's backing array")
+	}
+	if again, _ := tab.String(line[:14]); unsafe.StringData(again) != unsafe.StringData(s) {
+		t.Fatal("second sighting returned a different copy")
 	}
 }
 

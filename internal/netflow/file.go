@@ -6,11 +6,11 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 
 	"droppackets/internal/bytesconv"
 	"droppackets/internal/intern"
+	"droppackets/internal/tlsproxy"
 )
 
 // This file gives flow records a collector-export serialization so the
@@ -57,7 +57,7 @@ func WriteFlows(w io.Writer, flows []ClientFlow) error {
 
 // ReadFlows parses a flow-record CSV, validating the header and every
 // row. An empty host is legal (an unresolved flow); an empty client or
-// an inverted, negative or non-finite time span is not.
+// an inverted, negative or out-of-range time span is not.
 //
 // The scanner works on raw line bytes (splitting on commas and parsing
 // numbers in place) and interns client and host strings, so a
@@ -182,10 +182,11 @@ func parseFlowFields(raw []byte, rec int, f *[6][]byte) error {
 	return nil
 }
 
-// validSpan reports whether a flow's times are finite, non-negative and
-// in order. NaN fails every comparison, so it is rejected too.
+// validSpan reports whether a flow's times are non-negative, in order
+// and below tlsproxy.MaxOffset, where replay's time.Duration conversion
+// would overflow. NaN fails every comparison, so it is rejected too.
 func validSpan(start, end float64) bool {
-	return start >= 0 && end >= start && !math.IsInf(end, 1)
+	return start >= 0 && end >= start && end < tlsproxy.MaxOffset
 }
 
 // readFlowsCSV is the encoding/csv reference implementation ReadFlows

@@ -36,12 +36,13 @@ func TestFlowFileRoundTrip(t *testing.T) {
 // TestReadFlowsRejectsBadInput pins the fail-at-load validation.
 func TestReadFlowsRejectsBadInput(t *testing.T) {
 	cases := map[string]string{
-		"bad header":   "who,host,start_sec,end_sec,up_bytes,down_bytes\n",
-		"empty client": "client,host,start_sec,end_sec,up_bytes,down_bytes\n,h,0,1,2,3\n",
-		"end<start":    "client,host,start_sec,end_sec,up_bytes,down_bytes\nc,h,5,1,2,3\n",
-		"bad number":   "client,host,start_sec,end_sec,up_bytes,down_bytes\nc,h,x,1,2,3\n",
-		"nan start":    "client,host,start_sec,end_sec,up_bytes,down_bytes\nc,h,NaN,1,2,3\n",
-		"infinite end": "client,host,start_sec,end_sec,up_bytes,down_bytes\nc,h,0,Inf,2,3\n",
+		"bad header":                "who,host,start_sec,end_sec,up_bytes,down_bytes\n",
+		"empty client":              "client,host,start_sec,end_sec,up_bytes,down_bytes\n,h,0,1,2,3\n",
+		"end<start":                 "client,host,start_sec,end_sec,up_bytes,down_bytes\nc,h,5,1,2,3\n",
+		"bad number":                "client,host,start_sec,end_sec,up_bytes,down_bytes\nc,h,x,1,2,3\n",
+		"nan start":                 "client,host,start_sec,end_sec,up_bytes,down_bytes\nc,h,NaN,1,2,3\n",
+		"infinite end":              "client,host,start_sec,end_sec,up_bytes,down_bytes\nc,h,0,Inf,2,3\n",
+		"end beyond duration range": "client,host,start_sec,end_sec,up_bytes,down_bytes\nc,h,0,1e10,2,3\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadFlows(strings.NewReader(in)); err == nil {
@@ -57,26 +58,27 @@ const flowHeaderLine = "client,host,start_sec,end_sec,up_bytes,down_bytes\n"
 // ReadFlows is pinned against its encoding/csv reference on, and seeds
 // of FuzzReadFlows.
 var flowFileInputs = map[string]string{
-	"empty":          "",
-	"header only":    flowHeaderLine,
-	"plain rows":     flowHeaderLine + "10.0.0.1,cdn.example,0.5,60.25,1000,2000000\n10.0.0.2,,1,2,10,20\n",
-	"no final nl":    flowHeaderLine + "c,h,0,1,2,3",
-	"crlf":           "client,host,start_sec,end_sec,up_bytes,down_bytes\r\nc,h,0,1,2,3\r\n",
-	"blank lines":    flowHeaderLine + "\nc,h,0,1,2,3\n\n",
-	"quoted host":    flowHeaderLine + "c,\"ho,st.example\",0,1,2,3\n",
-	"quoted quote":   flowHeaderLine + "c,\"say \"\"hi\"\"\",0,1,2,3\n",
-	"bare quote":     flowHeaderLine + "c,h\"x,0,1,2,3\n",
-	"too few":        flowHeaderLine + "c,h,0,1\n",
-	"too many":       flowHeaderLine + "c,h,0,1,2,3,4\n",
-	"bad header":     "who,host,start_sec,end_sec,up_bytes,down_bytes\nc,h,0,1,2,3\n",
-	"bad float":      flowHeaderLine + "c,h,x,1,2,3\n",
-	"bad int":        flowHeaderLine + "c,h,0,1,2.5,3\n",
-	"negative start": flowHeaderLine + "c,h,-1,1,2,3\n",
-	"nan start":      flowHeaderLine + "c,h,NaN,1,2,3\n",
-	"nan end":        flowHeaderLine + "c,h,0,nan,2,3\n",
-	"infinite end":   flowHeaderLine + "c,h,0,+Inf,2,3\n",
-	"exponent":       flowHeaderLine + "c,h,6.025e1,1e2,2,3\n",
-	"spaces kept":    flowHeaderLine + "c, h ,0,1,2,3\n",
+	"empty":                     "",
+	"header only":               flowHeaderLine,
+	"plain rows":                flowHeaderLine + "10.0.0.1,cdn.example,0.5,60.25,1000,2000000\n10.0.0.2,,1,2,10,20\n",
+	"no final nl":               flowHeaderLine + "c,h,0,1,2,3",
+	"crlf":                      "client,host,start_sec,end_sec,up_bytes,down_bytes\r\nc,h,0,1,2,3\r\n",
+	"blank lines":               flowHeaderLine + "\nc,h,0,1,2,3\n\n",
+	"quoted host":               flowHeaderLine + "c,\"ho,st.example\",0,1,2,3\n",
+	"quoted quote":              flowHeaderLine + "c,\"say \"\"hi\"\"\",0,1,2,3\n",
+	"bare quote":                flowHeaderLine + "c,h\"x,0,1,2,3\n",
+	"too few":                   flowHeaderLine + "c,h,0,1\n",
+	"too many":                  flowHeaderLine + "c,h,0,1,2,3,4\n",
+	"bad header":                "who,host,start_sec,end_sec,up_bytes,down_bytes\nc,h,0,1,2,3\n",
+	"bad float":                 flowHeaderLine + "c,h,x,1,2,3\n",
+	"bad int":                   flowHeaderLine + "c,h,0,1,2.5,3\n",
+	"negative start":            flowHeaderLine + "c,h,-1,1,2,3\n",
+	"nan start":                 flowHeaderLine + "c,h,NaN,1,2,3\n",
+	"nan end":                   flowHeaderLine + "c,h,0,nan,2,3\n",
+	"infinite end":              flowHeaderLine + "c,h,0,+Inf,2,3\n",
+	"end beyond duration range": flowHeaderLine + "c,h,0,1e10,2,3\n",
+	"exponent":                  flowHeaderLine + "c,h,6.025e1,1e2,2,3\n",
+	"spaces kept":               flowHeaderLine + "c, h ,0,1,2,3\n",
 }
 
 // TestReadFlowsMatchesCSVReference pins the byte scanner against the

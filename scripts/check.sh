@@ -82,6 +82,43 @@ if ! echo "$dirty_out" | grep -q "	       0 allocs/op"; then
 	exit 1
 fi
 
+echo "== replay delivery memory gate =="
+# One op replays a loaded workload (tlsproxy.RecordSource) into no-op
+# callbacks, at two record counts and two worker counts. Delivery sorts
+# two 16-byte event keys per record over the workload it is given, so
+# more than 40 allocated B/record, or allocs/op that grow with the
+# record count, means per-record copies are back.
+replay_out=$(go test -run '^$' -bench 'RecordSourceRun' -benchmem ./internal/tlsproxy)
+echo "$replay_out"
+if ! echo "$replay_out" | awk '
+$1 ~ /^BenchmarkRecordSourceRun\// {
+	n = $1; sub(/.*records=/, "", n); sub(/\/.*/, "", n); n += 0
+	w = $1; sub(/.*workers=/, "", w); sub(/-.*/, "", w)
+	for (i = 2; i < NF; i++) {
+		if ($(i + 1) == "B/record") b = $i + 0
+		if ($(i + 1) == "allocs/op") a = $i + 0
+	}
+	runs++
+	if (b > 40) { print $1 ": " b " B/record exceeds 40"; bad = 1 }
+	if (!(w in lo) || n < lo[w]) { lo[w] = n; loA[w] = a }
+	if (!(w in hi) || n > hi[w]) { hi[w] = n; hiA[w] = a }
+}
+END {
+	if (runs < 4) { print "expected 4 RecordSourceRun results, got " runs; exit 1 }
+	for (w in lo) {
+		# A few allocations of slack absorb runtime noise; one per
+		# record or per client would add thousands.
+		if (hiA[w] > loA[w] + 8) {
+			print "workers=" w ": allocs/op grow from " loA[w] " at " lo[w] " records to " hiA[w] " at " hi[w]
+			bad = 1
+		}
+	}
+	exit bad
+}'; then
+	echo "the replay delivery allocates per record; the replay memory gate failed"
+	exit 1
+fi
+
 echo "== benchmark ledger (bench/ unit tests + 1/200-scale smoke of every workload) =="
 (cd bench && go test ./...)
 

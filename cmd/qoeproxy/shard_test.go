@@ -387,8 +387,8 @@ func BenchmarkConcurrentIngest(b *testing.B) {
 // chunked sink egress, the summary ring and the capped reorder buffer.
 // One op is one batch. Every client keeps one long-lived connection
 // open, which pins its watermark so transactions queue in the (capped)
-// reorder buffer and never reach the sessionizer: Streamer.Push returns
-// a fresh decision slice by contract, and this benchmark is the
+// reorder buffer and never reach the sessionizer, whose steady state
+// BenchmarkStreamerPushInto gates on its own; this benchmark is the
 // scripts/check.sh gate that everything around it allocates nothing.
 func BenchmarkCommitPath(b *testing.B) {
 	const clients, batchLen, maxTxns = 512, 256, 64

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,12 +20,14 @@ import (
 // SquidSource tails a Squid access log and delivers each CONNECT entry
 // as a connection-open event at its start offset and a transaction
 // event at its end offset. Squid logs at connection *end*, so a
-// reorder buffer (a min-heap on event time) holds events back until a
-// watermark — the latest end time seen minus Horizon — passes them;
-// for end-ordered logs this reproduces tlsproxy.RecordSource's global
-// (time, sequence) event order exactly. Entries that arrive later than
-// the horizon allows are still delivered, just promptly rather than in
-// global order.
+// reorder buffer holds events back until a watermark — the latest end
+// time seen minus Horizon — passes them: transaction events, which
+// arrive in end order, wait in a FIFO, and opens, which arrive up to a
+// connection's lifetime late, in a time-bucketed queue. For end-ordered
+// logs this reproduces tlsproxy.RecordSource's global (time, sequence)
+// event order exactly. Entries that arrive later than the horizon
+// allows are still delivered, just promptly rather than in global
+// order.
 //
 // With Follow set the source keeps reading as the file grows,
 // reopening on rotation (a new inode at the same path) and truncation
@@ -34,7 +37,8 @@ import (
 // counted, not fatal — including lines longer than the 1 MiB cap,
 // which are discarded up to the next newline (one malformed count per
 // oversized line) so a corrupt newline-free stretch cannot grow the
-// carry buffer without bound.
+// carry buffer without bound, and entries whose times lie at or beyond
+// tlsproxy.MaxOffset either side of zero, which no time.Duration holds.
 //
 // The hot path is allocation-free: lines are packed into reused blocks
 // and scanned in place (squidlog.ParseLineBytes), and client and SNI
@@ -106,8 +110,8 @@ const maxCarryBytes = 1 << 20
 // Name reports "squid".
 func (s *SquidSource) Name() string { return "squid" }
 
-// squidKey is one pending delivery in the reorder heap: the event time,
-// its sequence number (even = the connection's open, odd = its
+// squidKey is one pending delivery in the reorder buffer: the event
+// time, its sequence number (even = the connection's open, odd = its
 // transaction) and the slab slot holding the record both events share.
 type squidKey struct {
 	at   float64
@@ -124,98 +128,293 @@ func (k squidKey) before(o squidKey) bool {
 	return k.seq < o.seq
 }
 
-// squidHeap is the reorder buffer: a min-heap of 24-byte keys ordered by
-// (time, sequence) — the same total order tlsproxy.RecordSource sorts
-// its partitions by — over a slab that holds each pending record once
-// for both of its events. Sifting moves keys, never records, and moves
-// each key into a hole instead of swapping pairs; slots return to a free
-// list when the transaction event pops, so the slab grows to the peak
-// number of pending records and no further. Hand-rolled instead of
-// container/heap so pushing a key does not box it into an interface.
-type squidHeap struct {
-	keys []squidKey
-	slab []tlsproxy.Record
-	free []int32
+func compareKeys(a, b squidKey) int {
+	switch {
+	case a.at < b.at:
+		return -1
+	case a.at > b.at:
+		return 1
+	case a.seq < b.seq:
+		return -1
+	case a.seq > b.seq:
+		return 1
+	}
+	return 0
 }
 
-func (h *squidHeap) len() int { return len(h.keys) }
+// squidReorder is the reorder buffer. It releases pending events in
+// (time, sequence) order — the total order tlsproxy.RecordSource sorts
+// its partitions by — by merging the heads of two queues:
+//
+//   - an in-order FIFO, which takes every key not before its tail.
+//     Squid writes a line when the connection ends, so transaction
+//     events arrive in time order and nearly all of them land here.
+//   - a time-bucketed queue (keyBuckets) for the rest: connection opens,
+//     which arrive up to a connection's lifetime out of order, and any
+//     transaction event that does arrive out of order.
+//
+// Each pending record is held once, in a slab that both of its keys
+// index; a slot returns to the free list when the record's transaction
+// event is released, so the slab grows to the peak number of pending
+// records and no further. Steady state allocates nothing.
+type squidReorder struct {
+	fifo    keyFIFO
+	buckets keyBuckets
+	slab    []tlsproxy.Record
+	free    []int32
+	// wm and limit cache the last watermark pop saw and its bucket.
+	wm    float64
+	limit int64
+}
+
+func newSquidReorder(horizon float64) squidReorder {
+	return squidReorder{buckets: newKeyBuckets(horizon), wm: math.NaN(), limit: -1 << 62}
+}
 
 // add schedules a record's open event at openAt and its transaction
 // event at closeAt (>= openAt), with sequence numbers 2i and 2i+1.
-func (h *squidHeap) add(rec tlsproxy.Record, i int64, openAt, closeAt float64) {
+func (q *squidReorder) add(rec tlsproxy.Record, i int64, openAt, closeAt float64) {
 	var slot int32
-	if n := len(h.free); n > 0 {
-		slot = h.free[n-1]
-		h.free = h.free[:n-1]
-		h.slab[slot] = rec
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slab[slot] = rec
 	} else {
-		slot = int32(len(h.slab))
-		h.slab = append(h.slab, rec)
+		slot = int32(len(q.slab))
+		q.slab = append(q.slab, rec)
 	}
-	h.push(squidKey{at: openAt, seq: 2 * i, slot: slot})
-	h.push(squidKey{at: closeAt, seq: 2*i + 1, slot: slot})
+	q.push(squidKey{at: openAt, seq: 2 * i, slot: slot})
+	q.push(squidKey{at: closeAt, seq: 2*i + 1, slot: slot})
 }
 
-func (h *squidHeap) push(k squidKey) {
-	q := append(h.keys, k)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !k.before(q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		i = parent
+func (q *squidReorder) push(k squidKey) {
+	// Sequence numbers only grow, so a key at or after the tail's time
+	// sorts after it.
+	if last, ok := q.fifo.last(); !ok || k.at >= last.at {
+		q.fifo.push(k)
+		return
 	}
-	q[i] = k
-	h.keys = q
+	q.buckets.push(k, q.limit)
 }
 
-// pop removes and returns the earliest event's key; its record stays at
+// pop removes and returns the earliest pending key if it lies at or
+// before wm (+Inf releases everything). Its record stays at
 // slab[key.slot] until the caller releases the slot.
-func (h *squidHeap) pop() squidKey {
-	q := h.keys
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q = q[:n]
-	i := 0
-	for {
-		m := 2*i + 1
-		if m >= n {
-			break
-		}
-		if r := m + 1; r < n && q[r].before(q[m]) {
-			m = r
-		}
-		if !q[m].before(last) {
-			break
-		}
-		q[i] = q[m]
-		i = m
+func (q *squidReorder) pop(wm float64) (squidKey, bool) {
+	if wm != q.wm {
+		q.wm, q.limit = wm, q.buckets.bucket(wm)
 	}
-	if n > 0 {
-		q[i] = last
+	k, ok := q.buckets.head(q.limit)
+	f, fok := q.fifo.head()
+	fromFIFO := fok && (!ok || f.before(k))
+	if fromFIFO {
+		k, ok = f, true
 	}
-	h.keys = q
-	return top
+	if !ok || k.at > wm {
+		return squidKey{}, false
+	}
+	if fromFIFO {
+		q.fifo.pop()
+	} else {
+		q.buckets.pop()
+	}
+	return k, true
 }
 
 // release recycles a record's slot once its transaction event has been
 // delivered (the open, sequenced first at an earlier-or-equal time,
 // always has been by then).
-func (h *squidHeap) release(slot int32) {
-	h.slab[slot] = tlsproxy.Record{} // drop the interned strings
-	h.free = append(h.free, slot)
+func (q *squidReorder) release(slot int32) {
+	q.slab[slot] = tlsproxy.Record{} // drop the interned strings
+	q.free = append(q.free, slot)
+}
+
+// keyFIFO is a queue of keys in the order pushed.
+type keyFIFO struct {
+	keys []squidKey
+	next int // keys[next:] are queued
+}
+
+func (f *keyFIFO) push(k squidKey) {
+	// Reclaim the popped prefix once it is at least half the slice:
+	// each key is then copied O(1) times on average.
+	if f.next > 0 && len(f.keys) == cap(f.keys) && 2*f.next >= len(f.keys) {
+		n := copy(f.keys, f.keys[f.next:])
+		f.keys, f.next = f.keys[:n], 0
+	}
+	f.keys = append(f.keys, k)
+}
+
+func (f *keyFIFO) head() (squidKey, bool) {
+	if f.next == len(f.keys) {
+		return squidKey{}, false
+	}
+	return f.keys[f.next], true
+}
+
+func (f *keyFIFO) last() (squidKey, bool) {
+	if f.next == len(f.keys) {
+		return squidKey{}, false
+	}
+	return f.keys[len(f.keys)-1], true
+}
+
+func (f *keyFIFO) pop() {
+	f.next++
+	if f.next == len(f.keys) {
+		f.keys, f.next = f.keys[:0], 0
+	}
+}
+
+// keyBuckets is a calendar queue of keys: a ring of buckets, each
+// covering width seconds of event time. Keys are appended to their
+// bucket unsorted; a bucket is sorted once, when the scan for the head
+// reaches it — which pop only lets it do once the watermark has
+// reached the bucket — and becomes the drained bucket. A key that falls
+// at or behind the drained bucket (a late event) is inserted into it
+// in sorted position; one that falls beyond the ring grows the ring.
+//
+// Keys only enter here when they are before the FIFO's tail, which is
+// no later than the newest end time; everything at or behind the
+// watermark is released on every line; and the drained bucket never
+// trails the watermark's. So the buckets in use span at most one
+// horizon, whatever the input's times, and the ring, sized for two,
+// does not grow under squidDelivery.
+type keyBuckets struct {
+	perSec float64      // buckets per second: 1/width
+	ring   [][]squidKey // bucket b lives at ring[b&mask], for b in [base, base+len(ring))
+	mask   int64
+	base   int64 // the drained bucket, sorted and read from ring[base&mask][r]
+	r      int
+	n      int // keys queued, the drained bucket's unread ones included
+}
+
+// bucketsPerHorizon sets the bucket width to horizon/1024, about a
+// dozen opens per bucket at 100 records per event-second and a 300 s
+// horizon: few enough that sorting a bucket costs less per key than a
+// heap's sift. The ring starts at twice that, one slot per bucket of
+// two horizons.
+const bucketsPerHorizon = 1024
+
+func newKeyBuckets(horizon float64) keyBuckets {
+	// A floor on the width keeps bucket numbers of any valid offset
+	// (below tlsproxy.MaxOffset) well inside int64.
+	width := max(horizon/bucketsPerHorizon, 1e-3)
+	return keyBuckets{
+		perSec: 1 / width,
+		ring:   make([][]squidKey, 2*bucketsPerHorizon),
+		mask:   2*bucketsPerHorizon - 1,
+	}
+}
+
+// bucket maps a time to its bucket number: floor(at/width), clamped
+// to ±2^62 so that infinite watermarks map too. The map is monotone,
+// so a key in a later bucket is later in time.
+func (q *keyBuckets) bucket(at float64) int64 {
+	x := at * q.perSec
+	if !(x > -1<<62) {
+		return -1 << 62
+	}
+	if x >= 1<<62 {
+		return 1 << 62
+	}
+	b := int64(x) // truncates toward zero
+	if float64(b) > x {
+		b--
+	}
+	return b
+}
+
+// push queues k. floor is the bucket of the latest watermark: an empty
+// queue restarts its drained bucket at k's bucket or floor, whichever
+// is later, so a late key cannot leave it trailing the watermark by
+// more than the ring spans.
+func (q *keyBuckets) push(k squidKey, floor int64) {
+	b := q.bucket(k.at)
+	if q.n == 0 {
+		q.ring[q.base&q.mask] = q.ring[q.base&q.mask][:0]
+		q.base, q.r = max(b, floor), 0
+	}
+	q.n++
+	if b <= q.base {
+		q.insertDrained(k)
+		return
+	}
+	for b-q.base >= int64(len(q.ring)) {
+		q.grow()
+	}
+	q.ring[b&q.mask] = append(q.ring[b&q.mask], k)
+}
+
+// insertDrained puts k in sorted position among the drained bucket's
+// unread keys. A late key usually sorts first, and then reuses the
+// slot of the key read last.
+func (q *keyBuckets) insertDrained(k squidKey) {
+	cur := q.ring[q.base&q.mask]
+	lo, hi := q.r, len(cur)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if cur[m].before(k) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == q.r && q.r > 0 {
+		q.r--
+		cur[q.r] = k
+		return
+	}
+	cur = append(cur, squidKey{})
+	copy(cur[lo+1:], cur[lo:])
+	cur[lo] = k
+	q.ring[q.base&q.mask] = cur
+}
+
+// grow doubles the ring, keeping every bucket in [base, base+len).
+func (q *keyBuckets) grow() {
+	old, oldMask := q.ring, q.mask
+	q.ring = make([][]squidKey, 2*len(old))
+	q.mask = int64(len(q.ring) - 1)
+	for b := q.base; b < q.base+int64(len(old)); b++ {
+		q.ring[b&q.mask] = old[b&oldMask]
+	}
+}
+
+// head returns the earliest queued key. It moves on to later buckets,
+// sorting each as it arrives, only up to bucket limit, and reports
+// false when the queue is empty or every queued key lies beyond limit.
+func (q *keyBuckets) head(limit int64) (squidKey, bool) {
+	for {
+		cur := q.ring[q.base&q.mask]
+		if q.r < len(cur) {
+			return cur[q.r], true
+		}
+		if q.n == 0 || q.base >= limit {
+			return squidKey{}, false
+		}
+		q.ring[q.base&q.mask] = cur[:0]
+		q.base++
+		q.r = 0
+		if next := q.ring[q.base&q.mask]; len(next) > 1 {
+			slices.SortFunc(next, compareKeys)
+		}
+	}
+}
+
+// pop removes the key head returned.
+func (q *keyBuckets) pop() {
+	q.r++
+	q.n--
 }
 
 // squidDelivery owns the source's ordered-delivery state: the reorder
-// heap, the epoch, connection sequencing and the transaction batch.
+// buffer, the epoch, connection sequencing and the transaction batch.
 // Exactly one goroutine drives it — the pipeline's delivery goroutine.
 type squidDelivery struct {
 	s         *SquidSource
 	h         Handler
-	q         squidHeap
+	q         squidReorder
 	epoch     float64
 	haveEpoch bool
 	maxEnd    float64
@@ -230,12 +429,21 @@ type squidDelivery struct {
 func (d *squidDelivery) entry(v squidlog.EntryView) {
 	s := d.s
 	startU := v.EndUnix - v.ElapsedSec
-	if !d.haveEpoch {
-		d.epoch = startU
-		d.haveEpoch = true
+	if !inOffsetRange(startU) || !inOffsetRange(v.EndUnix) {
+		s.malformed.Add(1)
+		return
 	}
-	qs := QuantizeMicros(startU - d.epoch)
-	qe := QuantizeMicros(v.EndUnix - d.epoch)
+	epoch := d.epoch
+	if !d.haveEpoch {
+		epoch = startU
+	}
+	qs := QuantizeMicros(startU - epoch)
+	qe := QuantizeMicros(v.EndUnix - epoch)
+	if !inOffsetRange(qs) || !inOffsetRange(qe) {
+		s.malformed.Add(1)
+		return
+	}
+	d.epoch, d.haveEpoch = epoch, true
 	if qe < qs {
 		qe = qs
 	}
@@ -262,12 +470,26 @@ func (d *squidDelivery) entry(v squidlog.EntryView) {
 	d.emit(false)
 }
 
+// inOffsetRange reports whether t, a Unix time or an offset in
+// seconds, lies strictly inside ±tlsproxy.MaxOffset, where offsetTime's
+// Duration conversion cannot overflow. NaN is outside.
+func inOffsetRange(t float64) bool {
+	return t > -tlsproxy.MaxOffset && t < tlsproxy.MaxOffset
+}
+
 // emit releases everything at or before the watermark (or, at flush
 // time, everything) in (time, sequence) order.
 func (d *squidDelivery) emit(all bool) {
 	wm := d.maxEnd - d.s.Horizon
-	for d.q.len() > 0 && (all || d.q.keys[0].at <= wm) {
-		d.deliver(d.q.pop())
+	if all {
+		wm = math.Inf(1)
+	}
+	for {
+		k, ok := d.q.pop(wm)
+		if !ok {
+			break
+		}
+		d.deliver(k)
 	}
 	if all {
 		d.flushBatch()
@@ -323,6 +545,7 @@ func (s *SquidSource) Run(ctx context.Context, h Handler) error {
 	}
 	d := &squidDelivery{
 		s: s, h: h,
+		q:         newSquidReorder(s.Horizon),
 		epoch:     s.EpochUnix,
 		haveEpoch: s.EpochUnix >= 0,
 		maxEnd:    math.Inf(-1),
@@ -443,7 +666,7 @@ func (s *SquidSource) Run(ctx context.Context, h Handler) error {
 // The read path has two stages. The reader (Run's goroutine) packs
 // complete lines into blocks and parses each block in place; a single
 // delivery goroutine consumes the parsed blocks in read order, so the
-// reorder heap sees entries in exactly file order. Only the parse (field
+// reorder buffer sees entries in exactly file order. Only the parse (field
 // scanning and number conversion) overlaps with delivery; everything
 // order-sensitive stays on one goroutine.
 
@@ -454,7 +677,7 @@ const (
 	blockBytes = 64 << 10
 	// blocksInFlight is the channel capacity between the stages: enough
 	// parsed blocks that the reader keeps working while one block's
-	// entries release a backlog from the reorder heap, few enough that a
+	// entries release a backlog from the reorder buffer, few enough that a
 	// stalled handler holds back well under 1 MiB of log.
 	blocksInFlight = 4
 )
@@ -587,7 +810,7 @@ func (p *squidPipeline) handoff() {
 
 // close ends the input: the last block is handed off, and close returns
 // once the delivery goroutine has delivered everything still buffered
-// in the reorder heap and exited.
+// in the reorder buffer and exited.
 func (p *squidPipeline) close() {
 	p.handoff()
 	close(p.blocks)

@@ -46,15 +46,23 @@ func NewStreamer(p Params) *Streamer {
 // Push feeds the next transaction of the stream. Transactions must
 // arrive in nondecreasing Start order — the same precondition Detect
 // places on its input slice. It returns the decisions that this
-// arrival made final: every buffered transaction whose WindowSec
-// look-ahead the new arrival closes.
+// arrival made final, in a fresh slice (nil when there are none):
+// every buffered transaction whose WindowSec look-ahead the new arrival
+// closes.
 func (s *Streamer) Push(t Transaction) []Decision {
+	return s.PushInto(nil, t)
+}
+
+// PushInto is Push appending the decisions to dst, for callers that
+// reuse one scratch slice across pushes. Once dst, the look-ahead
+// buffer and the server set have grown to the stream's steady size it
+// allocates nothing.
+func (s *Streamer) PushInto(dst []Decision, t Transaction) []Decision {
 	s.pending = append(s.pending, t)
-	var out []Decision
 	for len(s.pending) > 1 && s.pending[len(s.pending)-1].Start-s.pending[0].Start > s.p.WindowSec {
-		out = append(out, s.decideHead())
+		dst = append(dst, s.decideHead())
 	}
-	return out
+	return dst
 }
 
 // Flush finalizes all still-buffered transactions, as at end of
@@ -75,20 +83,19 @@ func (s *Streamer) Flush() []Decision {
 func (s *Streamer) Pending() int { return len(s.pending) }
 
 // decideHead finalizes pending[0] against its windowed successors,
-// mirroring one iteration of Detect's loop.
+// mirroring one iteration of Detect's loop. It counts the window in
+// place and reuses the server set's map, so it allocates nothing once
+// the map has grown to the client's server count.
 func (s *Streamer) decideHead() Decision {
 	head := s.pending[0]
-	var windowHosts []string
-	for _, t := range s.pending[1:] {
+	window := s.pending[1:]
+	n, unseen := 0, 0
+	for _, t := range window {
 		if t.Start-head.Start <= s.p.WindowSec {
-			windowHosts = append(windowHosts, t.SNI)
-		}
-	}
-	n := len(windowHosts)
-	unseen := 0
-	for _, h := range windowHosts {
-		if !s.seen[h] {
-			unseen++
+			n++
+			if !s.seen[t.SNI] {
+				unseen++
+			}
 		}
 	}
 	delta := 0.0
@@ -100,9 +107,11 @@ func (s *Streamer) decideHead() Decision {
 		// The windowed transactions belong to the newly started session:
 		// reset the server set to them so they do not immediately
 		// re-trigger (same as Detect).
-		s.seen = map[string]bool{}
-		for _, h := range windowHosts {
-			s.seen[h] = true
+		clear(s.seen)
+		for _, t := range window {
+			if t.Start-head.Start <= s.p.WindowSec {
+				s.seen[t.SNI] = true
+			}
 		}
 	}
 	s.seen[head.SNI] = true

@@ -202,3 +202,83 @@ func TestStreamerFlushMidStream(t *testing.T) {
 		t.Error("boundary after mid-stream Flush not detected")
 	}
 }
+
+// recurringStream returns an endless start-ordered stream that repeats
+// one 200 s pattern of lapLen transactions: every 100 s a burst of five
+// transactions to servers the previous half did not use (a session
+// boundary), then a trickle back to them every 10 s. Its server strings
+// are fixed, so pushing it allocates only what the streamer itself does.
+func recurringStream() (next func() Transaction, lapLen int) {
+	hosts := []string{"cdn-a.example", "cdn-b.example", "cdn-c.example", "api-1.example", "log-1.example",
+		"cdn-d.example", "cdn-e.example", "cdn-f.example", "api-2.example", "log-2.example"}
+	type step struct {
+		at   float64
+		host int
+	}
+	var pattern []step
+	for half := 0; half < 2; half++ {
+		base := float64(half) * 100
+		for k := 0; k < 5; k++ {
+			pattern = append(pattern, step{base + 0.2*float64(k), 5*half + k})
+		}
+		for k := 1; k < 10; k++ {
+			pattern = append(pattern, step{base + 10*float64(k), 5*half + k%5})
+		}
+	}
+	i := 0
+	return func() Transaction {
+		st := pattern[i%len(pattern)]
+		start := float64(i/len(pattern))*200 + st.at
+		i++
+		return Transaction{Start: start, End: start + 30, SNI: hosts[st.host]}
+	}, len(pattern)
+}
+
+// TestStreamerPushIntoAllocs pins the steady state the daemon relies on:
+// with a reused scratch slice, PushInto allocates nothing — across
+// session boundaries, which reset the server set. One measured run is a
+// whole lap of the stream, two boundaries included, so even one
+// allocation per boundary shows.
+func TestStreamerPushIntoAllocs(t *testing.T) {
+	next, lapLen := recurringStream()
+	s := NewStreamer(PaperParams)
+	var dst []Decision
+	for i := 0; i < 20*lapLen; i++ { // warm-up: let the buffers reach their size
+		dst = s.PushInto(dst[:0], next())
+	}
+	boundaries := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		for i := 0; i < lapLen; i++ {
+			dst = s.PushInto(dst[:0], next())
+			for _, d := range dst {
+				if d.NewSession {
+					boundaries++
+				}
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("PushInto allocates %.0f times per %d transactions in steady state", allocs, lapLen)
+	}
+	if boundaries == 0 {
+		t.Fatal("the stream crossed no session boundary: the reset path went unmeasured")
+	}
+}
+
+// BenchmarkStreamerPushInto measures the streamer with a reused
+// decision slice, as cmd/qoeproxy drives it. One op is one lap of the
+// recurring stream, two session boundaries included, so that
+// scripts/check.sh's 0 allocs/op gate catches an allocation per
+// boundary as well as one per transaction.
+func BenchmarkStreamerPushInto(b *testing.B) {
+	next, lapLen := recurringStream()
+	s := NewStreamer(PaperParams)
+	var dst []Decision
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < lapLen; j++ {
+			dst = s.PushInto(dst[:0], next())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lapLen), "ns/txn")
+}

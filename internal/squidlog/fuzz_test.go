@@ -17,6 +17,10 @@ func FuzzParseLine(f *testing.F) {
 	f.Add("1.0 2 c TCP_TUNNEL/200 5 CONNECT h:443 - HIER/1.2.3.4 -")
 	f.Add("1 2 \xe9client TCP_TUNNEL/200 5 CONNECT h\xc3\xa9st:443 - HIER/1.2.3.4 -")
 	f.Add("1\u00a02 c TCP_TUNNEL/200 5 CONNECT h:443 - HIER/1.2.3.4 -")
+	f.Add("nan 2 c TCP_TUNNEL/200 5 CONNECT h:443 - HIER/1.2.3.4 -")
+	f.Add("+Inf 2 c TCP_TUNNEL/200 5 CONNECT h:443 - HIER/1.2.3.4 -")
+	f.Add("1 NaN c TCP_TUNNEL/200 5 CONNECT h:443 - HIER/1.2.3.4 -")
+	f.Add("9e18 2 c TCP_TUNNEL/200 5 CONNECT h:443 - HIER/1.2.3.4 -")
 	f.Fuzz(func(t *testing.T, line string) {
 		v, bok, berr := ParseLineBytes([]byte(line))
 		if bok && len(v.Host) == 0 {
@@ -41,6 +45,9 @@ func FuzzParseLine(f *testing.F) {
 		}
 		if e.ElapsedSec < 0 {
 			t.Fatalf("negative elapsed %g", e.ElapsedSec)
+		}
+		if !finite(e.EndUnix) || !finite(e.ElapsedSec) {
+			t.Fatalf("accepted non-finite times %+v", e)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package squidlog
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unicode"
@@ -28,9 +29,15 @@ func ParseLine(line string) (Entry, bool, error) {
 	if e.EndUnix, err = strconv.ParseFloat(fields[0], 64); err != nil {
 		return Entry{}, false, fmt.Errorf("squidlog: bad timestamp %q: %w", fields[0], err)
 	}
+	if math.IsNaN(e.EndUnix) || math.IsInf(e.EndUnix, 0) {
+		return Entry{}, false, fmt.Errorf("squidlog: non-finite timestamp %q", fields[0])
+	}
 	elapsedMs, err := strconv.ParseFloat(fields[1], 64)
 	if err != nil {
 		return Entry{}, false, fmt.Errorf("squidlog: bad elapsed %q: %w", fields[1], err)
+	}
+	if math.IsNaN(elapsedMs) || math.IsInf(elapsedMs, 0) {
+		return Entry{}, false, fmt.Errorf("squidlog: non-finite elapsed %q", fields[1])
 	}
 	if elapsedMs < 0 {
 		elapsedMs = 0

@@ -212,9 +212,15 @@ func ParseLineBytes(line []byte) (EntryView, bool, error) {
 	if v.EndUnix, err = bytesconv.ParseFloat(s.f[0]); err != nil {
 		return EntryView{}, false, fmt.Errorf("squidlog: bad timestamp %q: %w", s.f[0], err)
 	}
+	if !finite(v.EndUnix) {
+		return EntryView{}, false, fmt.Errorf("squidlog: non-finite timestamp %q", s.f[0])
+	}
 	elapsedMs, err := bytesconv.ParseFloat(s.f[1])
 	if err != nil {
 		return EntryView{}, false, fmt.Errorf("squidlog: bad elapsed %q: %w", s.f[1], err)
+	}
+	if !finite(elapsedMs) {
+		return EntryView{}, false, fmt.Errorf("squidlog: non-finite elapsed %q", s.f[1])
 	}
 	if elapsedMs < 0 {
 		elapsedMs = 0
@@ -242,6 +248,10 @@ func ParseLineBytes(line []byte) (EntryView, bool, error) {
 	v.UpBytes = s.upBytes
 	return v, true, nil
 }
+
+// finite reports whether x is neither NaN nor infinite. The number
+// parsers accept "nan" and "inf"; no Squid clock or duration is either.
+func finite(x float64) bool { return x-x == 0 }
 
 var (
 	connectVerb        = []byte("CONNECT")

@@ -74,11 +74,24 @@ func TestParseLineErrors(t *testing.T) {
 		"1588888888.1 5125 10.0.0.5 TCP_TUNNEL/200 bytes CONNECT h:443 - HIER_DIRECT/1.2.3.4 -",
 		"1588888888.1 5125 10.0.0.5 TCP_TUNNEL/200 12 CONNECT :443 - HIER_DIRECT/1.2.3.4 -",
 		sampleLine + " request_bytes=abc",
+		// Non-finite times: the number parsers accept these spellings.
+		"nan 5125 10.0.0.5 TCP_TUNNEL/200 1583231 CONNECT h:443 - HIER_DIRECT/1.2.3.4 -",
+		"inf 5125 10.0.0.5 TCP_TUNNEL/200 1583231 CONNECT h:443 - HIER_DIRECT/1.2.3.4 -",
+		"+Inf 5125 10.0.0.5 TCP_TUNNEL/200 1583231 CONNECT h:443 - HIER_DIRECT/1.2.3.4 -",
+		"-inf 5125 10.0.0.5 TCP_TUNNEL/200 1583231 CONNECT h:443 - HIER_DIRECT/1.2.3.4 -",
+		"1588888888.1 nan 10.0.0.5 TCP_TUNNEL/200 1583231 CONNECT h:443 - HIER_DIRECT/1.2.3.4 -",
+		"1588888888.1 -Inf 10.0.0.5 TCP_TUNNEL/200 1583231 CONNECT h:443 - HIER_DIRECT/1.2.3.4 -",
 	}
 	for i, line := range bad {
 		if _, _, err := parseLine(t, line); err == nil {
 			t.Errorf("bad line %d accepted", i)
 		}
+	}
+	// A finite timestamp past every valid offset parses: the range is the
+	// ingest path's to check (ingest.SquidSource counts it malformed).
+	const far = "9e18 5125 10.0.0.5 TCP_TUNNEL/200 1583231 CONNECT h:443 - HIER_DIRECT/1.2.3.4 -"
+	if e, ok, err := parseLine(t, far); err != nil || !ok || e.EndUnix != 9e18 {
+		t.Errorf("%q: entry %+v ok=%v err=%v", far, e, ok, err)
 	}
 }
 

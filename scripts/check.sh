@@ -47,6 +47,25 @@ if ! echo "$parse_out" | grep -q "	       0 allocs/op"; then
 	exit 1
 fi
 
+echo "== zero-alloc reorder-buffer and sessionizer gates =="
+# One op of SquidReorder is one record through the Squid reorder buffer
+# (both events added, everything behind the watermark released); one op
+# of StreamerPushInto is one transaction through the sessionizer with a
+# reused decision slice. Both run once per record on the delivery path,
+# so any steady-state allocation is a regression.
+reorder_out=$(go test -run '^$' -bench 'SquidReorder' -benchmem ./internal/ingest)
+echo "$reorder_out"
+if ! echo "$reorder_out" | grep -q "	       0 allocs/op"; then
+	echo "the Squid reorder buffer allocates; the zero-alloc reorder gate failed"
+	exit 1
+fi
+push_out=$(go test -run '^$' -bench 'StreamerPushInto' -benchmem ./internal/sessionid)
+echo "$push_out"
+if ! echo "$push_out" | grep -q "	       0 allocs/op"; then
+	echo "Streamer.PushInto allocates; the zero-alloc sessionizer gate failed"
+	exit 1
+fi
+
 echo "== zero-alloc commit-path gate =="
 # One op is a 256-record batch through onConnOpen + onTransactionBatch
 # with an -out sink over resident clients, so a single allocation per

@@ -21,6 +21,7 @@ import (
 	"droppackets/internal/core"
 	"droppackets/internal/dataset"
 	"droppackets/internal/has"
+	"droppackets/internal/ingest"
 	"droppackets/internal/ml/forest"
 	"droppackets/internal/qoe"
 	"droppackets/internal/tlsproxy"
@@ -320,8 +321,21 @@ func TestReplaySpeedInvariance(t *testing.T) {
 			mk("10.80.0.1", 0.00, 0.10), mk("10.80.0.1", 0.10, 0.20), mk("10.80.0.1", 0.20, 0.30),
 			mk("10.80.0.2", 1.00, 1.10), mk("10.80.0.2", 1.10, 1.20), mk("10.80.0.2", 1.20, 1.30),
 		}
-		src := &tlsproxy.RecordSource{Records: recs, Speed: speed, Workers: 2}
-		src.RunBatched(context.Background(), s.epoch, s.onConnOpen, s.onTransactionBatch, 1)
+		path := filepath.Join(t.TempDir(), "workload.csv")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tlsproxy.WriteWorkload(f, recs); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		src, err := ingest.NewReplaySource(path, s.epoch, speed, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.Batch = 1
+		src.Run(context.Background(), ingest.Handler{ConnOpen: s.onConnOpen, TransactionBatch: s.onTransactionBatch})
 
 		ns := s.sweepNow(time.Now())
 		if ns != 1.3 {

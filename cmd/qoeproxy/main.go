@@ -110,6 +110,7 @@ import (
 	"droppackets/internal/cluster"
 	"droppackets/internal/core"
 	"droppackets/internal/ingest"
+	"droppackets/internal/intern"
 	"droppackets/internal/metrics"
 	"droppackets/internal/qoe"
 	"droppackets/internal/sessionid"
@@ -798,19 +799,10 @@ func (s *service) sweepNow(now time.Time) float64 {
 	return now.Sub(s.epoch).Seconds()
 }
 
-// shardIndex hashes a client host onto a shard with inline FNV-1a —
-// no allocation, stable across runs so tests can pin placements.
+// shardIndex hashes a client host onto a shard with FNV-1a — no
+// allocation, stable across runs so tests can pin placements.
 func shardIndex(client string, n int) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(client); i++ {
-		h ^= uint32(client[i])
-		h *= prime32
-	}
-	return int(h % uint32(n))
+	return int(intern.Hash(client) % uint32(n))
 }
 
 // shardFor returns the shard owning a client's state.
@@ -1062,6 +1054,9 @@ func run(opts options) error {
 	}
 	if source != "proxy" && opts.input == "" {
 		return fmt.Errorf("-source %s needs -input", source)
+	}
+	if math.IsNaN(opts.ingestEpoch) || math.IsInf(opts.ingestEpoch, 0) {
+		return fmt.Errorf("-ingest-epoch %v: want a finite Unix time, or negative for the first event's", opts.ingestEpoch)
 	}
 	if (opts.clusterConfig == "") != (opts.instanceID == "") {
 		return fmt.Errorf("-cluster-config and -instance-id must be given together")
@@ -1700,7 +1695,7 @@ func (s *service) owns(client string) bool {
 // onConnOpen records an in-flight connection so the sessionizer knows
 // not to advance past its start time until it completes.
 func (s *service) onConnOpen(r tlsproxy.Record) {
-	client := clientHost(r.ClientAddr)
+	client := ingest.ClientHost(r.ClientAddr)
 	start := r.Start.Sub(s.epoch).Seconds()
 	s.noteEventTime(start)
 	if !s.owns(client) {
@@ -1776,7 +1771,7 @@ func (s *service) onTransactionBatch(recs []tlsproxy.Record) {
 	out, squid := sc.out[:0], sc.squid[:0]
 	epochUnix := float64(s.epoch.Unix())
 	for _, r := range recs {
-		client := clientHost(r.ClientAddr)
+		client := ingest.ClientHost(r.ClientAddr)
 		if !s.owns(client) {
 			s.noteEventTime(r.End.Sub(s.epoch).Seconds())
 			s.mSkipped.Inc()
@@ -2335,20 +2330,4 @@ func (s *service) drain() {
 		fmt.Printf("client %-22s sessions-qoe=%s (%d transactions, %d boundaries)\n",
 			c, m.names[class], total, boundaries)
 	}
-}
-
-// clientHost strips the port from a client address. Bare addresses —
-// including bare IPv6 like "::1", which a naive LastIndex(":") cut
-// would mangle to "::" — pass through unchanged. An address without a
-// colon (every file source's) cannot carry a port and returns before
-// SplitHostPort, whose error path allocates.
-func clientHost(addr string) string {
-	if strings.IndexByte(addr, ':') < 0 {
-		return addr
-	}
-	host, _, err := net.SplitHostPort(addr)
-	if err != nil {
-		return addr
-	}
-	return host
 }

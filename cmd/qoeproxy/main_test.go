@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -63,26 +64,6 @@ func TestLoadResolverErrors(t *testing.T) {
 	os.WriteFile(bad, []byte("one-field-only\n"), 0o644)
 	if _, err := loadResolver(bad, "x:1"); err == nil {
 		t.Error("malformed map line accepted")
-	}
-}
-
-func TestClientHost(t *testing.T) {
-	tests := []struct {
-		addr, want string
-	}{
-		{"10.0.0.5:51234", "10.0.0.5"},
-		{"1.2.3.4:5", "1.2.3.4"},
-		{"noport", "noport"},
-		{"[::1]:443", "::1"},
-		{"::1", "::1"}, // bare IPv6: a LastIndex(":") cut would yield "::"
-		{"[2001:db8::42]:8443", "2001:db8::42"},
-		{"2001:db8::42", "2001:db8::42"},
-		{"", ""},
-	}
-	for _, tc := range tests {
-		if got := clientHost(tc.addr); got != tc.want {
-			t.Errorf("clientHost(%q) = %q, want %q", tc.addr, got, tc.want)
-		}
 	}
 }
 
@@ -148,6 +129,25 @@ func TestRunValidatesOutputsBeforeBinding(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("run accepted a missing model")
+	}
+}
+
+// TestRunRejectsNonFiniteEpoch checks that -ingest-epoch must be a
+// finite number: flag parsing accepts "nan" and "inf", and a NaN epoch
+// would otherwise rebase a pcap's flows to arbitrary offsets or make a
+// Squid source silently use its first entry.
+func TestRunRejectsNonFiniteEpoch(t *testing.T) {
+	for _, epoch := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, source := range []string{"squid", "pcap"} {
+			err := run(options{
+				source:      source,
+				input:       filepath.Join(t.TempDir(), "missing"),
+				ingestEpoch: epoch,
+			})
+			if err == nil || !strings.Contains(err.Error(), "-ingest-epoch") {
+				t.Errorf("-source %s -ingest-epoch %v: err = %v, want one naming -ingest-epoch", source, epoch, err)
+			}
+		}
 	}
 }
 

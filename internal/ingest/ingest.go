@@ -14,10 +14,12 @@
 // ConnOpen announces a connection at its start time (a partial Record),
 // TransactionBatch delivers completed records at their end times. For every
 // client, events arrive on a single goroutine in non-decreasing event
-// time, and a connection's open always precedes its transaction. File
-// sources replay the global event sequence sorted by (event time, file
-// order), exactly as tlsproxy.RecordSource does, so downstream output
-// is byte-identical no matter which format carried the records.
+// time, and a connection's open always precedes its transaction. Every
+// file source delivers in one event order, (event time, file order),
+// batched by one rule, so downstream output is byte-identical no matter
+// which format carried the records: a loaded file sorts its events once
+// (BatchSource), a tailed log orders them online under a horizon
+// (SquidSource).
 //
 // # The clock contract
 //
@@ -48,6 +50,8 @@ package ingest
 import (
 	"context"
 	"math"
+	"net"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -72,21 +76,15 @@ type Handler struct {
 	TransactionBatch func([]tlsproxy.Record)
 }
 
-// deliverBatch hands a run of completed records to the handler.
-func (h Handler) deliverBatch(recs []tlsproxy.Record) {
-	if h.TransactionBatch != nil {
-		h.TransactionBatch(recs)
-	}
-}
-
 // Stats is a live snapshot of a source's delivery counters, safe to
 // read while Run is in flight (the daemon's per-source metric series
 // sample it at scrape time).
 type Stats struct {
 	// Records counts completed transactions delivered to the handler.
 	Records int64
-	// Clients counts distinct client addresses seen by a file source; the
-	// live proxy reports 0 (the daemon's qoeproxy_clients gauge is the
+	// Clients counts distinct client hosts (ClientHost) seen by a file
+	// source, the key the daemon holds client state under; the live
+	// proxy reports 0 (the daemon's qoeproxy_clients gauge is the
 	// live figure).
 	Clients int64
 	// Skipped counts well-formed input units that are out of scope:
@@ -146,12 +144,110 @@ func QuantizeMicros(t float64) float64 {
 	return sec + micros/1e6
 }
 
-// offsetTime converts a quantized offset in seconds to an absolute
-// time, with the exact float-to-duration expression
-// tlsproxy.RecordSource uses — sub-nanosecond rounding must agree
-// between the streaming and batch delivery paths.
+// offsetTime converts an offset in seconds to an absolute time. It is
+// the package's only float-to-Duration conversion, so record times —
+// and pacing deadlines — round identically on every delivery path.
 func offsetTime(base time.Time, off float64) time.Time {
 	return base.Add(time.Duration(off * float64(time.Second)))
+}
+
+// ClientHost strips the port from a client address, the daemon's client
+// key. Bare addresses — including bare IPv6 like "::1", which a naive
+// LastIndex(":") cut would mangle to "::" — pass through unchanged; one
+// without a colon returns before SplitHostPort, whose error path allocates.
+func ClientHost(addr string) string {
+	if strings.IndexByte(addr, ':') < 0 {
+		return addr
+	}
+	host, _, err := net.SplitHostPort(addr)
+	if err != nil {
+		return addr
+	}
+	return host
+}
+
+// eventKey is one pending delivery: the open (even seq) or the
+// transaction (odd seq) of connection seq/2, due at offset at. seq also
+// breaks ties between equal offsets, so (at, seq) is a total order —
+// the one every file source delivers in. Offsets are never NaN.
+type eventKey struct {
+	at  float64
+	seq int64
+}
+
+func (k eventKey) open() bool { return k.seq&1 == 0 }
+
+func (k eventKey) before(o eventKey) bool {
+	if k.at != o.at {
+		return k.at < o.at
+	}
+	return k.seq < o.seq
+}
+
+func compareKeys(a, b eventKey) int {
+	switch {
+	case a.at < b.at:
+		return -1
+	case a.at > b.at:
+		return 1
+	case a.seq < b.seq:
+		return -1
+	case a.seq > b.seq:
+		return 1
+	}
+	return 0
+}
+
+// defaultBatch is the transaction coalescing size when a source's Batch
+// is unset.
+const defaultBatch = 256
+
+// batcher coalesces one goroutine's transaction events into runs for
+// Handler.TransactionBatch and counts what it delivers. It flushes a
+// full run, before every open (opens must not overtake buffered
+// transactions) and when its owner asks, so the event sequence is the
+// same at every batch size. The run's slice is reused between flushes.
+type batcher struct {
+	h       Handler
+	batch   []tlsproxy.Record
+	records *atomic.Int64
+}
+
+// newBatcher returns a batcher of runs up to size records (<= 0 means
+// defaultBatch) that adds every delivered record to records.
+func newBatcher(h Handler, size int, records *atomic.Int64) batcher {
+	if size <= 0 {
+		size = defaultBatch
+	}
+	return batcher{h: h, batch: make([]tlsproxy.Record, 0, size), records: records}
+}
+
+// open delivers a connection-open event, after the buffered run.
+func (b *batcher) open(r tlsproxy.Record) {
+	b.flush()
+	if b.h.ConnOpen != nil {
+		b.h.ConnOpen(r)
+	}
+}
+
+// add buffers a transaction event, delivering the run once it is full.
+func (b *batcher) add(r tlsproxy.Record) {
+	b.batch = append(b.batch, r)
+	if len(b.batch) == cap(b.batch) {
+		b.flush()
+	}
+}
+
+// flush delivers the buffered run, if any.
+func (b *batcher) flush() {
+	if len(b.batch) == 0 {
+		return
+	}
+	if b.h.TransactionBatch != nil {
+		b.h.TransactionBatch(b.batch)
+	}
+	b.records.Add(int64(len(b.batch)))
+	b.batch = b.batch[:0]
 }
 
 // tally holds a source's delivery counters as atomics; embedding it

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -194,5 +195,87 @@ func TestSquidSourceBoundedFile(t *testing.T) {
 	}
 	if st := src.Stats(); st.Records != 3 || st.Clients != 2 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestCrossSourceSequence renders the same end-ordered, millisecond-grid
+// records as a Squid log and as a replay CSV, and requires both sources
+// to deliver the identical event sequence — kind, ConnID, client, SNI,
+// times and bytes — at Batch 1 and 32. The Squid horizon outlasts every
+// connection, so its online reorder must agree with the loaded file's
+// one-time sort event for event, opens included.
+func TestCrossSourceSequence(t *testing.T) {
+	const epochUnix = 1.7e9
+	var recs []tlsproxy.ReplayRecord
+	var log strings.Builder
+	for i := 0; i < 400; i++ {
+		// Pairs of records share an end time, durations run 0–4.999 s
+		// on the ms grid, and starts collide with other events.
+		end := float64(5000+(i/2)*50) / 1000
+		start := end - float64((i*7919)%5000)/1000
+		r := tlsproxy.ReplayRecord{
+			Client:    fmt.Sprintf("10.1.0.%d", i%13),
+			SNI:       fmt.Sprintf("cdn%d.example", i%4),
+			Start:     start,
+			End:       end,
+			UpBytes:   int64(100 + i),
+			DownBytes: int64(9000 + 31*i),
+		}
+		recs = append(recs, r)
+		log.WriteString(squidlog.FormatEntry(r.Client, capture.TLSTransaction{
+			SNI: r.SNI, Start: r.Start, End: r.End, UpBytes: r.UpBytes, DownBytes: r.DownBytes,
+		}, epochUnix) + "\n")
+	}
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "access.log")
+	if err := os.WriteFile(logPath, []byte(log.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	csvPath := filepath.Join(dir, "workload.csv")
+	f, err := os.Create(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tlsproxy.WriteWorkload(f, recs); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	base := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	collect := func(src TransactionSource) []string {
+		var events []string
+		event := func(kind string, r tlsproxy.Record) {
+			events = append(events, fmt.Sprintf("%s %d %s %s %d %d %d %d", kind, r.ConnID, r.ClientAddr, r.SNI,
+				r.Start.Sub(base), r.End.Sub(base), r.UpBytes, r.DownBytes))
+		}
+		err := src.Run(context.Background(), Handler{
+			ConnOpen: func(r tlsproxy.Record) { event("open", r) },
+			TransactionBatch: func(recs []tlsproxy.Record) {
+				for _, r := range recs {
+					event("txn", r)
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return events
+	}
+	for _, batch := range []int{1, 32} {
+		replay, err := NewReplaySource(csvPath, base, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replay.Batch = batch
+		want := collect(replay)
+		got := collect(&SquidSource{Path: logPath, Base: base, EpochUnix: epochUnix, Horizon: 10, Batch: batch})
+		if len(want) != 2*len(recs) || len(got) != len(want) {
+			t.Fatalf("Batch=%d: squid delivered %d events, replay %d, want %d", batch, len(got), len(want), 2*len(recs))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Batch=%d: event %d: squid %q, replay %q", batch, i, got[i], want[i])
+			}
+		}
 	}
 }

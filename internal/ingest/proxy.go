@@ -85,6 +85,8 @@ func (s *ProxySource) connOpen(r tlsproxy.Record) {
 // natural batch, so the handler sees one-element batches.
 func (s *ProxySource) transaction(r tlsproxy.Record) {
 	s.records.Add(1)
-	one := [1]tlsproxy.Record{r}
-	s.h.deliverBatch(one[:])
+	if s.h.TransactionBatch != nil {
+		one := [1]tlsproxy.Record{r}
+		s.h.TransactionBatch(one[:])
+	}
 }

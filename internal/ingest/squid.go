@@ -24,10 +24,10 @@ import (
 // time seen minus Horizon — passes them: transaction events, which
 // arrive in end order, wait in a FIFO, and opens, which arrive up to a
 // connection's lifetime late, in a time-bucketed queue. For end-ordered
-// logs this reproduces tlsproxy.RecordSource's global (time, sequence)
-// event order exactly. Entries that arrive later than the horizon
-// allows are still delivered, just promptly rather than in global
-// order.
+// logs whose connections are shorter than the horizon this is exactly
+// the (time, sequence) event order a BatchSource sorts the same records
+// into. Entries that arrive later than the horizon allows are still
+// delivered, just promptly rather than in global order.
 //
 // With Follow set the source keeps reading as the file grows,
 // reopening on rotation (a new inode at the same path) and truncation
@@ -110,41 +110,16 @@ const maxCarryBytes = 1 << 20
 // Name reports "squid".
 func (s *SquidSource) Name() string { return "squid" }
 
-// squidKey is one pending delivery in the reorder buffer: the event
-// time, its sequence number (even = the connection's open, odd = its
-// transaction) and the slab slot holding the record both events share.
+// squidKey is one pending delivery in the reorder buffer: its event
+// key and the slab slot holding the record both of a connection's
+// events share.
 type squidKey struct {
-	at   float64
-	seq  int64
+	eventKey
 	slot int32
 }
 
-func (k squidKey) open() bool { return k.seq&1 == 0 }
-
-func (k squidKey) before(o squidKey) bool {
-	if k.at != o.at {
-		return k.at < o.at
-	}
-	return k.seq < o.seq
-}
-
-func compareKeys(a, b squidKey) int {
-	switch {
-	case a.at < b.at:
-		return -1
-	case a.at > b.at:
-		return 1
-	case a.seq < b.seq:
-		return -1
-	case a.seq > b.seq:
-		return 1
-	}
-	return 0
-}
-
 // squidReorder is the reorder buffer. It releases pending events in
-// (time, sequence) order — the total order tlsproxy.RecordSource sorts
-// its partitions by — by merging the heads of two queues:
+// eventKey order by merging the heads of two queues:
 //
 //   - an in-order FIFO, which takes every key not before its tail.
 //     Squid writes a line when the connection ends, so transaction
@@ -183,8 +158,8 @@ func (q *squidReorder) add(rec tlsproxy.Record, i int64, openAt, closeAt float64
 		slot = int32(len(q.slab))
 		q.slab = append(q.slab, rec)
 	}
-	q.push(squidKey{at: openAt, seq: 2 * i, slot: slot})
-	q.push(squidKey{at: closeAt, seq: 2*i + 1, slot: slot})
+	q.push(squidKey{eventKey{openAt, 2 * i}, slot})
+	q.push(squidKey{eventKey{closeAt, 2*i + 1}, slot})
 }
 
 func (q *squidReorder) push(k squidKey) {
@@ -206,7 +181,7 @@ func (q *squidReorder) pop(wm float64) (squidKey, bool) {
 	}
 	k, ok := q.buckets.head(q.limit)
 	f, fok := q.fifo.head()
-	fromFIFO := fok && (!ok || f.before(k))
+	fromFIFO := fok && (!ok || f.before(k.eventKey))
 	if fromFIFO {
 		k, ok = f, true
 	}
@@ -354,7 +329,7 @@ func (q *keyBuckets) insertDrained(k squidKey) {
 	lo, hi := q.r, len(cur)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if cur[m].before(k) {
+		if cur[m].before(k.eventKey) {
 			lo = m + 1
 		} else {
 			hi = m
@@ -397,7 +372,7 @@ func (q *keyBuckets) head(limit int64) (squidKey, bool) {
 		q.base++
 		q.r = 0
 		if next := q.ring[q.base&q.mask]; len(next) > 1 {
-			slices.SortFunc(next, compareKeys)
+			slices.SortFunc(next, func(a, b squidKey) int { return compareKeys(a.eventKey, b.eventKey) })
 		}
 	}
 }
@@ -409,18 +384,16 @@ func (q *keyBuckets) pop() {
 }
 
 // squidDelivery owns the source's ordered-delivery state: the reorder
-// buffer, the epoch, connection sequencing and the transaction batch.
+// buffer, the epoch, connection sequencing and the transaction batcher.
 // Exactly one goroutine drives it — the pipeline's delivery goroutine.
 type squidDelivery struct {
 	s         *SquidSource
-	h         Handler
+	b         batcher
 	q         squidReorder
 	epoch     float64
 	haveEpoch bool
 	maxEnd    float64
 	connSeq   int64
-	batch     []tlsproxy.Record
-	maxBatch  int
 }
 
 // entry turns one parsed view into open and transaction events,
@@ -492,33 +465,17 @@ func (d *squidDelivery) emit(all bool) {
 		d.deliver(k)
 	}
 	if all {
-		d.flushBatch()
+		d.b.flush()
 	}
 }
 
 func (d *squidDelivery) deliver(k squidKey) {
 	if k.open() {
-		// Opens must not overtake buffered transactions.
-		d.flushBatch()
-		if d.h.ConnOpen != nil {
-			d.h.ConnOpen(d.q.slab[k.slot])
-		}
+		d.b.open(d.q.slab[k.slot])
 		return
 	}
-	d.batch = append(d.batch, d.q.slab[k.slot])
+	d.b.add(d.q.slab[k.slot])
 	d.q.release(k.slot)
-	if len(d.batch) >= d.maxBatch {
-		d.flushBatch()
-	}
-}
-
-func (d *squidDelivery) flushBatch() {
-	if len(d.batch) == 0 {
-		return
-	}
-	d.h.deliverBatch(d.batch)
-	d.s.records.Add(int64(len(d.batch)))
-	d.batch = d.batch[:0]
 }
 
 // Run tails the log into h per the type's contract.
@@ -539,18 +496,13 @@ func (s *SquidSource) Run(ctx context.Context, h Handler) error {
 	br := bufio.NewReaderSize(f, 64<<10)
 	s.initInterners()
 
-	maxBatch := s.Batch
-	if maxBatch <= 0 {
-		maxBatch = defaultBatch
-	}
 	d := &squidDelivery{
-		s: s, h: h,
+		s:         s,
+		b:         newBatcher(h, s.Batch, &s.records),
 		q:         newSquidReorder(s.Horizon),
 		epoch:     s.EpochUnix,
 		haveEpoch: s.EpochUnix >= 0,
 		maxEnd:    math.Inf(-1),
-		maxBatch:  maxBatch,
-		batch:     make([]tlsproxy.Record, 0, maxBatch),
 	}
 	// Every return below this point hands off the last block, closes the
 	// channel and waits for the delivery goroutine: nothing is delivered
@@ -774,7 +726,7 @@ func (p *squidPipeline) deliverLoop() {
 		// The block's bytes are dead (identity strings interned); flush
 		// so delivered work is visible before the next block, then
 		// recycle.
-		p.d.flushBatch()
+		p.d.b.flush()
 		blk.buf = blk.buf[:0]
 		blk.offs = blk.offs[:1]
 		blk.parsed = blk.parsed[:0]

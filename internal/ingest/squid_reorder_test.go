@@ -27,8 +27,8 @@ func (h *squidHeap) add(rec tlsproxy.Record, i int64, openAt, closeAt float64) {
 		slot = int32(len(h.slab))
 		h.slab = append(h.slab, rec)
 	}
-	h.push(squidKey{at: openAt, seq: 2 * i, slot: slot})
-	h.push(squidKey{at: closeAt, seq: 2*i + 1, slot: slot})
+	h.push(squidKey{eventKey{openAt, 2 * i}, slot})
+	h.push(squidKey{eventKey{closeAt, 2*i + 1}, slot})
 }
 
 func (h *squidHeap) push(k squidKey) {
@@ -36,7 +36,7 @@ func (h *squidHeap) push(k squidKey) {
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !k.before(q[parent]) {
+		if !k.before(q[parent].eventKey) {
 			break
 		}
 		q[i] = q[parent]
@@ -62,10 +62,10 @@ func (h *squidHeap) pop(wm float64) (squidKey, bool) {
 		if m >= n {
 			break
 		}
-		if r := m + 1; r < n && q[r].before(q[m]) {
+		if r := m + 1; r < n && q[r].before(q[m].eventKey) {
 			m = r
 		}
-		if !q[m].before(last) {
+		if !q[m].before(last.eventKey) {
 			break
 		}
 		q[i] = q[m]

@@ -55,8 +55,9 @@ func NewTable() *Table {
 	return t
 }
 
-// fnv1a hashes b with 32-bit FNV-1a (inline: no hash.Hash allocation).
-func fnv1a(b []byte) uint32 {
+// Hash is 32-bit FNV-1a over b without allocating, equal to hash/fnv's
+// New32a sum: the one hash behind every shard and worker placement.
+func Hash[T string | []byte](b T) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -75,7 +76,7 @@ func fnv1a(b []byte) uint32 {
 // tracking map. A value resurfacing after Rotate released it counts as
 // a fresh sighting again.
 func (t *Table) Bytes(b []byte) (s string, added bool) {
-	sh := &t.shards[fnv1a(b)&(shardCount-1)]
+	sh := &t.shards[Hash(b)&(shardCount-1)]
 	sh.mu.RLock()
 	s, ok := sh.cur[string(b)] // no allocation: map lookup special case
 	sh.mu.RUnlock()
@@ -93,7 +94,7 @@ func (t *Table) Bytes(b []byte) (s string, added bool) {
 // stored as a copy of v, so v — often a substring of a whole input
 // line — can be collected.
 func (t *Table) String(v string) (s string, added bool) {
-	sh := &t.shards[fnv1aString(v)&(shardCount-1)]
+	sh := &t.shards[Hash(v)&(shardCount-1)]
 	sh.mu.RLock()
 	s, ok := sh.cur[v]
 	sh.mu.RUnlock()
@@ -122,19 +123,6 @@ func (sh *shard) insertLocked(k string) (s string, added bool) {
 	}
 	sh.cur[k] = k
 	return k, true
-}
-
-func fnv1aString(v string) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(v); i++ {
-		h ^= uint32(v[i])
-		h *= prime32
-	}
-	return h
 }
 
 // Len reports how many distinct values the table holds across both

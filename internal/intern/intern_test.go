@@ -2,6 +2,9 @@ package intern
 
 import (
 	"fmt"
+	"hash/fnv"
+	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -280,6 +283,23 @@ func TestRotateConcurrent(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+}
+
+// TestClientHashMatchesFNV pins Hash, on strings and on bytes, to
+// hash/fnv, so the intern shard, the ingest worker and the daemon shard
+// of a value are the ones they always were.
+func TestClientHashMatchesFNV(t *testing.T) {
+	for _, client := range []string{"", "a:1", "10.0.0.5:40001", "[2001:db8::1]:443", strings.Repeat("x", 300)} {
+		h := fnv.New32a()
+		io.WriteString(h, client)
+		want := h.Sum32()
+		if got := Hash(client); got != want {
+			t.Errorf("Hash(%q) = %#x, want %#x", client, got, want)
+		}
+		if got := Hash([]byte(client)); got != want {
+			t.Errorf("Hash([]byte(%q)) = %#x, want %#x", client, got, want)
+		}
+	}
 }
 
 func BenchmarkBytesHit(b *testing.B) {

@@ -102,15 +102,15 @@ if ! echo "$dirty_out" | grep -q "	       0 allocs/op"; then
 fi
 
 echo "== replay delivery memory gate =="
-# One op replays a loaded workload (tlsproxy.RecordSource) into no-op
+# One op replays a loaded workload (ingest.BatchSource.Run) into no-op
 # callbacks, at two record counts and two worker counts. Delivery sorts
 # two 16-byte event keys per record over the workload it is given, so
 # more than 40 allocated B/record, or allocs/op that grow with the
 # record count, means per-record copies are back.
-replay_out=$(go test -run '^$' -bench 'RecordSourceRun' -benchmem ./internal/tlsproxy)
+replay_out=$(go test -run '^$' -bench 'BatchSourceRun' -benchmem ./internal/ingest)
 echo "$replay_out"
 if ! echo "$replay_out" | awk '
-$1 ~ /^BenchmarkRecordSourceRun\// {
+$1 ~ /^BenchmarkBatchSourceRun\// {
 	n = $1; sub(/.*records=/, "", n); sub(/\/.*/, "", n); n += 0
 	w = $1; sub(/.*workers=/, "", w); sub(/-.*/, "", w)
 	for (i = 2; i < NF; i++) {
@@ -123,7 +123,7 @@ $1 ~ /^BenchmarkRecordSourceRun\// {
 	if (!(w in hi) || n > hi[w]) { hi[w] = n; hiA[w] = a }
 }
 END {
-	if (runs < 4) { print "expected 4 RecordSourceRun results, got " runs; exit 1 }
+	if (runs < 4) { print "expected 4 BatchSourceRun results, got " runs; exit 1 }
 	for (w in lo) {
 		# A few allocations of slack absorb runtime noise; one per
 		# record or per client would add thousands.

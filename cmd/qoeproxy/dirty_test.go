@@ -21,17 +21,14 @@ import (
 )
 
 // dirtyAll marks every resident client dirty, as if nothing had ever
-// been scored for it: the next pass re-gathers and re-scores all of
-// them, which is what every pass did before dirty tracking. Stored
-// classes stay, so class-change logging is unaffected.
+// been scored for it: it re-serves the current bundle under a fresh
+// stamp, so the next pass re-gathers and re-scores all of them, which
+// is what every pass did before dirty tracking. Stored classes stay, so
+// class-change logging is unaffected.
 func (s *service) dirtyAll() {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, cs := range sh.clients {
-			cs.scoredBy = nil
-		}
-		sh.mu.Unlock()
-	}
+	m := *s.model.Load()
+	m.stamp = s.bundles.Add(1)
+	s.model.Store(&m)
 }
 
 // rowsScored sums qoeproxy_qoe_predictions_total over its classes.
@@ -50,16 +47,12 @@ func verdicts(t *testing.T, s *service) map[string]string {
 	t.Helper()
 	out := map[string]string{}
 	var byClass [len(s.byClass)]int64
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for client, cs := range sh.clients {
-			out[client] = "-"
-			if cs.hasClass {
-				byClass[cs.lastClass]++
-				out[client] = fmt.Sprint(cs.lastClass)
-			}
+	for _, cs := range s.snapshotState().Clients {
+		out[cs.Client] = "-"
+		if cs.HasClass {
+			byClass[cs.LastClass]++
+			out[cs.Client] = fmt.Sprint(cs.LastClass)
 		}
-		sh.mu.Unlock()
 	}
 	for c := range byClass {
 		if got := s.byClass[c].Load(); got != byClass[c] {
@@ -418,7 +411,7 @@ func TestFailedPassLeavesClientsDirty(t *testing.T) {
 	s, _ := newTestService(t, options{window: time.Hour}, est)
 	feedRecords(s, "10.13.0.1:7000", 1, 4)
 	s.classifyPass(10)
-	if rowsScored(s) != 1 || !s.client("10.13.0.1").hasClass {
+	if rowsScored(s) != 1 || !s.client("10.13.0.1").HasClass {
 		t.Fatal("a good pass did not classify the client")
 	}
 	good := s.model.Load()
@@ -436,7 +429,7 @@ func TestFailedPassLeavesClientsDirty(t *testing.T) {
 	if got := s.mRuns.Value(); got != 1 {
 		t.Errorf("classification_runs_total = %d, want only the one good pass", got)
 	}
-	if cs := s.client("10.13.0.1"); cs.scoredBy != good {
+	if cs := s.client("10.13.0.1"); cs.ScoredBy != good.stamp {
 		t.Error("a failed pass stamped the client as scored by the failing bundle")
 	}
 	verdicts(t, s)
@@ -488,10 +481,11 @@ func BenchmarkClassifyPassClean(b *testing.B) {
 
 // BenchmarkClassifyPassDirty is the opposite end: one op is a pass over
 // 4,096 resident clients that have all changed since their last
-// verdict (a gen bump outside the timer stands in for a commit), so the
-// pass rebuilds and scores every row from the client's transaction
-// runs. The benchmark fails unless every client is scored on every
-// pass, and scripts/check.sh fails unless it allocates nothing.
+// verdict (re-serving the bundle under a fresh stamp outside the timer
+// dirties them all, as a commit to each would), so the pass rebuilds
+// and scores every row from the client's transaction runs. The
+// benchmark fails unless every client is scored on every pass, and
+// scripts/check.sh fails unless it allocates nothing.
 func BenchmarkClassifyPassDirty(b *testing.B) {
 	const clients = 4096
 	s := residentService(b, clients)
@@ -499,11 +493,7 @@ func BenchmarkClassifyPassDirty(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		for _, sh := range s.shards {
-			for _, cs := range sh.clients {
-				cs.gen++
-			}
-		}
+		s.dirtyAll()
 		b.StartTimer()
 		s.classifyPass(1e6)
 	}

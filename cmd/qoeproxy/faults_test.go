@@ -15,6 +15,7 @@ import (
 	"droppackets/internal/core"
 	"droppackets/internal/faultinject"
 	"droppackets/internal/qoe"
+	"droppackets/internal/serve"
 	"droppackets/internal/tlsproxy"
 )
 
@@ -75,14 +76,16 @@ func newTestService(t *testing.T, opts options, est *core.Estimator, shadow ...*
 	return s, logs
 }
 
-// client returns the live state for a client host, or nil. Tests read
-// the returned state without the shard lock, which is safe only while
-// no other goroutine is feeding the service.
-func (s *service) client(host string) *clientState {
+// client returns a copy of a client host's state, or nil.
+func (s *service) client(host string) *serve.ClientState {
 	sh := s.shardFor(host)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.clients[host]
+	st, ok := sh.core.Client(host)
+	if !ok {
+		return nil
+	}
+	return &st
 }
 
 // record builds a completed-transaction record at the given epoch
@@ -195,7 +198,7 @@ func TestSinkWriteFailures(t *testing.T) {
 	if got := s.mTxns.Value(); got != 7 {
 		t.Errorf("transactions_total = %d, want 7", got)
 	}
-	if cs := s.client("10.1.1.1"); cs == nil || cs.txns != 7 {
+	if cs := s.client("10.1.1.1"); cs == nil || cs.Txns != 7 {
 		t.Fatalf("client state lost transactions during the sink burst: %+v", cs)
 	}
 }
@@ -212,7 +215,7 @@ func TestServeLoopDrainsOnListenerError(t *testing.T) {
 		deliver(s, r)
 	}
 	cs := s.client("10.2.2.2")
-	pending := len(cs.inFlight) + len(cs.buffer)
+	pending := len(cs.InFlight) + len(cs.Buffer)
 	if pending == 0 {
 		t.Fatal("test needs transactions still pending inside the streamer's look-ahead")
 	}
@@ -224,12 +227,13 @@ func TestServeLoopDrainsOnListenerError(t *testing.T) {
 		t.Fatalf("serveLoop returned %v, want the listener error", err)
 	}
 
-	if len(cs.inFlight) != 0 || len(cs.buffer) != 0 {
+	cs = s.client("10.2.2.2")
+	if len(cs.InFlight) != 0 || len(cs.Buffer) != 0 {
 		t.Errorf("listener-error exit left %d in-flight and %d buffered transactions undrained",
-			len(cs.inFlight), len(cs.buffer))
+			len(cs.InFlight), len(cs.Buffer))
 	}
-	if len(cs.current) != n {
-		t.Errorf("current session has %d transactions after drain, want %d", len(cs.current), n)
+	if len(cs.Current) != n {
+		t.Errorf("current session has %d transactions after drain, want %d", len(cs.Current), n)
 	}
 }
 
@@ -254,7 +258,7 @@ func TestClassificationErrorsMetric(t *testing.T) {
 	if got := logs.countLogMsg(t, "classification failed"); got != 1 {
 		t.Errorf("failure logged %d times, want 1", got)
 	}
-	if s.client("10.3.3.3").hasClass {
+	if s.client("10.3.3.3").HasClass {
 		t.Error("a failed pass must not record a classification")
 	}
 }

@@ -70,11 +70,9 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		if n := s.clientCount(); n > len(snap.Clients) {
 			t.Fatalf("%d clients resident from a snapshot of %d", n, len(snap.Clients))
 		}
-		for _, sh := range s.shards {
-			for client := range sh.clients {
-				if !ring.Owns("b", client) {
-					t.Fatalf("restored client %q belongs to %s", client, ring.Owner(client))
-				}
+		for _, cs := range s.snapshotState().Clients {
+			if !ring.Owns("b", cs.Client) {
+				t.Fatalf("restored client %q belongs to %s", cs.Client, ring.Owner(cs.Client))
 			}
 		}
 	})

@@ -16,9 +16,11 @@ import (
 	"droppackets/internal/capture"
 	"droppackets/internal/core"
 	"droppackets/internal/dataset"
+	"droppackets/internal/has"
 	"droppackets/internal/ingest"
 	"droppackets/internal/netflow"
 	"droppackets/internal/pcap"
+	"droppackets/internal/sessionid"
 	"droppackets/internal/squidlog"
 	"droppackets/internal/tlsproxy"
 )
@@ -306,6 +308,94 @@ func TestCrossSourceEquivalence(t *testing.T) {
 		compareRuns(t, o.name, got.invariantRun, base.invariantRun)
 		if got.sinkSquid != base.sinkSquid {
 			t.Errorf("%s: squid-log sink diverged (%d bytes vs %d)", o.name, len(got.sinkSquid), len(base.sinkSquid))
+		}
+	}
+}
+
+// TestReplayWorkersKeepHostSessions replays a workload whose hosts each
+// connect from several source ports through four ingest workers. The
+// daemon keys a client by host, so the source must deliver all of a
+// host's connections from one worker, in order: then every client's
+// session boundaries equal the offline heuristic's over its
+// transactions. Run it with -count=20 to shake the worker
+// interleavings.
+func TestReplayWorkersKeepHostSessions(t *testing.T) {
+	const hosts, ports = 6, 4
+	traffic, err := dataset.Build(dataset.Config{Seed: 29, Sessions: 36}, has.Svc1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := make([]float64, hosts)
+	var recs []tlsproxy.ReplayRecord
+	for i, r := range traffic.Records {
+		h := i % hosts
+		base, end := next[h], next[h]
+		for j, txn := range r.Capture.TLS {
+			recs = append(recs, tlsproxy.ReplayRecord{
+				Client: fmt.Sprintf("10.30.0.%d:%d", h+1, 40000+j%ports),
+				SNI:    txn.SNI, Start: base + txn.Start, End: base + txn.End,
+				UpBytes: txn.UpBytes, DownBytes: txn.DownBytes,
+			})
+			end = max(end, base+txn.End)
+		}
+		next[h] = end + 60
+	}
+	var csv bytes.Buffer
+	if err := tlsproxy.WriteWorkload(&csv, recs); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "workload.csv")
+	if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	s, _ := newTestService(t, options{shards: 4}, nil)
+	src, err := ingest.NewReplaySource(path, s.epoch, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Run(context.Background(), ingest.Handler{ConnOpen: s.onConnOpen, TransactionBatch: s.onTransactionBatch}); err != nil {
+		t.Fatal(err)
+	}
+	s.drain()
+
+	// The offline side sees each transaction as the daemon holds it:
+	// read back from the file and converted through record time. Equal
+	// starts keep the order the daemon commits them in, by end.
+	loaded, err := tlsproxy.ReadWorkload(bytes.NewReader(csv.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(off float64) time.Time { return s.epoch.Add(time.Duration(off * float64(time.Second))) }
+	perHost := map[string][]sessionid.Transaction{}
+	for _, r := range loaded {
+		txn := tlsproxy.ToCaptureTransaction(tlsproxy.Record{SNI: r.SNI, Start: at(r.Start), End: at(r.End)}, s.epoch)
+		host := ingest.ClientHost(r.Client)
+		perHost[host] = append(perHost[host], sessionid.Transaction{Start: txn.Start, End: txn.End, SNI: txn.SNI})
+	}
+	if len(perHost) != hosts {
+		t.Fatalf("%d hosts in the workload, want %d", len(perHost), hosts)
+	}
+	for host, all := range perHost {
+		sort.SliceStable(all, func(i, j int) bool {
+			if all[i].Start != all[j].Start {
+				return all[i].Start < all[j].Start
+			}
+			return all[i].End < all[j].End
+		})
+		var want int64
+		for _, isNew := range sessionid.Detect(all, sessionid.PaperParams) {
+			if isNew {
+				want++
+			}
+		}
+		cs := s.client(host)
+		if cs == nil || cs.Txns != int64(len(all)) {
+			t.Fatalf("host %s: state %v, want %d transactions", host, cs, len(all))
+		}
+		if cs.Boundaries != want {
+			t.Errorf("host %s: %d session boundaries, the offline heuristic finds %d", host, cs.Boundaries, want)
 		}
 	}
 }

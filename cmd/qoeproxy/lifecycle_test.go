@@ -278,7 +278,7 @@ func TestReloadUnderLoad(t *testing.T) {
 	for i := 1; i <= numClients; i++ {
 		host := fmt.Sprintf("10.60.0.%d", i)
 		cs := s.client(host)
-		if cs == nil || !cs.hasClass {
+		if cs == nil || !cs.HasClass {
 			t.Errorf("client %s lost its classification across reloads", host)
 		}
 	}
@@ -475,7 +475,7 @@ func TestRunSIGHUPReload(t *testing.T) {
 	}
 	wf.Close()
 
-	metricsAddr := freePort(t)
+	metricsAddr := freePorts(t, 1)[0]
 	done := make(chan error, 1)
 	go func() {
 		done <- run(options{
@@ -576,8 +576,8 @@ func TestRunSIGHUPWithoutModel(t *testing.T) {
 	signal.Notify(hupGuard, syscall.SIGHUP)
 	defer signal.Stop(hupGuard)
 
-	listen := freePort(t)
-	metricsAddr := freePort(t)
+	ports := freePorts(t, 2)
+	listen, metricsAddr := ports[0], ports[1]
 	done := make(chan error, 1)
 	go func() {
 		done <- run(options{

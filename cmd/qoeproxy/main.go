@@ -38,9 +38,10 @@
 // are evicted after -client-ttl (their final classification is
 // emitted first) and retained transaction state is capped at
 // -max-session-txns, so the daemon's footprint is O(active clients),
-// not O(all traffic ever seen). Per-client state is partitioned into
-// -shards lock-sharded maps (default GOMAXPROCS) so concurrent
-// connections ingest in parallel, and the classify tick fans out
+// not O(all traffic ever seen). Per-client state lives in
+// internal/serve: each of -shards lock shards (default GOMAXPROCS)
+// holds one serve.Core behind its mutex, so concurrent connections
+// ingest in parallel, and the classify tick fans out
 // across shards on min(GOMAXPROCS, -shards) workers, sweeping each
 // shard's feature rows through the compiled scorer in contiguous
 // row-major blocks; outputs stay ordered through a
@@ -113,7 +114,7 @@ import (
 	"droppackets/internal/intern"
 	"droppackets/internal/metrics"
 	"droppackets/internal/qoe"
-	"droppackets/internal/sessionid"
+	"droppackets/internal/serve"
 	"droppackets/internal/squidlog"
 	"droppackets/internal/stats"
 	"droppackets/internal/tlsproxy"
@@ -241,159 +242,6 @@ func openAppend(path string) (f *os.File, wasEmpty bool, err error) {
 	return f, st.Size() == 0, nil
 }
 
-// clientState is everything the service tracks per client address.
-type clientState struct {
-	streamer *sessionid.Streamer
-	// activeStarts lists the in-flight connections with their start time
-	// in epoch seconds, unordered (append on open, swap-delete on close);
-	// the minimum start is the sessionizer watermark. A client has a
-	// handful open at once, so a scan beats a map in time and space.
-	activeStarts []activeConn
-	// buffer holds completed transactions not yet safe to hand the
-	// (start-ordered) streamer, sorted by Start.
-	buffer []capture.TLSTransaction
-	// inFlight mirrors the streamer's pending transactions with their
-	// byte counts; decisions pop from the front.
-	inFlight []capture.TLSTransaction
-	// current accumulates the decided transactions of the current
-	// session; a detected boundary resets it. A classify pass rescans
-	// current ++ inFlight ++ buffer for the client's feature row — about
-	// ten transactions for a typical session, so no per-client feature
-	// state is kept between passes.
-	current []capture.TLSTransaction
-	// recent retains the most recent transactions (capped at
-	// -max-session-txns) for the shutdown/eviction summary; lifetime
-	// aggregates below summarize what the ring has dropped.
-	recent *txnRing
-	// lastActivity is the latest transaction end (or connection start)
-	// in epoch seconds; the eviction sweep compares it to -client-ttl.
-	lastActivity float64
-	// txns, upBytes and downBytes are lifetime totals; durStats
-	// aggregates transaction durations online — all O(1) state.
-	txns               int64
-	upBytes, downBytes int64
-	durStats           stats.Running
-	// boundaries counts detected session starts.
-	boundaries int64
-	// truncated marks that the current session already counted toward
-	// qoeproxy_sessions_truncated_total; reset at each boundary.
-	truncated bool
-	// lastClass is the client's current online verdict (hasClass guards
-	// it): what a pass compares a fresh class against to decide whether
-	// to log, and what qoeproxy_sessions_by_class counts the client under.
-	lastClass int
-	hasClass  bool
-	// gen counts the commits folded into this client. commitTransaction
-	// is the only place the inputs of the client's feature row (current,
-	// inFlight, buffer) change, so an unchanged gen means an
-	// unchanged row — except at the window edge, see rowEdge.
-	gen uint32
-	// scoredGen and scoredBy say what lastClass was scored from: the
-	// generation gathered and the serving bundle that scored it. Both are
-	// written when the class is stored, not when the row is gathered, so
-	// a commit landing in between, or a failed pass, leaves the client
-	// dirty. A pass skips a client whose scoredGen is its gen and whose
-	// scoredBy is the pass's bundle; a reload, a shadow swap and a
-	// snapshot restore (scoredBy nil) therefore re-score everyone once.
-	scoredGen uint32
-	scoredBy  *servingModel
-	// rowEdge is the earliest End among the transactions of the last
-	// scored row: once a pass's cutoff passes it a transaction has aged
-	// out, and the client is dirty without a commit. The cutoff only
-	// moves forward, so nothing excluded comes back; with -window 0 it is
-	// -Inf and never passes. +Inf after an empty row.
-	rowEdge float64
-}
-
-// activeConn is one in-flight connection of a client.
-type activeConn struct {
-	connID uint64
-	start  float64
-}
-
-// openConn records an in-flight connection's start; a repeated ID
-// replaces the earlier start, as a map keyed by ID would.
-func (cs *clientState) openConn(connID uint64, start float64) {
-	for i := range cs.activeStarts {
-		if cs.activeStarts[i].connID == connID {
-			cs.activeStarts[i].start = start
-			return
-		}
-	}
-	cs.activeStarts = append(cs.activeStarts, activeConn{connID, start})
-}
-
-// closeConn forgets an in-flight connection; unknown IDs (a transaction
-// whose open was never seen) are a no-op.
-func (cs *clientState) closeConn(connID uint64) {
-	for i, c := range cs.activeStarts {
-		if c.connID == connID {
-			last := len(cs.activeStarts) - 1
-			cs.activeStarts[i] = cs.activeStarts[last]
-			cs.activeStarts = cs.activeStarts[:last]
-			return
-		}
-	}
-}
-
-// txnRing retains the most recent transactions in arrival order
-// within a fixed capacity; limit 0 disables the cap (unbounded).
-type txnRing struct {
-	limit   int
-	buf     []capture.TLSTransaction
-	start   int
-	dropped int64
-}
-
-func newTxnRing(limit int) *txnRing { return &txnRing{limit: limit} }
-
-// push appends t, dropping the oldest retained transaction when the
-// ring is full, and reports how many were dropped (0 or 1).
-func (r *txnRing) push(t capture.TLSTransaction) int {
-	if r.limit <= 0 || len(r.buf) < r.limit {
-		r.buf = append(r.buf, t)
-		return 0
-	}
-	r.buf[r.start] = t
-	r.start = (r.start + 1) % r.limit
-	r.dropped++
-	return 1
-}
-
-// len reports how many transactions the ring retains.
-func (r *txnRing) len() int { return len(r.buf) }
-
-// snapshot appends the retained transactions, oldest first, to dst.
-func (r *txnRing) snapshot(dst []capture.TLSTransaction) []capture.TLSTransaction {
-	dst = append(dst, r.buf[r.start:]...)
-	return append(dst, r.buf[:r.start]...)
-}
-
-// capRun bounds a transaction run to limit entries, dropping the
-// oldest once it overshoots the limit by half — the slack amortizes
-// the copy-down to O(1) per transaction. It reports how many entries
-// were dropped.
-func capRun(run *[]capture.TLSTransaction, limit int) int {
-	if limit <= 0 || len(*run) <= limit+limit/2 {
-		return 0
-	}
-	r := *run
-	drop := len(r) - limit
-	n := copy(r, r[drop:])
-	*run = r[:n]
-	return drop
-}
-
-// ongoingOrdered invariant: cs.current ++ cs.inFlight ++ cs.buffer is
-// the client's ongoing session in start order, with no sort needed.
-// The watermark (minimum start among open connections) never
-// decreases, transactions are released to the streamer in start order,
-// and every buffered transaction starts strictly after every released
-// one — so the three runs concatenate sorted. Observed traffic belongs
-// to the ongoing session until a boundary says otherwise, which keeps
-// a client with one long-lived connection classifiable before any
-// look-ahead window ever closes.
-
 // service is the running daemon: proxy plus sessionizers, estimator,
 // metrics and log sinks. Per-client state lives in lock shards so
 // concurrent connections only contend when their clients hash
@@ -427,6 +275,10 @@ type service struct {
 	// logicalClock selects the watermark (true: file/replay sources)
 	// over wall time (false: live proxy) as the sweep clock.
 	logicalClock bool
+	// bundles numbers the serving bundles built so far; each bundle's
+	// stamp is its number, so no bundle is stamp 0, the stamp of a
+	// restored client.
+	bundles atomic.Uint64
 	// lastRotate is when (sweep clock) the intern tables last rotated;
 	// tick goroutine only.
 	lastRotate float64
@@ -460,9 +312,9 @@ type service struct {
 	// min(GOMAXPROCS, shards) at newService.
 	workers int
 
-	// byClass counts resident clients by current verdict (clientState
-	// lastClass), moved where a class is stored, restored or evicted —
-	// never by walking the clients — behind qoeproxy_sessions_by_class.
+	// byClass counts resident clients by current verdict, moved where a
+	// class is stored, restored or evicted — never by walking the
+	// clients — behind qoeproxy_sessions_by_class.
 	byClass [qoe.NumCategories]atomic.Int64
 
 	// pass is the classification pass in progress and classifyShardFn its
@@ -471,7 +323,7 @@ type service struct {
 	// one call at a time.
 	pass            classifyRun
 	classifyShardFn func(worker, si int)
-	cLines          []classLine
+	cLines          []serve.Change
 
 	mTxns          *metrics.Counter
 	mBoundaries    *metrics.Counter
@@ -498,45 +350,22 @@ type service struct {
 }
 
 // shard owns one partition of the per-client state: its mutex guards
-// the map and every clientState (and its sessionizer) reached through
-// it.
+// the Core, and with it every client of the partition.
 type shard struct {
-	mu      sync.Mutex
-	clients map[string]*clientState
+	mu   sync.Mutex
+	core *serve.Core
 
-	// Classify scratch, reused across passes. During one pass exactly
-	// one worker visits each shard (forEachShard hands out shard indices
-	// exclusively), so these need no lock of their own: the gather phase
-	// fills them under mu, the sweep reads them after release — and
-	// nothing else ever touches them.
-	cRows     []classifyRow // gathered (dirty) clients, one per block row
-	cBlock    []float64     // row-major block, len(cRows) x stride
-	cProbs    []float64     // per-sweep probability scratch
+	// Sweep scratch, reused across passes. During one pass exactly one
+	// worker visits each shard (forEachShard hands out shard indices
+	// exclusively), so these need no lock of their own: the gather fills
+	// cBlock under mu, the sweep reads it after release — and nothing
+	// else ever touches them.
+	cBlock    []float64 // gathered (dirty) rows, row-major, cRows x stride
+	cRows     int
+	cProbs    []float64 // per-sweep probability scratch
 	cClasses  []int
 	cShadow   []int // challenger classes over the same rows (-shadow-model)
 	cResident int   // clients resident at the gather
-
-	// Per-client read-time scratch, shared by every client of the shard
-	// because it is only ever used under mu, one client at a time: the
-	// gather phase lists a client's transactions in txns and builds its
-	// row in row before copying it into cBlock. Keeping these here
-	// instead of on clientState saves their capacity once per resident
-	// client.
-	txns []capture.TLSTransaction
-	row  []float64
-	// decisions is the sessionizer's output scratch for advance, which
-	// also only runs under mu.
-	decisions []sessionid.Decision
-}
-
-// classifyRow is the bookkeeping of one gathered feature row,
-// index-aligned with its shard's cBlock rows and cClasses.
-type classifyRow struct {
-	client string
-	cs     *clientState
-	txns   int     // transactions in the row
-	gen    uint32  // cs.gen at the gather
-	edge   float64 // the row's clientState.rowEdge
 }
 
 // classifyRun is the state one classification pass shares with its
@@ -547,13 +376,6 @@ type classifyRun struct {
 	buildNanos, sweepNanos atomic.Int64
 	errMu                  sync.Mutex
 	err                    error
-}
-
-// classLine is one "classification" log line of a pass: a client's
-// first verdict (prev < 0) or a change of class.
-type classLine struct {
-	client            string
-	class, prev, txns int
 }
 
 // defaultClassifyBatch is how many feature rows one batched inference
@@ -583,9 +405,21 @@ func newService(opts options, logger *slog.Logger, est *core.Estimator) *service
 	s.batchPool.New = func() any { return &batchScratch{} }
 	s.classifyShardFn = s.classifyShard
 	s.logicalClock = opts.source != "" && opts.source != "proxy"
+	// The hooks read the counters at call time: registerMetrics creates
+	// them after the shards.
+	hooks := serve.Hooks{
+		Boundary: func(client string, boundaries int64, closedTxns int) {
+			s.mBoundaries.Inc()
+			if s.debugLog {
+				s.log.Debug("session boundary", "client", client, "boundaries", boundaries,
+					"closed_session_txns", closedTxns)
+			}
+		},
+		Truncated: func() { s.mTruncated.Inc() },
+	}
 	s.shards = make([]*shard, opts.shards)
 	for i := range s.shards {
-		s.shards[i] = &shard{clients: map[string]*clientState{}}
+		s.shards[i] = &shard{core: serve.New(opts.maxSessionTxns, hooks)}
 	}
 	s.startSinkWriter()
 	return s
@@ -599,6 +433,9 @@ func newService(opts options, logger *slog.Logger, est *core.Estimator) *service
 type servingModel struct {
 	est   *core.Estimator
 	names []string // class display names
+	// stamp identifies the bundle to the shards' Cores: a client whose
+	// class was stored under another stamp is re-scored.
+	stamp uint64
 	// predClass caches the per-class prediction-counter handles, aligned
 	// with names. The underlying CounterVec children outlive reloads, so
 	// counts keep accumulating across models with the same metric.
@@ -697,6 +534,7 @@ func (s *service) buildModel(est, shadow *core.Estimator) (*servingModel, error)
 	m := &servingModel{
 		est:      est,
 		names:    core.ClassNames(est.Metric()),
+		stamp:    s.bundles.Add(1),
 		loadedAt: time.Now(),
 	}
 	m.predClass = make([]*metrics.LabeledCounter, len(m.names))
@@ -1510,11 +1348,7 @@ func (s *service) registerMetrics() {
 			n := 0
 			for _, sh := range s.shards {
 				sh.mu.Lock()
-				for _, cs := range sh.clients {
-					if len(cs.current)+len(cs.inFlight)+len(cs.buffer) > 0 {
-						n++
-					}
-				}
+				n += sh.core.Active()
 				sh.mu.Unlock()
 			}
 			return float64(n)
@@ -1662,24 +1496,10 @@ func (s *service) clientCount() int {
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		n += len(sh.clients)
+		n += sh.core.Len()
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// state returns (creating if needed) the per-client state; the caller
-// holds the shard's lock, and the shard must be the client's.
-func (s *service) state(sh *shard, client string) *clientState {
-	cs, ok := sh.clients[client]
-	if !ok {
-		cs = &clientState{
-			streamer: sessionid.NewStreamer(sessionid.PaperParams),
-			recent:   newTxnRing(s.opts.maxSessionTxns),
-		}
-		sh.clients[client] = cs
-	}
-	return cs
 }
 
 // owns reports whether this instance serves a client: always true for
@@ -1703,12 +1523,8 @@ func (s *service) onConnOpen(r tlsproxy.Record) {
 	}
 	sh := s.shardFor(client)
 	s.lockIngest(sh)
-	defer sh.mu.Unlock()
-	cs := s.state(sh, client)
-	cs.openConn(r.ConnID, start)
-	if start > cs.lastActivity {
-		cs.lastActivity = start
-	}
+	sh.core.Open(client, r.ConnID, start)
+	sh.mu.Unlock()
 }
 
 // appendOutLine renders one CSV sink record onto dst, matching the
@@ -1814,7 +1630,8 @@ func (s *service) onTransactionBatch(recs []tlsproxy.Record) {
 				s.lockIngest(sh)
 				locked = true
 			}
-			s.commitTransaction(sh, c.client, c.connID, c.txn)
+			s.noteEventTime(c.txn.End)
+			sh.core.Commit(c.client, c.connID, c.txn)
 			done++
 		}
 		if locked {
@@ -1823,105 +1640,6 @@ func (s *service) onTransactionBatch(recs []tlsproxy.Record) {
 	}
 	sc.out, sc.squid, sc.commits = out, squid, commits
 	s.batchPool.Put(sc)
-}
-
-// commitTransaction folds one completed transaction into its client's
-// state and advances the sessionizer. The caller holds the client's
-// shard lock; sink lines and the transaction counter are the caller's
-// business.
-func (s *service) commitTransaction(sh *shard, client string, connID uint64, txn capture.TLSTransaction) {
-	cs := s.state(sh, client)
-	cs.gen++
-	s.noteEventTime(txn.End)
-	if txn.End > cs.lastActivity {
-		cs.lastActivity = txn.End
-	}
-	cs.txns++
-	cs.upBytes += txn.UpBytes
-	cs.downBytes += txn.DownBytes
-	cs.durStats.Observe(txn.End - txn.Start)
-	if cs.recent.push(txn) > 0 {
-		s.noteTruncation(cs)
-	}
-	cs.closeConn(connID)
-	// Insert sorted by start: connections end out of order, the
-	// sessionizer wants start order.
-	i := sort.Search(len(cs.buffer), func(j int) bool { return cs.buffer[j].Start > txn.Start })
-	cs.buffer = append(cs.buffer, capture.TLSTransaction{})
-	copy(cs.buffer[i+1:], cs.buffer[i:])
-	cs.buffer[i] = txn
-	// A single long-lived connection can pin the watermark while later
-	// transactions pile up behind it; the reorder buffer is capped like
-	// every other per-client run.
-	if capRun(&cs.buffer, s.opts.maxSessionTxns) > 0 {
-		s.noteTruncation(cs)
-	}
-	s.advance(sh, client, cs)
-}
-
-// noteTruncation counts a client's current session toward
-// qoeproxy_sessions_truncated_total, once per session. The caller
-// holds the client's shard lock.
-func (s *service) noteTruncation(cs *clientState) {
-	if !cs.truncated {
-		cs.truncated = true
-		s.mTruncated.Inc()
-	}
-}
-
-// advance pushes every buffered transaction at or before the client's
-// watermark — the earliest start among still-open connections — into
-// the streaming sessionizer and applies the resulting decisions. The
-// released prefix leaves the buffer in one copy, however long it is: a
-// long-lived connection can hold thousands back. The caller holds the
-// shard lock; sh.decisions is its scratch.
-func (s *service) advance(sh *shard, client string, cs *clientState) {
-	// No open connections: everything is safe.
-	wm, bounded := 0.0, false
-	for _, c := range cs.activeStarts {
-		if !bounded || c.start < wm {
-			wm, bounded = c.start, true
-		}
-	}
-	ready := 0
-	for ready < len(cs.buffer) && (!bounded || cs.buffer[ready].Start <= wm) {
-		ready++
-	}
-	if ready == 0 {
-		return
-	}
-	for _, txn := range cs.buffer[:ready] {
-		cs.inFlight = append(cs.inFlight, txn)
-		sh.decisions = cs.streamer.PushInto(sh.decisions[:0], sessionid.Transaction{Start: txn.Start, End: txn.End, SNI: txn.SNI})
-		s.apply(client, cs, sh.decisions)
-	}
-	cs.buffer = append(cs.buffer[:0], cs.buffer[ready:]...)
-}
-
-// apply consumes finalized sessionizer decisions, which are about the
-// front of cs.inFlight in order: boundaries close the current session,
-// decided transactions join it. The decided prefix leaves inFlight in
-// one copy. The caller holds the client's shard lock.
-func (s *service) apply(client string, cs *clientState, decisions []sessionid.Decision) {
-	for i, d := range decisions {
-		if d.NewSession {
-			cs.boundaries++
-			s.mBoundaries.Inc()
-			if s.debugLog {
-				s.log.Debug("session boundary", "client", client, "boundaries", cs.boundaries,
-					"closed_session_txns", len(cs.current))
-			}
-			cs.truncated = false
-			cs.current = cs.current[:0]
-		}
-		cs.current = append(cs.current, cs.inFlight[i])
-	}
-	if len(decisions) > 0 {
-		cs.inFlight = append(cs.inFlight[:0], cs.inFlight[len(decisions):]...)
-	}
-	if capRun(&cs.current, s.opts.maxSessionTxns) > 0 {
-		s.noteTruncation(cs)
-	}
 }
 
 // forEachShard runs fn(worker, shardIndex) for every shard, fanning
@@ -1956,20 +1674,17 @@ func (s *service) forEachShard(fn func(worker, si int)) {
 // classifyPass brings every client's online verdict up to date,
 // updating prediction counters, the latency histograms and the
 // structured log. nowSec is the sweep clock in epoch seconds (see
-// sweepNow). A pass costs what changed, not what is resident: a client
-// is gathered only when it is dirty — commits since its class was
-// stored (clientState.gen), a class stored by another serving bundle
-// (after a reload or a restore), or, with a non-zero -window, a
-// transaction aged out of the window (clientState.rowEdge) — and a
-// clean client costs one map step. The pass fans out across shards on the
-// classify-worker pool: each shard's dirty rows are gathered into one
-// contiguous row-major block under that shard's lock only — ingest on
-// other shards never stalls — and then swept through the compiled
-// scorer's batched predictor outside the lock (classifyShard). The
-// classes are then stored shard by shard, one lock acquisition each,
-// and a "classification" line is logged for a client's first verdict
-// and for a change of class only, sorted by client; steady state is
-// qoeproxy_sessions_by_class. Logs, counters and stored classes are
+// sweepNow). A pass costs what changed, not what is resident: each
+// shard's Core gathers only its dirty clients (serve.Core.Gather says
+// what makes one dirty) and a clean client costs one map step. The
+// pass fans out across shards on the classify-worker pool: each
+// shard's dirty rows are gathered into one contiguous row-major block
+// under that shard's lock only — ingest on other shards never stalls —
+// and then swept through the compiled scorer's batched predictor
+// outside the lock (classifyShard). The classes are then stored shard
+// by shard, one lock acquisition each, and a "classification" line is
+// logged for a client's first verdict and for a change of class only,
+// sorted by client; steady state is qoeproxy_sessions_by_class. Logs, counters and stored classes are
 // identical at every (shards, workers, block size) setting. Safe to
 // call concurrently with traffic, not with itself.
 //
@@ -1997,7 +1712,7 @@ func (s *service) classifyPass(nowSec float64) {
 	resident, shadowOK := 0, m.shadow != nil
 	for _, sh := range s.shards {
 		resident += sh.cResident
-		if len(sh.cShadow) != len(sh.cRows) {
+		if len(sh.cShadow) != sh.cRows {
 			shadowOK = false // a shard's shadow sweep failed; skip comparison
 		}
 	}
@@ -2010,7 +1725,9 @@ func (s *service) classifyPass(nowSec float64) {
 		s.mClassErrors.Inc()
 		s.log.Error("classification failed", "err", p.err)
 		for _, sh := range s.shards {
-			clear(sh.cRows)
+			sh.mu.Lock()
+			sh.core.Discard()
+			sh.mu.Unlock()
 		}
 		return
 	}
@@ -2021,12 +1738,10 @@ func (s *service) classifyPass(nowSec float64) {
 	nc := m.est.NumClasses()
 	var scored [qoe.NumCategories]int64
 	for _, sh := range s.shards {
-		if len(sh.cRows) == 0 {
+		if sh.cRows == 0 {
 			continue
 		}
-		sh.mu.Lock()
-		for i := range sh.cRows {
-			r, class := &sh.cRows[i], sh.cClasses[i]
+		for i, class := range sh.cClasses {
 			scored[class]++
 			// Champion/challenger comparison: order-independent counter bumps.
 			if shadowOK {
@@ -2035,35 +1750,28 @@ func (s *service) classifyPass(nowSec float64) {
 					m.shadow.confusion[class*nc+c].Inc()
 				}
 			}
-			cs := r.cs
-			if sh.clients[r.client] != cs {
-				continue // evicted since the gather
-			}
-			if prev := cs.lastClass; !cs.hasClass || prev != class {
-				if cs.hasClass {
-					s.byClass[prev].Add(-1)
-				} else {
-					prev = -1
-				}
-				s.byClass[class].Add(1)
-				cs.lastClass, cs.hasClass = class, true
-				lines = append(lines, classLine{client: r.client, class: class, prev: prev, txns: r.txns})
-			}
-			cs.scoredGen, cs.scoredBy, cs.rowEdge = r.gen, m, r.edge
 		}
+		n := len(lines)
+		sh.mu.Lock()
+		lines = sh.core.Store(sh.cClasses, lines)
 		sh.mu.Unlock()
-		clear(sh.cRows) // drop the client pointers: an evicted client must not live on in scratch
+		for _, l := range lines[n:] {
+			if l.Prev >= 0 {
+				s.byClass[l.Prev].Add(-1)
+			}
+			s.byClass[l.Class].Add(1)
+		}
 	}
 	for class, n := range scored {
 		m.predClass[class].Add(n)
 	}
-	slices.SortFunc(lines, func(a, b classLine) int { return strings.Compare(a.client, b.client) })
+	slices.SortFunc(lines, func(a, b serve.Change) int { return strings.Compare(a.Client, b.Client) })
 	for _, l := range lines {
-		if l.prev < 0 {
-			s.log.Info("classification", "client", l.client, "class", m.names[l.class], "transactions", l.txns)
+		if l.Prev < 0 {
+			s.log.Info("classification", "client", l.Client, "class", m.names[l.Class], "transactions", l.Txns)
 		} else {
-			s.log.Info("classification", "client", l.client, "class", m.names[l.class], "transactions", l.txns,
-				"previous", m.names[l.prev])
+			s.log.Info("classification", "client", l.Client, "class", m.names[l.Class], "transactions", l.Txns,
+				"previous", m.names[l.Prev])
 		}
 	}
 	clear(lines)
@@ -2079,25 +1787,9 @@ func (s *service) classifyShard(worker, si int) {
 	m := p.m
 	sh := s.shards[si]
 	t0 := time.Now()
-	sh.cRows = sh.cRows[:0]
-	sh.cBlock = sh.cBlock[:0]
-	rb := m.rowBuilders[worker]
 	sh.mu.Lock()
-	sh.cResident = len(sh.clients)
-	for client, cs := range sh.clients {
-		if cs.scoredBy == m && cs.scoredGen == cs.gen && p.cutoff <= cs.rowEdge {
-			continue
-		}
-		row, n, edge := s.windowedRow(rb, sh, cs, p.cutoff)
-		if n == 0 {
-			// An empty row has no verdict to wait for: the client is clean
-			// until its next commit.
-			cs.scoredGen, cs.scoredBy, cs.rowEdge = cs.gen, m, edge
-			continue
-		}
-		sh.cRows = append(sh.cRows, classifyRow{client: client, cs: cs, txns: n, gen: cs.gen, edge: edge})
-		sh.cBlock = append(sh.cBlock, row...)
-	}
+	sh.cResident = sh.core.Len()
+	sh.cBlock, sh.cRows = sh.core.Gather(m.stamp, p.cutoff, m.rowBuilders[worker], sh.cBlock[:0])
 	sh.mu.Unlock()
 	build := time.Since(t0)
 	p.buildNanos.Add(int64(build))
@@ -2116,7 +1808,7 @@ func (s *service) classifyShard(worker, si int) {
 		}
 	}
 	if m.drift != nil && err == nil {
-		m.drift.observeBlock(sh.cBlock, len(sh.cRows), m.est.NumFeatures())
+		m.drift.observeBlock(sh.cBlock, sh.cRows, m.est.NumFeatures())
 	}
 	sweep := time.Since(t1)
 	p.sweepNanos.Add(int64(sweep))
@@ -2135,7 +1827,7 @@ func (s *service) classifyShard(worker, si int) {
 // and returns the classes in out's backing array (grown when short),
 // one per gathered row.
 func (s *service) sweepBlock(est *core.Estimator, sh *shard, out []int) ([]int, error) {
-	rows, stride, nc := len(sh.cRows), est.NumFeatures(), est.NumClasses()
+	rows, stride, nc := sh.cRows, est.NumFeatures(), est.NumClasses()
 	batch := s.opts.classifyBatch
 	if cap(out) < rows {
 		out = make([]int, rows)
@@ -2157,37 +1849,6 @@ func (s *service) sweepBlock(est *core.Estimator, sh *shard, out []int) ([]int, 
 	return out, nil
 }
 
-// windowedRow builds a client's feature row over the transactions of
-// the ongoing session (current ++ inFlight ++ buffer, in start order)
-// ending at or after cutoff — all of them at -window 0, whose cutoff is
-// -Inf — through the shard's scratch list and row buffer (the returned
-// row is valid until the next row built on this shard), and reports the
-// earliest End among them: the cutoff at which the row next changes
-// without a commit (+Inf for an empty row). The caller holds the
-// client's shard lock; extraction goes through the worker's private
-// RowBuilder rb (the estimator's shared scratch is not
-// concurrency-safe), so shards proceed in parallel.
-func (s *service) windowedRow(rb *core.RowBuilder, sh *shard, cs *clientState, cutoff float64) (row []float64, n int, edge float64) {
-	w := sh.txns[:0]
-	edge = math.Inf(1)
-	for _, run := range [3][]capture.TLSTransaction{cs.current, cs.inFlight, cs.buffer} {
-		for _, t := range run {
-			if t.End >= cutoff {
-				w = append(w, t)
-				if t.End < edge {
-					edge = t.End
-				}
-			}
-		}
-	}
-	sh.txns = w
-	if len(w) == 0 {
-		return nil, 0, edge
-	}
-	sh.row = rb.FeatureRow(w, sh.row)
-	return sh.row, len(w), edge
-}
-
 // evictIdle removes every client whose last activity predates
 // -client-ttl and has no open connections: the client's streamer is
 // flushed (finalizing pending decisions), its final classification is
@@ -2206,61 +1867,44 @@ func (s *service) evictIdle(nowSec float64) {
 	if ttl <= 0 {
 		return
 	}
-	type evictee struct {
-		client     string
-		txns       []capture.TLSTransaction
-		total      int64
-		boundaries int64
-		meanDur    float64
-		downBytes  int64
-	}
-	perShard := make([][]evictee, len(s.shards))
+	perShard := make([][]serve.Final, len(s.shards))
 	s.forEachShard(func(_, si int) {
 		sh := s.shards[si]
 		sh.mu.Lock()
-		for client, cs := range sh.clients {
-			if len(cs.activeStarts) > 0 || nowSec-cs.lastActivity < ttl.Seconds() {
-				continue
-			}
-			s.advance(sh, client, cs)
-			s.apply(client, cs, cs.streamer.Flush())
-			perShard[si] = append(perShard[si], evictee{
-				client:     client,
-				txns:       cs.recent.snapshot(nil),
-				total:      cs.txns,
-				boundaries: cs.boundaries,
-				meanDur:    cs.durStats.Mean(),
-				downBytes:  cs.downBytes,
-			})
-			if cs.hasClass {
-				s.byClass[cs.lastClass].Add(-1)
-			}
-			delete(sh.clients, client)
-			s.mEvicted.Inc()
-		}
+		perShard[si] = sh.core.Evict(nil, nowSec, ttl.Seconds())
 		sh.mu.Unlock()
 	})
-	var gone []evictee
+	var gone []serve.Final
 	for _, g := range perShard {
+		for _, e := range g {
+			if e.HasClass {
+				s.byClass[e.Class].Add(-1)
+			}
+		}
+		s.mEvicted.Add(int64(len(g)))
 		gone = append(gone, g...)
 	}
-	sort.Slice(gone, func(i, j int) bool { return gone[i].client < gone[j].client })
+	sort.Slice(gone, func(i, j int) bool { return gone[i].Client < gone[j].Client })
 	// Final classifications run sequentially on the tick goroutine: the
 	// estimator's Classify scratch is per-call, but the sorted order
 	// keeps logs and counters deterministic across shard counts. One
 	// bundle Load covers the whole sweep, like classifyPass.
 	m := s.model.Load()
-	for _, e := range gone {
-		attrs := []any{"client", e.client, "transactions", e.total,
-			"boundaries", e.boundaries, "down_bytes", e.downBytes,
-			"mean_txn_seconds", e.meanDur}
-		if m != nil && len(e.txns) > 0 {
-			class, err := m.est.Classify(e.txns)
-			if err != nil {
-				s.log.Error("eviction classification failed", "client", e.client, "err", err)
-			} else {
-				m.predClass[class].Inc()
-				attrs = append(attrs, "class", m.names[class])
+	var txns []capture.TLSTransaction
+	for i := range gone {
+		e := &gone[i]
+		attrs := []any{"client", e.Client, "transactions", e.Txns,
+			"boundaries", e.Boundaries, "down_bytes", e.DownBytes,
+			"mean_txn_seconds", e.MeanDur}
+		if m != nil {
+			if txns = e.Transactions(txns[:0]); len(txns) > 0 {
+				class, err := m.est.Classify(txns)
+				if err != nil {
+					s.log.Error("eviction classification failed", "client", e.Client, "err", err)
+				} else {
+					m.predClass[class].Inc()
+					attrs = append(attrs, "class", m.names[class])
+				}
 			}
 		}
 		s.log.Info("client evicted", attrs...)
@@ -2292,15 +1936,10 @@ func (s *service) rotateInterned(nowSec float64) {
 // the sink writer (flushing queued records) and prints the per-client
 // shutdown summary in client order.
 func (s *service) drain() {
-	var clients []string
+	var finals []serve.Final
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for c, cs := range sh.clients {
-			clients = append(clients, c)
-			// All connections have ended; the watermark is unbounded.
-			s.advance(sh, c, cs)
-			s.apply(c, cs, cs.streamer.Flush())
-		}
+		finals = sh.core.Drain(finals)
 		sh.mu.Unlock()
 	}
 	s.stopSinkWriter()
@@ -2308,26 +1947,23 @@ func (s *service) drain() {
 	if m == nil {
 		return
 	}
-	sort.Strings(clients)
-	for _, c := range clients {
-		sh := s.shardFor(c)
-		sh.mu.Lock()
-		cs := sh.clients[c]
+	sort.Slice(finals, func(i, j int) bool { return finals[i].Client < finals[j].Client })
+	var txns []capture.TLSTransaction
+	for i := range finals {
+		f := &finals[i]
 		// The summary classifies the retained ring — the whole history
 		// for clients under -max-session-txns, the most recent slice
 		// beyond it (lifetime counts still report the full totals).
-		txns := cs.recent.snapshot(nil)
-		total, boundaries := cs.txns, cs.boundaries
-		sh.mu.Unlock()
-		if len(txns) == 0 {
+		// Ingest has stopped, so the ring no longer changes.
+		if txns = f.Transactions(txns[:0]); len(txns) == 0 {
 			continue
 		}
 		class, err := m.est.Classify(txns)
 		if err != nil {
-			s.log.Error("shutdown classification failed", "client", c, "err", err)
+			s.log.Error("shutdown classification failed", "client", f.Client, "err", err)
 			continue
 		}
 		fmt.Printf("client %-22s sessions-qoe=%s (%d transactions, %d boundaries)\n",
-			c, m.names[class], total, boundaries)
+			f.Client, m.names[class], f.Txns, f.Boundaries)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"droppackets/internal/has"
 	"droppackets/internal/ml/forest"
 	"droppackets/internal/qoe"
+	"droppackets/internal/serve"
 	"droppackets/internal/squidlog"
 	"droppackets/internal/tlsproxy"
 )
@@ -67,16 +68,21 @@ func TestLoadResolverErrors(t *testing.T) {
 	}
 }
 
-// freePort reserves a port briefly and returns it for reuse.
-func freePort(t *testing.T) string {
+// freePorts returns n distinct loopback addresses that were free a
+// moment ago. Every listener stays open until all n are chosen, so one
+// call never hands out the same port twice.
+func freePorts(t *testing.T, n int) []string {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	addrs := make([]string, n)
+	for i := range addrs {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		addrs[i] = l.Addr().String()
 	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr
+	return addrs
 }
 
 func TestOpenAppendHeaderOnce(t *testing.T) {
@@ -104,7 +110,7 @@ func TestOpenAppendHeaderOnce(t *testing.T) {
 // path and expects an error naming the flag, with the listen address
 // never bound (so no client could have connected to a doomed daemon).
 func TestRunValidatesOutputsBeforeBinding(t *testing.T) {
-	listen := freePort(t)
+	listen := freePorts(t, 1)[0]
 	err := run(options{
 		listen:   listen,
 		upstream: "127.0.0.1:1",
@@ -280,18 +286,19 @@ func TestClassifyPassPaths(t *testing.T) {
 			cut1, cut2 := len(txns)/3, 2*len(txns)/3
 			sh := s.shardFor("10.9.9.9")
 			sh.mu.Lock()
-			cs := s.state(sh, "10.9.9.9")
-			cs.current = append(cs.current, txns[:cut1]...)
-			cs.inFlight = append(cs.inFlight, txns[cut1:cut2]...)
-			cs.buffer = append(cs.buffer, txns[cut2:]...)
+			sh.core.Restore(&serve.ClientState{
+				Client:   "10.9.9.9",
+				Current:  txns[:cut1],
+				InFlight: txns[cut1:cut2],
+				Buffer:   txns[cut2:],
+			}, est.NumClasses())
 			sh.mu.Unlock()
 
 			for pass := 0; pass < 2; pass++ { // second pass reuses warm buffers
-				cs.gen++ // re-dirty, so the second pass scores again
+				s.dirtyAll() // re-dirty, so the second pass scores again
 				s.classifyPass(mode.now)
-				sh.mu.Lock()
-				got, has := cs.lastClass, cs.hasClass
-				sh.mu.Unlock()
+				cs := s.client("10.9.9.9")
+				got, has := cs.LastClass, cs.HasClass
 				if !has {
 					t.Fatalf("pass %d: no classification recorded", pass)
 				}
@@ -302,8 +309,8 @@ func TestClassifyPassPaths(t *testing.T) {
 					t.Fatalf("pass %d: %d rows scored in all, want %d", pass, scored, pass+1)
 				}
 			}
-			if len(cs.current) != cut1 {
-				t.Fatalf("a pass changed the decided run: %d transactions, want %d", len(cs.current), cut1)
+			if cs := s.client("10.9.9.9"); len(cs.Current) != cut1 {
+				t.Fatalf("a pass changed the decided run: %d transactions, want %d", len(cs.Current), cut1)
 			}
 		})
 	}
@@ -363,7 +370,7 @@ func TestRunReplay(t *testing.T) {
 	}
 	wf.Close()
 
-	metricsAddr := freePort(t)
+	metricsAddr := freePorts(t, 1)[0]
 	done := make(chan error, 1)
 	go func() {
 		done <- run(options{
@@ -468,8 +475,8 @@ func TestRunEndToEnd(t *testing.T) {
 	go origin.Serve(ol)
 	defer origin.Close()
 
-	listen := freePort(t)
-	metricsAddr := freePort(t)
+	ports := freePorts(t, 2)
+	listen, metricsAddr := ports[0], ports[1]
 	csvPath := filepath.Join(dir, "txns.csv")
 	squidPath := filepath.Join(dir, "access.log")
 	done := make(chan error, 1)

@@ -1,20 +1,16 @@
 package main
 
 // Serving-state snapshot/restore: the warm-restart and partition-
-// handoff half of fleet operation. A snapshot serializes every
-// client's live serving state — sessionizer, reorder buffer, in-flight
-// and current-session runs, recent-transaction ring, lifetime
-// aggregates, last online classification — into one versioned JSON
-// envelope (the convention of internal/core/persist.go: explicit
+// handoff half of fleet operation. A snapshot wraps every client's
+// saved serving state (serve.ClientState: sessionizer, reorder buffer,
+// in-flight and current-session runs, recent-transaction ring,
+// lifetime aggregates, last online classification) in one versioned
+// JSON envelope (the convention of internal/core/persist.go: explicit
 // version field, unknown versions rejected). A daemon started with
 // -restore rebuilds that state before ingesting a single record, so
 // its subsequent classifications, counters and sink lines are
 // byte-identical to a daemon that never stopped; the equivalence tests
 // in snapshot_test.go pin this.
-//
-// No feature state is serialized: a client's feature row is rebuilt
-// from its transaction runs on every pass that scores it, so restoring
-// the runs restores the bit-identical row.
 //
 // The envelope carries the epoch of the instance that wrote it, and
 // restore adopts it: every float in the state is epoch-relative
@@ -32,9 +28,7 @@ import (
 	"sort"
 	"time"
 
-	"droppackets/internal/capture"
-	"droppackets/internal/sessionid"
-	"droppackets/internal/stats"
+	"droppackets/internal/serve"
 )
 
 // snapshotVersion is the envelope layout version this build writes and
@@ -52,34 +46,8 @@ type savedSnapshot struct {
 	// seconds since it.
 	EpochUnixNanos int64 `json:"epoch_unix_nanos"`
 	// Watermark is the ingest watermark at capture, epoch seconds.
-	Watermark float64      `json:"watermark"`
-	Clients   []snapClient `json:"clients"`
-}
-
-// snapClient is one client's complete serving state. Transaction runs
-// use capture.TLSTransaction directly — a stable public type — in the
-// same start-ordered concatenation invariant the live state keeps
-// (current ++ in_flight ++ buffer is the ongoing session in order).
-type snapClient struct {
-	Client       string                   `json:"client"`
-	Streamer     sessionid.StreamerState  `json:"streamer"`
-	ActiveStarts map[uint64]float64       `json:"active_starts,omitempty"`
-	Buffer       []capture.TLSTransaction `json:"buffer,omitempty"`
-	InFlight     []capture.TLSTransaction `json:"in_flight,omitempty"`
-	Current      []capture.TLSTransaction `json:"current,omitempty"`
-	// Recent is the retained summary ring, oldest first; RecentDropped
-	// restores its lifetime drop count.
-	Recent        []capture.TLSTransaction `json:"recent,omitempty"`
-	RecentDropped int64                    `json:"recent_dropped,omitempty"`
-	LastActivity  float64                  `json:"last_activity"`
-	Txns          int64                    `json:"txns"`
-	UpBytes       int64                    `json:"up_bytes"`
-	DownBytes     int64                    `json:"down_bytes"`
-	Dur           stats.RunningState       `json:"dur"`
-	Boundaries    int64                    `json:"boundaries"`
-	Truncated     bool                     `json:"truncated,omitempty"`
-	LastClass     int                      `json:"last_class,omitempty"`
-	HasClass      bool                     `json:"has_class,omitempty"`
+	Watermark float64             `json:"watermark"`
+	Clients   []serve.ClientState `json:"clients"`
 }
 
 // snapshotState captures the full serving state. Each shard is
@@ -95,33 +63,7 @@ func (s *service) snapshotState() *savedSnapshot {
 	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for client, cs := range sh.clients {
-			sc := snapClient{
-				Client:        client,
-				Streamer:      cs.streamer.State(),
-				Buffer:        append([]capture.TLSTransaction(nil), cs.buffer...),
-				InFlight:      append([]capture.TLSTransaction(nil), cs.inFlight...),
-				Current:       append([]capture.TLSTransaction(nil), cs.current...),
-				Recent:        cs.recent.snapshot(nil),
-				RecentDropped: cs.recent.dropped,
-				LastActivity:  cs.lastActivity,
-				Txns:          cs.txns,
-				UpBytes:       cs.upBytes,
-				DownBytes:     cs.downBytes,
-				Dur:           cs.durStats.State(),
-				Boundaries:    cs.boundaries,
-				Truncated:     cs.truncated,
-				LastClass:     cs.lastClass,
-				HasClass:      cs.hasClass,
-			}
-			if len(cs.activeStarts) > 0 {
-				sc.ActiveStarts = make(map[uint64]float64, len(cs.activeStarts))
-				for _, c := range cs.activeStarts {
-					sc.ActiveStarts[c.connID] = c.start
-				}
-			}
-			snap.Clients = append(snap.Clients, sc)
-		}
+		snap.Clients = sh.core.Save(snap.Clients)
 		sh.mu.Unlock()
 	}
 	sort.Slice(snap.Clients, func(i, j int) bool { return snap.Clients[i].Client < snap.Clients[j].Client })
@@ -212,40 +154,13 @@ func (s *service) restoreState(snap *savedSnapshot) (restored, skippedNotOwned i
 			continue
 		}
 		// The restored verdict drives class-change logging and the
-		// by-class gauge, so one the serving model cannot name — a
-		// snapshot from a model with more classes, a damaged envelope, no
-		// model here at all — is dropped: the client's next verdict is
-		// logged as its first.
-		hasClass := sc.HasClass && sc.LastClass >= 0 && sc.LastClass < numClasses
-		cs := &clientState{
-			streamer:     sessionid.RestoreStreamer(sessionid.PaperParams, sc.Streamer),
-			buffer:       append([]capture.TLSTransaction(nil), sc.Buffer...),
-			inFlight:     append([]capture.TLSTransaction(nil), sc.InFlight...),
-			recent:       newTxnRing(s.opts.maxSessionTxns),
-			lastActivity: sc.LastActivity,
-			txns:         sc.Txns,
-			upBytes:      sc.UpBytes,
-			downBytes:    sc.DownBytes,
-			boundaries:   sc.Boundaries,
-			truncated:    sc.Truncated,
-			hasClass:     hasClass,
-		}
-		if hasClass {
-			cs.lastClass = sc.LastClass
-			s.byClass[cs.lastClass].Add(1)
-		}
-		for id, start := range sc.ActiveStarts {
-			cs.activeStarts = append(cs.activeStarts, activeConn{id, start})
-		}
-		for _, t := range sc.Recent {
-			cs.recent.push(t)
-		}
-		cs.recent.dropped = sc.RecentDropped
-		cs.durStats.Restore(sc.Dur)
-		cs.current = append([]capture.TLSTransaction(nil), sc.Current...)
+		// by-class gauge, so the Core drops one the serving model cannot
+		// name: the client's next verdict is logged as its first.
 		sh := s.shardFor(sc.Client)
 		sh.mu.Lock()
-		sh.clients[sc.Client] = cs
+		if sh.core.Restore(sc, numClasses) {
+			s.byClass[sc.LastClass].Add(1)
+		}
 		sh.mu.Unlock()
 		restored++
 	}

@@ -172,23 +172,21 @@ func TestSnapshotRoundTripProfiles(t *testing.T) {
 					// The rows are each service's own shard scratch, so the
 					// two stay valid side by side.
 					rb := baseline.model.Load().rowBuilders[0]
-					for _, sh := range baseline.shards {
-						for client, bcs := range sh.clients {
-							rcs := b.client(client)
-							if rcs == nil {
-								t.Fatalf("cut %d: client %s missing after restore", cut, client)
-							}
-							cutoff := baseline.pass.cutoff // the last pass's, at endSec
-							wantRow, _, _ := baseline.windowedRow(rb, sh, bcs, cutoff)
-							gotRow, _, _ := b.windowedRow(rb, b.shardFor(client), rcs, cutoff)
-							if len(gotRow) != len(wantRow) {
-								t.Fatalf("cut %d %s: row widths %d vs %d", cut, client, len(gotRow), len(wantRow))
-							}
-							for j := range wantRow {
-								if gotRow[j] != wantRow[j] {
-									t.Fatalf("cut %d %s: feature %d = %v, baseline %v (must be bit-identical)",
-										cut, client, j, gotRow[j], wantRow[j])
-								}
+					for _, bcs := range baseline.snapshotState().Clients {
+						client := bcs.Client
+						if b.client(client) == nil {
+							t.Fatalf("cut %d: client %s missing after restore", cut, client)
+						}
+						cutoff := baseline.pass.cutoff // the last pass's, at endSec
+						wantRow := baseline.shardFor(client).core.Row(rb, client, cutoff)
+						gotRow := b.shardFor(client).core.Row(rb, client, cutoff)
+						if len(gotRow) != len(wantRow) {
+							t.Fatalf("cut %d %s: row widths %d vs %d", cut, client, len(gotRow), len(wantRow))
+						}
+						for j := range wantRow {
+							if gotRow[j] != wantRow[j] {
+								t.Fatalf("cut %d %s: feature %d = %v, baseline %v (must be bit-identical)",
+									cut, client, j, gotRow[j], wantRow[j])
 							}
 						}
 					}
@@ -437,11 +435,9 @@ func TestRestoreFiltersByRingOwnership(t *testing.T) {
 	if restored == 0 || skipped == 0 {
 		t.Fatalf("degenerate split restored=%d skipped=%d; pick a different seed", restored, skipped)
 	}
-	for _, sh := range s.shards {
-		for client := range sh.clients {
-			if !ring.Owns("b", client) {
-				t.Errorf("restored client %s is owned by %s, not this instance", client, ring.Owner(client))
-			}
+	for _, cs := range s.snapshotState().Clients {
+		if !ring.Owns("b", cs.Client) {
+			t.Errorf("restored client %s is owned by %s, not this instance", cs.Client, ring.Owner(cs.Client))
 		}
 	}
 	if s.clientCount() != restored {
@@ -475,12 +471,10 @@ func TestClusterFilterExactlyOnce(t *testing.T) {
 	for id, s := range members {
 		txns += s.mTxns.Value()
 		skipped += s.mSkipped.Value()
-		for _, sh := range s.shards {
-			for client := range sh.clients {
-				clientsSeen[client]++
-				if !ring.Owns(id, client) {
-					t.Errorf("instance %s holds state for %s, owned by %s", id, client, ring.Owner(client))
-				}
+		for _, cs := range s.snapshotState().Clients {
+			clientsSeen[cs.Client]++
+			if !ring.Owns(id, cs.Client) {
+				t.Errorf("instance %s holds state for %s, owned by %s", id, cs.Client, ring.Owner(cs.Client))
 			}
 		}
 	}
@@ -619,7 +613,7 @@ func TestRestoreDropsUnnameableClass(t *testing.T) {
 		t.Fatalf("restored %d clients, want 4", restored)
 	}
 	for _, c := range snap.Clients {
-		if got, want := s.client(c.Client).hasClass, c.Client == kept; got != want {
+		if got, want := s.client(c.Client).HasClass, c.Client == kept; got != want {
 			t.Errorf("client %s (last_class %d): hasClass = %v after restore, want %v", c.Client, c.LastClass, got, want)
 		}
 	}
@@ -637,11 +631,9 @@ func TestRestoreDropsUnnameableClass(t *testing.T) {
 
 	bare, _ := newTestService(t, options{window: time.Hour}, nil)
 	bare.restoreState(donor.snapshotState())
-	for _, sh := range bare.shards {
-		for client, cs := range sh.clients {
-			if cs.hasClass {
-				t.Errorf("client %s restored with a class into a daemon with no model", client)
-			}
+	for _, cs := range bare.snapshotState().Clients {
+		if cs.HasClass {
+			t.Errorf("client %s restored with a class into a daemon with no model", cs.Client)
 		}
 	}
 }

@@ -122,18 +122,18 @@ func TestEvictionSoakBounded(t *testing.T) {
 			// capRun's 50% hysteresis allows limit+limit/2 before a
 			// truncation pass cuts back to limit.
 			cs := s.client(client)
-			if got := cs.recent.len(); got > maxTxns {
+			if got := len(cs.Recent); got > maxTxns {
 				t.Errorf("round %d %s: ring holds %d txns, cap %d", round, client, got, maxTxns)
 			}
-			if got := len(cs.current); got > maxTxns+maxTxns/2 {
+			if got := len(cs.Current); got > maxTxns+maxTxns/2 {
 				t.Errorf("round %d %s: current session holds %d txns, bound %d", round, client, got, maxTxns+maxTxns/2)
 			}
-			if got := len(cs.buffer); got > maxTxns+maxTxns/2 {
+			if got := len(cs.Buffer); got > maxTxns+maxTxns/2 {
 				t.Errorf("round %d %s: reorder buffer holds %d txns, bound %d", round, client, got, maxTxns+maxTxns/2)
 			}
-			if cs.txns != int64(len(sorted)) {
+			if cs.Txns != int64(len(sorted)) {
 				t.Errorf("round %d %s: lifetime txns = %d, want %d (truncation must not lose the totals)",
-					round, client, cs.txns, len(sorted))
+					round, client, cs.Txns, len(sorted))
 			}
 
 			// The unbounded baseline: the classification an uncapped

@@ -1,11 +1,8 @@
 // Package core is the paper's primary contribution as a library: QoE
 // estimation from coarse-grained TLS-transaction data (§3). An
 // Estimator trains a Random Forest over the 38 TLS features and
-// classifies sessions into low/medium/high QoE; a PacketEstimator is
-// the fine-grained ML16 baseline (§4.2) it is compared against; and an
-// AdaptiveMonitor implements the paper's motivating deployment story:
-// monitor everywhere cheaply, escalate to packet collection only where
-// problems appear (§1, §4.2 takeaways).
+// classifies sessions into low/medium/high QoE; and a PacketEstimator
+// is the fine-grained ML16 baseline (§4.2) it is compared against.
 package core
 
 import (

@@ -215,97 +215,6 @@ func TestMeasureExtractionOverheads(t *testing.T) {
 	}
 }
 
-func TestAdaptiveMonitor(t *testing.T) {
-	sessions := trainingData(t, 120)
-	est := newEstimator()
-	if _, err := NewAdaptiveMonitor(est, MonitorConfig{}); err == nil {
-		t.Error("monitor accepted untrained estimator")
-	}
-	if err := est.Train(sessions); err != nil {
-		t.Fatal(err)
-	}
-	mon, err := NewAdaptiveMonitor(est, MonitorConfig{Window: 20, MinSessions: 5, LowFractionThreshold: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Feed the monitor sessions whose predicted class we know (reuse
-	// training rows): low-QoE rows to one location, high to another.
-	lowFed, highFed := 0, 0
-	for _, s := range sessions {
-		class, _ := est.Classify(s.TLS)
-		switch {
-		case class == 0 && lowFed < 15:
-			if _, _, err := mon.Observe("bad-cell", s.TLS); err != nil {
-				t.Fatal(err)
-			}
-			lowFed++
-		case class == 2 && highFed < 15:
-			if _, _, err := mon.Observe("good-cell", s.TLS); err != nil {
-				t.Fatal(err)
-			}
-			highFed++
-		}
-	}
-	if lowFed < 5 || highFed < 5 {
-		t.Skip("not enough distinct predictions in the corpus sample")
-	}
-	esc := mon.Escalated()
-	found := map[string]bool{}
-	for _, l := range esc {
-		found[l] = true
-	}
-	if !found["bad-cell"] {
-		t.Errorf("bad-cell not escalated (low fraction %.2f)", mon.LowFraction("bad-cell"))
-	}
-	if found["good-cell"] {
-		t.Errorf("good-cell escalated (low fraction %.2f)", mon.LowFraction("good-cell"))
-	}
-	if got := mon.Locations(); len(got) != 2 {
-		t.Errorf("locations %v", got)
-	}
-	if mon.LowFraction("unknown") != 0 {
-		t.Error("unknown location fraction should be 0")
-	}
-}
-
-func TestMonitorDeescalation(t *testing.T) {
-	sessions := trainingData(t, 120)
-	est := newEstimator()
-	if err := est.Train(sessions); err != nil {
-		t.Fatal(err)
-	}
-	mon, err := NewAdaptiveMonitor(est, MonitorConfig{Window: 10, MinSessions: 4, LowFractionThreshold: 0.5, ClearFractionThreshold: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var low, high []TrainingSession
-	for _, s := range sessions {
-		class, _ := est.Classify(s.TLS)
-		if class == 0 {
-			low = append(low, s)
-		} else if class == 2 {
-			high = append(high, s)
-		}
-	}
-	if len(low) < 8 || len(high) < 12 {
-		t.Skip("not enough distinct predictions")
-	}
-	// Escalate with 8 low sessions...
-	for i := 0; i < 8; i++ {
-		mon.Observe("cell", low[i].TLS)
-	}
-	if len(mon.Escalated()) != 1 {
-		t.Fatalf("cell not escalated; fraction %.2f", mon.LowFraction("cell"))
-	}
-	// ...then clear with a window full of healthy sessions.
-	for i := 0; i < 12; i++ {
-		mon.Observe("cell", high[i%len(high)].TLS)
-	}
-	if len(mon.Escalated()) != 0 {
-		t.Errorf("cell still escalated; fraction %.2f", mon.LowFraction("cell"))
-	}
-}
-
 func TestEstimatorSaveLoad(t *testing.T) {
 	sessions := trainingData(t, 100)
 	est := newEstimator()

@@ -130,8 +130,11 @@ func (s *BatchSource) record(i int64) tlsproxy.Record {
 	}
 }
 
-// partition splits the workload's events by client hash, one slice per
-// worker, each sorted by (at, seq). The slices are carved out of one
+// partition splits the workload's events by the hash of the client
+// host (ClientHost, the key the daemon keeps client state under), one
+// slice per worker, each sorted by (at, seq), so all of a host's
+// connections are delivered in order by one worker whatever their
+// source ports. The slices are carved out of one
 // array of exactly two keys per record.
 //
 // Keys are placed by a counting sort on (worker, offset bucket). The
@@ -144,7 +147,7 @@ func (s *BatchSource) partition(workers int) [][]eventKey {
 		if workers == 1 {
 			return 0
 		}
-		return int(intern.Hash(client) % uint32(workers))
+		return int(intern.Hash(ClientHost(client)) % uint32(workers))
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i := range s.records {

@@ -244,12 +244,12 @@ type referenceEvent struct {
 
 // referenceOrder returns each worker's event sequence the way delivery
 // built it before events became keys into the workload: partition by
-// hash/fnv over the client address, then sort by (at, seq).
+// hash/fnv over the client host, then sort by (at, seq).
 func referenceOrder(recs []tlsproxy.ReplayRecord, base time.Time, workers int) [][]referenceEvent {
 	parts := make([][]referenceEvent, workers)
 	for i, r := range recs {
 		h := fnv.New32a()
-		io.WriteString(h, r.Client)
+		io.WriteString(h, ClientHost(r.Client))
 		w := int(h.Sum32() % uint32(workers))
 		rec := tlsproxy.Record{
 			ConnID:     uint64(i + 1),
@@ -353,7 +353,7 @@ func checkReferenceOrder(t *testing.T, recs []tlsproxy.ReplayRecord) {
 		ref := referenceOrder(recs, base, workers)
 		owner := func(client string) int {
 			h := fnv.New32a()
-			io.WriteString(h, client)
+			io.WriteString(h, ClientHost(client))
 			return int(h.Sum32() % uint32(workers))
 		}
 		for _, batch := range []int{1, 7, 256} {
@@ -391,6 +391,39 @@ func checkReferenceOrder(t *testing.T, recs []tlsproxy.ReplayRecord) {
 				}
 			}
 		}
+	}
+}
+
+// TestPartitionKeepsHostTogether sends each of eight hosts through
+// eight connections on eight source ports and checks that partition
+// puts all of a host's events in one worker's slice: the daemon keys
+// client state by host, so a host split across workers would have its
+// connections committed out of order.
+func TestPartitionKeepsHostTogether(t *testing.T) {
+	var recs []tlsproxy.ReplayRecord
+	for h := 0; h < 8; h++ {
+		for p := 0; p < 8; p++ {
+			start := float64(h + p)
+			recs = append(recs, tlsproxy.ReplayRecord{
+				Client: fmt.Sprintf("10.0.0.%d:%d", h+1, 40000+p),
+				SNI:    "cdn.example", Start: start, End: start + 1,
+			})
+		}
+	}
+	const workers = 4
+	src := loadedSource(recs, time.Unix(0, 0), 0, workers, 1)
+	owner := map[string]int{}
+	for w, keys := range src.partition(workers) {
+		for _, k := range keys {
+			host := ClientHost(recs[k.seq/2].Client)
+			if prev, ok := owner[host]; ok && prev != w {
+				t.Fatalf("host %s has events in workers %d and %d", host, prev, w)
+			}
+			owner[host] = w
+		}
+	}
+	if len(owner) != 8 {
+		t.Fatalf("%d hosts partitioned, want 8", len(owner))
 	}
 }
 

@@ -16,8 +16,7 @@ import (
 // rows per step through a branch-free batch layout so the lanes'
 // dependent loads overlap instead of serializing behind mispredicted
 // branches.
-// Accumulation order per row is unchanged (tree by tree, round by
-// round), so batch results are bit-identical to the row-at-a-time
+// Accumulation order per row is unchanged (tree by tree), so batch results are bit-identical to the row-at-a-time
 // methods for finite feature values (the only kind the extraction
 // pipeline produces).
 
@@ -64,7 +63,7 @@ type bnode struct {
 //   - nodes are in BFS order, keeping the hot top levels of a tree
 //     contiguous.
 //
-// The per-row arrays in Forest/GBDT are untouched; this layout exists
+// The per-row arrays in Forest are untouched; this layout exists
 // only for the batch sweeps.
 type batchLayout struct {
 	nodes []bnode
@@ -73,29 +72,21 @@ type batchLayout struct {
 	// row of tree t on a leaf (the deepest leaf's depth); it bounds the
 	// walk loops so even a corrupted layout cannot spin forever.
 	depth []int32
-	// distOff holds each leaf's pooled distribution offset (forests);
-	// value holds each leaf's regression output (boosters). Internal
-	// nodes hold 0 in both.
+	// distOff holds each leaf's pooled distribution offset; internal
+	// nodes hold 0.
 	distOff []int32
-	value   []float64
 }
 
 // buildBatchLayout rebuilds the given trees (roots into the shared
 // feature/threshold/left/right arrays, leaves marked by feature < 0)
-// into a batchLayout. leafDist and leafValue are the node-aligned leaf
-// payload columns; either may be nil.
-func buildBatchLayout(feature []int32, threshold []float64, left, right, roots []int32, leafDist []int32, leafValue []float64) *batchLayout {
+// into a batchLayout. leafDist is the node-aligned leaf payload column.
+func buildBatchLayout(feature []int32, threshold []float64, left, right, roots []int32, leafDist []int32) *batchLayout {
 	n := len(feature)
 	bb := &batchLayout{
-		nodes: make([]bnode, 0, n),
-		roots: make([]int32, 0, len(roots)),
-		depth: make([]int32, 0, len(roots)),
-	}
-	if leafDist != nil {
-		bb.distOff = make([]int32, 0, n)
-	}
-	if leafValue != nil {
-		bb.value = make([]float64, 0, n)
+		nodes:   make([]bnode, 0, n),
+		roots:   make([]int32, 0, len(roots)),
+		depth:   make([]int32, 0, len(roots)),
+		distOff: make([]int32, 0, n),
 	}
 	type mapping struct {
 		old, new, depth int32
@@ -105,12 +96,7 @@ func buildBatchLayout(feature []int32, threshold []float64, left, right, roots [
 		at := int32(len(bb.nodes))
 		for i := 0; i < k; i++ {
 			bb.nodes = append(bb.nodes, bnode{})
-			if bb.distOff != nil {
-				bb.distOff = append(bb.distOff, 0)
-			}
-			if bb.value != nil {
-				bb.value = append(bb.value, 0)
-			}
+			bb.distOff = append(bb.distOff, 0)
 		}
 		return at
 	}
@@ -128,12 +114,7 @@ func buildBatchLayout(feature []int32, threshold []float64, left, right, roots [
 				// Leaf: self-loop under the sentinel threshold; carry the
 				// payload to the new index.
 				bb.nodes[m.new] = bnode{thresh: leafSentinel, feat: 0, first: m.new}
-				if bb.distOff != nil {
-					bb.distOff[m.new] = leafDist[m.old]
-				}
-				if bb.value != nil {
-					bb.value[m.new] = leafValue[m.old]
-				}
+				bb.distOff[m.new] = leafDist[m.old]
 				continue
 			}
 			firstChild := alloc(2)
@@ -302,71 +283,5 @@ func (c *Forest) PredictBatchInto(rows []float64, stride int, probs []float64, o
 	nc := c.numClasses
 	for r := 0; r < n; r++ {
 		out[r] = ml.Argmax(probs[r*nc : (r+1)*nc])
-	}
-}
-
-// PredictBatchInto scores a row-major block of rows through the
-// boosted ensemble, writing row r's per-class scores into
-// scores[r*NumClasses:] and its argmax class into out[r]. rows holds
-// n = len(rows)/stride rows packed back to back; scores must hold at
-// least n*NumClasses floats and out at least n ints. It allocates
-// nothing; the per-row accumulation order (round by round, class by
-// class) matches PredictInto exactly, so scores and classes are
-// bit-identical to the single-row path for finite rows.
-func (c *GBDT) PredictBatchInto(rows []float64, stride int, scores []float64, out []int) {
-	if stride <= 0 {
-		return
-	}
-	n := len(rows) / stride
-	nc := c.numClasses
-	sc := scores[: n*nc : n*nc]
-	for r := 0; r < n; r++ {
-		copy(sc[r*nc:(r+1)*nc], c.base)
-	}
-	bb := c.bb
-	lr := c.lr
-	// bb holds the round-major, class-minor tree sequence flattened
-	// exactly like c.roots, so batch tree ri+k is round ri/nc's class-k
-	// tree — walking them in order within each row tile preserves the
-	// per-row accumulation order of PredictInto exactly.
-	for lo := 0; lo < n; lo += tileRows {
-		hi := lo + tileRows
-		if hi > n {
-			hi = n
-		}
-		for ri := 0; ri < len(bb.roots); ri += nc {
-			for k := 0; k < nc; k++ {
-				t := ri + k
-				r := lo
-				for ; r+2*batchLanes <= hi; r += 2 * batchLanes {
-					o := r * stride
-					i0, i1, i2, i3, i4, i5, i6, i7 := bb.leavesOf8(t, rows,
-						o, o+stride, o+2*stride, o+3*stride,
-						o+4*stride, o+5*stride, o+6*stride, o+7*stride)
-					sc[(r+0)*nc+k] += lr * bb.value[i0]
-					sc[(r+1)*nc+k] += lr * bb.value[i1]
-					sc[(r+2)*nc+k] += lr * bb.value[i2]
-					sc[(r+3)*nc+k] += lr * bb.value[i3]
-					sc[(r+4)*nc+k] += lr * bb.value[i4]
-					sc[(r+5)*nc+k] += lr * bb.value[i5]
-					sc[(r+6)*nc+k] += lr * bb.value[i6]
-					sc[(r+7)*nc+k] += lr * bb.value[i7]
-				}
-				for ; r+batchLanes <= hi; r += batchLanes {
-					o := r * stride
-					i0, i1, i2, i3 := bb.leavesOf4(t, rows, o, o+stride, o+2*stride, o+3*stride)
-					sc[(r+0)*nc+k] += lr * bb.value[i0]
-					sc[(r+1)*nc+k] += lr * bb.value[i1]
-					sc[(r+2)*nc+k] += lr * bb.value[i2]
-					sc[(r+3)*nc+k] += lr * bb.value[i3]
-				}
-				for ; r < hi; r++ {
-					sc[r*nc+k] += lr * bb.value[bb.leafOf(t, rows, r*stride)]
-				}
-			}
-		}
-	}
-	for r := 0; r < n; r++ {
-		out[r] = ml.Argmax(sc[r*nc : (r+1)*nc])
 	}
 }

@@ -8,14 +8,13 @@ import (
 	"droppackets/internal/has"
 	"droppackets/internal/ml/compiled"
 	"droppackets/internal/ml/forest"
-	"droppackets/internal/ml/gbdt"
 	"droppackets/internal/qoe"
 )
 
-// batchModels fits and compiles one small forest and one small gbdt on
-// a corpus drawn from the given profile and seed, returning the
-// scorers and the feature rows.
-func batchModels(t testing.TB, p *has.ServiceProfile, seed int64) (*compiled.Forest, *compiled.GBDT, [][]float64) {
+// batchModel fits and compiles one small forest on a corpus drawn from
+// the given profile and seed, returning the scorer and the feature
+// rows.
+func batchModel(t testing.TB, p *has.ServiceProfile, seed int64) (*compiled.Forest, [][]float64) {
 	t.Helper()
 	c, err := dataset.Build(dataset.Config{Seed: seed, Sessions: 30}, p)
 	if err != nil {
@@ -33,15 +32,7 @@ func batchModels(t testing.TB, p *has.ServiceProfile, seed int64) (*compiled.For
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := gbdt.New(gbdt.Config{Rounds: 8, MaxDepth: 3, Seed: seed})
-	if err := g.Fit(ds); err != nil {
-		t.Fatal(err)
-	}
-	cg, err := compiled.CompileGBDT(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cf, cg, ds.X
+	return cf, ds.X
 }
 
 // packBlock copies n rows (cycling through src) into one contiguous
@@ -58,14 +49,13 @@ func packBlock(src [][]float64, n, stride int) []float64 {
 // batch sweeps: 20 seeds across all three service profiles, block
 // sizes chosen to hit every lane shape (empty, below one lane group,
 // lane-aligned, ragged remainder), forest probabilities and classes
-// and gbdt scores and classes all compared with == against the
-// row-at-a-time compiled scorers.
+// compared with == against the row-at-a-time compiled scorer.
 func TestBatchEquivalence(t *testing.T) {
 	profiles := has.Profiles()
 	for seed := int64(1); seed <= 20; seed++ {
 		p := profiles[int(seed)%len(profiles)]
 		t.Run(fmt.Sprintf("seed=%d/%s", seed, p.Name), func(t *testing.T) {
-			cf, cg, rows := batchModels(t, p, seed)
+			cf, rows := batchModel(t, p, seed)
 			stride := len(rows[0])
 			nc := cf.NumClasses()
 			// 0 and 1 exercise the degenerate blocks, 3 the remainder-only
@@ -90,21 +80,6 @@ func TestBatchEquivalence(t *testing.T) {
 					}
 				}
 
-				scores := make([]float64, n*nc)
-				cg.PredictBatchInto(block, stride, scores, classes)
-				rowScores := make([]float64, nc)
-				for r := 0; r < n; r++ {
-					want := cg.PredictInto(block[r*stride:(r+1)*stride], rowScores)
-					if classes[r] != want {
-						t.Fatalf("n=%d row %d: gbdt batch class %d, row-at-a-time %d", n, r, classes[r], want)
-					}
-					for k := 0; k < nc; k++ {
-						if scores[r*nc+k] != rowScores[k] {
-							t.Fatalf("n=%d row %d class %d: gbdt batch score %v, row-at-a-time %v",
-								n, r, k, scores[r*nc+k], rowScores[k])
-						}
-					}
-				}
 			}
 		})
 	}
@@ -114,7 +89,7 @@ func TestBatchEquivalence(t *testing.T) {
 // call with caller-owned buffers — the contract the per-shard classify
 // sweep in cmd/qoeproxy depends on.
 func TestBatchZeroAllocs(t *testing.T) {
-	cf, cg, rows := batchModels(t, has.Svc1(), 3)
+	cf, rows := batchModel(t, has.Svc1(), 3)
 	stride := len(rows[0])
 	nc := cf.NumClasses()
 	const n = 17
@@ -131,10 +106,5 @@ func TestBatchZeroAllocs(t *testing.T) {
 		cf.PredictBatchInto(block, stride, probs, classes)
 	}); got != 0 {
 		t.Errorf("Forest.PredictBatchInto allocates %v per run, want 0", got)
-	}
-	if got := testing.AllocsPerRun(50, func() {
-		cg.PredictBatchInto(block, stride, probs, classes)
-	}); got != 0 {
-		t.Errorf("GBDT.PredictBatchInto allocates %v per run, want 0", got)
 	}
 }

@@ -7,15 +7,13 @@ import (
 	"droppackets/internal/has"
 	"droppackets/internal/ml/compiled"
 	"droppackets/internal/ml/forest"
-	"droppackets/internal/ml/gbdt"
 	"droppackets/internal/qoe"
 )
 
-// benchModels fits one forest and one gbdt on a service-profile
-// dataset and compiles both, returning the models plus the feature
-// rows to score. Sized like the serving configuration (cmd/qoeinfer
+// benchModels fits one forest on a service-profile dataset and
+// compiles it, returning both plus the feature rows to score. Sized like the serving configuration (cmd/qoeinfer
 // defaults to 25 trees; the root benchmarks use 50).
-func benchModels(b *testing.B) (*forest.Classifier, *compiled.Forest, *gbdt.Classifier, *compiled.GBDT, [][]float64) {
+func benchModels(b *testing.B) (*forest.Classifier, *compiled.Forest, [][]float64) {
 	b.Helper()
 	c, err := dataset.Build(dataset.Config{Seed: 31, Sessions: 200}, has.Svc1())
 	if err != nil {
@@ -33,15 +31,7 @@ func benchModels(b *testing.B) (*forest.Classifier, *compiled.Forest, *gbdt.Clas
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := gbdt.New(gbdt.Config{Rounds: 30, MaxDepth: 3, Seed: 7})
-	if err := g.Fit(ds); err != nil {
-		b.Fatal(err)
-	}
-	cg, err := compiled.CompileGBDT(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return f, cf, g, cg, ds.X
+	return f, cf, ds.X
 }
 
 // BenchmarkForestPredictProbaSeed reconstructs the serving path as it
@@ -50,7 +40,7 @@ func benchModels(b *testing.B) (*forest.Classifier, *compiled.Forest, *gbdt.Clas
 // row. This is the "interpreted" baseline the compiled scorer is
 // compared against.
 func BenchmarkForestPredictProbaSeed(b *testing.B) {
-	f, _, _, _, rows := benchModels(b)
+	f, _, rows := benchModels(b)
 	probs := make([]float64, f.NumClasses())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -73,7 +63,7 @@ func BenchmarkForestPredictProbaSeed(b *testing.B) {
 // BenchmarkForestPredictProbaInterpreted is the interpreted ensemble's
 // public entry point, allocating only the returned vector per row.
 func BenchmarkForestPredictProbaInterpreted(b *testing.B) {
-	f, _, _, _, rows := benchModels(b)
+	f, _, rows := benchModels(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -85,7 +75,7 @@ func BenchmarkForestPredictProbaInterpreted(b *testing.B) {
 // ensemble after the per-tree allocation fix: tree walks via the
 // leaf-distribution view, caller-owned output buffer.
 func BenchmarkForestPredictProbaIntoInterpreted(b *testing.B) {
-	f, _, _, _, rows := benchModels(b)
+	f, _, rows := benchModels(b)
 	out := make([]float64, f.NumClasses())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -97,35 +87,12 @@ func BenchmarkForestPredictProbaIntoInterpreted(b *testing.B) {
 // BenchmarkForestPredictProbaIntoCompiled is the compiled scorer: one
 // flat node pool for all trees, zero allocations.
 func BenchmarkForestPredictProbaIntoCompiled(b *testing.B) {
-	_, cf, _, _, rows := benchModels(b)
+	_, cf, rows := benchModels(b)
 	out := make([]float64, cf.NumClasses())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cf.PredictProbaInto(rows[i%len(rows)], out)
-	}
-}
-
-// BenchmarkGBDTPredictInterpreted scores through the fitted gbdt's own
-// per-round tree walks.
-func BenchmarkGBDTPredictInterpreted(b *testing.B) {
-	_, _, g, _, rows := benchModels(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = g.Predict(rows[i%len(rows)])
-	}
-}
-
-// BenchmarkGBDTPredictCompiled scores through the compiled gbdt with a
-// caller-owned score buffer.
-func BenchmarkGBDTPredictCompiled(b *testing.B) {
-	_, _, _, cg, rows := benchModels(b)
-	scores := make([]float64, cg.NumClasses())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cg.PredictInto(rows[i%len(rows)], scores)
 	}
 }
 
@@ -149,7 +116,7 @@ func benchBlock(rows [][]float64) (block []float64, stride int) {
 // sweep — one PredictInto call per client row. One op = one full
 // 512-row sweep.
 func BenchmarkForestSweepRowAtATime(b *testing.B) {
-	_, cf, _, _, rows := benchModels(b)
+	_, cf, rows := benchModels(b)
 	block, stride := benchBlock(rows)
 	probs := make([]float64, cf.NumClasses())
 	out := make([]int, sweepRows)
@@ -167,7 +134,7 @@ func BenchmarkForestSweepRowAtATime(b *testing.B) {
 // four interleaved row walks). One op = one full sweep; compare
 // directly against BenchmarkForestSweepRowAtATime.
 func BenchmarkForestSweepBatch(b *testing.B) {
-	_, cf, _, _, rows := benchModels(b)
+	_, cf, rows := benchModels(b)
 	block, stride := benchBlock(rows)
 	probs := make([]float64, sweepRows*cf.NumClasses())
 	out := make([]int, sweepRows)
@@ -175,35 +142,5 @@ func BenchmarkForestSweepBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cf.PredictBatchInto(block, stride, probs, out)
-	}
-}
-
-// BenchmarkGBDTSweepRowAtATime is the per-row compiled gbdt over the
-// same multi-row block.
-func BenchmarkGBDTSweepRowAtATime(b *testing.B) {
-	_, _, _, cg, rows := benchModels(b)
-	block, stride := benchBlock(rows)
-	scores := make([]float64, cg.NumClasses())
-	out := make([]int, sweepRows)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < sweepRows; r++ {
-			out[r] = cg.PredictInto(block[r*stride:(r+1)*stride], scores)
-		}
-	}
-}
-
-// BenchmarkGBDTSweepBatch is the batched compiled gbdt over the same
-// multi-row block.
-func BenchmarkGBDTSweepBatch(b *testing.B) {
-	_, _, _, cg, rows := benchModels(b)
-	block, stride := benchBlock(rows)
-	scores := make([]float64, sweepRows*cg.NumClasses())
-	out := make([]int, sweepRows)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cg.PredictBatchInto(block, stride, scores, out)
 	}
 }

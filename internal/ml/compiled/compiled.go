@@ -1,13 +1,12 @@
-// Package compiled flattens fitted tree ensembles into contiguous
+// Package compiled flattens fitted random forests into contiguous
 // structure-of-arrays scorers for the serving hot path. A compiled
 // model holds every tree of the ensemble in one shared set of arrays —
 // split feature, threshold, absolute left/right child indices as int32,
-// and (for forests) one pooled leaf-distribution block — so inference
-// is an index walk over a few cache-resident slices with no *node
-// chasing and no per-row allocation. Predictions are bit-identical to
-// the interpreted ensemble: the accumulation order of the interpreted
-// path (tree by tree, class by class, divide once at the end; round by
-// round for boosting) is replicated exactly.
+// and one pooled leaf-distribution block — so inference is an index
+// walk over a few cache-resident slices with no *node chasing and no
+// per-row allocation. Predictions are bit-identical to the interpreted
+// ensemble: the accumulation order of the interpreted path (tree by
+// tree, class by class, divide once at the end) is replicated exactly.
 //
 // Compile once after fitting or loading; the compiled scorer copies
 // what it needs and stays valid even if the source ensemble is refitted.
@@ -20,7 +19,6 @@ import (
 
 	"droppackets/internal/ml"
 	"droppackets/internal/ml/forest"
-	"droppackets/internal/ml/gbdt"
 	"droppackets/internal/ml/tree"
 )
 
@@ -86,14 +84,13 @@ func CompileForest(f *forest.Classifier) (*Forest, error) {
 		}
 		c.roots = append(c.roots, base)
 	}
-	c.bb = buildBatchLayout(c.feature, c.threshold, c.left, c.right, c.roots, c.leaf, nil)
+	c.bb = buildBatchLayout(c.feature, c.threshold, c.left, c.right, c.roots, c.leaf)
 	return c, nil
 }
 
 // appendTree rebases one tree's flat view onto the shared arrays and
 // returns the new root index. leafPayload maps a source leaf node to
-// the value stored in c.leaf (a dist offset for forests, a value index
-// for boosters). The growth engine always emits children after their
+// the value stored in c.leaf (its pooled dist offset). The growth engine always emits children after their
 // parent, so child > parent is required — it guarantees every walk
 // terminates even on a hostile model file.
 func (c *Forest) appendTree(v tree.FlatView, leafPayload func(node int) (int32, error)) (int32, error) {
@@ -205,132 +202,6 @@ func (c *Forest) PredictProba(x []float64) []float64 {
 // with one probability buffer each. Results are identical to calling
 // PredictInto per row at any GOMAXPROCS setting.
 func (c *Forest) PredictBatch(x [][]float64) []int {
-	return batchPredict(len(x), c.numClasses, func(i int, buf []float64) int {
-		return c.PredictInto(x[i], buf)
-	})
-}
-
-// GBDT is a gradient-boosted ensemble compiled into flat arrays. The
-// zero value is unusable; build one with CompileGBDT.
-type GBDT struct {
-	numClasses int
-	lr         float64
-	base       []float64
-	// roots[r*numClasses+k] is the root of round r's class-k tree.
-	roots     []int32
-	feature   []int32
-	threshold []float64
-	left      []int32
-	right     []int32
-	// value[i] is leaf i's regression output (0 for internal nodes).
-	value []float64
-	// bb is the branch-free batch walk layout built at compile time
-	// for the multi-row sweeps in batch.go.
-	bb *batchLayout
-}
-
-// CompileGBDT flattens a fitted booster into a GBDT scorer, with the
-// same structural validation as CompileForest.
-func CompileGBDT(g *gbdt.Classifier) (*GBDT, error) {
-	if g == nil || g.NumRounds() == 0 {
-		return nil, fmt.Errorf("compiled: gbdt is nil or unfitted")
-	}
-	nc := g.NumClasses()
-	if nc <= 0 || len(g.Base()) != nc {
-		return nil, fmt.Errorf("compiled: gbdt base scores malformed")
-	}
-	c := &GBDT{
-		numClasses: nc,
-		lr:         g.Config.LearningRate,
-		base:       append([]float64(nil), g.Base()...),
-		roots:      make([]int32, 0, g.NumRounds()*nc),
-	}
-	// Reuse the forest flattener via a shim sharing the node arrays;
-	// each leaf's payload is its regression output, appended to the
-	// node-aligned value column inside the closure.
-	shim := &Forest{}
-	for r := 0; r < g.NumRounds(); r++ {
-		perClass := g.Round(r)
-		if len(perClass) != nc {
-			return nil, fmt.Errorf("compiled: round %d has %d trees, want %d", r, len(perClass), nc)
-		}
-		for k, reg := range perClass {
-			if reg == nil {
-				return nil, fmt.Errorf("compiled: round %d class %d: nil tree", r, k)
-			}
-			v := reg.FlatView()
-			base, err := shim.appendTree(v, func(node int) (int32, error) {
-				return 0, nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("compiled: round %d class %d: %w", r, k, err)
-			}
-			// Node-aligned value column: internal nodes hold 0, leaves
-			// their fitted output, at the same rebased indices.
-			for i := 0; i < v.Len(); i++ {
-				if v.Feature[i] < 0 {
-					c.value = append(c.value, v.Value[i])
-				} else {
-					c.value = append(c.value, 0)
-				}
-			}
-			c.roots = append(c.roots, base)
-		}
-	}
-	c.feature = shim.feature
-	c.threshold = shim.threshold
-	c.left = shim.left
-	c.right = shim.right
-	c.bb = buildBatchLayout(c.feature, c.threshold, c.left, c.right, c.roots, nil, c.value)
-	return c, nil
-}
-
-// NumClasses returns the number of classes the compiled booster
-// discriminates.
-func (c *GBDT) NumClasses() int { return c.numClasses }
-
-// NumRounds returns the number of boosting rounds.
-func (c *GBDT) NumRounds() int { return len(c.roots) / c.numClasses }
-
-// PredictInto scores x into the caller's score buffer (length
-// NumClasses) and returns the argmax class. Zero allocations; the
-// accumulation order matches the interpreted booster exactly. The
-// node columns live in locals for the same aliasing reason as
-// Forest.leafOf.
-func (c *GBDT) PredictInto(x []float64, scores []float64) int {
-	copy(scores, c.base)
-	feature, threshold, left, right, value := c.feature, c.threshold, c.left, c.right, c.value
-	nc := c.numClasses
-	for ri := 0; ri < len(c.roots); ri += nc {
-		for k := 0; k < nc; k++ {
-			i := c.roots[ri+k]
-			for {
-				f := feature[i]
-				if f < 0 {
-					break
-				}
-				if x[f] <= threshold[i] {
-					i = left[i]
-				} else {
-					i = right[i]
-				}
-			}
-			scores[k] += c.lr * value[i]
-		}
-	}
-	return ml.Argmax(scores)
-}
-
-// Predict returns the argmax class for x, allocating one small score
-// buffer. Hot loops use PredictInto with a reused buffer.
-func (c *GBDT) Predict(x []float64) int {
-	return c.PredictInto(x, make([]float64, c.numClasses))
-}
-
-// PredictBatch labels every row, fanning out across GOMAXPROCS workers
-// with one score buffer each. Results are identical to calling
-// PredictInto per row at any GOMAXPROCS setting.
-func (c *GBDT) PredictBatch(x [][]float64) []int {
 	return batchPredict(len(x), c.numClasses, func(i int, buf []float64) int {
 		return c.PredictInto(x[i], buf)
 	})

@@ -9,7 +9,6 @@ import (
 	"droppackets/internal/ml"
 	"droppackets/internal/ml/compiled"
 	"droppackets/internal/ml/forest"
-	"droppackets/internal/ml/gbdt"
 	"droppackets/internal/ml/mltest"
 	"droppackets/internal/qoe"
 )
@@ -72,53 +71,6 @@ func TestForestGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestGBDTGoldenEquivalence checks the compiled booster agrees with the
-// interpreted one on a service-profile dataset: same argmax on every
-// row, and scores bit-identical to a replay through the public
-// accessors (base + lr * per-round leaf values in fit order).
-func TestGBDTGoldenEquivalence(t *testing.T) {
-	ds := profileDataset(t, has.Svc1(), 61)
-	g := gbdt.New(gbdt.Config{Rounds: 12, MaxDepth: 3, Seed: 7})
-	if err := g.Fit(ds); err != nil {
-		t.Fatal(err)
-	}
-	c, err := compiled.CompileGBDT(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumRounds() != g.NumRounds() || c.NumClasses() != g.NumClasses() {
-		t.Fatalf("shape mismatch: compiled %d/%d vs %d/%d",
-			c.NumRounds(), c.NumClasses(), g.NumRounds(), g.NumClasses())
-	}
-	scores := make([]float64, c.NumClasses())
-	want := make([]float64, c.NumClasses())
-	for i, row := range ds.X {
-		got := c.PredictInto(row, scores)
-		if want := g.Predict(row); got != want {
-			t.Fatalf("row %d: compiled class %d, interpreted %d", i, got, want)
-		}
-		// Replay the interpreted accumulation through the accessors and
-		// demand bit-identical scores, not just the same argmax.
-		copy(want, g.Base())
-		for r := 0; r < g.NumRounds(); r++ {
-			for k, reg := range g.Round(r) {
-				want[k] += g.Config.LearningRate * reg.Predict(row)
-			}
-		}
-		for k := range want {
-			if scores[k] != want[k] {
-				t.Fatalf("row %d class %d: compiled score %v, interpreted %v", i, k, scores[k], want[k])
-			}
-		}
-	}
-	batch := c.PredictBatch(ds.X)
-	for i, row := range ds.X {
-		if batch[i] != g.Predict(row) {
-			t.Fatalf("batch row %d: compiled %d, interpreted %d", i, batch[i], g.Predict(row))
-		}
-	}
-}
-
 // TestCompileErrors covers the malformed/empty-model paths: nil and
 // unfitted ensembles must fail to compile instead of producing a scorer
 // that panics at serve time.
@@ -129,16 +81,10 @@ func TestCompileErrors(t *testing.T) {
 	if _, err := compiled.CompileForest(forest.New(forest.Config{})); err == nil {
 		t.Error("CompileForest(unfitted) succeeded")
 	}
-	if _, err := compiled.CompileGBDT(nil); err == nil {
-		t.Error("CompileGBDT(nil) succeeded")
-	}
-	if _, err := compiled.CompileGBDT(gbdt.New(gbdt.Config{})); err == nil {
-		t.Error("CompileGBDT(unfitted) succeeded")
-	}
 }
 
 // TestRandomizedRoundTrip is the fuzz-style sweep: random datasets,
-// random ensemble shapes, fit → compile → compare on both the training
+// random forest shapes, fit → compile → compare on both the training
 // rows and fresh random probes (including values outside the training
 // range, exercising every leaf path).
 func TestRandomizedRoundTrip(t *testing.T) {
@@ -174,26 +120,6 @@ func TestRandomizedRoundTrip(t *testing.T) {
 				}
 			}
 		}
-
-		g := gbdt.New(gbdt.Config{
-			Rounds:   1 + rng.Intn(8),
-			MaxDepth: 1 + rng.Intn(4),
-			MinLeaf:  1 + rng.Intn(4),
-			Seed:     seed * 37,
-		})
-		if err := g.Fit(ds); err != nil {
-			t.Fatalf("seed %d: gbdt fit: %v", seed, err)
-		}
-		cg, err := compiled.CompileGBDT(g)
-		if err != nil {
-			t.Fatalf("seed %d: compile gbdt: %v", seed, err)
-		}
-		scores := make([]float64, cg.NumClasses())
-		for _, row := range append(append([][]float64(nil), ds.X...), probes...) {
-			if got, want := cg.PredictInto(row, scores), g.Predict(row); got != want {
-				t.Fatalf("seed %d: gbdt class mismatch: compiled %d, interpreted %d", seed, got, want)
-			}
-		}
 	}
 }
 
@@ -213,17 +139,5 @@ func TestPredictProbaIntoAllocs(t *testing.T) {
 	row := ds.X[0]
 	if n := testing.AllocsPerRun(100, func() { c.PredictProbaInto(row, probs) }); n != 0 {
 		t.Errorf("compiled PredictProbaInto allocates %v per run", n)
-	}
-	g := gbdt.New(gbdt.Config{Rounds: 8, Seed: 5})
-	if err := g.Fit(ds); err != nil {
-		t.Fatal(err)
-	}
-	cg, err := compiled.CompileGBDT(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scores := make([]float64, cg.NumClasses())
-	if n := testing.AllocsPerRun(100, func() { cg.PredictInto(row, scores) }); n != 0 {
-		t.Errorf("compiled GBDT PredictInto allocates %v per run", n)
 	}
 }

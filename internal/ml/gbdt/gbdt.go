@@ -172,18 +172,6 @@ func (c *Classifier) predictInto(x []float64, scores []float64) int {
 // discriminates.
 func (c *Classifier) NumClasses() int { return c.numClasses }
 
-// Base returns a read-only view of the initial per-class log-odds;
-// callers must not modify it.
-func (c *Classifier) Base() []float64 { return c.base }
-
-// NumRounds returns the number of fitted boosting rounds.
-func (c *Classifier) NumRounds() int { return len(c.rounds) }
-
-// Round returns the per-class regression trees of boosting round r.
-// The booster still owns them; callers (serialization, compilation)
-// read but must not refit them.
-func (c *Classifier) Round(r int) []*tree.Regressor { return c.rounds[r] }
-
 // PredictBatch implements ml.BatchPredictor: rows fan out across
 // GOMAXPROCS workers with one score buffer each. Results are identical
 // to calling Predict per row.

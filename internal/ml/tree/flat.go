@@ -4,11 +4,10 @@ package tree
 // node table, in pre-order with the root at index 0. Feature[i] == -1
 // marks a leaf; internal nodes carry Threshold and Left/Right child
 // indices. Classification leaves locate their class distribution at
-// Dist[DistOff[i] : DistOff[i]+numClasses]; regression leaves carry
-// their fitted value in Value[i]. Every slice aliases the tree's
-// internal storage: callers must treat the view as immutable, and it is
-// invalidated by the next Fit. The compiled-inference package flattens
-// ensembles through this view without re-walking pointers.
+// Dist[DistOff[i] : DistOff[i]+numClasses]. Every slice aliases the
+// tree's internal storage: callers must treat the view as immutable,
+// and it is invalidated by the next Fit. The compiled-inference package
+// flattens forests through this view without re-walking pointers.
 type FlatView struct {
 	// Feature holds the split feature per node, -1 for leaves.
 	Feature []int32
@@ -19,12 +18,10 @@ type FlatView struct {
 	// Right holds the right-child index per internal node.
 	Right []int32
 	// DistOff holds, per leaf, the offset of its class distribution in
-	// Dist (unused for internal and regression nodes).
+	// Dist (unused for internal nodes).
 	DistOff []int32
 	// Dist is the concatenation of all leaf class distributions.
 	Dist []float64
-	// Value holds the fitted value per regression leaf.
-	Value []float64
 }
 
 // Len reports the number of nodes in the view (0 for an unfitted tree).
@@ -32,9 +29,6 @@ func (v FlatView) Len() int { return len(v.Feature) }
 
 // FlatView exposes the fitted classification tree's node storage.
 func (t *Classifier) FlatView() FlatView { return t.nodes.view() }
-
-// FlatView exposes the fitted regression tree's node storage.
-func (t *Regressor) FlatView() FlatView { return t.nodes.view() }
 
 // view builds the exported alias view of a node table.
 func (t *soa) view() FlatView {
@@ -45,6 +39,5 @@ func (t *soa) view() FlatView {
 		Right:     t.right,
 		DistOff:   t.distOff,
 		Dist:      t.dist,
-		Value:     t.value,
 	}
 }

@@ -1,0 +1,276 @@
+package serve
+
+import (
+	"fmt"
+	"reflect"
+	"sort"
+	"testing"
+
+	"droppackets/internal/capture"
+	"droppackets/internal/dataset"
+	"droppackets/internal/has"
+	"droppackets/internal/sessionid"
+)
+
+// TestAdvanceLongLivedConnection holds long-lived connections open
+// across a client's traffic — sixty sessions of fifty transactions,
+// each opened by a burst to new servers — so their starts pin the
+// sessionizer watermark and thousands of completed transactions queue
+// in the client's reorder buffer. Connection A spans sessions 0–39 and
+// B sessions 20–59: closing A releases the buffered prefix up to B's
+// start and leaves the rest queued; closing B releases that. The result
+// must be what the offline heuristic gives on the same transactions:
+// the same number of boundaries, and the last session's transactions,
+// byte counts included, in start order.
+func TestAdvanceLongLivedConnection(t *testing.T) {
+	const (
+		client   = "10.70.0.1"
+		sessions = 60
+		perSess  = 50
+	)
+	var reported int64
+	c := New(6144, Hooks{Boundary: func(string, int64, int) { reported++ }})
+
+	sessStart := func(k int) float64 { return float64(k*perSess) + 1 }
+	end := sessStart(sessions) + 10
+	connA := capture.TLSTransaction{SNI: "long-a.example", Start: 0, End: sessStart(40) - 0.1, UpBytes: 1, DownBytes: 10}
+	connB := capture.TLSTransaction{SNI: "long-b.example", Start: sessStart(20) - 0.5, End: end, UpBytes: 2, DownBytes: 20}
+	all := []sessionid.Transaction{
+		{Start: connA.Start, End: connA.End, SNI: connA.SNI},
+		{Start: connB.Start, End: connB.End, SNI: connB.SNI},
+	}
+	c.Open(client, 1, connA.Start)
+	id := uint64(2)
+	cl := c.clients[client]
+	for k := 0; k < sessions; k++ {
+		switch k {
+		case 20:
+			c.Open(client, 2, connB.Start)
+		case 40:
+			buffered := len(cl.buffer)
+			c.Commit(client, 1, connA)
+			released := 1 // A itself, then every transaction starting by B
+			for _, txn := range all[2:] {
+				if txn.Start <= connB.Start {
+					released++
+				}
+			}
+			if released == 1 || len(cl.buffer) != buffered+1-released {
+				t.Fatalf("closing A left %d of %d buffered, want %d", len(cl.buffer), buffered+1, buffered+1-released)
+			}
+		}
+		base := sessStart(k)
+		for j := 0; j < perSess; j++ {
+			start := base + float64(j)
+			if j < 3 {
+				start = base + 0.1*float64(j) // the opening burst
+			}
+			sni := fmt.Sprintf("s%d-%c.example", k, 'a'+j%3)
+			id++
+			c.Open(client, id, start)
+			c.Commit(client, id, capture.TLSTransaction{SNI: sni, Start: start, End: start + 0.5, UpBytes: int64(id), DownBytes: int64(10 * id)})
+			all = append(all, sessionid.Transaction{Start: start, End: start + 0.5, SNI: sni})
+		}
+	}
+	if len(cl.buffer) < 1000 {
+		t.Fatalf("only %d transactions buffered behind B", len(cl.buffer))
+	}
+
+	c.Commit(client, 2, connB)
+	c.Drain(nil)
+
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Start < all[j].Start })
+	want := sessionid.Detect(all, sessionid.PaperParams)
+	wantBoundaries, last := int64(0), 0
+	for i, isNew := range want {
+		if isNew {
+			wantBoundaries++
+			last = i
+		}
+	}
+	if wantBoundaries < sessions {
+		t.Fatalf("the offline heuristic finds %d boundaries, the trace was built with %d sessions", wantBoundaries, sessions)
+	}
+	if cl.boundaries != wantBoundaries || reported != wantBoundaries {
+		t.Errorf("%d boundaries (reported %d), want %d", cl.boundaries, reported, wantBoundaries)
+	}
+	if len(cl.buffer) != 0 || len(cl.inFlight) != 0 {
+		t.Errorf("%d buffered and %d in flight after the flush", len(cl.buffer), len(cl.inFlight))
+	}
+	tail := all[last:]
+	if len(cl.current) != len(tail) {
+		t.Fatalf("last session holds %d transactions, want %d", len(cl.current), len(tail))
+	}
+	for i, txn := range cl.current {
+		w := tail[i]
+		// Every record's down bytes are ten times its up bytes, so a
+		// transaction's counts travelled with it.
+		if txn.Start != w.Start || txn.SNI != w.SNI || txn.DownBytes != 10*txn.UpBytes {
+			t.Fatalf("last session transaction %d = %+v, want start %v sni %s", i, txn, w.Start, w.SNI)
+		}
+	}
+}
+
+// event is one call of a Core input sequence: connection conn opens
+// (open) or completes with txn.
+type event struct {
+	client string
+	conn   uint64
+	open   bool
+	txn    capture.TLSTransaction
+}
+
+// feed plays events into c.
+func feed(c *Core, events []event) {
+	for _, e := range events {
+		if e.open {
+			c.Open(e.client, e.conn, e.txn.Start)
+		} else {
+			c.Commit(e.client, e.conn, e.txn)
+		}
+	}
+}
+
+// corpusEvents plays the corpus's sessions on numClients clients, each
+// client's sessions back to back with a minute between them, as the
+// Open and Commit calls a file source would make: every connection
+// opens at its start and commits at its end, in time order. Each
+// session also holds one long-lived connection open from just after
+// its first transaction starts to its end, so at any point inside a
+// session completed transactions wait behind an open connection.
+func corpusEvents(t *testing.T, seed int64, sessions, numClients int) []event {
+	t.Helper()
+	traffic, err := dataset.Build(dataset.Config{Seed: seed, Sessions: sessions}, has.Svc1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := make([]float64, numClients)
+	var events []event
+	for i, r := range traffic.Records {
+		k := i % numClients
+		client := fmt.Sprintf("10.20.0.%d", k+1)
+		base, end := next[k], next[k]
+		session := r.Capture.TLS
+		long := capture.TLSTransaction{SNI: "long.example", Start: session[0].Start + 0.001, UpBytes: 1, DownBytes: 1}
+		for _, txn := range session {
+			long.End = max(long.End, txn.End)
+		}
+		for _, txn := range append(session[:len(session):len(session)], long) {
+			txn.Start += base
+			txn.End += base
+			conn := uint64(len(events)/2 + 1)
+			events = append(events,
+				event{client: client, conn: conn, open: true, txn: txn},
+				event{client: client, conn: conn, txn: txn})
+			end = max(end, txn.End)
+		}
+		next[k] = end + 60
+	}
+	at := func(e event) float64 {
+		if e.open {
+			return e.txn.Start
+		}
+		return e.txn.End
+	}
+	sort.SliceStable(events, func(i, j int) bool { return at(events[i]) < at(events[j]) })
+	return events
+}
+
+// saved returns a core's Save output sorted by client.
+func saved(c *Core) []ClientState {
+	st := c.Save(nil)
+	sort.Slice(st, func(i, j int) bool { return st[i].Client < st[j].Client })
+	return st
+}
+
+// finalView is a Final with its retained transactions, comparable.
+type finalView struct {
+	Final
+	Recent []capture.TLSTransaction
+}
+
+// drained drains c and returns its Finals sorted by client.
+func drained(c *Core) []finalView {
+	var out []finalView
+	for _, f := range c.Drain(nil) {
+		v := finalView{Final: f, Recent: f.Transactions(nil)}
+		v.Final.recent = nil
+		out = append(out, v)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Client < out[j].Client })
+	return out
+}
+
+// TestCoreDeterminism is the first row of the streaming-equals-offline
+// oracle: a Core's output is a function of its call sequence. Two cores
+// fed the same Open/Commit sequence Save and Drain identically; a core
+// saved halfway and restored into a fresh core that takes the rest of
+// the sequence ends identical to both; and every client's boundary
+// count equals the offline heuristic's over the client's complete
+// input.
+func TestCoreDeterminism(t *testing.T) {
+	events := corpusEvents(t, 23, 30, 4)
+	const maxTxns = 64 // small enough that some sessions truncate
+
+	fed := func() *Core {
+		c := New(maxTxns, Hooks{})
+		feed(c, events)
+		return c
+	}
+	a, b := fed(), fed()
+	wantSaved := saved(a)
+	if got := saved(b); !reflect.DeepEqual(got, wantSaved) {
+		t.Fatal("two cores fed the same calls Save differently")
+	}
+	finals := drained(a)
+	if got := drained(b); !reflect.DeepEqual(got, finals) {
+		t.Fatal("two cores fed the same calls Drain differently")
+	}
+
+	for _, cut := range []int{len(events) / 3, len(events) / 2, len(events) - 1} {
+		first := New(maxTxns, Hooks{})
+		feed(first, events[:cut])
+		restored := New(maxTxns, Hooks{})
+		for _, st := range first.Save(nil) {
+			restored.Restore(&st, 0)
+		}
+		feed(restored, events[cut:])
+		if got := saved(restored); !reflect.DeepEqual(got, wantSaved) {
+			t.Fatalf("cut %d/%d: the restored core Saves differently from an uninterrupted one", cut, len(events))
+		}
+		if got := drained(restored); !reflect.DeepEqual(got, finals) {
+			t.Fatalf("cut %d/%d: the restored core Drains differently from an uninterrupted one", cut, len(events))
+		}
+	}
+
+	perClient := map[string][]sessionid.Transaction{}
+	for _, e := range events {
+		if !e.open {
+			perClient[e.client] = append(perClient[e.client], sessionid.Transaction{Start: e.txn.Start, End: e.txn.End, SNI: e.txn.SNI})
+		}
+	}
+	if len(finals) != len(perClient) {
+		t.Fatalf("%d clients drained, %d in the input", len(finals), len(perClient))
+	}
+	truncated := false
+	for _, f := range finals {
+		all := perClient[f.Client]
+		sort.SliceStable(all, func(i, j int) bool { return all[i].Start < all[j].Start })
+		var want int64
+		for _, isNew := range sessionid.Detect(all, sessionid.PaperParams) {
+			if isNew {
+				want++
+			}
+		}
+		if f.Boundaries != want || want < 2 {
+			t.Errorf("client %s: %d boundaries, the offline heuristic finds %d", f.Client, f.Boundaries, want)
+		}
+		if f.Txns != int64(len(all)) {
+			t.Errorf("client %s: %d transactions, the input has %d", f.Client, f.Txns, len(all))
+		}
+		truncated = truncated || len(f.Recent) < len(all)
+	}
+	if !truncated {
+		t.Error("no client outgrew the retention cap; the truncation paths went untested")
+	}
+}

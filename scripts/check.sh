@@ -18,7 +18,7 @@ echo "== go vet =="
 go vet ./...
 
 echo "== doc lint (operator-facing packages) =="
-go run ./scripts/doclint internal/sessionid internal/tlsproxy internal/squidlog internal/features internal/core internal/faultinject internal/ml/compiled internal/ingest internal/netflow internal/pcap internal/intern internal/bytesconv internal/cluster
+go run ./scripts/doclint internal/sessionid internal/tlsproxy internal/squidlog internal/features internal/core internal/serve internal/faultinject internal/ml/compiled internal/ingest internal/netflow internal/pcap internal/intern internal/bytesconv internal/cluster
 
 echo "== go test =="
 go test ./...
@@ -27,7 +27,7 @@ echo "== go test -race (concurrent packages, incl. faultinject chaos tests and q
 # -timeout 20m: the experiments paper-shape suite takes ~10 wall-clock
 # minutes under the race detector on a 1-core host, right at go test's
 # default timeout.
-go test -race -timeout 20m ./internal/ml/... ./internal/core ./internal/dataset ./internal/tlsproxy ./internal/metrics ./internal/experiments ./internal/features ./internal/faultinject ./internal/intern ./internal/ingest ./internal/squidlog ./internal/bytesconv ./internal/cluster ./cmd/qoeproxy
+go test -race -timeout 20m ./internal/ml/... ./internal/core ./internal/dataset ./internal/tlsproxy ./internal/metrics ./internal/experiments ./internal/features ./internal/faultinject ./internal/intern ./internal/ingest ./internal/squidlog ./internal/bytesconv ./internal/cluster ./internal/serve ./cmd/qoeproxy
 
 echo "== feature benchmarks (smoke) =="
 go test -run '^$' -bench Feature -benchtime 1x .

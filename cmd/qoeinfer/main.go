@@ -21,15 +21,18 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"droppackets/internal/capture"
 	"droppackets/internal/core"
 	"droppackets/internal/dataset"
 	"droppackets/internal/has"
+	"droppackets/internal/ml"
 	"droppackets/internal/ml/forest"
 	"droppackets/internal/qoe"
 	"droppackets/internal/squidlog"
@@ -79,6 +82,9 @@ func findProfile(name string) (*has.ServiceProfile, error) {
 func run(txnsPath, squidPath, service, metricName string, trainN int, seed int64, trees int, savePath, loadPath string) error {
 	if (txnsPath == "") == (squidPath == "") {
 		return fmt.Errorf("exactly one of -txns or -squid is required")
+	}
+	if savePath != "" && loadPath != "" {
+		return fmt.Errorf("-save writes a trained model; it cannot be combined with -model")
 	}
 	metric, err := parseMetric(metricName)
 	if err != nil {
@@ -171,13 +177,7 @@ func run(txnsPath, squidPath, service, metricName string, trainN int, seed int64
 		if err != nil {
 			return err
 		}
-		best := 0
-		for i, p := range probs {
-			if p > probs[best] {
-				best = i
-			}
-		}
-		fmt.Printf("%-24s %-8s", id, names[best])
+		fmt.Printf("%-24s %-8s", id, names[ml.Argmax(probs)])
 		for i, p := range probs {
 			fmt.Printf(" %s=%.2f", names[i], p)
 		}
@@ -186,14 +186,11 @@ func run(txnsPath, squidPath, service, metricName string, trainN int, seed int64
 	return nil
 }
 
-// sortTxns orders transactions by start time (feature extraction
-// expects time order for IAT).
+// sortTxns orders a copy of the transactions by start time (feature
+// extraction expects time order for IAT), keeping equal starts in input
+// order.
 func sortTxns(txns []capture.TLSTransaction) []capture.TLSTransaction {
-	out := append([]capture.TLSTransaction(nil), txns...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Start < out[j-1].Start; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	out := slices.Clone(txns)
+	slices.SortStableFunc(out, func(a, b capture.TLSTransaction) int { return cmp.Compare(a.Start, b.Start) })
 	return out
 }

@@ -84,6 +84,15 @@ func TestRunArgumentValidation(t *testing.T) {
 	if err := run(writeTinyCSV(t), "", "SvcX", "combined", 10, 1, 5, "", ""); err == nil {
 		t.Error("bad service accepted")
 	}
+	// Saving happens only after training, so -model with -save would
+	// silently write nothing.
+	save := filepath.Join(t.TempDir(), "saved.json")
+	if err := run(writeTinyCSV(t), "", "Svc1", "combined", 10, 1, 5, save, "model.json"); err == nil {
+		t.Error("-model with -save accepted")
+	}
+	if _, err := os.Stat(save); !os.IsNotExist(err) {
+		t.Errorf("-model with -save touched the save path: %v", err)
+	}
 }
 
 func TestParseMetric(t *testing.T) {

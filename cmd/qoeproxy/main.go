@@ -163,8 +163,8 @@ func registerFlags(fs *flag.FlagSet, opts *options) {
 
 // options collects every flag so tests can drive run directly.
 // classifyBatch has no flag: it is an in-process seam for the invariance
-// suites, which sweep inference block sizes down to 1 (the row-at-a-time
-// reference); <= 0 selects the serving default of 256.
+// suites, which sweep inference block sizes down to 1 (one row per
+// inference call); <= 0 selects the serving default of 256.
 type options struct {
 	listen, upstream, resolve     string
 	outPath, squidPath, modelPath string
@@ -358,14 +358,21 @@ type shard struct {
 	// Sweep scratch, reused across passes. During one pass exactly one
 	// worker visits each shard (forEachShard hands out shard indices
 	// exclusively), so these need no lock of their own: the gather fills
-	// cBlock under mu, the sweep reads it after release — and nothing
-	// else ever touches them.
-	cBlock    []float64 // gathered (dirty) rows, row-major, cRows x stride
-	cRows     int
-	cProbs    []float64 // per-sweep probability scratch
+	// sw.block under mu, the sweep reads it after release. Between
+	// passes, on the tick goroutine, finalVerdicts borrows shard 0's sw;
+	// nothing else ever touches them.
+	sw        sweepScratch // gathered (dirty) rows
 	cClasses  []int
 	cShadow   []int // challenger classes over the same rows (-shadow-model)
 	cResident int   // clients resident at the gather
+}
+
+// sweepScratch is one row block and the probability scratch that
+// scores it (sweepBlock).
+type sweepScratch struct {
+	block []float64 // row-major, rows x stride
+	rows  int
+	probs []float64
 }
 
 // classifyRun is the state one classification pass shares with its
@@ -1712,7 +1719,7 @@ func (s *service) classifyPass(nowSec float64) {
 	resident, shadowOK := 0, m.shadow != nil
 	for _, sh := range s.shards {
 		resident += sh.cResident
-		if len(sh.cShadow) != sh.cRows {
+		if len(sh.cShadow) != sh.sw.rows {
 			shadowOK = false // a shard's shadow sweep failed; skip comparison
 		}
 	}
@@ -1738,7 +1745,7 @@ func (s *service) classifyPass(nowSec float64) {
 	nc := m.est.NumClasses()
 	var scored [qoe.NumCategories]int64
 	for _, sh := range s.shards {
-		if sh.cRows == 0 {
+		if sh.sw.rows == 0 {
 			continue
 		}
 		for i, class := range sh.cClasses {
@@ -1789,26 +1796,26 @@ func (s *service) classifyShard(worker, si int) {
 	t0 := time.Now()
 	sh.mu.Lock()
 	sh.cResident = sh.core.Len()
-	sh.cBlock, sh.cRows = sh.core.Gather(m.stamp, p.cutoff, m.rowBuilders[worker], sh.cBlock[:0])
+	sh.sw.block, sh.sw.rows = sh.core.Gather(m.stamp, p.cutoff, m.rowBuilders[worker], sh.sw.block[:0])
 	sh.mu.Unlock()
 	build := time.Since(t0)
 	p.buildNanos.Add(int64(build))
 
 	t1 := time.Now()
 	var err error
-	sh.cClasses, err = s.sweepBlock(m.est, sh, sh.cClasses)
+	sh.cClasses, err = s.sweepBlock(m.est, &sh.sw, sh.cClasses)
 	// The challenger sweeps the same rows after the primary; its only
 	// output is counters, so a shadow failure never fails the pass.
 	sh.cShadow = sh.cShadow[:0]
 	if m.shadow != nil && err == nil {
 		var serr error
-		if sh.cShadow, serr = s.sweepBlock(m.shadow.est, sh, sh.cShadow); serr != nil {
+		if sh.cShadow, serr = s.sweepBlock(m.shadow.est, &sh.sw, sh.cShadow); serr != nil {
 			s.log.Error("shadow classification failed", "err", serr)
 			sh.cShadow = sh.cShadow[:0]
 		}
 	}
 	if m.drift != nil && err == nil {
-		m.drift.observeBlock(sh.cBlock, sh.cRows, m.est.NumFeatures())
+		m.drift.observeBlock(sh.sw.block, sh.sw.rows, m.est.NumFeatures())
 	}
 	sweep := time.Since(t1)
 	p.sweepNanos.Add(int64(sweep))
@@ -1822,31 +1829,67 @@ func (s *service) classifyShard(worker, si int) {
 	}
 }
 
-// sweepBlock scores a shard's gathered row block through est — the
-// primary or the challenger — classifyBatch rows per inference call,
-// and returns the classes in out's backing array (grown when short),
-// one per gathered row.
-func (s *service) sweepBlock(est *core.Estimator, sh *shard, out []int) ([]int, error) {
-	rows, stride, nc := sh.cRows, est.NumFeatures(), est.NumClasses()
+// sweepBlock scores a row block — a shard's gathered rows or the
+// retired clients' final rows — through est, the primary or the
+// challenger, classifyBatch rows per inference call, and returns the
+// classes in out's backing array (grown when short), one per row.
+func (s *service) sweepBlock(est *core.Estimator, sc *sweepScratch, out []int) ([]int, error) {
+	rows, stride, nc := sc.rows, est.NumFeatures(), est.NumClasses()
 	batch := s.opts.classifyBatch
 	if cap(out) < rows {
 		out = make([]int, rows)
 	}
 	out = out[:rows]
-	if cap(sh.cProbs) < batch*nc {
-		sh.cProbs = make([]float64, batch*nc)
+	if cap(sc.probs) < batch*nc {
+		sc.probs = make([]float64, batch*nc)
 	}
 	for lo := 0; lo < rows; lo += batch {
 		hi := lo + batch
 		if hi > rows {
 			hi = rows
 		}
-		if err := est.ClassifyBlockInto(sh.cBlock[lo*stride:hi*stride],
-			hi-lo, sh.cProbs[:(hi-lo)*nc], out[lo:hi]); err != nil {
+		if err := est.ClassifyBlockInto(sc.block[lo*stride:hi*stride],
+			hi-lo, sc.probs[:(hi-lo)*nc], out[lo:hi]); err != nil {
 			return out, err
 		}
 	}
 	return out, nil
+}
+
+// finalVerdicts scores retired clients — an eviction sweep's or the
+// shutdown summary's — through the pass's block sweep: each client's
+// retained ring becomes one row, built with the bundle's first row
+// builder into shard 0's sweep scratch (both idle on the tick goroutine
+// once the pass ends), and the rows are swept classifyBatch at a time.
+// classes[i] is finals[i]'s verdict, -1 for a client that retained no
+// transactions. Final verdicts stay out of the shadow comparison and
+// the drift tracker.
+func (s *service) finalVerdicts(m *servingModel, finals []serve.Final) ([]int, error) {
+	sc, rb := &s.shards[0].sw, m.rowBuilders[0]
+	sc.block, sc.rows = sc.block[:0], 0
+	classes := make([]int, len(finals))
+	var txns []capture.TLSTransaction
+	var row []float64
+	for i := range finals {
+		classes[i] = -1
+		if txns = finals[i].Transactions(txns[:0]); len(txns) == 0 {
+			continue
+		}
+		row = rb.FeatureRow(txns, row)
+		sc.block = append(sc.block, row...)
+		classes[i] = sc.rows
+		sc.rows++
+	}
+	scored, err := s.sweepBlock(m.est, sc, nil)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range classes {
+		if r >= 0 {
+			classes[i] = scored[r]
+		}
+	}
+	return classes, nil
 }
 
 // evictIdle removes every client whose last activity predates
@@ -1857,8 +1900,8 @@ func (s *service) sweepBlock(est *core.Estimator, sh *shard, out []int) ([]int, 
 // sweep clock in epoch seconds (see sweepNow) — record-derived for
 // file/replay sources, so the TTL comparison shares the timescale of
 // the lastActivity values it is compared against. Runs on the classify
-// tick, after classifyPass, on the same goroutine (the estimator's
-// scratch buffers are not concurrency-safe). The sweep also rotates
+// tick, after classifyPass, on the same goroutine (finalVerdicts
+// borrows the pass's idle scratch). The sweep also rotates
 // the ingest source's intern tables at most once per TTL, so released
 // client state releases its interned strings too.
 func (s *service) evictIdle(nowSec float64) {
@@ -1885,27 +1928,25 @@ func (s *service) evictIdle(nowSec float64) {
 		gone = append(gone, g...)
 	}
 	sort.Slice(gone, func(i, j int) bool { return gone[i].Client < gone[j].Client })
-	// Final classifications run sequentially on the tick goroutine: the
-	// estimator's Classify scratch is per-call, but the sorted order
-	// keeps logs and counters deterministic across shard counts. One
-	// bundle Load covers the whole sweep, like classifyPass.
+	// The sorted order keeps logs and counters deterministic across
+	// shard counts. One bundle Load covers the whole sweep, like
+	// classifyPass.
 	m := s.model.Load()
-	var txns []capture.TLSTransaction
+	var classes []int
+	if m != nil && len(gone) > 0 {
+		var err error
+		if classes, err = s.finalVerdicts(m, gone); err != nil {
+			s.log.Error("eviction classification failed", "clients", len(gone), "err", err)
+		}
+	}
 	for i := range gone {
 		e := &gone[i]
 		attrs := []any{"client", e.Client, "transactions", e.Txns,
 			"boundaries", e.Boundaries, "down_bytes", e.DownBytes,
 			"mean_txn_seconds", e.MeanDur}
-		if m != nil {
-			if txns = e.Transactions(txns[:0]); len(txns) > 0 {
-				class, err := m.est.Classify(txns)
-				if err != nil {
-					s.log.Error("eviction classification failed", "client", e.Client, "err", err)
-				} else {
-					m.predClass[class].Inc()
-					attrs = append(attrs, "class", m.names[class])
-				}
-			}
+		if classes != nil && classes[i] >= 0 {
+			m.predClass[classes[i]].Inc()
+			attrs = append(attrs, "class", m.names[classes[i]])
 		}
 		s.log.Info("client evicted", attrs...)
 	}
@@ -1948,22 +1989,19 @@ func (s *service) drain() {
 		return
 	}
 	sort.Slice(finals, func(i, j int) bool { return finals[i].Client < finals[j].Client })
-	var txns []capture.TLSTransaction
+	// The summary classifies the retained ring — the whole history for
+	// clients under -max-session-txns, the most recent slice beyond it
+	// (lifetime counts still report the full totals). Ingest has
+	// stopped, so the ring no longer changes.
+	classes, err := s.finalVerdicts(m, finals)
+	if err != nil {
+		s.log.Error("shutdown classification failed", "clients", len(finals), "err", err)
+		return
+	}
 	for i := range finals {
-		f := &finals[i]
-		// The summary classifies the retained ring — the whole history
-		// for clients under -max-session-txns, the most recent slice
-		// beyond it (lifetime counts still report the full totals).
-		// Ingest has stopped, so the ring no longer changes.
-		if txns = f.Transactions(txns[:0]); len(txns) == 0 {
-			continue
+		if f := &finals[i]; classes[i] >= 0 {
+			fmt.Printf("client %-22s sessions-qoe=%s (%d transactions, %d boundaries)\n",
+				f.Client, m.names[classes[i]], f.Txns, f.Boundaries)
 		}
-		class, err := m.est.Classify(txns)
-		if err != nil {
-			s.log.Error("shutdown classification failed", "client", f.Client, "err", err)
-			continue
-		}
-		fmt.Printf("client %-22s sessions-qoe=%s (%d transactions, %d boundaries)\n",
-			f.Client, m.names[class], f.Txns, f.Boundaries)
 	}
 }

@@ -316,6 +316,83 @@ func TestClassifyPassPaths(t *testing.T) {
 	}
 }
 
+// captureStdout returns what fn prints to standard output.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	defer func() {
+		os.Stdout = orig
+	}()
+	fn()
+	w.Close()
+	return string(<-done)
+}
+
+// TestDrainSummaryMatchesClassify pins the shutdown summary: every
+// client's class equals Estimator.Classify over that client's retained
+// ring, at several inference block sizes. Restored clients with no
+// transactions are interleaved in client order: they print no line and
+// must not shift the other clients' rows.
+func TestDrainSummaryMatchesClassify(t *testing.T) {
+	est := snapTestEstimator(t)
+	events := profileEvents(t, has.Svc1(), 7, 8, 8) // one session each for 10.8.7.1 … 10.8.7.8
+	empty := []string{"10.8.7.15", "10.8.7.35", "10.8.7.65"}
+	for _, batch := range []int{1, 7, 0} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			s, _ := newTestService(t, options{shards: 3, classifyBatch: batch}, est)
+			snap := &savedSnapshot{Version: snapshotVersion, EpochUnixNanos: s.epoch.UnixNano()}
+			for _, c := range empty {
+				snap.Clients = append(snap.Clients, serve.ClientState{Client: c})
+			}
+			if restored, _ := s.restoreState(snap); restored != len(empty) {
+				t.Fatalf("restored %d clients, want %d", restored, len(empty))
+			}
+			feed(s, events)
+			s.classifyPass(1e6) // leaves the pass scratch warm
+			got := captureStdout(t, s.drain)
+
+			names := core.ClassNames(est.Metric())
+			var want strings.Builder
+			classes := map[int]bool{}
+			for i := 1; i <= 8; i++ {
+				host := fmt.Sprintf("10.8.7.%d", i)
+				cs := s.client(host)
+				if cs == nil || len(cs.Recent) == 0 {
+					t.Fatalf("client %s holds no transactions", host)
+				}
+				class, err := est.Classify(cs.Recent)
+				if err != nil {
+					t.Fatal(err)
+				}
+				classes[class] = true
+				fmt.Fprintf(&want, "client %-22s sessions-qoe=%s (%d transactions, %d boundaries)\n",
+					host, names[class], cs.Txns, cs.Boundaries)
+			}
+			if len(classes) < 2 {
+				t.Fatalf("every client is class %v: the fixture cannot tell rows apart", classes)
+			}
+			for _, c := range empty {
+				if s.client(c) == nil {
+					t.Fatalf("restored client %s is gone", c)
+				}
+			}
+			if got != want.String() {
+				t.Errorf("shutdown summary:\n%s\nwant:\n%s", got, want.String())
+			}
+		})
+	}
+}
+
 // TestRunReplay boots the daemon on a -source replay workload instead
 // of live traffic and checks the records flow through the real ingest
 // path: transaction and classification metrics move, and shutdown

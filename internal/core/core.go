@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"droppackets/internal/capture"
 	"droppackets/internal/features"
@@ -61,11 +60,12 @@ type Estimator struct {
 	model   *forest.Classifier
 	trained bool
 
-	// scorer is the model flattened into contiguous arrays
-	// (internal/ml/compiled): every classify path predicts through it,
-	// bit-identical to the interpreted forest but pointer-free and
-	// allocation-free per row. Rebuilt by Train and LoadEstimator; the
-	// interpreted model is kept for Save and Importances.
+	// scorer is the model compiled into one branch-free batch layout
+	// (internal/ml/compiled): every classify path scores a row-major
+	// block through it — Classify and ClassifyProba a one-row block —
+	// bit-identical to the interpreted forest on finite rows. Rebuilt by
+	// Train and LoadEstimator; the interpreted model is kept for Save,
+	// Importances and as the tests' oracle.
 	scorer *compiled.Forest
 
 	// rb serves FeatureRow calls on the estimator itself; concurrent
@@ -191,32 +191,22 @@ func (e *Estimator) compile() error {
 // Classify predicts the QoE class (0 = problem class) of a session from
 // its TLS transactions.
 func (e *Estimator) Classify(txns []capture.TLSTransaction) (int, error) {
-	if !e.trained {
-		return 0, fmt.Errorf("core: estimator not trained")
+	probs, err := e.ClassifyProba(txns)
+	if err != nil {
+		return 0, err
 	}
-	return e.scorer.Predict(e.featuresFor(txns)), nil
+	return ml.Argmax(probs), nil
 }
 
-// ClassifyBatch predicts the QoE class of many sessions in one call,
-// fanning the rows across CPUs via the forest's batch predictor.
-// Results are identical to calling Classify per session.
-func (e *Estimator) ClassifyBatch(sessions [][]capture.TLSTransaction) ([]int, error) {
-	if !e.trained {
-		return nil, fmt.Errorf("core: estimator not trained")
-	}
-	x := make([][]float64, len(sessions))
-	for i, txns := range sessions {
-		x[i] = e.featuresFor(txns)
-	}
-	return e.scorer.PredictBatch(x), nil
-}
-
-// ClassifyProba returns per-class probabilities for a session.
+// ClassifyProba returns per-class probabilities for a session, scored
+// as a one-row block through the compiled scorer.
 func (e *Estimator) ClassifyProba(txns []capture.TLSTransaction) ([]float64, error) {
 	if !e.trained {
 		return nil, fmt.Errorf("core: estimator not trained")
 	}
-	return e.scorer.PredictProba(e.featuresFor(txns)), nil
+	probs := make([]float64, e.scorer.NumClasses())
+	e.scorer.PredictProbaBatchInto(e.featuresFor(txns), len(e.cols), probs)
+	return probs, nil
 }
 
 // Importances returns the trained model's feature importances paired
@@ -295,38 +285,4 @@ func (p *PacketEstimator) Classify(pkts []capture.Packet) (int, error) {
 		return 0, fmt.Errorf("core: packet estimator not trained")
 	}
 	return p.model.Predict(features.FromPackets(pkts)), nil
-}
-
-// Overhead quantifies the accuracy-versus-cost trade-off of Table 4.
-type Overhead struct {
-	// Records is how many input records were processed (packets or TLS
-	// transactions).
-	Records int
-	// ExtractTime is the total feature-extraction CPU time.
-	ExtractTime time.Duration
-}
-
-// MeasureTLSExtraction times feature extraction over many sessions.
-func MeasureTLSExtraction(sessions [][]capture.TLSTransaction) Overhead {
-	var o Overhead
-	start := time.Now()
-	for _, txns := range sessions {
-		_ = features.FromTLS(txns)
-		o.Records += len(txns)
-	}
-	o.ExtractTime = time.Since(start)
-	return o
-}
-
-// MeasurePacketExtraction times ML16 feature extraction over many
-// packet traces.
-func MeasurePacketExtraction(traces [][]capture.Packet) Overhead {
-	var o Overhead
-	start := time.Now()
-	for _, pkts := range traces {
-		_ = features.FromPackets(pkts)
-		o.Records += len(pkts)
-	}
-	o.ExtractTime = time.Since(start)
-	return o
 }

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
-	"droppackets/internal/capture"
 	"droppackets/internal/dataset"
 	"droppackets/internal/features"
 	"droppackets/internal/has"
@@ -55,26 +55,22 @@ func TestEstimatorTrainAndClassify(t *testing.T) {
 		if class == s.QoE.Label(qoe.MetricCombined) {
 			correct++
 		}
-	}
-	if frac := float64(correct) / float64(len(sessions)); frac < 0.8 {
-		t.Errorf("training-set accuracy %.2f, implausibly low", frac)
-	}
-	txns := make([][]capture.TLSTransaction, len(sessions))
-	for i, s := range sessions {
-		txns[i] = s.TLS
-	}
-	batch, err := est.ClassifyBatch(txns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range sessions {
-		class, err := est.Classify(s.TLS)
+		// The one-row block scores bit-identically to the interpreted
+		// forest the estimator keeps for Save.
+		x := est.featuresFor(s.TLS)
+		if want := est.model.Predict(x); class != want {
+			t.Fatalf("Classify = %d, interpreted forest = %d", class, want)
+		}
+		probs, err := est.ClassifyProba(s.TLS)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if batch[i] != class {
-			t.Fatalf("ClassifyBatch[%d] = %d, Classify = %d", i, batch[i], class)
+		if want := est.model.PredictProba(x); !slices.Equal(probs, want) {
+			t.Fatalf("ClassifyProba = %v, interpreted forest = %v", probs, want)
 		}
+	}
+	if frac := float64(correct) / float64(len(sessions)); frac < 0.8 {
+		t.Errorf("training-set accuracy %.2f, implausibly low", frac)
 	}
 	probs, err := est.ClassifyProba(sessions[0].TLS)
 	if err != nil {
@@ -184,34 +180,6 @@ func TestPacketEstimator(t *testing.T) {
 	}
 	if err := pe.Train(nil); err == nil {
 		t.Error("empty packet training set accepted")
-	}
-}
-
-func TestMeasureExtractionOverheads(t *testing.T) {
-	c, err := dataset.Build(dataset.Config{Seed: 52, Sessions: 10, KeepPacketDetail: true}, has.Svc1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tls [][]capture.TLSTransaction
-	var pkts [][]capture.Packet
-	for i, r := range c.Records {
-		tls = append(tls, r.Capture.TLS)
-		p, err := r.Capture.Packetize(stats.SplitRNG(2, int64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkts = append(pkts, p)
-	}
-	to := MeasureTLSExtraction(tls)
-	po := MeasurePacketExtraction(pkts)
-	if to.Records == 0 || po.Records == 0 {
-		t.Fatal("no records measured")
-	}
-	if po.Records <= to.Records {
-		t.Errorf("packet records %d should dwarf TLS records %d", po.Records, to.Records)
-	}
-	if po.ExtractTime <= 0 || to.ExtractTime < 0 {
-		t.Error("non-positive extraction times")
 	}
 }
 

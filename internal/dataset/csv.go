@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"droppackets/internal/capture"
@@ -44,7 +45,9 @@ func WriteTransactionsCSV(w io.Writer, corpora []*Corpus) error {
 }
 
 // ReadTransactionsCSV parses the transaction CSV format, returning the
-// transactions grouped by session id in file order.
+// transactions grouped by session id in file order. A NaN or infinite
+// start or end is rejected with its row number, like every other
+// transaction reader.
 func ReadTransactionsCSV(r io.Reader) (map[string][]capture.TLSTransaction, []string, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -73,6 +76,9 @@ func ReadTransactionsCSV(r io.Reader) (map[string][]capture.TLSTransaction, []st
 			v, err := strconv.ParseFloat(row[f.col], 64)
 			if err != nil {
 				return nil, nil, fmt.Errorf("dataset: csv row %d col %d: %w", i+start+1, f.col, err)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, nil, fmt.Errorf("dataset: csv row %d col %d: non-finite time %v", i+start+1, f.col, v)
 			}
 			*f.dst = v
 		}

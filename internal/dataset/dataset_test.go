@@ -206,6 +206,30 @@ func TestReadTransactionsCSVErrors(t *testing.T) {
 	}
 }
 
+// TestReadTransactionsCSVRejectsNonFiniteTimes pins the row-numbered
+// rejection of NaN and infinite start and end times: the header is row
+// 1, so the bad transaction on the second data line is row 3.
+func TestReadTransactionsCSVRejectsNonFiniteTimes(t *testing.T) {
+	const good = "session,sni,start,end,up_bytes,down_bytes\ns1,a.example,1.5,2.5,10,20\n"
+	for _, tc := range []struct{ start, end, want string }{
+		{"NaN", "2", "row 3 col 2"},
+		{"1", "nan", "row 3 col 3"},
+		{"Inf", "2", "row 3 col 2"},
+		{"1", "+Inf", "row 3 col 3"},
+		{"-Inf", "2", "row 3 col 2"},
+		{"1", "-inf", "row 3 col 3"},
+	} {
+		doc := good + "s1,a.example," + tc.start + "," + tc.end + ",10,20\n"
+		_, _, err := ReadTransactionsCSV(strings.NewReader(doc))
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("start=%s end=%s: err %v, want a non-finite error at %s", tc.start, tc.end, err, tc.want)
+		}
+	}
+	if _, _, err := ReadTransactionsCSV(strings.NewReader(good)); err != nil {
+		t.Errorf("finite control rejected: %v", err)
+	}
+}
+
 func TestFeaturesCSVShape(t *testing.T) {
 	c, err := Build(Config{Seed: 12, Sessions: 4}, has.Svc1())
 	if err != nil {

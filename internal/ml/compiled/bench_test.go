@@ -11,8 +11,8 @@ import (
 )
 
 // benchModels fits one forest on a service-profile dataset and
-// compiles it, returning both plus the feature rows to score. Sized like the serving configuration (cmd/qoeinfer
-// defaults to 25 trees; the root benchmarks use 50).
+// compiles it, returning both plus the feature rows to score. Sized
+// like the root benchmarks (50 trees); cmd/qoeinfer defaults to 100.
 func benchModels(b *testing.B) (*forest.Classifier, *compiled.Forest, [][]float64) {
 	b.Helper()
 	c, err := dataset.Build(dataset.Config{Seed: 31, Sessions: 200}, has.Svc1())
@@ -84,15 +84,16 @@ func BenchmarkForestPredictProbaIntoInterpreted(b *testing.B) {
 	}
 }
 
-// BenchmarkForestPredictProbaIntoCompiled is the compiled scorer: one
-// flat node pool for all trees, zero allocations.
-func BenchmarkForestPredictProbaIntoCompiled(b *testing.B) {
+// BenchmarkForestOneRowBlock is the compiled scorer on a one-row
+// block: what a single Classify call pays, zero allocations.
+func BenchmarkForestOneRowBlock(b *testing.B) {
 	_, cf, rows := benchModels(b)
+	stride := len(rows[0])
 	out := make([]float64, cf.NumClasses())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cf.PredictProbaInto(rows[i%len(rows)], out)
+		cf.PredictProbaBatchInto(rows[i%len(rows)], stride, out)
 	}
 }
 
@@ -111,28 +112,10 @@ func benchBlock(rows [][]float64) (block []float64, stride int) {
 	return block, stride
 }
 
-// BenchmarkForestSweepRowAtATime is the per-row compiled path over a
-// multi-row block: what the classify tick did before the batched
-// sweep — one PredictInto call per client row. One op = one full
-// 512-row sweep.
-func BenchmarkForestSweepRowAtATime(b *testing.B) {
-	_, cf, rows := benchModels(b)
-	block, stride := benchBlock(rows)
-	probs := make([]float64, cf.NumClasses())
-	out := make([]int, sweepRows)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < sweepRows; r++ {
-			out[r] = cf.PredictInto(block[r*stride:(r+1)*stride], probs)
-		}
-	}
-}
-
 // BenchmarkForestSweepBatch is the batched per-shard sweep: one
-// PredictBatchInto call over the same 512-row block (trees outer,
-// four interleaved row walks). One op = one full sweep; compare
-// directly against BenchmarkForestSweepRowAtATime.
+// PredictBatchInto call over a 512-row block (trees outer, eight
+// interleaved row walks). One op = one full sweep; divide by sweepRows
+// to compare against BenchmarkForestOneRowBlock.
 func BenchmarkForestSweepBatch(b *testing.B) {
 	_, cf, rows := benchModels(b)
 	block, stride := benchBlock(rows)

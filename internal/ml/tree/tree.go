@@ -151,6 +151,3 @@ func (t *Classifier) Depth() int {
 	}
 	return t.nodes.depth(0)
 }
-
-// NumNodes returns the number of nodes in the fitted tree.
-func (t *Classifier) NumNodes() int { return len(t.nodes.feature) }

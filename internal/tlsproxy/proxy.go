@@ -186,15 +186,6 @@ func (p *Proxy) logf(format string, args ...any) {
 	}
 }
 
-// ListenAndServe listens on addr and serves until Close.
-func (p *Proxy) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("tlsproxy: listen %s: %w", addr, err)
-	}
-	return p.Serve(l)
-}
-
 // Serve accepts connections on l until the listener fails or the proxy
 // is closed. It returns nil after Close.
 func (p *Proxy) Serve(l net.Listener) error {

@@ -16,6 +16,9 @@ fi
 
 echo "== go vet =="
 go vet ./...
+# bench/ is its own module: tier-1 never builds it, yet it compiles
+# against the serving APIs.
+(cd bench && go vet ./...)
 
 echo "== doc lint (operator-facing packages) =="
 go run ./scripts/doclint internal/sessionid internal/tlsproxy internal/squidlog internal/features internal/core internal/serve internal/faultinject internal/ml/compiled internal/ingest internal/netflow internal/pcap internal/intern internal/bytesconv internal/cluster
@@ -32,7 +35,7 @@ go test -race -timeout 20m ./internal/ml/... ./internal/core ./internal/dataset 
 echo "== feature benchmarks (smoke) =="
 go test -run '^$' -bench Feature -benchtime 1x .
 
-echo "== serving benchmarks (smoke: compiled scorers incl. batched sweep, sharded ingest) =="
+echo "== serving benchmarks (smoke: interpreted forest vs compiled one-row and 512-row blocks, sharded ingest) =="
 go test -run '^$' -bench . -benchtime 1x ./internal/ml/compiled
 go test -run '^$' -bench ConcurrentIngest -benchtime 100x ./cmd/qoeproxy
 

@@ -16,8 +16,10 @@
 // cmd/qoeproxy export drift gauges for the live traffic it classifies;
 // with -model, training is skipped and the saved model is used.
 // With -squid, a Squid access log is ingested instead of a CSV: each
-// client address's CONNECT tunnels are classified as one session (run
-// cmd/sessionize first if clients watch several videos back-to-back).
+// client address's CONNECT tunnels are classified as one session. For
+// clients that watch several videos back-to-back, run cmd/qoeproxy with
+// -source squid -input access.log -model model.json instead: it splits
+// each client's sessions online and classifies them.
 package main
 
 import (

@@ -146,7 +146,7 @@ func TestDirtySkipEquivalence(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
 		window time.Duration
-	}{{"incremental", 0}, {"windowed", 90 * time.Second}} {
+	}{{"whole-session", 0}, {"windowed", 90 * time.Second}} {
 		t.Run(mode.name, func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 			opts := options{window: mode.window, clientTTL: ttl, maxSessionTxns: 64, shards: 4}

@@ -147,13 +147,13 @@ func TestSinkWriteFailures(t *testing.T) {
 	fw := faultinject.NewWriter(&out, faultinject.Schedule{
 		Fault: faultinject.FaultError, Ops: 2, Err: errors.New("disk full"),
 	})
-	s.out = s.newSink(fw, "out")
+	s.out = &sink{w: fw, name: "out"}
 
 	if st, _ := healthStatus(t, s); st != "ok" {
 		t.Fatalf("initial health = %q, want ok", st)
 	}
 	feedRecords(s, "10.1.1.1:5000", 1, 3)
-	s.flushSinks() // writes happen on the writer goroutine: first failed chunk
+	s.flushSinks() // writes the pending chunk: first failed chunk
 	if got := s.mSinkFailures.Value(); got != 3 {
 		t.Errorf("sink_write_failures = %d after a failed 3-line chunk, want 3", got)
 	}
@@ -269,9 +269,9 @@ func TestClassificationErrorsMetric(t *testing.T) {
 func TestSinkShortWriteCounted(t *testing.T) {
 	s, _ := newTestService(t, options{window: time.Hour}, nil)
 	var out bytes.Buffer
-	s.out = s.newSink(faultinject.NewWriter(&out, faultinject.Schedule{
+	s.out = &sink{w: faultinject.NewWriter(&out, faultinject.Schedule{
 		Fault: faultinject.FaultShortWrite, Ops: 1,
-	}), "out")
+	}), name: "out"}
 	// Five equal-length lines, half the bytes written: two whole lines
 	// and half of the third arrive.
 	feedRecords(s, "10.4.4.4:8000", 1, 5)
@@ -356,13 +356,13 @@ func produceOrdered(s *service, producers, clientsEach, perClient int) {
 }
 
 // TestSinkConcurrentProducersKeepClientOrder runs several batch
-// producers at once over enough lines to cycle every chunk buffer many
+// producers at once over enough lines to fill and write the chunk many
 // times: chunks must hold whole lines, and each client's lines must
 // reach the writer in the order they were delivered, none lost.
 func TestSinkConcurrentProducersKeepClientOrder(t *testing.T) {
 	s, _ := newTestService(t, options{window: time.Hour, shards: 4}, nil)
 	w := &orderWriter{t: t, next: map[string]int64{}}
-	s.out = s.newSink(w, "out")
+	s.out = &sink{w: w, name: "out"}
 	const producers, clientsEach, perClient = 4, 8, 1500 // ~2.5 MB of lines
 	produceOrdered(s, producers, clientsEach, perClient)
 	s.flushSinks()
@@ -378,13 +378,13 @@ func TestSinkConcurrentProducersKeepClientOrder(t *testing.T) {
 }
 
 // TestSinkBackpressureWithoutLoss is the slow-sink shape: the
-// writer is blocked (a FIFO nobody reads), producers must stall once
-// every chunk is in flight rather than drop or grow without bound, and
-// when the reader resumes every line arrives, in order.
+// writer is blocked (a FIFO nobody reads), producers must stall behind
+// the write of the one full chunk rather than drop or grow without
+// bound, and when the reader resumes every line arrives, in order.
 func TestSinkBackpressureWithoutLoss(t *testing.T) {
 	s, _ := newTestService(t, options{window: time.Hour, shards: 4}, nil)
 	w := &orderWriter{t: t, next: map[string]int64{}, gate: make(chan struct{})}
-	s.out = s.newSink(w, "out")
+	s.out = &sink{w: w, name: "out"}
 	const producers, clientsEach, perClient = 2, 8, 1500
 	total := int64(producers * clientsEach * perClient)
 	produced := make(chan struct{})
@@ -392,7 +392,7 @@ func TestSinkBackpressureWithoutLoss(t *testing.T) {
 		defer close(produced)
 		produceOrdered(s, producers, clientsEach, perClient)
 	}()
-	// With the writer stuck, ingest stops once the chunks are full: the
+	// With the writer stuck, ingest stops once the chunk is full: the
 	// transaction counter stalls short of the total.
 	var stalledAt int64
 	for deadline := time.Now().Add(10 * time.Second); ; {
@@ -409,7 +409,12 @@ func TestSinkBackpressureWithoutLoss(t *testing.T) {
 	if stalledAt >= total {
 		t.Fatalf("all %d records were accepted with the writer blocked: no backpressure", total)
 	}
-	if got, bound := s.sinks.queued.Load(), int64(sinkChunks*2*sinkChunkBytes); got > bound {
+	// Pending is at most the chunk being written: under sinkChunkBytes
+	// before the producer's last batch, plus that batch. The lines of
+	// the longest client and sequence bound every batch's.
+	longest := appendOutLine(nil, "10.1.0.7", tlsproxy.ToCaptureTransaction(
+		s.record(0, "10.1.0.7", "cdn-01.svc1.example", perClient, perClient+0.5, perClient, 1000), s.epoch))
+	if got, bound := s.sinks.queued.Load(), int64(sinkChunkBytes+clientsEach*len(longest)); got > bound {
 		t.Errorf("sink_pending_bytes = %d with the writer blocked, bound %d", got, bound)
 	}
 	if w.lines() != 0 {
@@ -427,11 +432,12 @@ func TestSinkBackpressureWithoutLoss(t *testing.T) {
 }
 
 // TestSinkIntervalFlush checks a lone line reaches the sink without an
-// explicit flush, on the writer's own interval.
+// explicit flush, on the flusher's interval.
 func TestSinkIntervalFlush(t *testing.T) {
 	s, _ := newTestService(t, options{window: time.Hour}, nil)
 	w := &orderWriter{t: t, next: map[string]int64{}}
-	s.out = s.newSink(w, "out")
+	s.out = &sink{w: w, name: "out"}
+	s.startSinkFlusher()
 	r := s.record(1, "10.5.5.5:9000", "cdn-01.svc1.example", 0, 0.5, 1, 1000)
 	s.onConnOpen(r)
 	deliver(s, r)

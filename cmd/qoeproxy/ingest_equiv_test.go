@@ -108,8 +108,8 @@ func runSource(t *testing.T, est *core.Estimator, recs []tlsproxy.ReplayRecord,
 		classifyBatch:  32,
 	}, est)
 	var csv, sq bytes.Buffer
-	s.out = s.newSink(&csv, "out")
-	s.squid = s.newSink(&sq, "squid-log")
+	s.out = &sink{w: &csv, name: "out"}
+	s.squid = &sink{w: &sq, name: "squid-log"}
 
 	src, err := build(s.epoch)
 	if err != nil {

@@ -44,9 +44,10 @@
 // ingest in parallel, and the classify tick fans out
 // across shards on min(GOMAXPROCS, -shards) workers, sweeping each
 // shard's feature rows through the compiled scorer in contiguous
-// row-major blocks; outputs stay ordered through a
-// single sink-writer goroutine that writes record lines a ~64 KiB chunk
-// at a time (or every 100ms, so a quiet proxy's files stay current).
+// row-major blocks. Record lines are appended to each sink's pending
+// chunk under the sink's mutex, which keeps them in order; the producer
+// that fills the ~64 KiB chunk writes it, and a flusher writes
+// part-filled chunks every 100ms, so a quiet proxy's files stay current.
 // -source replay feeds a recorded workload CSV
 // (internal/tlsproxy.ReadWorkload) into the ingest path — same
 // callbacks, logical timestamps — at -ingest-speed times recorded
@@ -84,12 +85,10 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net"
@@ -246,8 +245,8 @@ func openAppend(path string) (f *os.File, wasEmpty bool, err error) {
 // metrics and log sinks. Per-client state lives in lock shards so
 // concurrent connections only contend when their clients hash
 // together; everything outside the shards is either immutable after
-// startup, atomic, or owned by a single goroutine (the sink writer,
-// the classify tick).
+// startup, atomic, guarded by its own mutex (each sink's pending chunk)
+// or owned by a single goroutine (the classify tick).
 type service struct {
 	opts options
 	log  *slog.Logger
@@ -391,7 +390,7 @@ type classifyRun struct {
 const defaultClassifyBatch = 256
 
 // newService assembles the daemon state around the given options,
-// normalising the concurrency knobs and starting the sink writer.
+// normalising the concurrency knobs.
 // The caller attaches the proxy (proxy mode) and calls registerMetrics
 // before serving traffic.
 func newService(opts options, logger *slog.Logger, est *core.Estimator) *service {
@@ -428,7 +427,6 @@ func newService(opts options, logger *slog.Logger, est *core.Estimator) *service
 	for i := range s.shards {
 		s.shards[i] = &shard{core: serve.New(opts.maxSessionTxns, hooks)}
 	}
-	s.startSinkWriter()
 	return s
 }
 
@@ -666,206 +664,6 @@ func (s *service) lockIngest(sh *shard) {
 	sh.mu.Lock()
 }
 
-const (
-	// sinkChunkBytes is the pending-chunk size that triggers a hand-off
-	// to the writer: one write(2) per ~64 KiB instead of one per record.
-	sinkChunkBytes = 64 << 10
-	// sinkChunks is how many chunk buffers each sink circulates: one
-	// pending, the rest in flight to the writer. A producer that fills
-	// its chunk while every other one awaits the writer blocks until one
-	// comes back — backpressure, never a drop.
-	sinkChunks = 4
-	// sinkFlushEvery bounds how long a line sits in a part-filled chunk,
-	// so low-rate traffic reaches the file this soon after it commits.
-	sinkFlushEvery = 100 * time.Millisecond
-)
-
-// sink is one transaction-record output (CSV or Squid log). Producers
-// append finished lines to its pending chunk; full chunks (and, on the
-// flush interval, part-filled ones) go to the writer goroutine, which
-// issues one Write per chunk. failing is the failure-burst state: it
-// flips on the first failed write and back off on the first success, so
-// each burst logs exactly once and /healthz can report the degradation
-// while it lasts. Only the writer goroutine writes; failing is atomic so
-// /healthz can read it without a lock.
-type sink struct {
-	w       io.Writer
-	name    string
-	failing atomic.Bool
-
-	// mu guards pending. It stays held across a hand-off — including the
-	// wait for a free chunk under backpressure — so chunks enter the
-	// writer's queue in the order their lines were appended. The writer
-	// never takes it, so that wait cannot deadlock.
-	mu      sync.Mutex
-	pending []byte
-	// free returns written chunks from the writer.
-	free chan []byte
-}
-
-// sinkChunk is one unit of sink-writer work: a chunk of whole lines for
-// a sink, or (when sync is non-nil) a flush marker the writer
-// acknowledges by closing the channel.
-type sinkChunk struct {
-	k    *sink
-	buf  []byte
-	sync chan struct{}
-}
-
-// sinkWriter is the state of the sink egress path: the queue into the
-// single writer goroutine, the interval flusher, and the byte/write
-// tallies behind the qoeproxy_sink_* series.
-type sinkWriter struct {
-	ch        chan sinkChunk
-	done      chan struct{} // writer exited
-	stopFlush chan struct{}
-	flushDone chan struct{} // flusher exited
-	stop      sync.Once
-
-	mu  sync.Mutex // guards all
-	all []*sink
-
-	queued  atomic.Int64 // bytes appended and not yet written (or lost)
-	written atomic.Int64 // bytes the sinks' writers accepted
-	writes  atomic.Int64 // Write calls issued
-}
-
-// startSinkWriter launches the goroutine that performs all sink I/O, in
-// hand-off order, and the flusher that hands part-filled chunks over
-// every sinkFlushEvery.
-func (s *service) startSinkWriter() {
-	sw := &s.sinks
-	// Every data chunk of both sinks fits without blocking; flush markers
-	// take what is left.
-	sw.ch = make(chan sinkChunk, 2*sinkChunks)
-	sw.done = make(chan struct{})
-	sw.stopFlush = make(chan struct{})
-	sw.flushDone = make(chan struct{})
-	go func() {
-		defer close(sw.done)
-		for c := range sw.ch {
-			if c.sync != nil {
-				close(c.sync)
-				continue
-			}
-			s.writeSink(c.k, c.buf)
-			c.k.free <- c.buf[:0]
-		}
-	}()
-	go func() {
-		defer close(sw.flushDone)
-		tick := time.NewTicker(sinkFlushEvery)
-		defer tick.Stop()
-		for {
-			select {
-			case <-sw.stopFlush:
-				return
-			case <-tick.C:
-				s.handOffSinks()
-			}
-		}
-	}()
-}
-
-// newSink registers a record output with the writer.
-func (s *service) newSink(w io.Writer, name string) *sink {
-	k := &sink{w: w, name: name, free: make(chan []byte, sinkChunks)}
-	// Half a chunk of slack: a hand-off triggers once a chunk passes
-	// sinkChunkBytes, by up to one ingest batch of lines.
-	k.pending = make([]byte, 0, sinkChunkBytes+sinkChunkBytes/2)
-	for i := 1; i < sinkChunks; i++ {
-		k.free <- make([]byte, 0, cap(k.pending))
-	}
-	s.sinks.mu.Lock()
-	s.sinks.all = append(s.sinks.all, k)
-	s.sinks.mu.Unlock()
-	return k
-}
-
-// appendSink adds whole record lines to a sink's pending chunk, handing
-// the chunk to the writer once it is full. A client's lines must be
-// appended by calls ordered one after another (one source goroutine per
-// client) to keep their order in the file.
-func (s *service) appendSink(k *sink, lines []byte) {
-	s.sinks.queued.Add(int64(len(lines)))
-	k.mu.Lock()
-	k.pending = append(k.pending, lines...)
-	if len(k.pending) >= sinkChunkBytes {
-		s.handOff(k)
-	}
-	k.mu.Unlock()
-}
-
-// handOff queues a sink's pending chunk for writing and takes a free
-// one in its place, waiting for the writer when all are in flight. The
-// caller holds k.mu.
-func (s *service) handOff(k *sink) {
-	s.sinks.ch <- sinkChunk{k: k, buf: k.pending}
-	k.pending = <-k.free
-}
-
-// handOffSinks queues every sink's non-empty pending chunk.
-func (s *service) handOffSinks() {
-	s.sinks.mu.Lock()
-	defer s.sinks.mu.Unlock()
-	for _, k := range s.sinks.all {
-		k.mu.Lock()
-		if len(k.pending) > 0 {
-			s.handOff(k)
-		}
-		k.mu.Unlock()
-	}
-}
-
-// flushSinks blocks until every line appended before the call has been
-// written (or counted as lost).
-func (s *service) flushSinks() {
-	s.handOffSinks()
-	done := make(chan struct{})
-	s.sinks.ch <- sinkChunk{sync: done}
-	<-done
-}
-
-// stopSinkWriter flushes what is pending and stops the flusher and the
-// writer goroutine. Idempotent; no appends may follow.
-func (s *service) stopSinkWriter() {
-	s.sinks.stop.Do(func() {
-		close(s.sinks.stopFlush)
-		<-s.sinks.flushDone
-		s.handOffSinks()
-		close(s.sinks.ch)
-		<-s.sinks.done
-	})
-}
-
-// writeSink writes one chunk to its sink. A failed or short write loses
-// every line whose newline did not reach the writer; each of them counts
-// in qoeproxy_sink_write_failures_total. Runs only on the writer
-// goroutine.
-func (s *service) writeSink(k *sink, buf []byte) {
-	n, err := k.w.Write(buf)
-	s.sinks.writes.Add(1)
-	s.sinks.written.Add(int64(n))
-	s.sinks.queued.Add(-int64(len(buf)))
-	if err != nil {
-		s.mSinkFailures.Add(int64(bytes.Count(buf[n:], []byte{'\n'})))
-		if !k.failing.Swap(true) {
-			s.log.Error("sink write failing, records dropped until it recovers",
-				"sink", k.name, "err", err)
-		}
-		return
-	}
-	if k.failing.Swap(false) {
-		s.log.Info("sink recovered", "sink", k.name)
-	}
-}
-
-// sinksDegraded reports whether any configured sink is currently in a
-// failure burst.
-func (s *service) sinksDegraded() bool {
-	return (s.out != nil && s.out.failing.Load()) || (s.squid != nil && s.squid.failing.Load())
-}
-
 // run wires the service together and blocks until SIGINT/SIGTERM or a
 // listener error.
 func run(opts options) error {
@@ -969,7 +767,7 @@ func run(opts options) error {
 				return fmt.Errorf("-out: writing header: %w", err)
 			}
 		}
-		s.out = s.newSink(f, "out")
+		s.out = &sink{w: f, name: "out"}
 	}
 	if opts.squidPath != "" {
 		f, _, err := openAppend(opts.squidPath)
@@ -977,8 +775,9 @@ func run(opts options) error {
 			return fmt.Errorf("-squid-log: %w", err)
 		}
 		defer f.Close()
-		s.squid = s.newSink(f, "squid-log")
+		s.squid = &sink{w: f, name: "squid-log"}
 	}
+	s.startSinkFlusher()
 
 	// Build the primary TransactionSource. Proxy mode serves live
 	// traffic; file sources feed the same callbacks from disk.
@@ -1158,7 +957,7 @@ func (s *service) serveLoop(errCh <-chan error, tick <-chan time.Time, sig <-cha
 // handoff — deliberately NOT flushing the sessionizers or printing the
 // per-client summary, because those finalizations belong to whichever
 // instance ends each session, and emitting them here too would
-// double-count against the successor. Queued sink lines still flush
+// double-count against the successor. Pending sink lines still flush
 // (they are already-committed records). Without -snapshot, or if the
 // write fails, the classic drain runs so a shutdown never silently
 // loses the summary.
@@ -1279,7 +1078,7 @@ func (s *service) registerMetrics() {
 	s.mSinkFailures = r.NewCounter("qoeproxy_sink_write_failures_total",
 		"Transaction record lines lost because a -out/-squid-log write failed or fell short.")
 	r.NewGaugeFunc("qoeproxy_sink_pending_bytes",
-		"Record-line bytes committed but not yet written to -out/-squid-log (pending chunks plus chunks queued for the writer).", func() float64 {
+		"Record-line bytes appended but not yet written to -out/-squid-log: each sink's pending chunk, including one whose write is in progress.", func() float64 {
 			return float64(s.sinks.queued.Load())
 		})
 	r.NewCounterFunc("qoeproxy_sink_bytes_written_total",
@@ -1579,14 +1378,15 @@ func (s *service) debugTransaction(r tlsproxy.Record, client string) {
 
 // onTransactionBatch exports a run of completed transactions to the
 // configured sinks and feeds each client's online sessionizer, in two
-// phases. Phase one walks the batch in delivery order with no locks
-// held: record conversion, counters, sink lines (built in pooled buffers
-// and appended to each sink's pending chunk in one call per batch —
-// order is preserved because one source goroutine delivers all of a
-// client's records, and chunks reach the writer in append order), debug
-// logs. Phase two commits per-client state grouped by shard, taking
-// each shard's lock once per batch instead of once per record; within a
-// shard, commits apply in delivery order. A one-record batch (all the
+// phases. Phase one walks the batch in delivery order with no shard
+// lock held: record conversion, counters, sink lines (built in pooled
+// buffers and appended to each sink's pending chunk in one call per
+// batch, which writes the chunk once full — order is preserved because
+// one source goroutine delivers all of a client's records, and the
+// sink's mutex orders appends and writes), debug logs. Phase two
+// commits per-client state grouped by shard, taking each shard's lock
+// once per batch instead of once per record; within a shard, commits
+// apply in delivery order. A one-record batch (all the
 // live proxy ever delivers) is the record-at-a-time case.
 func (s *service) onTransactionBatch(recs []tlsproxy.Record) {
 	sc := s.batchPool.Get().(*batchScratch)
@@ -1974,7 +1774,7 @@ func (s *service) rotateInterned(nowSec float64) {
 }
 
 // drain finishes the sessionizers after the proxy has stopped, stops
-// the sink writer (flushing queued records) and prints the per-client
+// the sink flusher (writing pending records) and prints the per-client
 // shutdown summary in client order.
 func (s *service) drain() {
 	var finals []serve.Final

@@ -277,7 +277,7 @@ func TestClassifyPassPaths(t *testing.T) {
 		window time.Duration
 		now    float64 // sweep clock of every pass
 	}{
-		{"incremental", 0, 1}, // -window 0
+		{"whole-session", 0, 1}, // -window 0
 		{"window0-far-future", 0, 1e6},
 		{"windowed", time.Hour, 1},
 	} {

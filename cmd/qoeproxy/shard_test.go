@@ -60,7 +60,7 @@ func replayTrace(t *testing.T, est *core.Estimator, traffic *dataset.Corpus, win
 		classifyBatch:  batch,
 	}, est, shadow)
 	var csv bytes.Buffer
-	s.out = s.newSink(&csv, "out")
+	s.out = &sink{w: &csv, name: "out"}
 
 	// Interleave the sessions across clients globally by start time so
 	// consecutive records hit different shards.
@@ -153,7 +153,7 @@ func replayTrace(t *testing.T, est *core.Estimator, traffic *dataset.Corpus, win
 // shard × worker matrix, in both row-building modes, must produce
 // identical classification sequences, eviction summaries, metric
 // totals and sink output. scripts/check.sh runs it under -race, which
-// also exercises the classify fan-out and the sink writer goroutine.
+// also exercises the classify fan-out.
 // invarianceFixtures trains the small estimator and builds the traffic
 // corpus the invariance replays share.
 func invarianceFixtures(t *testing.T) (*core.Estimator, *dataset.Corpus) {
@@ -187,7 +187,7 @@ func TestShardInvariance(t *testing.T) {
 		name   string
 		window time.Duration
 	}{
-		{"incremental", 0}, // -window 0: no cutoff, the whole session
+		{"whole-session", 0}, // -window 0: no cutoff, the whole session
 		{"windowed", time.Hour},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
@@ -252,7 +252,7 @@ func TestBatchInvariance(t *testing.T) {
 		name   string
 		window time.Duration
 	}{
-		{"incremental", 0}, // -window 0: no cutoff, the whole session
+		{"whole-session", 0}, // -window 0: no cutoff, the whole session
 		{"windowed", time.Hour},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
@@ -302,7 +302,7 @@ func TestShadowInvariance(t *testing.T) {
 		name   string
 		window time.Duration
 	}{
-		{"incremental", 0}, // -window 0: no cutoff, the whole session
+		{"whole-session", 0}, // -window 0: no cutoff, the whole session
 		{"windowed", time.Hour},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
@@ -399,7 +399,7 @@ func BenchmarkCommitPath(b *testing.B) {
 	}, slog.New(slog.NewJSONHandler(io.Discard, nil)), nil)
 	defer s.stopSinkWriter()
 	s.registerMetrics()
-	s.out = s.newSink(io.Discard, "out")
+	s.out = &sink{w: io.Discard, name: "out"}
 
 	const sni = "cdn-01.svc1.example"
 	names := make([]string, clients)

@@ -127,7 +127,7 @@ func TestSnapshotRoundTripProfiles(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
 		window time.Duration
-	}{{"incremental", 0}, {"windowed", time.Hour}} {
+	}{{"whole-session", 0}, {"windowed", time.Hour}} {
 		for _, p := range profiles {
 			t.Run(mode.name+"/"+p.name, func(t *testing.T) {
 				events := profileEvents(t, p.profile, p.seed, 12, 4)
@@ -244,7 +244,7 @@ func TestKillMidSessionHandoffEquivalence(t *testing.T) {
 	// The undisturbed baseline.
 	baseline, baseLogs := newTestService(t, opts, est)
 	var baseCSV bytes.Buffer
-	baseline.out = baseline.newSink(&baseCSV, "out")
+	baseline.out = &sink{w: &baseCSV, name: "out"}
 	for i, e := range events {
 		baseline.onConnOpen(e)
 		deliver(baseline, e)
@@ -261,7 +261,7 @@ func TestKillMidSessionHandoffEquivalence(t *testing.T) {
 	optsA.snapshotPath = snapPath
 	a, aLogs := newTestService(t, optsA, est)
 	var aCSV bytes.Buffer
-	a.out = a.newSink(&aCSV, "out")
+	a.out = &sink{w: &aCSV, name: "out"}
 	for i, e := range events[:cut] {
 		a.onConnOpen(e)
 		deliver(a, e)
@@ -278,7 +278,7 @@ func TestKillMidSessionHandoffEquivalence(t *testing.T) {
 	// Instance B: restore, then the second half.
 	b, bLogs := newTestService(t, opts, est)
 	var bCSV bytes.Buffer
-	b.out = b.newSink(&bCSV, "out")
+	b.out = &sink{w: &bCSV, name: "out"}
 	b.restoreFromFile(snapPath)
 	if n := bLogs.countLogMsg(t, "snapshot restored"); n != 1 {
 		t.Fatal("restore did not log success")

@@ -10,6 +10,7 @@ import (
 	"droppackets/internal/capture"
 	"droppackets/internal/features"
 	"droppackets/internal/qoe"
+	"droppackets/internal/tlsproxy"
 )
 
 // Transaction CSV column layout shared by the CLI tools:
@@ -45,9 +46,10 @@ func WriteTransactionsCSV(w io.Writer, corpora []*Corpus) error {
 }
 
 // ReadTransactionsCSV parses the transaction CSV format, returning the
-// transactions grouped by session id in file order. A NaN or infinite
-// start or end is rejected with its row number, like every other
-// transaction reader.
+// transactions grouped by session id in file order. A start or end that
+// is NaN, infinite or at least tlsproxy.MaxOffset in magnitude is
+// rejected with its row and column, like every other transaction
+// reader.
 func ReadTransactionsCSV(r io.Reader) (map[string][]capture.TLSTransaction, []string, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -77,8 +79,8 @@ func ReadTransactionsCSV(r io.Reader) (map[string][]capture.TLSTransaction, []st
 			if err != nil {
 				return nil, nil, fmt.Errorf("dataset: csv row %d col %d: %w", i+start+1, f.col, err)
 			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, nil, fmt.Errorf("dataset: csv row %d col %d: non-finite time %v", i+start+1, f.col, v)
+			if !(math.Abs(v) < tlsproxy.MaxOffset) {
+				return nil, nil, fmt.Errorf("dataset: csv row %d col %d: non-finite or out-of-range time %v (want |t| < %.0f)", i+start+1, f.col, v, tlsproxy.MaxOffset)
 			}
 			*f.dst = v
 		}

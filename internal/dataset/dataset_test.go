@@ -207,8 +207,9 @@ func TestReadTransactionsCSVErrors(t *testing.T) {
 }
 
 // TestReadTransactionsCSVRejectsNonFiniteTimes pins the row-numbered
-// rejection of NaN and infinite start and end times: the header is row
-// 1, so the bad transaction on the second data line is row 3.
+// rejection of NaN, infinite and out-of-range (|t| >= MaxOffset) start
+// and end times: the header is row 1, so the bad transaction on the
+// second data line is row 3. Unix times stay accepted.
 func TestReadTransactionsCSVRejectsNonFiniteTimes(t *testing.T) {
 	const good = "session,sni,start,end,up_bytes,down_bytes\ns1,a.example,1.5,2.5,10,20\n"
 	for _, tc := range []struct{ start, end, want string }{
@@ -218,6 +219,8 @@ func TestReadTransactionsCSVRejectsNonFiniteTimes(t *testing.T) {
 		{"1", "+Inf", "row 3 col 3"},
 		{"-Inf", "2", "row 3 col 2"},
 		{"1", "-inf", "row 3 col 3"},
+		{"-1e308", "2", "row 3 col 2"},
+		{"1", "1e308", "row 3 col 3"},
 	} {
 		doc := good + "s1,a.example," + tc.start + "," + tc.end + ",10,20\n"
 		_, _, err := ReadTransactionsCSV(strings.NewReader(doc))
@@ -225,8 +228,10 @@ func TestReadTransactionsCSVRejectsNonFiniteTimes(t *testing.T) {
 			t.Errorf("start=%s end=%s: err %v, want a non-finite error at %s", tc.start, tc.end, err, tc.want)
 		}
 	}
-	if _, _, err := ReadTransactionsCSV(strings.NewReader(good)); err != nil {
-		t.Errorf("finite control rejected: %v", err)
+	for _, doc := range []string{good, good + "s1,a.example,1700000000.25,1700000003.5,10,20\n"} {
+		if _, _, err := ReadTransactionsCSV(strings.NewReader(doc)); err != nil {
+			t.Errorf("finite control rejected: %v", err)
+		}
 	}
 }
 

@@ -32,6 +32,9 @@ echo "== go test -race (concurrent packages, incl. faultinject chaos tests and q
 # default timeout.
 go test -race -timeout 20m ./internal/ml/... ./internal/core ./internal/dataset ./internal/tlsproxy ./internal/metrics ./internal/experiments ./internal/features ./internal/faultinject ./internal/intern ./internal/ingest ./internal/squidlog ./internal/bytesconv ./internal/cluster ./internal/serve ./cmd/qoeproxy
 
+echo "== go test -race -count=10 (sink tests: per-client order rests on each sink's mutex) =="
+go test -race -count=10 -run '^TestSink' ./cmd/qoeproxy
+
 echo "== feature benchmarks (smoke) =="
 go test -run '^$' -bench Feature -benchtime 1x .
 

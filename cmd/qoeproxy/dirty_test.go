@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -437,24 +438,47 @@ func TestFailedPassLeavesClientsDirty(t *testing.T) {
 
 // residentService returns a -window 0 service with one classify worker
 // (the pass runs inline, as on a 1-CPU host) holding clients resident
-// clients of four transactions each, every one scored once by a
-// warm-up pass at sweep clock 1e6.
-func residentService(b *testing.B, clients int) *service {
+// clients, every one scored once by a warm-up pass at sweep clock 1e6.
+// feed plays client number c's transactions.
+func residentService(b *testing.B, clients int, feed func(s *service, client string, c int)) *service {
 	est := trainSmallEstimator(b, 5, 8)
 	prev := runtime.GOMAXPROCS(1)
 	b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	s := newService(options{shards: 4},
+	s := newService(options{shards: 4, maxSessionTxns: 4096},
 		slog.New(slog.NewJSONHandler(io.Discard, nil)), est)
 	b.Cleanup(s.stopSinkWriter)
 	s.registerMetrics()
 	for c := 0; c < clients; c++ {
-		feedRecords(s, fmt.Sprintf("10.61.%d.%d", c/250, c%250+1), c*4+1, 4)
+		feed(s, residentClient(c), c)
 	}
 	s.classifyPass(1e6)
 	if got := rowsScored(s); got != int64(clients) {
 		b.Fatalf("warm-up pass scored %d rows, want %d", got, clients)
 	}
 	return s
+}
+
+// residentClient names residentService's client number c.
+func residentClient(c int) string { return fmt.Sprintf("10.61.%d.%d", c/250, c%250+1) }
+
+// feedShort plays four identical transactions a second apart.
+func feedShort(s *service, client string, c int) { feedRecords(s, client, c*4+1, 4) }
+
+// feedLongSession plays txns transactions starting a second apart —
+// one ongoing session — with byte counts and durations drawn per
+// transaction, so the row's order statistics run over varied values.
+func feedLongSession(txns int) func(s *service, client string, c int) {
+	return func(s *service, client string, c int) {
+		rng := rand.New(rand.NewSource(int64(c)))
+		for i := 0; i < txns; i++ {
+			id := c*txns + i + 1
+			at := float64(id)
+			r := s.record(uint64(id), client, "cdn-01.svc1.example", at, at+0.1+3*rng.Float64(),
+				200+rng.Int63n(2_000), 10_000+rng.Int63n(2_000_000))
+			s.onConnOpen(r)
+			deliver(s, r)
+		}
+	}
 }
 
 // BenchmarkClassifyPassClean is the steady state of a resident
@@ -464,7 +488,7 @@ func residentService(b *testing.B, clients int) *service {
 // fails unless it allocates nothing.
 func BenchmarkClassifyPassClean(b *testing.B) {
 	const clients = 4096
-	s := residentService(b, clients)
+	s := residentService(b, clients, feedShort)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -487,8 +511,31 @@ func BenchmarkClassifyPassClean(b *testing.B) {
 // benchmark fails unless every client is scored on every pass, and
 // scripts/check.sh fails unless it allocates nothing.
 func BenchmarkClassifyPassDirty(b *testing.B) {
-	const clients = 4096
-	s := residentService(b, clients)
+	benchmarkDirtyPasses(b, residentService(b, 4096, feedShort), 4096)
+}
+
+// BenchmarkClassifyPassDirtyLong is the dirty pass at the other end of
+// session length: 16 clients each holding a 4,096-transaction session
+// (-max-session-txns' default) at -window 0, so every row summarizes
+// the whole retained session. It is the row cost a long-lived client
+// puts under its shard lock; scripts/check.sh fails unless it
+// allocates nothing.
+func BenchmarkClassifyPassDirtyLong(b *testing.B) {
+	const clients, txns = 16, 4096
+	s := residentService(b, clients, feedLongSession(txns))
+	for c := 0; c < clients; c++ {
+		st := s.client(residentClient(c))
+		if n := len(st.Current) + len(st.InFlight) + len(st.Buffer); n != txns || st.Boundaries > 1 {
+			b.Fatalf("client %d holds %d transactions after %d boundaries, want one %d-transaction session", c, n, st.Boundaries, txns)
+		}
+	}
+	benchmarkDirtyPasses(b, s, clients)
+}
+
+// benchmarkDirtyPasses times classification passes over s after
+// dirtying every one of its clients, and fails unless each pass scored
+// all of them.
+func benchmarkDirtyPasses(b *testing.B, s *service, clients int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

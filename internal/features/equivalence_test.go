@@ -90,11 +90,29 @@ func requireBitsEqual(t *testing.T, ctx string, got, want []float64) {
 // TestScratchMatchesReference proves the rewritten batch path is
 // bit-identical to the pre-optimization extractor across randomized
 // sessions and every test grid, with one Scratch reused throughout.
+// Session lengths reach the daemon's 4,096-transaction cap and straddle
+// the length at which order statistics switch from sorting to
+// selection; every other session draws its byte counts and durations
+// from a handful of values, so the selected ranks sit among ties.
 func TestScratchMatchesReference(t *testing.T) {
 	s := NewScratch()
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		txns := randSession(rng, rng.Intn(80))
+		n := rng.Intn(80)
+		switch seed % 4 {
+		case 1:
+			n = rng.Intn(4097)
+		case 2:
+			n = max(0, selectCutoff-1+rng.Intn(3))
+		}
+		txns := randSession(rng, n)
+		if seed%2 == 1 {
+			for i := range txns {
+				txns[i].End = txns[i].Start + float64(rng.Intn(3))
+				txns[i].DownBytes = int64(rng.Intn(4)) * 1000
+				txns[i].UpBytes = int64(rng.Intn(3)) * 100
+			}
+		}
 		for gi, grid := range testGrids {
 			want := referenceFromTLSWithIntervals(txns, grid)
 			got := s.FromTLSWithIntervals(txns, grid)

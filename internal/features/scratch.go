@@ -1,6 +1,8 @@
 package features
 
 import (
+	"math"
+	"math/bits"
 	"sort"
 
 	"droppackets/internal/capture"
@@ -8,7 +10,9 @@ import (
 )
 
 // Scratch holds the reusable working buffers of the batch TLS feature
-// extractor: one value buffer per summarized metric. Extracting
+// extractor: one value buffer per summarized metric, from which a row
+// takes minimum, median and maximum by a scan and a selection (see
+// orderStats), so its cost grows linearly with the session. Extracting
 // through a shared Scratch avoids re-allocating and re-copying the
 // six per-metric slices on every session, following the tree.Scratch
 // convention — keep one Scratch per goroutine (it is not safe for
@@ -75,7 +79,7 @@ func (s *Scratch) FromTLSInto(dst []float64, txns []capture.TLSTransaction, inte
 	dst[3] = float64(len(txns)) / dur
 
 	// Per-transaction metrics, collected into the reusable buffers and
-	// sorted in place.
+	// summarized in place.
 	s.dl, s.ul = s.dl[:0], s.ul[:0]
 	s.dur, s.tdr = s.dur[:0], s.tdr[:0]
 	s.d2u, s.iat = s.d2u[:0], s.iat[:0]
@@ -102,10 +106,7 @@ func (s *Scratch) FromTLSInto(dst []float64, txns []capture.TLSTransaction, inte
 	}
 	pos := 4
 	for _, m := range [...][]float64{s.dl, s.ul, s.dur, s.tdr, s.d2u, s.iat} {
-		sort.Float64s(m)
-		dst[pos] = m[0]
-		dst[pos+1] = stats.PercentileSorted(m, 50)
-		dst[pos+2] = m[len(m)-1]
+		dst[pos], dst[pos+1], dst[pos+2] = orderStats(m)
 		pos += 3
 	}
 
@@ -113,6 +114,132 @@ func (s *Scratch) FromTLSInto(dst []float64, txns []capture.TLSTransaction, inte
 	k := len(intervals)
 	temporalSweep(dst[pos:pos+k], dst[pos+k:pos+2*k], intervals, intervalsAscending(intervals), txns, start)
 	return dst
+}
+
+// selectCutoff is the array length at or below which orderStats sorts:
+// there sort.Float64s's insertion sort costs no more than a min/max
+// scan plus a selection (BenchmarkFeatureRow).
+const selectCutoff = 24
+
+// orderStats returns the minimum, the median and the maximum of m —
+// bit for bit m[0], stats.PercentileSorted(m, 50) and m[len(m)-1]
+// after sort.Float64s(m) — and may reorder m. A long array costs a
+// linear scan and, unless the scan found it ascending already (a run
+// of equal values, say), an introselect instead of a sort. Sorting
+// decides the result where equal-comparing values differ in their bits
+// (a −0 beside a +0, NaN payloads), so an array holding a NaN or a −0
+// is sorted, as is a short one.
+func orderStats(m []float64) (lo, med, hi float64) {
+	if len(m) > selectCutoff {
+		lo, hi = m[0], m[0]
+		exact := true
+		for _, x := range m {
+			if x != x || math.Float64bits(x) == 1<<63 { // NaN or −0
+				exact = false
+				break
+			}
+			if x < lo {
+				lo = x
+			}
+			if x > hi {
+				hi = x
+			}
+		}
+		if exact && sort.Float64sAreSorted(m) {
+			return lo, stats.PercentileSorted(m, 50), hi
+		}
+		if exact {
+			return lo, median(m), hi
+		}
+	}
+	sort.Float64s(m)
+	return m[0], stats.PercentileSorted(m, 50), m[len(m)-1]
+}
+
+// median is stats.PercentileSorted(m, 50) of m sorted, with the same
+// rank, neighbours and interpolation expression, found by selection.
+// m holds neither NaN nor −0, so every value that sorts at a rank has
+// the same bits.
+func median(m []float64) float64 {
+	rank := 50.0 / 100 * float64(len(m)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	x := selectKth(m, lo)
+	if lo == hi {
+		return x
+	}
+	// Selection left every value above rank lo after it, so the value
+	// at rank hi is their minimum.
+	y := m[hi]
+	for _, v := range m[hi+1:] {
+		if v < y {
+			y = v
+		}
+	}
+	frac := rank - float64(lo)
+	return x*(1-frac) + y*frac
+}
+
+// selectKth reorders a so that a[k] holds the value of rank k, nothing
+// before it is greater and nothing after it is smaller, and returns
+// a[k]. Each round splits the range around a median-of-three pivot
+// into the values below it, equal to it and above it, in branch-free
+// sweeps; what is left once the range is short or 2⌈log₂ n⌉ rounds
+// have passed is sorted, so an adversarial order costs O(n log n),
+// never O(n²). a must hold neither NaN nor −0.
+func selectKth(a []float64, k int) float64 {
+	lo, hi := 0, len(a)
+	for rounds := 2 * bits.Len(uint(len(a)-1)); rounds > 0 && hi-lo > 12; rounds-- {
+		p := median3(a[lo], a[int(uint(lo+hi)>>1)], a[hi-1])
+		lt := lo + partitionBelow(a[lo:hi], orderKey(p))
+		if k < lt {
+			hi = lt
+			continue
+		}
+		// No value's key is the largest uint64, so key+1 is exact.
+		le := lt + partitionBelow(a[lt:hi], orderKey(p)+1)
+		if k < le {
+			return p
+		}
+		lo = le
+	}
+	sort.Float64s(a[lo:hi])
+	return a[k]
+}
+
+// partitionBelow moves the values of a whose orderKey is below key to
+// its front and returns how many there are.
+func partitionBelow(a []float64, key uint64) int {
+	j := 0
+	for i, x := range a {
+		a[i] = a[j]
+		a[j] = x
+		_, below := bits.Sub64(orderKey(x), key, 0) // 1 when below
+		j += int(below)
+	}
+	return j
+}
+
+// orderKey maps a float64 that is neither NaN nor −0 to an integer with
+// the same order, so that comparisons compile to arithmetic instead of
+// a branch the CPU mispredicts half the time on unsorted data.
+func orderKey(x float64) uint64 {
+	b := math.Float64bits(x)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// median3 returns the middle value of three.
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		return a
+	}
+	return b
 }
 
 // intervalsAscending reports whether the grid is sorted ascending, the

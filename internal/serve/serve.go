@@ -81,11 +81,13 @@ type client struct {
 	// handful open at once, so a scan beats a map in time and space.
 	activeStarts []activeConn
 	// buffer holds completed transactions not yet safe to hand the
-	// (start-ordered) streamer, sorted by Start.
+	// (start-ordered) streamer, sorted by Start. It keeps each SNI,
+	// which advance hands to the streamer; from there on the streamer
+	// keeps the SNIs it needs and the runs below drop them.
 	buffer []capture.TLSTransaction
 	// inFlight mirrors the streamer's pending transactions with their
 	// byte counts; decisions pop from the front.
-	inFlight []capture.TLSTransaction
+	inFlight []retained
 	// current accumulates the decided transactions of the current
 	// session; a detected boundary resets it. A row build rescans
 	// current ++ inFlight ++ buffer — about ten transactions for a
@@ -101,7 +103,7 @@ type client struct {
 	// belongs to the ongoing session until a boundary says otherwise,
 	// which keeps a client with one long-lived connection classifiable
 	// before any look-ahead window ever closes.
-	current []capture.TLSTransaction
+	current []retained
 	// recent retains the most recent transactions (capped at
 	// maxSessionTxns) for the retirement summary; lifetime aggregates
 	// below summarize what the ring has dropped.
@@ -142,6 +144,27 @@ type client struct {
 	// moves forward, so nothing excluded comes back; with no window it
 	// is -Inf and never passes. +Inf after an empty row.
 	rowEdge float64
+}
+
+// retained is a transaction as a client keeps it past the reorder
+// buffer: what a feature row reads of a capture.TLSTransaction
+// (features.FromTLSInto uses Start, End and the byte counters only), in
+// 32 bytes that hold no pointer, so the GC never scans a client's runs
+// or ring. A row build, Final.Transactions and Save expand it back,
+// with an empty SNI and a zero HTTPCount.
+type retained struct {
+	start, end float64
+	up, down   int64
+}
+
+// retain drops what no row reads of t.
+func retain(t capture.TLSTransaction) retained {
+	return retained{start: t.Start, end: t.End, up: t.UpBytes, down: t.DownBytes}
+}
+
+// expand is t as a capture.TLSTransaction.
+func (t retained) expand() capture.TLSTransaction {
+	return capture.TLSTransaction{Start: t.start, End: t.end, UpBytes: t.up, DownBytes: t.down}
 }
 
 // activeConn is one in-flight connection of a client.
@@ -227,7 +250,7 @@ func (c *Core) Commit(host string, connID uint64, txn capture.TLSTransaction) {
 	cl.upBytes += txn.UpBytes
 	cl.downBytes += txn.DownBytes
 	cl.durStats.Observe(txn.End - txn.Start)
-	if cl.recent.push(txn) > 0 {
+	if cl.recent.push(retain(txn)) > 0 {
 		c.noteTruncation(cl)
 	}
 	cl.closeConn(connID)
@@ -277,9 +300,9 @@ func (c *Core) advance(host string, cl *client) {
 	if ready == 0 {
 		return
 	}
-	for _, txn := range cl.buffer[:ready] {
-		cl.inFlight = append(cl.inFlight, txn)
-		c.decisions = cl.streamer.PushInto(c.decisions[:0], sessionid.Transaction{Start: txn.Start, End: txn.End, SNI: txn.SNI})
+	for _, t := range cl.buffer[:ready] {
+		cl.inFlight = append(cl.inFlight, retain(t))
+		c.decisions = cl.streamer.PushInto(c.decisions[:0], sessionid.Transaction{Start: t.Start, End: t.End, SNI: t.SNI})
 		c.apply(host, cl, c.decisions)
 	}
 	cl.buffer = append(cl.buffer[:0], cl.buffer[ready:]...)
@@ -412,14 +435,20 @@ func (c *Core) Discard() {
 func (c *Core) windowedRow(rb *core.RowBuilder, cl *client, cutoff float64) (row []float64, n int, edge float64) {
 	w := c.txns[:0]
 	edge = math.Inf(1)
-	for _, run := range [3][]capture.TLSTransaction{cl.current, cl.inFlight, cl.buffer} {
+	for _, run := range [2][]retained{cl.current, cl.inFlight} {
 		for _, t := range run {
-			if t.End >= cutoff {
-				w = append(w, t)
-				if t.End < edge {
-					edge = t.End
-				}
+			if t.end >= cutoff {
+				w = append(w, t.expand())
+				edge = min(edge, t.end)
 			}
+		}
+	}
+	for _, t := range cl.buffer {
+		if t.End >= cutoff {
+			// Stripped like the other runs, so the scratch list holds
+			// no string between passes.
+			w = append(w, retain(t).expand())
+			edge = min(edge, t.End)
 		}
 	}
 	c.txns = w
@@ -461,7 +490,7 @@ type Final struct {
 // recent ones beyond it. For a client Drain left resident they are
 // valid until its next Commit.
 func (f *Final) Transactions(dst []capture.TLSTransaction) []capture.TLSTransaction {
-	return f.recent.snapshot(dst)
+	return f.recent.expand(dst)
 }
 
 func (cl *client) final(host string) Final {
@@ -509,7 +538,7 @@ func (c *Core) Drain(dst []Final) []Final {
 // within a fixed capacity; limit 0 disables the cap (unbounded).
 type txnRing struct {
 	limit   int
-	buf     []capture.TLSTransaction
+	buf     []retained
 	start   int
 	dropped int64
 }
@@ -518,7 +547,7 @@ func newTxnRing(limit int) *txnRing { return &txnRing{limit: limit} }
 
 // push appends t, dropping the oldest retained transaction when the
 // ring is full, and reports how many were dropped (0 or 1).
-func (r *txnRing) push(t capture.TLSTransaction) int {
+func (r *txnRing) push(t retained) int {
 	if r.limit <= 0 || len(r.buf) < r.limit {
 		r.buf = append(r.buf, t)
 		return 0
@@ -529,17 +558,25 @@ func (r *txnRing) push(t capture.TLSTransaction) int {
 	return 1
 }
 
-// snapshot appends the retained transactions, oldest first, to dst.
-func (r *txnRing) snapshot(dst []capture.TLSTransaction) []capture.TLSTransaction {
-	dst = append(dst, r.buf[r.start:]...)
-	return append(dst, r.buf[:r.start]...)
+// expand appends the retained transactions, oldest first, to dst.
+func (r *txnRing) expand(dst []capture.TLSTransaction) []capture.TLSTransaction {
+	dst = expandRun(dst, r.buf[r.start:])
+	return expandRun(dst, r.buf[:r.start])
+}
+
+// expandRun appends run's transactions to dst.
+func expandRun(dst []capture.TLSTransaction, run []retained) []capture.TLSTransaction {
+	for _, t := range run {
+		dst = append(dst, t.expand())
+	}
+	return dst
 }
 
 // capRun bounds a transaction run to limit entries, dropping the
 // oldest once it overshoots the limit by half — the slack amortizes
 // the copy-down to O(1) per transaction. It reports how many entries
 // were dropped.
-func capRun(run *[]capture.TLSTransaction, limit int) int {
+func capRun[T any](run *[]T, limit int) int {
 	if limit <= 0 || len(*run) <= limit+limit/2 {
 		return 0
 	}

@@ -2,11 +2,13 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
 
 	"droppackets/internal/capture"
+	"droppackets/internal/core"
 	"droppackets/internal/dataset"
 	"droppackets/internal/has"
 	"droppackets/internal/sessionid"
@@ -103,10 +105,10 @@ func TestAdvanceLongLivedConnection(t *testing.T) {
 	}
 	for i, txn := range cl.current {
 		w := tail[i]
-		// Every record's down bytes are ten times its up bytes, so a
-		// transaction's counts travelled with it.
-		if txn.Start != w.Start || txn.SNI != w.SNI || txn.DownBytes != 10*txn.UpBytes {
-			t.Fatalf("last session transaction %d = %+v, want start %v sni %s", i, txn, w.Start, w.SNI)
+		// The run keeps no SNI. Every record's down bytes are ten times
+		// its up bytes, so a transaction's counts travelled with it.
+		if txn.start != w.Start || txn.end != w.End || txn.up <= 0 || txn.down != 10*txn.up {
+			t.Fatalf("last session transaction %d = %+v, want start %v end %v", i, txn, w.Start, w.End)
 		}
 	}
 }
@@ -272,5 +274,121 @@ func TestCoreDeterminism(t *testing.T) {
 	}
 	if !truncated {
 		t.Error("no client outgrew the retention cap; the truncation paths went untested")
+	}
+}
+
+// pointerFree reports whether values of type t hold no pointer the GC
+// would have to scan.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// TestRetainedRunsPointerFree pins the size and shape of what a client
+// retains per transaction: the summary ring, the current session and
+// the in-flight mirror hold 32-byte records with no pointer in them, so
+// a resident client's transactions cost the GC nothing to scan.
+func TestRetainedRunsPointerFree(t *testing.T) {
+	rec := reflect.TypeOf(retained{})
+	if !pointerFree(rec) {
+		t.Fatalf("%v holds a pointer", rec)
+	}
+	if got := rec.Size(); got != 32 {
+		t.Errorf("a retained transaction is %d bytes, want 32", got)
+	}
+	if pointerFree(reflect.TypeOf(capture.TLSTransaction{})) {
+		t.Fatal("pointerFree misses the SNI string")
+	}
+	runs := map[string]reflect.Type{
+		"txnRing.buf":     reflect.TypeOf(txnRing{}.buf),
+		"client.current":  reflect.TypeOf(client{}.current),
+		"client.inFlight": reflect.TypeOf(client{}.inFlight),
+	}
+	for name, typ := range runs {
+		if typ.Kind() != reflect.Slice || typ.Elem() != rec {
+			t.Errorf("%s is %v, want []%v", name, typ, rec)
+		}
+	}
+}
+
+// TestRestoreSnapshotWithSNIs restores the form of snapshot written
+// before retained runs dropped their SNI: every saved run carries the
+// SNI and HTTP count of its transactions. The restored core must build
+// the same rows and drain to the same Finals as the uninterrupted one.
+func TestRestoreSnapshotWithSNIs(t *testing.T) {
+	events := corpusEvents(t, 29, 20, 3)
+	sni := map[[2]float64]string{}
+	for _, e := range events {
+		sni[[2]float64{e.txn.Start, e.txn.End}] = e.txn.SNI
+	}
+	withSNIs := func(run []capture.TLSTransaction) {
+		for i := range run {
+			run[i].SNI = sni[[2]float64{run[i].Start, run[i].End}]
+			run[i].HTTPCount = 1 + i%4
+		}
+	}
+	rb := core.NewEstimator(core.Config{}).NewRowBuilder()
+	const maxTxns = 64
+	whole := New(maxTxns, Hooks{})
+	feed(whole, events)
+
+	cut := len(events) / 2
+	first := New(maxTxns, Hooks{})
+	feed(first, events[:cut])
+	restored := New(maxTxns, Hooks{})
+	carried := 0
+	for _, st := range first.Save(nil) {
+		for _, run := range [][]capture.TLSTransaction{st.InFlight, st.Current, st.Recent} {
+			withSNIs(run)
+			for _, t := range run {
+				if t.SNI != "" {
+					carried++
+				}
+			}
+		}
+		restored.Restore(&st, 0)
+	}
+	if carried == 0 {
+		t.Fatal("no saved run carried an SNI; the old snapshot form went untested")
+	}
+	feed(restored, events[cut:])
+
+	rows := 0
+	for _, st := range saved(whole) {
+		for _, cutoff := range []float64{math.Inf(-1), st.LastActivity - 30, st.LastActivity} {
+			want := append([]float64(nil), whole.Row(rb, st.Client, cutoff)...)
+			got := restored.Row(rb, st.Client, cutoff)
+			if len(want) > 0 {
+				rows++
+			}
+			if len(got) != len(want) {
+				t.Fatalf("client %s cutoff %v: row of %d values, want %d", st.Client, cutoff, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("client %s cutoff %v: feature %d = %v, want %v", st.Client, cutoff, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatal("no client had a row to compare")
+	}
+	if got, want := drained(restored), drained(whole); !reflect.DeepEqual(got, want) {
+		t.Fatal("the core restored from an SNI-carrying snapshot drains differently from an uninterrupted one")
 	}
 }

@@ -11,11 +11,15 @@ import (
 // runs, recent-transaction ring, lifetime aggregates and last verdict.
 // No feature state is kept: a row is rebuilt from the transaction runs
 // on every pass that scores it, so restoring the runs restores the
-// bit-identical row. Transaction runs use capture.TLSTransaction
-// directly, in the order the live state keeps (Current ++ InFlight ++
-// Buffer is the ongoing session in start order). The JSON form is the
-// client entry of qoeproxy's snapshot file; every time is epoch
-// seconds.
+// bit-identical row. Transaction runs are written as
+// capture.TLSTransaction, in the order the live state keeps (Current ++
+// InFlight ++ Buffer is the ongoing session in start order). Buffer
+// carries each SNI, which the sessionizer has yet to see; the live
+// state keeps no SNI for InFlight, Current and Recent (the streamer
+// holds the ones it still needs), so they are written with an empty
+// SNI and a zero HTTPCount, and Restore ignores both fields there. The
+// JSON form is the client entry of qoeproxy's snapshot file; every time
+// is epoch seconds.
 type ClientState struct {
 	Client       string                   `json:"client"`
 	Streamer     sessionid.StreamerState  `json:"streamer"`
@@ -66,9 +70,9 @@ func (cl *client) save(host string) ClientState {
 		Client:        host,
 		Streamer:      cl.streamer.State(),
 		Buffer:        append([]capture.TLSTransaction(nil), cl.buffer...),
-		InFlight:      append([]capture.TLSTransaction(nil), cl.inFlight...),
-		Current:       append([]capture.TLSTransaction(nil), cl.current...),
-		Recent:        cl.recent.snapshot(nil),
+		InFlight:      expandRun(nil, cl.inFlight),
+		Current:       expandRun(nil, cl.current),
+		Recent:        cl.recent.expand(nil),
 		RecentDropped: cl.recent.dropped,
 		LastActivity:  cl.lastActivity,
 		Txns:          cl.txns,
@@ -102,8 +106,8 @@ func (c *Core) Restore(st *ClientState, numClasses int) bool {
 	cl := &client{
 		streamer:     sessionid.RestoreStreamer(sessionid.PaperParams, st.Streamer),
 		buffer:       append([]capture.TLSTransaction(nil), st.Buffer...),
-		inFlight:     append([]capture.TLSTransaction(nil), st.InFlight...),
-		current:      append([]capture.TLSTransaction(nil), st.Current...),
+		inFlight:     retainRun(st.InFlight),
+		current:      retainRun(st.Current),
 		recent:       newTxnRing(c.maxTxns),
 		lastActivity: st.LastActivity,
 		txns:         st.Txns,
@@ -120,10 +124,23 @@ func (c *Core) Restore(st *ClientState, numClasses int) bool {
 		cl.activeStarts = append(cl.activeStarts, activeConn{id, start})
 	}
 	for _, t := range st.Recent {
-		cl.recent.push(t)
+		cl.recent.push(retain(t))
 	}
 	cl.recent.dropped = st.RecentDropped
 	cl.durStats.Restore(st.Dur)
 	c.clients[st.Client] = cl
 	return hasClass
+}
+
+// retainRun converts a saved run to retained transactions; nil for an
+// empty one, as the live state starts.
+func retainRun(run []capture.TLSTransaction) []retained {
+	if len(run) == 0 {
+		return nil
+	}
+	out := make([]retained, len(run))
+	for i, t := range run {
+		out[i] = retain(t)
+	}
+	return out
 }

@@ -36,7 +36,7 @@ echo "== go test -race -count=10 (sink tests: per-client order rests on each sin
 go test -race -count=10 -run '^TestSink' ./cmd/qoeproxy
 
 echo "== feature benchmarks (smoke) =="
-go test -run '^$' -bench Feature -benchtime 1x .
+go test -run '^$' -bench Feature -benchtime 1x . ./internal/features
 
 echo "== serving benchmarks (smoke: interpreted forest vs compiled one-row and 512-row blocks, sharded ingest) =="
 go test -run '^$' -bench . -benchtime 1x ./internal/ml/compiled
@@ -95,15 +95,29 @@ if ! echo "$clean_out" | grep -q "	       0 allocs/op"; then
 	exit 1
 fi
 
-echo "== zero-alloc dirty-classify-pass gate =="
-# One op is a classification pass over 4,096 resident clients that have
-# all changed since their last verdict: every row is rebuilt from the
-# client's transactions and scored (the benchmark fails itself if one
-# is skipped), through per-shard scratch that must not allocate.
+echo "== zero-alloc dirty-classify-pass gates =="
+# One op of ClassifyPassDirty is a classification pass over 4,096
+# resident clients that have all changed since their last verdict: every
+# row is rebuilt from the client's transactions and scored (the
+# benchmark fails itself if one is skipped), through per-shard scratch
+# that must not allocate. ClassifyPassDirtyLong is the same pass over
+# clients holding 4,096-transaction sessions, where the row's order
+# statistics run on the selection path. Each of the two must report
+# 0 allocs/op.
 dirty_out=$(go test -run '^$' -bench 'ClassifyPassDirty' -benchmem ./cmd/qoeproxy)
 echo "$dirty_out"
-if ! echo "$dirty_out" | grep -q "	       0 allocs/op"; then
-	echo "a classification pass over changed clients allocates; the zero-alloc dirty-pass gate failed"
+if ! echo "$dirty_out" | awk '
+$1 ~ /^BenchmarkClassifyPassDirty(Long)?-/ {
+	runs++
+	for (i = 2; i < NF; i++) {
+		if ($(i + 1) == "allocs/op" && $i != "0") { print $1 ": " $i " allocs/op"; bad = 1 }
+	}
+}
+END {
+	if (runs != 2) { print "expected 2 ClassifyPassDirty results, got " runs; exit 1 }
+	exit bad
+}'; then
+	echo "a classification pass over changed clients allocates; the zero-alloc dirty-pass gates failed"
 	exit 1
 fi
 

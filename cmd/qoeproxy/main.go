@@ -143,7 +143,7 @@ func registerFlags(fs *flag.FlagSet, opts *options) {
 	fs.StringVar(&opts.metricsAddr, "metrics", "127.0.0.1:9090", "address for /metrics and /healthz (empty disables)")
 	fs.DurationVar(&opts.classifyEvery, "classify-every", 30*time.Second, "interval between online classification passes (0 disables)")
 	fs.DurationVar(&opts.window, "window", 4*time.Minute, "sliding window of transactions classified per pass (0 = no cutoff: the whole current session)")
-	fs.DurationVar(&opts.clientTTL, "client-ttl", time.Hour, "evict a client's state after this much idle time, emitting its final classification (0 disables; swept on the classify tick)")
+	fs.DurationVar(&opts.clientTTL, "client-ttl", time.Hour, "evict a client's state after this much idle time, emitting its final classification (0 disables; swept on the classify tick and, for file sources, every TTL/8 of record time)")
 	fs.IntVar(&opts.maxSessionTxns, "max-session-txns", 4096, "most transactions retained per client session and summary buffer; oldest are dropped beyond it (0 = unbounded)")
 	fs.IntVar(&opts.shards, "shards", 0, "lock shards for per-client state; ingest for clients on different shards never contends (0 = GOMAXPROCS)")
 	fs.StringVar(&opts.source, "source", "proxy", "primary telemetry source: proxy|squid|pcap|netflow|replay (docs/INGEST.md)")
@@ -274,6 +274,14 @@ type service struct {
 	// logicalClock selects the watermark (true: file/replay sources)
 	// over wall time (false: live proxy) as the sweep clock.
 	logicalClock bool
+	// sweepReq carries record-clock sweep requests from the ingest path
+	// to serveLoop. Nil unless a sweep can happen at all on the record
+	// clock: a file source whose classify tick sweeps idle clients.
+	sweepReq chan struct{}
+	// sweepDue is the sweep clock (float bits) at which the next
+	// record-clock sweep falls due: the last sweep's clock plus
+	// TTL/recordSweepsPerTTL, +Inf until the first tick's sweep.
+	sweepDue atomic.Uint64
 	// bundles numbers the serving bundles built so far; each bundle's
 	// stamp is its number, so no bundle is stamp 0, the stamp of a
 	// restored client.
@@ -384,6 +392,12 @@ type classifyRun struct {
 	err                    error
 }
 
+// recordSweepsPerTTL is how many eviction sweeps a file source gets per
+// -client-ttl of record time, whatever its ingest speed. A client idle
+// for the TTL is then evicted within TTL/8 more of record time, so the
+// resident set holds about 1.125 TTL of arrivals.
+const recordSweepsPerTTL = 8
+
 // defaultClassifyBatch is how many feature rows one batched inference
 // call sweeps: large enough to amortize the call, small enough that the
 // probability scratch stays in cache.
@@ -411,6 +425,10 @@ func newService(opts options, logger *slog.Logger, est *core.Estimator) *service
 	s.batchPool.New = func() any { return &batchScratch{} }
 	s.classifyShardFn = s.classifyShard
 	s.logicalClock = opts.source != "" && opts.source != "proxy"
+	s.sweepDue.Store(math.Float64bits(math.Inf(1)))
+	if s.logicalClock && opts.classifyEvery > 0 && opts.clientTTL > 0 {
+		s.sweepReq = make(chan struct{}, 1)
+	}
 	// The hooks read the counters at call time: registerMetrics creates
 	// them after the shards.
 	hooks := serve.Hooks{
@@ -913,9 +931,11 @@ func run(opts options) error {
 }
 
 // serveLoop is the daemon's main loop: it reacts to fatal source
-// errors, classification/eviction ticks, SIGHUP model reloads and
-// shutdown signals. Ticks are converted to the sweep clock (wall or
-// ingest watermark) before classifyPass/evictIdle see them. Both
+// errors, classification/eviction ticks, record-clock sweep requests,
+// SIGHUP model reloads and shutdown signals. Ticks are converted to the
+// sweep clock (wall or ingest watermark) before classifyPass/evictIdle
+// see them; a sweep request runs evictIdle alone, on this goroutine too,
+// so sweeps and passes never overlap. Both
 // exits — source death and a signal — stop the source, then the
 // metrics endpoint, before draining the sessionizers, so no ingest
 // follows the drain and pending decisions and the shutdown summary are
@@ -932,6 +952,8 @@ func (s *service) serveLoop(errCh <-chan error, tick <-chan time.Time, sig <-cha
 			ns := s.sweepNow(now)
 			s.classifyPass(ns)
 			s.evictIdle(ns)
+		case <-s.sweepReq:
+			s.evictIdle(s.sweepNow(time.Now()))
 		case got := <-sig:
 			if got == syscall.SIGHUP {
 				// Reload, not shutdown. Errors are already counted and
@@ -1447,6 +1469,20 @@ func (s *service) onTransactionBatch(recs []tlsproxy.Record) {
 	}
 	sc.out, sc.squid, sc.commits = out, squid, commits
 	s.batchPool.Put(sc)
+	s.requestSweep()
+}
+
+// requestSweep asks serveLoop for an eviction sweep once the watermark
+// has reached the due clock, where the record clock is armed. The send
+// never blocks: a request already pending covers this one.
+func (s *service) requestSweep() {
+	if s.sweepReq == nil || math.Float64frombits(s.watermark.Load()) < math.Float64frombits(s.sweepDue.Load()) {
+		return
+	}
+	select {
+	case s.sweepReq <- struct{}{}:
+	default:
+	}
 }
 
 // forEachShard runs fn(worker, shardIndex) for every shard, fanning
@@ -1699,17 +1735,20 @@ func (s *service) finalVerdicts(m *servingModel, finals []serve.Final) ([]int, e
 // deleted — keeping the clients map O(active clients). nowSec is the
 // sweep clock in epoch seconds (see sweepNow) — record-derived for
 // file/replay sources, so the TTL comparison shares the timescale of
-// the lastActivity values it is compared against. Runs on the classify
-// tick, after classifyPass, on the same goroutine (finalVerdicts
-// borrows the pass's idle scratch). The sweep also rotates
-// the ingest source's intern tables at most once per TTL, so released
-// client state releases its interned strings too.
+// the lastActivity values it is compared against. Runs on the serve
+// loop's goroutine (finalVerdicts borrows the pass's idle scratch): on
+// the classify tick after classifyPass, and for file sources also when
+// the watermark reaches sweepDue, which every sweep moves on by
+// TTL/recordSweepsPerTTL. The sweep also rotates the ingest source's
+// intern tables at most once per TTL, so released client state releases
+// its interned strings too.
 func (s *service) evictIdle(nowSec float64) {
 	s.rotateInterned(nowSec)
 	ttl := s.opts.clientTTL
 	if ttl <= 0 {
 		return
 	}
+	s.sweepDue.Store(math.Float64bits(nowSec + ttl.Seconds()/recordSweepsPerTTL))
 	perShard := make([][]serve.Final, len(s.shards))
 	s.forEachShard(func(_, si int) {
 		sh := s.shards[si]

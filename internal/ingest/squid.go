@@ -383,17 +383,24 @@ func (q *keyBuckets) pop() {
 	q.n--
 }
 
-// squidDelivery owns the source's ordered-delivery state: the reorder
-// buffer, the epoch, connection sequencing and the transaction batcher.
-// Exactly one goroutine drives it — the pipeline's delivery goroutine.
+// squidDelivery owns the source's ordering state: the reorder buffer,
+// the epoch and connection sequencing. Exactly one goroutine drives it
+// — the pipeline's ordering goroutine — and it hands the events it
+// releases, in delivery order, to the handler stage in event blocks.
 type squidDelivery struct {
 	s         *SquidSource
-	b         batcher
 	q         squidReorder
 	epoch     float64
 	haveEpoch bool
 	maxEnd    float64
 	connSeq   int64
+
+	// cur collects released events; nil until the first one after a send.
+	cur *eventBlock
+	// unflushed marks events sent since the last flush-marked block.
+	unflushed bool
+	events    chan<- *eventBlock
+	pool      *sync.Pool // of *eventBlock
 }
 
 // entry turns one parsed view into open and transaction events,
@@ -465,17 +472,40 @@ func (d *squidDelivery) emit(all bool) {
 		d.deliver(k)
 	}
 	if all {
-		d.b.flush()
+		d.send(true)
 	}
 }
 
+// deliver queues a released event for the handler stage, handing the
+// block off once it is full.
 func (d *squidDelivery) deliver(k squidKey) {
-	if k.open() {
-		d.b.open(d.q.slab[k.slot])
-		return
+	if d.cur == nil {
+		d.cur = d.pool.Get().(*eventBlock)
 	}
-	d.b.add(d.q.slab[k.slot])
-	d.q.release(k.slot)
+	d.cur.events = append(d.cur.events, squidEvent{rec: d.q.slab[k.slot], open: k.open()})
+	if !k.open() {
+		d.q.release(k.slot)
+	}
+	if len(d.cur.events) == blockEvents {
+		d.send(false)
+	}
+}
+
+// send hands the collected events to the handler stage; flush asks it
+// to flush its batcher after them, which it then does at the same
+// points in the event sequence whatever the block sizes.
+func (d *squidDelivery) send(flush bool) {
+	blk := d.cur
+	if blk == nil {
+		if !flush || !d.unflushed {
+			return
+		}
+		blk = d.pool.Get().(*eventBlock)
+	}
+	d.cur = nil
+	blk.flush = flush
+	d.unflushed = !flush
+	d.events <- blk
 }
 
 // Run tails the log into h per the type's contract.
@@ -498,16 +528,15 @@ func (s *SquidSource) Run(ctx context.Context, h Handler) error {
 
 	d := &squidDelivery{
 		s:         s,
-		b:         newBatcher(h, s.Batch, &s.records),
 		q:         newSquidReorder(s.Horizon),
 		epoch:     s.EpochUnix,
 		haveEpoch: s.EpochUnix >= 0,
 		maxEnd:    math.Inf(-1),
 	}
 	// Every return below this point hands off the last block, closes the
-	// channel and waits for the delivery goroutine: nothing is delivered
-	// after Run returns.
-	p := startSquidPipeline(d)
+	// pipeline and waits for its ordering and handler goroutines: nothing
+	// is delivered after Run returns.
+	p := startSquidPipeline(d, newBatcher(h, s.Batch, &s.records))
 	defer p.close()
 
 	var (
@@ -615,23 +644,33 @@ func (s *SquidSource) Run(ctx context.Context, h Handler) error {
 	}
 }
 
-// The read path has two stages. The reader (Run's goroutine) packs
-// complete lines into blocks and parses each block in place; a single
-// delivery goroutine consumes the parsed blocks in read order, so the
-// reorder buffer sees entries in exactly file order. Only the parse (field
-// scanning and number conversion) overlaps with delivery; everything
-// order-sensitive stays on one goroutine.
+// The read path has three stages, each on its own goroutine, joined by
+// channels that keep their order:
+//
+//   - the reader (Run's goroutine) packs complete lines into blocks and
+//     parses each block in place;
+//   - the ordering goroutine takes the parsed blocks in read order, so
+//     the reorder buffer sees entries in exactly file order, and appends
+//     every event it releases to an event block;
+//   - the handler goroutine replays each event block through the
+//     batcher, so every Handler callback runs there, one at a time.
+//
+// Parsing, ordering and the handler's own work overlap; everything
+// order-sensitive stays on one goroutine per stage.
 
 const (
 	// blockLines and blockBytes bound one block; whichever fills first
 	// hands it off.
 	blockLines = 512
 	blockBytes = 64 << 10
-	// blocksInFlight is the channel capacity between the stages: enough
-	// parsed blocks that the reader keeps working while one block's
+	// blocksInFlight is the capacity of each channel between stages:
+	// enough parsed blocks that the reader keeps working while one block's
 	// entries release a backlog from the reorder buffer, few enough that a
 	// stalled handler holds back well under 1 MiB of log.
 	blocksInFlight = 4
+	// blockEvents bounds one event block (about 57 KB); a parsed line
+	// block usually releases two.
+	blockEvents = 512
 )
 
 type lineKind int8
@@ -681,21 +720,40 @@ func parseBlock(blk *lineBlock) {
 	}
 }
 
-// squidPipeline joins the two stages: line and handoff run on the
-// reader, deliverLoop on the delivery goroutine.
+// squidEvent is one released event on its way to the handler stage.
+type squidEvent struct {
+	rec  tlsproxy.Record
+	open bool
+}
+
+// eventBlock is a run of released events in delivery order. flush
+// marks a block that ends where the batcher flushes: at the end of a
+// parsed line block and at the end of input. Records past len keep a
+// few interned strings alive until the block is refilled.
+type eventBlock struct {
+	events []squidEvent
+	flush  bool
+}
+
+// squidPipeline joins the three stages: line and handoff run on the
+// reader, deliverLoop on the ordering goroutine, handleLoop on the
+// handler goroutine.
 type squidPipeline struct {
 	d       *squidDelivery
 	blocks  chan *lineBlock // parsed, in read order
 	pool    sync.Pool
-	cur     *lineBlock // the block being packed; nil or non-empty
-	drained chan struct{}
+	cur     *lineBlock       // the block being packed; nil or non-empty
+	events  chan *eventBlock // released, in delivery order
+	evPool  sync.Pool
+	handled chan struct{} // closed when handleLoop returns
 }
 
-func startSquidPipeline(d *squidDelivery) *squidPipeline {
+func startSquidPipeline(d *squidDelivery, b batcher) *squidPipeline {
 	p := &squidPipeline{
 		d:       d,
 		blocks:  make(chan *lineBlock, blocksInFlight),
-		drained: make(chan struct{}),
+		events:  make(chan *eventBlock, blocksInFlight),
+		handled: make(chan struct{}),
 	}
 	p.pool.New = func() any {
 		return &lineBlock{
@@ -704,14 +762,19 @@ func startSquidPipeline(d *squidDelivery) *squidPipeline {
 			parsed: make([]parsedLine, 0, blockLines),
 		}
 	}
+	p.evPool.New = func() any {
+		return &eventBlock{events: make([]squidEvent, 0, blockEvents)}
+	}
+	d.events, d.pool = p.events, &p.evPool
 	go p.deliverLoop()
+	go p.handleLoop(b)
 	return p
 }
 
 // deliverLoop feeds each block's entries to the delivery core and bumps
 // the counters, on one goroutine, in line order.
 func (p *squidPipeline) deliverLoop() {
-	defer close(p.drained)
+	defer close(p.events)
 	for blk := range p.blocks {
 		for i := range blk.parsed {
 			switch pl := &blk.parsed[i]; pl.kind {
@@ -726,13 +789,33 @@ func (p *squidPipeline) deliverLoop() {
 		// The block's bytes are dead (identity strings interned); flush
 		// so delivered work is visible before the next block, then
 		// recycle.
-		p.d.b.flush()
+		p.d.send(true)
 		blk.buf = blk.buf[:0]
 		blk.offs = blk.offs[:1]
 		blk.parsed = blk.parsed[:0]
 		p.pool.Put(blk)
 	}
 	p.d.emit(true)
+}
+
+// handleLoop replays each event block through the batcher, on one
+// goroutine, in delivery order.
+func (p *squidPipeline) handleLoop(b batcher) {
+	defer close(p.handled)
+	for blk := range p.events {
+		for i := range blk.events {
+			if ev := &blk.events[i]; ev.open {
+				b.open(ev.rec)
+			} else {
+				b.add(ev.rec)
+			}
+		}
+		if blk.flush {
+			b.flush()
+		}
+		blk.events = blk.events[:0]
+		p.evPool.Put(blk)
+	}
 }
 
 // line packs one complete line (terminator included; parseBlock trims)
@@ -761,10 +844,11 @@ func (p *squidPipeline) handoff() {
 }
 
 // close ends the input: the last block is handed off, and close returns
-// once the delivery goroutine has delivered everything still buffered
-// in the reorder buffer and exited.
+// once the ordering goroutine has released everything still buffered in
+// the reorder buffer and the handler goroutine has delivered it, and
+// both have exited.
 func (p *squidPipeline) close() {
 	p.handoff()
 	close(p.blocks)
-	<-p.drained
+	<-p.handled
 }

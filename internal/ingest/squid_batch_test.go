@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,6 +41,55 @@ func (c *eventCollector) handler() Handler {
 			}
 		},
 	}
+}
+
+// serialGuard wraps a Handler to check the source's threading contract:
+// every callback runs on one goroutine at a time, and none runs after
+// Run has returned. Violations are counted rather than reported from
+// the offending goroutine, which may outlive the test.
+type serialGuard struct {
+	busy, returned       atomic.Bool
+	overlapping, lateRun atomic.Int64
+}
+
+func (g *serialGuard) wrap(h Handler) Handler {
+	enter := func() {
+		if g.returned.Load() {
+			g.lateRun.Add(1)
+		}
+		if !g.busy.CompareAndSwap(false, true) {
+			g.overlapping.Add(1)
+		}
+		runtime.Gosched() // widen the window an overlapping call would hit
+	}
+	return Handler{
+		ConnOpen: func(r tlsproxy.Record) {
+			enter()
+			h.ConnOpen(r)
+			g.busy.Store(false)
+		},
+		TransactionBatch: func(recs []tlsproxy.Record) {
+			enter()
+			h.TransactionBatch(recs)
+			g.busy.Store(false)
+		},
+	}
+}
+
+// run calls src.Run through the guard, then gives a callback that
+// outlives Run a few milliseconds to show before checking the counts.
+func (g *serialGuard) run(t *testing.T, ctx context.Context, src *SquidSource, h Handler) error {
+	t.Helper()
+	err := src.Run(ctx, g.wrap(h))
+	g.returned.Store(true)
+	time.Sleep(5 * time.Millisecond)
+	if n := g.overlapping.Load(); n > 0 {
+		t.Errorf("%d handler callbacks overlapped another", n)
+	}
+	if n := g.lateRun.Load(); n > 0 {
+		t.Errorf("%d handler callbacks ran after Run returned", n)
+	}
+	return err
 }
 
 func txnEvent(r tlsproxy.Record) string {
@@ -125,7 +175,10 @@ func TestSquidBatchDelivery(t *testing.T) {
 // and counters are the same at every Batch setting as record-at-a-time
 // (Batch 1), and that this sequence is the global (time, sequence)
 // order worked out from the file alone: block boundaries and the
-// hand-off between the reader and the delivery goroutine must not show.
+// hand-offs between the reader, ordering and handler goroutines must
+// not show. It holds too for a follow-mode tail cancelled while the
+// file is still being read. Every run checks that callbacks never
+// overlap and that none runs after Run returns.
 func TestSquidBatchInvariance(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "access.log")
@@ -162,7 +215,8 @@ func TestSquidBatchInvariance(t *testing.T) {
 		src := &SquidSource{Path: path, Base: time.Unix(0, 0), EpochUnix: 0,
 			Horizon: 10, Follow: false, Batch: batch}
 		var col eventCollector
-		if err := src.Run(context.Background(), col.handler()); err != nil {
+		var g serialGuard
+		if err := g.run(t, context.Background(), src, col.handler()); err != nil {
 			t.Fatal(err)
 		}
 		return &col, src.Stats()
@@ -210,20 +264,38 @@ func TestSquidBatchInvariance(t *testing.T) {
 		}
 	}
 
-	for _, batch := range []int{8, 0, 32} {
-		got, st := run(batch)
+	check := func(name string, got *eventCollector, st Stats) {
+		t.Helper()
 		if st != refStats {
-			t.Errorf("batch=%d: stats %+v, want %+v", batch, st, refStats)
+			t.Errorf("%s: stats %+v, want %+v", name, st, refStats)
 		}
 		if len(got.events) != len(ref.events) {
-			t.Fatalf("batch=%d: %d events, want %d", batch, len(got.events), len(ref.events))
+			t.Fatalf("%s: %d events, want %d", name, len(got.events), len(ref.events))
 		}
 		for i := range got.events {
 			if got.events[i] != ref.events[i] {
-				t.Fatalf("batch=%d: event %d = %q, want %q", batch, i, got.events[i], ref.events[i])
+				t.Fatalf("%s: event %d = %q, want %q", name, i, got.events[i], ref.events[i])
 			}
 		}
 	}
+	for _, batch := range []int{8, 0, 32} {
+		got, st := run(batch)
+		check(fmt.Sprintf("batch=%d", batch), got, st)
+	}
+
+	// A follow-mode tail cancelled before Run starts: the cancel lands
+	// while the file is read, so blocks are in flight in every stage
+	// when the tail stops at EOF and flushes.
+	src := &SquidSource{Path: path, Base: time.Unix(0, 0), EpochUnix: 0,
+		Horizon: 10, Follow: true, Poll: time.Millisecond}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var col eventCollector
+	var g serialGuard
+	if err := g.run(t, ctx, src, col.handler()); err != nil {
+		t.Fatal(err)
+	}
+	check("cancelled tail", &col, src.Stats())
 }
 
 // appendLog appends content to the log at path, as Squid would.
@@ -289,9 +361,11 @@ func TestSquidTailPartialBlock(t *testing.T) {
 
 // TestSquidCancelDeliversOnce cancels a follow-mode tail whose reorder
 // horizon is holding every entry back: Run must return only after the
-// delivery goroutine has flushed each line read exactly once, in order,
-// and exited. The collector is unsynchronized on purpose, so under
-// -race a delivery that outlives Run is a reported data race.
+// ordering and handler goroutines have delivered each line read exactly
+// once, in order, and exited. The tail catches up with the file after
+// every append, and the guard fails a callback that overlaps another or
+// runs after Run returns. The collector is unsynchronized on purpose,
+// so under -race a delivery that outlives Run is a reported data race.
 func TestSquidCancelDeliversOnce(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "access.log")
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
@@ -301,13 +375,14 @@ func TestSquidCancelDeliversOnce(t *testing.T) {
 	src := &SquidSource{Path: path, Base: time.Unix(0, 0), EpochUnix: 0,
 		Horizon: 3600, Follow: true, Poll: 2 * time.Millisecond}
 	var col eventCollector
+	var g serialGuard
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- src.Run(ctx, col.handler()) }()
+	go func() { done <- g.run(t, ctx, src, col.handler()) }()
 
 	// Appends of 1 to 700 lines: partial blocks, full blocks, and blocks
 	// that straddle an append. One client per line, so the Clients
-	// counter says when the delivery goroutine has seen them all.
+	// counter says when the ordering goroutine has seen them all.
 	const total = 1500
 	var want []string
 	for n, burst := 0, 1; n < total; burst *= 3 {
@@ -337,7 +412,7 @@ func TestSquidCancelDeliversOnce(t *testing.T) {
 	if st := src.Stats(); st.Records != total {
 		t.Fatalf("stats = %+v, want %d records", st, total)
 	}
-	waitFor(t, "the delivery goroutine to exit", func() bool { return runtime.NumGoroutine() <= before })
+	waitFor(t, "the ordering and handler goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
 }
 
 // TestSquidBadTimes feeds lines whose times no offset can hold — NaN

@@ -35,6 +35,9 @@ go test -race -timeout 20m ./internal/ml/... ./internal/core ./internal/dataset 
 echo "== go test -race -count=10 (sink tests: per-client order rests on each sink's mutex) =="
 go test -race -count=10 -run '^TestSink' ./cmd/qoeproxy
 
+echo "== go test -race -count=10 (Squid source tests: handler order crosses the ordering-to-handler channel) =="
+go test -race -count=10 -run '^TestSquid' ./internal/ingest
+
 echo "== feature benchmarks (smoke) =="
 go test -run '^$' -bench Feature -benchtime 1x . ./internal/features
 

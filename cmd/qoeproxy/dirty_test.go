@@ -322,7 +322,7 @@ func TestBundleChangeRescoresOnce(t *testing.T) {
 	s, logs := newTestService(t, opts, estA)
 	events := staggeredEvents(t, 19, 24, 12, 5)
 	feed(s, events)
-	clients := int64(s.clientCount())
+	clients := int64(s.shards.Len())
 	const now = 1e6
 
 	// step runs one pass and checks how many rows it scored and which
@@ -416,10 +416,7 @@ func TestFailedPassLeavesClientsDirty(t *testing.T) {
 		t.Fatal("a good pass did not classify the client")
 	}
 	good := s.model.Load()
-	bad, err := s.buildModel(core.NewEstimator(core.Config{Metric: est.Metric()}), nil) // never trained
-	if err != nil {
-		t.Fatal(err)
-	}
+	bad := s.buildModel(core.NewEstimator(core.Config{Metric: est.Metric()}), nil) // never trained
 	s.model.Store(bad)
 	for pass := int64(1); pass <= 2; pass++ {
 		s.classifyPass(10)
@@ -445,9 +442,10 @@ func residentService(b *testing.B, clients int, feed func(s *service, client str
 	prev := runtime.GOMAXPROCS(1)
 	b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	s := newService(options{shards: 4, maxSessionTxns: 4096},
-		slog.New(slog.NewJSONHandler(io.Discard, nil)), est)
+		slog.New(slog.NewJSONHandler(io.Discard, nil)))
 	b.Cleanup(s.stopSinkWriter)
 	s.registerMetrics()
+	s.model.Store(s.buildModel(est, nil))
 	for c := 0; c < clients; c++ {
 		feed(s, residentClient(c), c)
 	}

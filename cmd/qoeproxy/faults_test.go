@@ -66,22 +66,21 @@ func (b *logBuffer) countLogMsg(t *testing.T, msg string) int {
 func newTestService(t *testing.T, opts options, est *core.Estimator, shadow ...*core.Estimator) (*service, *logBuffer) {
 	t.Helper()
 	logs := &logBuffer{}
-	s := newService(opts, slog.New(slog.NewJSONHandler(logs, nil)), est)
+	s := newService(opts, slog.New(slog.NewJSONHandler(logs, nil)))
 	t.Cleanup(s.stopSinkWriter)
 	s.epoch = time.Unix(1_700_000_000, 0)
-	if len(shadow) > 0 {
-		s.pendingShadow = shadow[0]
-	}
 	s.registerMetrics()
+	var challenger *core.Estimator
+	if len(shadow) > 0 {
+		challenger = shadow[0]
+	}
+	s.model.Store(s.buildModel(est, challenger))
 	return s, logs
 }
 
 // client returns a copy of a client host's state, or nil.
 func (s *service) client(host string) *serve.ClientState {
-	sh := s.shardFor(host)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.core.Client(host)
+	st, ok := s.shards.Client(host)
 	if !ok {
 		return nil
 	}

@@ -87,7 +87,7 @@ func TestFlagsMatchOperationsDoc(t *testing.T) {
 		t.Errorf("-%s is in the docs/OPERATIONS.md flag table but not registered", name)
 	}
 
-	for _, removed := range []string{"replay", "replay-speed", "replay-workers", "ingest-batch", "classify-batch", "parse-workers", "classify-workers"} {
+	for _, removed := range []string{"replay", "replay-speed", "replay-workers", "ingest-batch", "classify-batch", "parse-workers", "classify-workers", "ingest-speed"} {
 		err := fs.Parse([]string{"-" + removed, "0"})
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("-%s: Parse = %v, want \"flag provided but not defined\"", removed, err)

@@ -19,9 +19,10 @@ import (
 // restores only the clients the ring assigns this member.
 func FuzzRestoreSnapshot(f *testing.F) {
 	est := trainSmallEstimator(f, 5, 4)
-	donor := newService(options{window: 0, shards: 2}, slog.New(slog.NewJSONHandler(io.Discard, nil)), est)
+	donor := newService(options{window: 0, shards: 2}, slog.New(slog.NewJSONHandler(io.Discard, nil)))
 	defer donor.stopSinkWriter()
 	donor.registerMetrics()
+	donor.model.Store(donor.buildModel(est, nil))
 	for c := 0; c < 4; c++ {
 		feedRecords(donor, fmt.Sprintf("10.9.0.%d:40000", c+1), c*8+1, 8)
 	}
@@ -59,7 +60,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			if n := logs.countLogMsg(t, "snapshot restore failed; starting cold"); n != 1 {
 				t.Fatalf("unparseable snapshot (%v): cold-start log lines = %d, want 1", err, n)
 			}
-			if n := s.clientCount(); n != 0 {
+			if n := s.shards.Len(); n != 0 {
 				t.Fatalf("unparseable snapshot (%v) restored %d clients", err, n)
 			}
 			return
@@ -67,7 +68,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		if n := logs.countLogMsg(t, "snapshot restored"); n != 1 {
 			t.Fatalf("accepted snapshot: %d \"snapshot restored\" lines, want 1", n)
 		}
-		if n := s.clientCount(); n > len(snap.Clients) {
+		if n := s.shards.Len(); n > len(snap.Clients) {
 			t.Fatalf("%d clients resident from a snapshot of %d", n, len(snap.Clients))
 		}
 		for _, cs := range s.snapshotState().Clients {

@@ -145,7 +145,7 @@ func runSource(t *testing.T, est *core.Estimator, recs []tlsproxy.ReplayRecord,
 		"class_errors": s.mClassErrors.Value(),
 		"truncated":    s.mTruncated.Value(),
 		"evicted":      s.mEvicted.Value(),
-		"clients_left": int64(s.clientCount()),
+		"clients_left": int64(s.shards.Len()),
 	}, sinkCSV: csv.String()}, sinkSquid: sq.String()}
 	for _, n := range s.model.Load().names {
 		run.counters["pred_"+n] = s.mPred.Value(n)

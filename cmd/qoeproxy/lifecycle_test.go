@@ -113,7 +113,7 @@ func TestAdminReloadEndpoint(t *testing.T) {
 	}
 
 	// Corrupt file: rejected with 422, old bundle untouched, from an
-	// IPv6 loopback caller to cover both isLoopbackHost families.
+	// IPv6 loopback caller to cover both loopback families.
 	if err := os.WriteFile(modelPath, []byte("{definitely not a model"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -4,83 +4,41 @@
 // Squid-format log), delimits each client's sessions online with the
 // streaming sessionizer, and — when given a trained model — classifies
 // every client's current session periodically during operation, not
-// only at shutdown. Runtime state is observable over HTTP: /metrics
-// serves Prometheus text format, /healthz a JSON liveness summary.
+// only at shutdown. /metrics serves Prometheus text format, /healthz a
+// JSON liveness summary; logs are JSON lines on stderr.
 //
-// Usage:
+//	qoeproxy -listen 127.0.0.1:8443 -upstream 127.0.0.1:9443 -model model.json
+//	qoeproxy -source squid|pcap|netflow|replay -input FILE -model model.json
 //
-//	qoeproxy -listen 127.0.0.1:8443 -upstream 127.0.0.1:9443
-//	         [-resolve map.txt] [-out transactions.csv]
-//	         [-squid-log access.log] [-model model.json]
-//	         [-shadow-model challenger.json]
-//	         [-metrics 127.0.0.1:9090] [-classify-every 30s]
-//	         [-window 4m] [-client-ttl 1h] [-max-session-txns 4096]
-//	         [-shards N]
-//	         [-source proxy|squid|pcap|netflow|replay] [-input FILE]
-//	         [-ingest-speed X] [-ingest-workers N] [-ingest-epoch T]
-//	         [-ingest-horizon 5m] [-follow=true]
-//	         [-cluster-config cluster.json] [-instance-id ID]
-//	         [-snapshot state.json] [-restore state.json]
-//	         [-v]
+// docs/OPERATIONS.md is the runbook and documents every flag (-h lists
+// them). Telemetry arrives through one internal/ingest TransactionSource
+// selected with -source: the live proxy (default), a tailed Squid
+// access log, a pcap trace, a client-attributed NetFlow CSV or a replay
+// workload CSV, delivered as fast as the ingest path accepts it.
+// Everything downstream of the callbacks is source-agnostic and
+// byte-identical for equivalent inputs (docs/INGEST.md). The replay
+// source is how the benchmark ledger and scripts/smoke drive thousands
+// of simulated clients through the real serving loop.
 //
-// The daemon's telemetry arrives through one internal/ingest
-// TransactionSource selected with -source: the live proxy (default),
-// a tailed Squid access log, a pcap packet trace, a client-attributed
-// NetFlow record CSV, or a replay workload CSV — everything downstream
-// of the callbacks (sessionization, classification, sinks, metrics) is
-// source-agnostic and byte-identical for equivalent inputs. Non-proxy
-// sources read -input, do not bind -listen and need no -upstream;
-// docs/INGEST.md is the per-source guide.
+// Per-client state lives in internal/serve: a serve.Shards holds
+// -shards lock shards, so concurrent connections ingest in parallel,
+// and the classify tick fans the shards out on a worker pool, scoring
+// each shard's changed clients in one row-major block outside its
+// lock. Memory is bounded: idle clients are evicted after -client-ttl
+// (their final classification is emitted first) and retained
+// transactions are capped at -max-session-txns. Sink lines go to each
+// sink's pending ~64 KiB chunk under its mutex (sink.go).
 //
-// The resolver map file holds "sni backend:port" lines; unlisted SNIs
-// fall back to -upstream. Logs are JSON lines on stderr (-v adds
-// per-transaction detail). Per-client memory is bounded: idle clients
-// are evicted after -client-ttl (their final classification is
-// emitted first) and retained transaction state is capped at
-// -max-session-txns, so the daemon's footprint is O(active clients),
-// not O(all traffic ever seen). Per-client state lives in
-// internal/serve: each of -shards lock shards (default GOMAXPROCS)
-// holds one serve.Core behind its mutex, so concurrent connections
-// ingest in parallel, and the classify tick fans out
-// across shards on min(GOMAXPROCS, -shards) workers, sweeping each
-// shard's feature rows through the compiled scorer in contiguous
-// row-major blocks. Record lines are appended to each sink's pending
-// chunk under the sink's mutex, which keeps them in order; the producer
-// that fills the ~64 KiB chunk writes it, and a flusher writes
-// part-filled chunks every 100ms, so a quiet proxy's files stay current.
-// -source replay feeds a recorded workload CSV
-// (internal/tlsproxy.ReadWorkload) into the ingest path — same
-// callbacks, logical timestamps — at -ingest-speed times recorded
-// speed, which is how the benchmark ledger and scripts/smoke drive
-// thousands of simulated clients through the real serving loop without
-// a socket per session.
-//
-// The model is operated like production ML, not loaded once and served
-// forever. SIGHUP or POST /admin/reload (loopback callers only, on the
-// -metrics listener) re-reads -model (and -shadow-model, if set) and
-// swaps the compiled estimator in atomically — each classification
-// pass reads the model pointer exactly once, so no sweep ever mixes
-// two models, and a corrupt file is rejected with the previous model
-// untouched. -shadow-model scores a challenger over the same gathered
-// feature rows, reporting disagreement and per-class confusion
-// counters without altering a byte of the primary's output. Models
-// saved with a training baseline (cmd/qoeinfer -save) additionally
-// expose per-feature drift z-scores comparing live traffic against the
-// training distribution. Stop with SIGINT/SIGTERM:
-// the proxy stops accepting, drains open relays, flushes the
-// sessionizers, prints per-client QoE estimates (if -model is given)
-// and exits cleanly.
-//
-// The daemon also runs as one member of a serving fleet:
-// -cluster-config/-instance-id load a static consistent-hash ring
-// (internal/cluster) so N instances tailing the same telemetry jointly
-// cover every client exactly once, each skipping (and counting) the
-// clients the ring assigns elsewhere. -snapshot serializes the live
-// serving state on shutdown (or POST /admin/snapshot) and -restore
-// rebuilds it at startup, so an instance restarts warm — or hands its
-// partitions to a peer — with mid-session classifications
-// byte-identical to a daemon that never stopped (see snapshot.go).
-// docs/OPERATIONS.md is the full runbook.
+// SIGHUP or POST /admin/reload (loopback only) swaps in a re-read
+// -model (and -shadow-model) atomically; a corrupt file leaves the
+// previous model serving. -shadow-model scores a challenger over the
+// same rows into counters only, and a model saved with a training
+// baseline exports per-feature drift. -cluster-config/-instance-id make
+// the daemon one member of a consistent-hash fleet that covers every
+// client exactly once; -snapshot/-restore carry the serving state
+// across a restart or a hand-off (snapshot.go). SIGINT/SIGTERM stops
+// the source, drains open relays, flushes the sessionizers and prints
+// per-client QoE estimates.
 package main
 
 import (
@@ -96,8 +54,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -110,7 +66,6 @@ import (
 	"droppackets/internal/cluster"
 	"droppackets/internal/core"
 	"droppackets/internal/ingest"
-	"droppackets/internal/intern"
 	"droppackets/internal/metrics"
 	"droppackets/internal/qoe"
 	"droppackets/internal/serve"
@@ -148,7 +103,6 @@ func registerFlags(fs *flag.FlagSet, opts *options) {
 	fs.IntVar(&opts.shards, "shards", 0, "lock shards for per-client state; ingest for clients on different shards never contends (0 = GOMAXPROCS)")
 	fs.StringVar(&opts.source, "source", "proxy", "primary telemetry source: proxy|squid|pcap|netflow|replay (docs/INGEST.md)")
 	fs.StringVar(&opts.input, "input", "", "input file for a non-proxy -source: Squid access log, pcap trace, flow CSV or workload CSV")
-	fs.Float64Var(&opts.ingestSpeed, "ingest-speed", 0, "time-compression factor for file sources: 1 = recorded pace, 0 = as fast as possible")
 	fs.IntVar(&opts.ingestWorkers, "ingest-workers", 1, "delivery goroutines for batch file sources (clients hash-partitioned; per-client order preserved)")
 	fs.Float64Var(&opts.ingestEpoch, "ingest-epoch", -1, "Unix time mapped to offset 0 for squid/pcap sources (-1 = first event's time)")
 	fs.DurationVar(&opts.ingestHorizon, "ingest-horizon", 5*time.Minute, "reordering slack for -source=squid: entries are released once the log's end-time watermark is this far past them")
@@ -175,7 +129,6 @@ type options struct {
 	shards                        int
 	classifyBatch                 int
 	source, input                 string
-	ingestSpeed                   float64
 	ingestWorkers                 int
 	ingestEpoch                   float64
 	ingestHorizon                 time.Duration
@@ -242,7 +195,7 @@ func openAppend(path string) (f *os.File, wasEmpty bool, err error) {
 }
 
 // service is the running daemon: proxy plus sessionizers, estimator,
-// metrics and log sinks. Per-client state lives in lock shards so
+// metrics and log sinks. Per-client state lives in serve.Shards, so
 // concurrent connections only contend when their clients hash
 // together; everything outside the shards is either immutable after
 // startup, atomic, guarded by its own mutex (each sink's pending chunk)
@@ -256,11 +209,6 @@ type service struct {
 	// Loads it exactly once per pass, so a sweep never mixes two models.
 	// Nil when no -model is configured.
 	model atomic.Pointer[servingModel]
-	// pendingEst/pendingShadow hold the startup estimators between
-	// newService and registerMetrics, which builds the first bundle (the
-	// cached prediction-counter handles need the registry).
-	pendingEst    *core.Estimator
-	pendingShadow *core.Estimator
 	// reloadMu serializes reloads (SIGHUP racing /admin/reload); the
 	// serving path never takes it.
 	reloadMu sync.Mutex
@@ -269,7 +217,7 @@ type service struct {
 	// ingest path, in epoch seconds (float bits, CAS-max). For file and
 	// replay sources it is the sweep clock: record timestamps are
 	// logical, so comparing them against the wall clock would evict
-	// clients mid-session at -ingest-speed 100 and never at 0.01.
+	// clients mid-session or never, depending on the ingest pace.
 	watermark atomic.Uint64
 	// logicalClock selects the watermark (true: file/replay sources)
 	// over wall time (false: live proxy) as the sweep clock.
@@ -312,25 +260,25 @@ type service struct {
 	ring       *cluster.Ring
 	instanceID string
 
-	// shards partition the per-client state by FNV hash of the client
-	// host. Immutable after newService.
-	shards []*shard
-	// workers is the classify tick's fan-out across shards,
-	// min(GOMAXPROCS, shards) at newService.
-	workers int
+	// shards hold every client's serving state. Immutable after
+	// newService.
+	shards *serve.Shards
 
 	// byClass counts resident clients by current verdict, moved where a
 	// class is stored, restored or evicted — never by walking the
 	// clients — behind qoeproxy_sessions_by_class.
 	byClass [qoe.NumCategories]atomic.Int64
 
-	// pass is the classification pass in progress and classifyShardFn its
-	// per-shard half bound once, so a pass that scores nothing allocates
-	// nothing; cLines is the pass's log-line scratch. classifyPass only,
-	// one call at a time.
-	pass            classifyRun
-	classifyShardFn func(worker, si int)
-	cLines          []serve.Change
+	// passModel is the pass in progress's bundle, scorePassFn its
+	// scoring half bound once so a pass allocates nothing, cLines the
+	// pass's changes; probs and shadow are each classify worker's
+	// inference scratch (a block's probabilities, the challenger's
+	// classes).
+	passModel   *servingModel
+	scorePassFn serve.Score
+	cLines      []serve.Change
+	probs       [][]float64
+	shadow      [][]int
 
 	mTxns          *metrics.Counter
 	mBoundaries    *metrics.Counter
@@ -348,48 +296,11 @@ type service struct {
 	mTruncated     *metrics.Counter
 	mSinkFailures  *metrics.Counter
 	mEvicted       *metrics.Counter
-	mContention    *metrics.Counter
 	mSkipped       *metrics.Counter
 
 	out   *sink
 	squid *sink
 	sinks sinkWriter
-}
-
-// shard owns one partition of the per-client state: its mutex guards
-// the Core, and with it every client of the partition.
-type shard struct {
-	mu   sync.Mutex
-	core *serve.Core
-
-	// Sweep scratch, reused across passes. During one pass exactly one
-	// worker visits each shard (forEachShard hands out shard indices
-	// exclusively), so these need no lock of their own: the gather fills
-	// sw.block under mu, the sweep reads it after release. Between
-	// passes, on the tick goroutine, finalVerdicts borrows shard 0's sw;
-	// nothing else ever touches them.
-	sw        sweepScratch // gathered (dirty) rows
-	cClasses  []int
-	cShadow   []int // challenger classes over the same rows (-shadow-model)
-	cResident int   // clients resident at the gather
-}
-
-// sweepScratch is one row block and the probability scratch that
-// scores it (sweepBlock).
-type sweepScratch struct {
-	block []float64 // row-major, rows x stride
-	rows  int
-	probs []float64
-}
-
-// classifyRun is the state one classification pass shares with its
-// shard workers.
-type classifyRun struct {
-	m                      *servingModel
-	cutoff                 float64
-	buildNanos, sweepNanos atomic.Int64
-	errMu                  sync.Mutex
-	err                    error
 }
 
 // recordSweepsPerTTL is how many eviction sweeps a file source gets per
@@ -403,27 +314,21 @@ const recordSweepsPerTTL = 8
 // probability scratch stays in cache.
 const defaultClassifyBatch = 256
 
-// newService assembles the daemon state around the given options,
-// normalising the concurrency knobs.
-// The caller attaches the proxy (proxy mode) and calls registerMetrics
-// before serving traffic.
-func newService(opts options, logger *slog.Logger, est *core.Estimator) *service {
+// newService assembles the daemon state around the given options. The
+// caller attaches the source, calls registerMetrics and stores the
+// first serving bundle (buildModel) before serving traffic.
+func newService(opts options, logger *slog.Logger) *service {
 	if opts.classifyBatch <= 0 {
 		opts.classifyBatch = defaultClassifyBatch
 	}
-	if opts.shards <= 0 {
-		opts.shards = runtime.GOMAXPROCS(0)
-	}
 	s := &service{
-		opts:       opts,
-		workers:    min(runtime.GOMAXPROCS(0), opts.shards),
-		log:        logger,
-		pendingEst: est,
-		epoch:      time.Now(),
-		debugLog:   logger.Enabled(context.Background(), slog.LevelDebug),
+		opts:     opts,
+		log:      logger,
+		epoch:    time.Now(),
+		debugLog: logger.Enabled(context.Background(), slog.LevelDebug),
 	}
 	s.batchPool.New = func() any { return &batchScratch{} }
-	s.classifyShardFn = s.classifyShard
+	s.scorePassFn = s.scorePass
 	s.logicalClock = opts.source != "" && opts.source != "proxy"
 	s.sweepDue.Store(math.Float64bits(math.Inf(1)))
 	if s.logicalClock && opts.classifyEvery > 0 && opts.clientTTL > 0 {
@@ -441,10 +346,8 @@ func newService(opts options, logger *slog.Logger, est *core.Estimator) *service
 		},
 		Truncated: func() { s.mTruncated.Inc() },
 	}
-	s.shards = make([]*shard, opts.shards)
-	for i := range s.shards {
-		s.shards[i] = &shard{core: serve.New(opts.maxSessionTxns, hooks)}
-	}
+	s.shards = serve.NewShards(opts.shards, opts.maxSessionTxns, hooks)
+	s.probs, s.shadow = make([][]float64, s.shards.Workers()), make([][]int, s.shards.Workers())
 	return s
 }
 
@@ -547,12 +450,12 @@ func validateShadow(primary, shadow *core.Estimator) error {
 	return nil
 }
 
-// buildModel assembles a serving bundle around freshly loaded
-// estimators. Called with the registry's vec families already
-// registered (registerMetrics for the first bundle, reloadModel after).
-func (s *service) buildModel(est, shadow *core.Estimator) (*servingModel, error) {
+// buildModel assembles a serving bundle around freshly loaded,
+// validated estimators (nil without a primary), once registerMetrics
+// has registered the vec families its counter handles come from.
+func (s *service) buildModel(est, shadow *core.Estimator) *servingModel {
 	if est == nil {
-		return nil, nil
+		return nil
 	}
 	m := &servingModel{
 		est:      est,
@@ -564,14 +467,11 @@ func (s *service) buildModel(est, shadow *core.Estimator) (*servingModel, error)
 	for i, n := range m.names {
 		m.predClass[i] = s.mPred.WithLabel(n)
 	}
-	m.rowBuilders = make([]*core.RowBuilder, s.workers)
+	m.rowBuilders = make([]*core.RowBuilder, s.shards.Workers())
 	for i := range m.rowBuilders {
 		m.rowBuilders[i] = est.NewRowBuilder()
 	}
 	if shadow != nil {
-		if err := validateShadow(est, shadow); err != nil {
-			return nil, err
-		}
 		nc := est.NumClasses()
 		ss := &shadowState{est: shadow, confusion: make([]*metrics.LabeledCounter, nc*nc)}
 		for p := 0; p < nc; p++ {
@@ -584,7 +484,7 @@ func (s *service) buildModel(est, shadow *core.Estimator) (*servingModel, error)
 	if means, stds := est.Baseline(); means != nil {
 		m.drift = newDriftTracker(est.FeatureNames(), means, stds)
 	}
-	return m, nil
+	return m
 }
 
 // loadEstimatorFile opens and loads one saved model file.
@@ -614,11 +514,9 @@ func (s *service) reloadModel() (string, error) {
 	est, err := loadEstimatorFile(s.opts.modelPath)
 	var shadow *core.Estimator
 	if err == nil && s.opts.shadowPath != "" {
-		shadow, err = loadEstimatorFile(s.opts.shadowPath)
-	}
-	var m *servingModel
-	if err == nil {
-		m, err = s.buildModel(est, shadow)
+		if shadow, err = loadEstimatorFile(s.opts.shadowPath); err == nil {
+			err = validateShadow(est, shadow)
+		}
 	}
 	if err != nil {
 		s.mReloadError.Inc()
@@ -626,6 +524,7 @@ func (s *service) reloadModel() (string, error) {
 			"model", s.opts.modelPath, "err", err)
 		return "error", err
 	}
+	m := s.buildModel(est, shadow)
 	s.model.Store(m)
 	s.mReloadOK.Inc()
 	s.log.Info("model reloaded", "model", s.opts.modelPath,
@@ -650,36 +549,14 @@ func (s *service) noteEventTime(t float64) {
 
 // sweepNow converts a tick's wall time to the sweep clock in epoch
 // seconds: the ingest watermark for file and replay sources (whose
-// record timestamps are logical and scaled by -ingest-speed, so the
-// -window cutoff and -client-ttl comparisons must use the records' own
-// timescale), wall time for the live proxy.
+// record timestamps are logical, so the -window cutoff and -client-ttl
+// comparisons must use the records' own timescale), wall time for the
+// live proxy.
 func (s *service) sweepNow(now time.Time) float64 {
 	if s.logicalClock {
 		return math.Float64frombits(s.watermark.Load())
 	}
 	return now.Sub(s.epoch).Seconds()
-}
-
-// shardIndex hashes a client host onto a shard with FNV-1a — no
-// allocation, stable across runs so tests can pin placements.
-func shardIndex(client string, n int) int {
-	return int(intern.Hash(client) % uint32(n))
-}
-
-// shardFor returns the shard owning a client's state.
-func (s *service) shardFor(client string) *shard {
-	return s.shards[shardIndex(client, len(s.shards))]
-}
-
-// lockIngest takes a shard's lock from the ingest path, counting
-// acquisitions that had to wait in qoeproxy_ingest_contention_total —
-// the signal that -shards needs raising.
-func (s *service) lockIngest(sh *shard) {
-	if sh.mu.TryLock() {
-		return
-	}
-	s.mContention.Inc()
-	sh.mu.Lock()
 }
 
 // run wires the service together and blocks until SIGINT/SIGTERM or a
@@ -758,8 +635,7 @@ func run(opts options) error {
 			return fmt.Errorf("-shadow-model: %w", err)
 		}
 	}
-	s := newService(opts, logger, est)
-	s.pendingShadow = shadowEst
+	s := newService(opts, logger)
 	defer s.stopSinkWriter()
 	if ring != nil {
 		s.ring, s.instanceID = ring, opts.instanceID
@@ -768,11 +644,12 @@ func run(opts options) error {
 			"partitions_owned", ring.Partitions(opts.instanceID),
 			"partitions_total", ring.TotalPartitions())
 	}
-	// Restore precedes every source and sink construction: the adopted
-	// epoch must be in place before any component derives offsets from
-	// it, and the restored shards before any record commits.
+	// Sources and sinks derive offsets from the snapshot's epoch; its
+	// clients wait for the first serving bundle, which vets their
+	// verdicts, and still restore before any record commits.
+	var snap *savedSnapshot
 	if opts.restorePath != "" {
-		s.restoreFromFile(opts.restorePath)
+		snap = s.readSnapshot(opts.restorePath)
 	}
 	if opts.outPath != "" {
 		f, empty, err := openAppend(opts.outPath)
@@ -801,6 +678,7 @@ func run(opts options) error {
 	// traffic; file sources feed the same callbacks from disk.
 	var src ingest.TransactionSource
 	var ps *ingest.ProxySource
+	var err error
 	switch source {
 	case "proxy":
 		resolver, err := loadResolver(opts.resolve, opts.upstream)
@@ -829,26 +707,21 @@ func run(opts options) error {
 			Follow:    opts.follow,
 		}
 	case "pcap":
-		bs, err := ingest.NewPcapSource(opts.input, s.epoch, opts.ingestEpoch, opts.ingestSpeed, opts.ingestWorkers)
-		if err != nil {
-			return err
-		}
-		src = bs
+		src, err = ingest.NewPcapSource(opts.input, s.epoch, opts.ingestEpoch, 0, opts.ingestWorkers)
 	case "netflow":
-		bs, err := ingest.NewNetflowSource(opts.input, s.epoch, opts.ingestSpeed, opts.ingestWorkers)
-		if err != nil {
-			return err
-		}
-		src = bs
+		src, err = ingest.NewNetflowSource(opts.input, s.epoch, 0, opts.ingestWorkers)
 	case "replay":
-		bs, err := ingest.NewReplaySource(opts.input, s.epoch, opts.ingestSpeed, opts.ingestWorkers)
-		if err != nil {
-			return err
-		}
-		src = bs
+		src, err = ingest.NewReplaySource(opts.input, s.epoch, 0, opts.ingestWorkers)
+	}
+	if err != nil {
+		return err
 	}
 	s.src = src
 	s.registerMetrics()
+	s.model.Store(s.buildModel(est, shadowEst))
+	if snap != nil {
+		s.restoreSnapshot(opts.restorePath, snap)
+	}
 
 	// Outputs validated, model loaded: now bind. -metrics binds here too,
 	// before the source runs: a file source that had already ingested
@@ -935,11 +808,11 @@ func run(opts options) error {
 // SIGHUP model reloads and shutdown signals. Ticks are converted to the
 // sweep clock (wall or ingest watermark) before classifyPass/evictIdle
 // see them; a sweep request runs evictIdle alone, on this goroutine too,
-// so sweeps and passes never overlap. Both
-// exits — source death and a signal — stop the source, then the
-// metrics endpoint, before draining the sessionizers, so no ingest
-// follows the drain and pending decisions and the shutdown summary are
-// never lost to a crash-landing listener.
+// so sweeps and passes never overlap. Both exits — source death and a
+// signal — stop the source, then the metrics endpoint, before draining
+// the sessionizers, so no ingest follows the drain and pending
+// decisions and the shutdown summary are never lost to a crash-landing
+// listener.
 func (s *service) serveLoop(errCh <-chan error, tick <-chan time.Time, sig <-chan os.Signal, stopSource, stopHTTP func()) error {
 	for {
 		select {
@@ -1109,8 +982,8 @@ func (s *service) registerMetrics() {
 		"Write calls issued to -out/-squid-log, one per chunk of lines.", s.sinks.writes.Load)
 	s.mEvicted = r.NewCounter("qoeproxy_clients_evicted_total",
 		"Clients evicted after -client-ttl of idleness, final classification emitted.")
-	s.mContention = r.NewCounter("qoeproxy_ingest_contention_total",
-		"Ingest lock acquisitions that found their shard already held; a rising rate means -shards is too low.")
+	r.NewCounterFunc("qoeproxy_ingest_contention_total",
+		"Ingest lock acquisitions that found their shard already held; a rising rate means -shards is too low.", s.shards.Contention)
 	// Fleet-operation series: the instance identity, the partitions this
 	// member owns (summed across members they equal the ring total, so
 	// coverage is verifiable from scrapes alone) and the records skipped
@@ -1172,19 +1045,9 @@ func (s *service) registerMetrics() {
 			"Bytes relayed server to client.", func() int64 { return p.Stats().RelayedDownBytes })
 	}
 	r.NewGaugeFunc("qoeproxy_active_sessions",
-		"Clients with transactions in their current (ongoing) session.", func() float64 {
-			n := 0
-			for _, sh := range s.shards {
-				sh.mu.Lock()
-				n += sh.core.Active()
-				sh.mu.Unlock()
-			}
-			return float64(n)
-		})
+		"Clients with transactions in their current (ongoing) session.", func() float64 { return float64(s.shards.Active()) })
 	r.NewGaugeFunc("qoeproxy_clients",
-		"Distinct client addresses seen.", func() float64 {
-			return float64(s.clientCount())
-		})
+		"Distinct client addresses seen.", func() float64 { return float64(s.shards.Len()) })
 	r.NewGaugeFunc("qoeproxy_uptime_seconds",
 		"Seconds since the proxy started.", func() float64 { return time.Since(s.epoch).Seconds() })
 	// Runtime memory and scheduler health, for correlating classify-tick
@@ -1202,92 +1065,49 @@ func (s *service) registerMetrics() {
 		"Bytes in in-use heap spans.", func() float64 { return float64(mem.read().HeapInuse) })
 	r.NewGaugeFunc("qoeproxy_goroutines",
 		"Live goroutines.", func() float64 { return float64(runtime.NumGoroutine()) })
-
-	// The first serving bundle installs here rather than in newService:
-	// the cached prediction/confusion handles need the registry. run()
-	// validates the estimator pair before newService, so a build failure
-	// can only mean a caller wired an incompatible pair directly — serve
-	// the primary alone rather than die.
-	m, err := s.buildModel(s.pendingEst, s.pendingShadow)
-	if err != nil {
-		s.log.Error("shadow model incompatible; serving without it", "err", err)
-		m, _ = s.buildModel(s.pendingEst, nil)
-	}
-	s.model.Store(m)
 }
 
 // httpHandler serves /metrics, /healthz and the loopback-only admin
-// plane (/admin/reload).
+// plane (/admin/reload, /admin/snapshot).
 func (s *service) httpHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", s.reg.Handler())
-	mux.HandleFunc("/admin/reload", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+	mux.HandleFunc("/admin/reload", admin("reload", func(w http.ResponseWriter) {
+		result, err := s.reloadModel()
+		if err != nil {
+			writeJSON(w, http.StatusUnprocessableEntity, map[string]any{"result": result, "error": err.Error()})
 			return
 		}
-		// Authenticated by locality: -metrics may be bound wide for
-		// scrapers, but mutating the serving model is reserved for
-		// operators on the box itself.
-		host, _, err := net.SplitHostPort(r.RemoteAddr)
-		if err != nil || !isLoopbackHost(host) {
-			http.Error(w, "reload is loopback-only", http.StatusForbidden)
-			return
-		}
-		result, rerr := s.reloadModel()
-		status := http.StatusOK
-		body := map[string]any{"result": result}
-		if rerr != nil {
-			status = http.StatusUnprocessableEntity
-			body["error"] = rerr.Error()
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		json.NewEncoder(w).Encode(body)
-	})
-	mux.HandleFunc("/admin/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		// Loopback-only like /admin/reload: serializing the serving state
-		// to disk is an operator action, not a scraper's.
-		host, _, err := net.SplitHostPort(r.RemoteAddr)
-		if err != nil || !isLoopbackHost(host) {
-			http.Error(w, "snapshot is loopback-only", http.StatusForbidden)
-			return
-		}
-		if s.opts.snapshotPath == "" {
+		writeJSON(w, http.StatusOK, map[string]any{"result": result})
+	}))
+	mux.HandleFunc("/admin/snapshot", admin("snapshot", func(w http.ResponseWriter) {
+		path := s.opts.snapshotPath
+		if path == "" {
 			http.Error(w, "no -snapshot path configured", http.StatusUnprocessableEntity)
 			return
 		}
-		clients, werr := s.writeSnapshotFile(s.opts.snapshotPath)
-		status := http.StatusOK
-		body := map[string]any{"path": s.opts.snapshotPath, "clients": clients}
-		if werr != nil {
-			status = http.StatusInternalServerError
-			body = map[string]any{"error": werr.Error()}
-		} else {
-			s.log.Info("state snapshot written", "path", s.opts.snapshotPath, "clients", clients, "trigger", "admin")
+		clients, err := s.writeSnapshotFile(path)
+		if err != nil {
+			writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
+			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		json.NewEncoder(w).Encode(body)
-	})
+		s.log.Info("state snapshot written", "path", path, "clients", clients, "trigger", "admin")
+		writeJSON(w, http.StatusOK, map[string]any{"path": path, "clients": clients})
+	}))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		st := s.proxyStats()
-		clients := s.clientCount()
-		degraded := s.sinksDegraded()
+		var st tlsproxy.Stats // all zero for file sources, which have no relay
+		if s.proxy != nil {
+			st = s.proxy.Stats()
+		}
 		status := "ok"
-		if degraded {
+		if s.sinksDegraded() {
 			status = "degraded"
 		}
 		partitions := 0
 		if s.ring != nil {
 			partitions = s.ring.Partitions(s.instanceID)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{
+		writeJSON(w, http.StatusOK, map[string]any{
 			"status":              status,
 			"instance":            s.instanceID,
 			"partitions_owned":    partitions,
@@ -1295,7 +1115,7 @@ func (s *service) httpHandler() http.Handler {
 			"uptime_seconds":      time.Since(s.epoch).Seconds(),
 			"active_connections":  st.ActiveConnections,
 			"total_connections":   st.TotalConnections,
-			"clients":             clients,
+			"clients":             s.shards.Len(),
 			"clients_evicted":     s.mEvicted.Value(),
 			"sink_write_failures": s.mSinkFailures.Value(),
 		})
@@ -1303,31 +1123,30 @@ func (s *service) httpHandler() http.Handler {
 	return mux
 }
 
-// proxyStats reads the relay's counters; all zero for file sources,
-// which have no relay.
-func (s *service) proxyStats() tlsproxy.Stats {
-	if s.proxy == nil {
-		return tlsproxy.Stats{}
+// admin wraps an admin endpoint: POST only, and authenticated by
+// locality — -metrics may be bound wide for scrapers, but reloading the
+// model or writing the serving state is reserved for operators on the
+// box itself (IPv4 127/8, IPv6 ::1).
+func admin(name string, serve func(w http.ResponseWriter)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+			return
+		}
+		host, _, err := net.SplitHostPort(r.RemoteAddr)
+		if ip := net.ParseIP(host); err != nil || ip == nil || !ip.IsLoopback() {
+			http.Error(w, name+" is loopback-only", http.StatusForbidden)
+			return
+		}
+		serve(w)
 	}
-	return s.proxy.Stats()
 }
 
-// isLoopbackHost reports whether an address host is loopback (IPv4
-// 127/8, IPv6 ::1).
-func isLoopbackHost(host string) bool {
-	ip := net.ParseIP(host)
-	return ip != nil && ip.IsLoopback()
-}
-
-// clientCount sums the distinct clients across all shards.
-func (s *service) clientCount() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += sh.core.Len()
-		sh.mu.Unlock()
-	}
-	return n
+// writeJSON writes body as a JSON response with the given status.
+func writeJSON(w http.ResponseWriter, status int, body map[string]any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(body)
 }
 
 // owns reports whether this instance serves a client: always true for
@@ -1349,10 +1168,7 @@ func (s *service) onConnOpen(r tlsproxy.Record) {
 	if !s.owns(client) {
 		return // counted once per record in the transaction callbacks
 	}
-	sh := s.shardFor(client)
-	s.lockIngest(sh)
-	sh.core.Open(client, r.ConnID, start)
-	sh.mu.Unlock()
+	s.shards.Open(client, r.ConnID, start)
 }
 
 // appendOutLine renders one CSV sink record onto dst, matching the
@@ -1372,22 +1188,13 @@ func appendOutLine(dst []byte, client string, txn capture.TLSTransaction) []byte
 	return append(dst, '\n')
 }
 
-// txnCommit is one record's phase-two work in a batched delivery: the
-// state mutation that must run under the client's shard lock.
-type txnCommit struct {
-	si     int
-	connID uint64
-	client string
-	txn    capture.TLSTransaction
-}
-
 // batchScratch is the reusable per-call scratch of the transaction
 // ingest path, pooled so steady state allocates nothing: a call's sink
 // lines are built here, one buffer per sink, and copied into the sinks'
 // pending chunks.
 type batchScratch struct {
 	out, squid []byte
-	commits    []txnCommit
+	commits    []serve.Completed
 }
 
 // debugTransaction logs per-transaction detail; the caller guards with
@@ -1403,13 +1210,11 @@ func (s *service) debugTransaction(r tlsproxy.Record, client string) {
 // phases. Phase one walks the batch in delivery order with no shard
 // lock held: record conversion, counters, sink lines (built in pooled
 // buffers and appended to each sink's pending chunk in one call per
-// batch, which writes the chunk once full — order is preserved because
-// one source goroutine delivers all of a client's records, and the
-// sink's mutex orders appends and writes), debug logs. Phase two
-// commits per-client state grouped by shard, taking each shard's lock
-// once per batch instead of once per record; within a shard, commits
-// apply in delivery order. A one-record batch (all the
-// live proxy ever delivers) is the record-at-a-time case.
+// batch; one source goroutine delivers all of a client's records, and
+// the sink's mutex orders appends and writes), debug logs. Phase two
+// commits the batch (serve.Shards.Commit), advancing the ingest
+// watermark to each record's end under its shard's lock, just before
+// the record commits. The live proxy delivers one-record batches.
 func (s *service) onTransactionBatch(recs []tlsproxy.Record) {
 	sc := s.batchPool.Get().(*batchScratch)
 	commits := sc.commits[:0]
@@ -1433,12 +1238,7 @@ func (s *service) onTransactionBatch(recs []tlsproxy.Record) {
 		if s.debugLog {
 			s.debugTransaction(r, client)
 		}
-		commits = append(commits, txnCommit{
-			si:     shardIndex(client, len(s.shards)),
-			connID: r.ConnID,
-			client: client,
-			txn:    txn,
-		})
+		commits = append(commits, serve.Completed{Client: client, ConnID: r.ConnID, Txn: txn})
 	}
 	if len(out) > 0 {
 		s.appendSink(s.out, out)
@@ -1446,27 +1246,7 @@ func (s *service) onTransactionBatch(recs []tlsproxy.Record) {
 	if len(squid) > 0 {
 		s.appendSink(s.squid, squid)
 	}
-	done := 0
-	for si := 0; si < len(s.shards) && done < len(commits); si++ {
-		sh := s.shards[si]
-		locked := false
-		for ci := range commits {
-			c := &commits[ci]
-			if c.si != si {
-				continue
-			}
-			if !locked {
-				s.lockIngest(sh)
-				locked = true
-			}
-			s.noteEventTime(c.txn.End)
-			sh.core.Commit(c.client, c.connID, c.txn)
-			done++
-		}
-		if locked {
-			sh.mu.Unlock()
-		}
-	}
+	s.shards.Commit(commits, s.noteEventTime)
 	sc.out, sc.squid, sc.commits = out, squid, commits
 	s.batchPool.Put(sc)
 	s.requestSweep()
@@ -1485,263 +1265,145 @@ func (s *service) requestSweep() {
 	}
 }
 
-// forEachShard runs fn(worker, shardIndex) for every shard, fanning
-// across the s.workers pool. Worker indices are stable and
-// exclusive within one call, so fn may use per-worker scratch (the
-// rowBuilders). With one worker it runs inline, shards in order.
-func (s *service) forEachShard(fn func(worker, si int)) {
-	if s.workers <= 1 {
-		for si := range s.shards {
-			fn(0, si)
-		}
-		return
+// cutoff is a pass's -window cutoff at sweep clock nowSec: rows cover
+// the transactions ending at or after it (-Inf: the whole session).
+func (s *service) cutoff(nowSec float64) float64 {
+	if s.opts.window > 0 {
+		return nowSec - s.opts.window.Seconds()
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < s.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for si := range idx {
-				fn(w, si)
-			}
-		}(w)
-	}
-	for si := range s.shards {
-		idx <- si
-	}
-	close(idx)
-	wg.Wait()
+	return math.Inf(-1)
 }
 
-// classifyPass brings every client's online verdict up to date,
-// updating prediction counters, the latency histograms and the
-// structured log. nowSec is the sweep clock in epoch seconds (see
-// sweepNow). A pass costs what changed, not what is resident: each
-// shard's Core gathers only its dirty clients (serve.Core.Gather says
-// what makes one dirty) and a clean client costs one map step. The
-// pass fans out across shards on the classify-worker pool: each
-// shard's dirty rows are gathered into one contiguous row-major block
-// under that shard's lock only — ingest on other shards never stalls —
-// and then swept through the compiled scorer's batched predictor
-// outside the lock (classifyShard). The classes are then stored shard
-// by shard, one lock acquisition each, and a "classification" line is
-// logged for a client's first verdict and for a change of class only,
-// sorted by client; steady state is qoeproxy_sessions_by_class. Logs, counters and stored classes are
-// identical at every (shards, workers, block size) setting. Safe to
-// call concurrently with traffic, not with itself.
-//
-// The serving bundle is Loaded exactly once, up front: a reload landing
-// mid-pass takes effect at the next pass, never inside one. When the
-// bundle carries a shadow challenger, the gathered rows are additionally
-// swept through it and compared row-for-row — counters only, nothing in
-// the primary's output changes. When it carries a drift tracker, the
-// gathered rows are folded into the per-feature running stats. Both see
-// the rows scored in the pass, which is the clients whose state changed.
+// classifyPass brings every client's online verdict up to date at sweep
+// clock nowSec (see sweepNow). serve.Shards.Pass gathers only the dirty
+// clients (serve.Core.Gather), one shard lock at a time, and scores them
+// with scorePass outside the lock. A "classification" line is logged
+// for a client's first verdict and for a change of class only, in
+// client order; steady state is qoeproxy_sessions_by_class. Logs,
+// counters and stored classes are identical at every (shards, workers,
+// block size) setting. Safe to call concurrently with traffic, not with
+// itself. The bundle is Loaded once, so a reload takes effect at the
+// next pass, never inside one.
 func (s *service) classifyPass(nowSec float64) {
 	m := s.model.Load()
 	if m == nil {
 		return
 	}
-	p := &s.pass
-	p.m, p.cutoff, p.err = m, math.Inf(-1), nil // -window 0: no cutoff
-	if s.opts.window > 0 {
-		p.cutoff = nowSec - s.opts.window.Seconds()
+	s.passModel = m
+	lines, st, err := s.shards.Pass(m.stamp, s.cutoff(nowSec), m.rowBuilders, s.scorePassFn, s.cLines[:0])
+	s.passModel = nil
+	for _, d := range st.Shard {
+		s.mShardClassify.Observe(d.Seconds())
 	}
-	p.buildNanos.Store(0)
-	p.sweepNanos.Store(0)
-	s.forEachShard(s.classifyShardFn)
-
-	resident, shadowOK := 0, m.shadow != nil
-	for _, sh := range s.shards {
-		resident += sh.cResident
-		if len(sh.cShadow) != sh.sw.rows {
-			shadowOK = false // a shard's shadow sweep failed; skip comparison
-		}
-	}
-	if resident == 0 {
+	if st.Resident == 0 {
 		return
 	}
-	s.mExtract.Observe(time.Duration(p.buildNanos.Load()).Seconds())
-	s.mInfer.Observe(time.Duration(p.sweepNanos.Load()).Seconds())
-	if p.err != nil {
+	s.mExtract.Observe(st.Gather.Seconds())
+	s.mInfer.Observe(st.Score.Seconds())
+	if err != nil {
 		s.mClassErrors.Inc()
-		s.log.Error("classification failed", "err", p.err)
-		for _, sh := range s.shards {
-			sh.mu.Lock()
-			sh.core.Discard()
-			sh.mu.Unlock()
-		}
+		s.log.Error("classification failed", "err", err)
 		return
 	}
 	// The pass completed: it counts as a run even when every client was
 	// clean and nothing was scored.
 	s.mRuns.Inc()
-	lines := s.cLines[:0]
-	nc := m.est.NumClasses()
-	var scored [qoe.NumCategories]int64
-	for _, sh := range s.shards {
-		if sh.sw.rows == 0 {
-			continue
-		}
-		for i, class := range sh.cClasses {
-			scored[class]++
-			// Champion/challenger comparison: order-independent counter bumps.
-			if shadowOK {
-				if c := sh.cShadow[i]; c != class {
-					s.mShadowDis.Inc()
-					m.shadow.confusion[class*nc+c].Inc()
-				}
-			}
-		}
-		n := len(lines)
-		sh.mu.Lock()
-		lines = sh.core.Store(sh.cClasses, lines)
-		sh.mu.Unlock()
-		for _, l := range lines[n:] {
-			if l.Prev >= 0 {
-				s.byClass[l.Prev].Add(-1)
-			}
-			s.byClass[l.Class].Add(1)
-		}
-	}
-	for class, n := range scored {
-		m.predClass[class].Add(n)
-	}
-	slices.SortFunc(lines, func(a, b serve.Change) int { return strings.Compare(a.Client, b.Client) })
 	for _, l := range lines {
-		if l.Prev < 0 {
-			s.log.Info("classification", "client", l.Client, "class", m.names[l.Class], "transactions", l.Txns)
-		} else {
+		if l.Prev >= 0 {
+			s.byClass[l.Prev].Add(-1)
 			s.log.Info("classification", "client", l.Client, "class", m.names[l.Class], "transactions", l.Txns,
 				"previous", m.names[l.Prev])
+		} else {
+			s.log.Info("classification", "client", l.Client, "class", m.names[l.Class], "transactions", l.Txns)
 		}
+		s.byClass[l.Class].Add(1)
 	}
 	clear(lines)
 	s.cLines = lines[:0]
 }
 
-// classifyShard is one shard's half of the pass in s.pass: gather the
-// dirty clients' rows under the shard lock, then sweep the block through
-// the primary (and the challenger, and the drift tracker) outside it, so
-// ingest can proceed while inference runs.
-func (s *service) classifyShard(worker, si int) {
-	p := &s.pass
-	m := p.m
-	sh := s.shards[si]
-	t0 := time.Now()
-	sh.mu.Lock()
-	sh.cResident = sh.core.Len()
-	sh.sw.block, sh.sw.rows = sh.core.Gather(m.stamp, p.cutoff, m.rowBuilders[worker], sh.sw.block[:0])
-	sh.mu.Unlock()
-	build := time.Since(t0)
-	p.buildNanos.Add(int64(build))
-
-	t1 := time.Now()
-	var err error
-	sh.cClasses, err = s.sweepBlock(m.est, &sh.sw, sh.cClasses)
-	// The challenger sweeps the same rows after the primary; its only
-	// output is counters, so a shadow failure never fails the pass.
-	sh.cShadow = sh.cShadow[:0]
-	if m.shadow != nil && err == nil {
-		var serr error
-		if sh.cShadow, serr = s.sweepBlock(m.shadow.est, &sh.sw, sh.cShadow); serr != nil {
-			s.log.Error("shadow classification failed", "err", serr)
-			sh.cShadow = sh.cShadow[:0]
-		}
-	}
-	if m.drift != nil && err == nil {
-		m.drift.observeBlock(sh.sw.block, sh.sw.rows, m.est.NumFeatures())
-	}
-	sweep := time.Since(t1)
-	p.sweepNanos.Add(int64(sweep))
-	s.mShardClassify.Observe((build + sweep).Seconds())
+// scorePass is the pass's serve.Score: it sweeps one shard's rows
+// through s.passModel's primary and counts them by class; a challenger
+// re-sweeps them into the disagreement counters only, and a drift
+// tracker folds them in. Counting shard by shard is exact because a
+// sweep fails for an untrained estimator, never for a row's values:
+// when one shard's fails every shard's does, and the pass counts none.
+func (s *service) scorePass(w int, block []float64, rows int, dst []int) ([]int, error) {
+	m := s.passModel
+	classes, err := s.classifyRows(m.est, block, rows, &s.probs[w], dst)
 	if err != nil {
-		p.errMu.Lock()
-		if p.err == nil {
-			p.err = err
+		return classes, err
+	}
+	var scored [qoe.NumCategories]int64
+	for _, class := range classes {
+		scored[class]++
+	}
+	for class, n := range scored {
+		m.predClass[class].Add(n)
+	}
+	if m.shadow != nil {
+		if s.shadow[w], err = s.classifyRows(m.shadow.est, block, rows, &s.probs[w], s.shadow[w]); err != nil {
+			s.log.Error("shadow classification failed", "err", err)
+		} else {
+			nc := m.est.NumClasses()
+			for i, class := range classes {
+				if c := s.shadow[w][i]; c != class {
+					s.mShadowDis.Inc()
+					m.shadow.confusion[class*nc+c].Inc()
+				}
+			}
 		}
-		p.errMu.Unlock()
+	}
+	if m.drift != nil {
+		m.drift.observeBlock(block, rows, m.est.NumFeatures())
+	}
+	return classes, nil
+}
+
+// finalScore returns the row builders and serve.Score that score
+// retired clients' final verdicts under bundle m — the primary alone,
+// outside the shadow comparison and the drift tracker — or nils.
+func (s *service) finalScore(m *servingModel) ([]*core.RowBuilder, serve.Score) {
+	if m == nil {
+		return nil, nil
+	}
+	return m.rowBuilders, func(w int, block []float64, rows int, dst []int) ([]int, error) {
+		return s.classifyRows(m.est, block, rows, &s.probs[w], dst)
 	}
 }
 
-// sweepBlock scores a row block — a shard's gathered rows or the
-// retired clients' final rows — through est, the primary or the
-// challenger, classifyBatch rows per inference call, and returns the
-// classes in out's backing array (grown when short), one per row.
-func (s *service) sweepBlock(est *core.Estimator, sc *sweepScratch, out []int) ([]int, error) {
-	rows, stride, nc := sc.rows, est.NumFeatures(), est.NumClasses()
-	batch := s.opts.classifyBatch
+// classifyRows scores rows row-major rows of block through est, the
+// primary or the challenger, classifyBatch rows per inference call with
+// *probs as the probability scratch, and returns the classes in out's
+// backing array (grown when short), one per row.
+func (s *service) classifyRows(est *core.Estimator, block []float64, rows int, probs *[]float64, out []int) ([]int, error) {
+	stride, nc, batch := est.NumFeatures(), est.NumClasses(), s.opts.classifyBatch
 	if cap(out) < rows {
 		out = make([]int, rows)
 	}
 	out = out[:rows]
-	if cap(sc.probs) < batch*nc {
-		sc.probs = make([]float64, batch*nc)
+	if cap(*probs) < batch*nc {
+		*probs = make([]float64, batch*nc)
 	}
 	for lo := 0; lo < rows; lo += batch {
-		hi := lo + batch
-		if hi > rows {
-			hi = rows
-		}
-		if err := est.ClassifyBlockInto(sc.block[lo*stride:hi*stride],
-			hi-lo, sc.probs[:(hi-lo)*nc], out[lo:hi]); err != nil {
+		hi := min(lo+batch, rows)
+		if err := est.ClassifyBlockInto(block[lo*stride:hi*stride],
+			hi-lo, (*probs)[:(hi-lo)*nc], out[lo:hi]); err != nil {
 			return out, err
 		}
 	}
 	return out, nil
 }
 
-// finalVerdicts scores retired clients — an eviction sweep's or the
-// shutdown summary's — through the pass's block sweep: each client's
-// retained ring becomes one row, built with the bundle's first row
-// builder into shard 0's sweep scratch (both idle on the tick goroutine
-// once the pass ends), and the rows are swept classifyBatch at a time.
-// classes[i] is finals[i]'s verdict, -1 for a client that retained no
-// transactions. Final verdicts stay out of the shadow comparison and
-// the drift tracker.
-func (s *service) finalVerdicts(m *servingModel, finals []serve.Final) ([]int, error) {
-	sc, rb := &s.shards[0].sw, m.rowBuilders[0]
-	sc.block, sc.rows = sc.block[:0], 0
-	classes := make([]int, len(finals))
-	var txns []capture.TLSTransaction
-	var row []float64
-	for i := range finals {
-		classes[i] = -1
-		if txns = finals[i].Transactions(txns[:0]); len(txns) == 0 {
-			continue
-		}
-		row = rb.FeatureRow(txns, row)
-		sc.block = append(sc.block, row...)
-		classes[i] = sc.rows
-		sc.rows++
-	}
-	scored, err := s.sweepBlock(m.est, sc, nil)
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range classes {
-		if r >= 0 {
-			classes[i] = scored[r]
-		}
-	}
-	return classes, nil
-}
-
-// evictIdle removes every client whose last activity predates
-// -client-ttl and has no open connections: the client's streamer is
-// flushed (finalizing pending decisions), its final classification is
-// emitted to the log and prediction counters, and its state is
-// deleted — keeping the clients map O(active clients). nowSec is the
-// sweep clock in epoch seconds (see sweepNow) — record-derived for
-// file/replay sources, so the TTL comparison shares the timescale of
-// the lastActivity values it is compared against. Runs on the serve
-// loop's goroutine (finalVerdicts borrows the pass's idle scratch): on
-// the classify tick after classifyPass, and for file sources also when
-// the watermark reaches sweepDue, which every sweep moves on by
-// TTL/recordSweepsPerTTL. The sweep also rotates the ingest source's
-// intern tables at most once per TTL, so released client state releases
-// its interned strings too.
+// evictIdle retires every client idle for -client-ttl with no open
+// connection (serve.Core.Evict), logging each one's final
+// classification, in client order, and counting it in the prediction
+// counters. nowSec is the sweep clock (see sweepNow), so the TTL is
+// measured on the records' own timescale. Runs on the serve loop, never
+// alongside a pass: after each classify tick's pass and, for file
+// sources, whenever the watermark reaches sweepDue, which every sweep
+// moves on by TTL/recordSweepsPerTTL. It also rotates the source's
+// intern tables at most once per TTL (rotateInterned).
 func (s *service) evictIdle(nowSec float64) {
 	s.rotateInterned(nowSec)
 	ttl := s.opts.clientTTL
@@ -1749,43 +1411,27 @@ func (s *service) evictIdle(nowSec float64) {
 		return
 	}
 	s.sweepDue.Store(math.Float64bits(nowSec + ttl.Seconds()/recordSweepsPerTTL))
-	perShard := make([][]serve.Final, len(s.shards))
-	s.forEachShard(func(_, si int) {
-		sh := s.shards[si]
-		sh.mu.Lock()
-		perShard[si] = sh.core.Evict(nil, nowSec, ttl.Seconds())
-		sh.mu.Unlock()
-	})
-	var gone []serve.Final
-	for _, g := range perShard {
-		for _, e := range g {
-			if e.HasClass {
-				s.byClass[e.Class].Add(-1)
-			}
-		}
-		s.mEvicted.Add(int64(len(g)))
-		gone = append(gone, g...)
-	}
-	sort.Slice(gone, func(i, j int) bool { return gone[i].Client < gone[j].Client })
-	// The sorted order keeps logs and counters deterministic across
-	// shard counts. One bundle Load covers the whole sweep, like
-	// classifyPass.
+	// One bundle Load covers the whole sweep, like classifyPass.
 	m := s.model.Load()
-	var classes []int
-	if m != nil && len(gone) > 0 {
-		var err error
-		if classes, err = s.finalVerdicts(m, gone); err != nil {
-			s.log.Error("eviction classification failed", "clients", len(gone), "err", err)
-		}
+	rbs, score := s.finalScore(m)
+	gone, err := s.shards.Evict(nowSec, ttl.Seconds(), rbs, score)
+	if err != nil {
+		s.log.Error("eviction classification failed", "clients", len(gone), "err", err)
 	}
+	s.mEvicted.Add(int64(len(gone)))
+	// gone is in client order, which keeps logs and counters
+	// deterministic across shard counts.
 	for i := range gone {
 		e := &gone[i]
+		if e.HasClass {
+			s.byClass[e.Class].Add(-1)
+		}
 		attrs := []any{"client", e.Client, "transactions", e.Txns,
 			"boundaries", e.Boundaries, "down_bytes", e.DownBytes,
 			"mean_txn_seconds", e.MeanDur}
-		if classes != nil && classes[i] >= 0 {
-			m.predClass[classes[i]].Inc()
-			attrs = append(attrs, "class", m.names[classes[i]])
+		if e.Verdict >= 0 {
+			m.predClass[e.Verdict].Inc()
+			attrs = append(attrs, "class", m.names[e.Verdict])
 		}
 		s.log.Info("client evicted", attrs...)
 	}
@@ -1812,27 +1458,20 @@ func (s *service) rotateInterned(nowSec float64) {
 	in.ReleaseIdleInterned()
 }
 
-// drain finishes the sessionizers after the proxy has stopped, stops
-// the sink flusher (writing pending records) and prints the per-client
+// drain stops the sink flusher (writing pending records), finishes the
+// sessionizers after the proxy has stopped and prints the per-client
 // shutdown summary in client order.
 func (s *service) drain() {
-	var finals []serve.Final
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		finals = sh.core.Drain(finals)
-		sh.mu.Unlock()
-	}
 	s.stopSinkWriter()
+	// The summary classifies the retained ring — the whole history under
+	// -max-session-txns, the most recent slice beyond it (lifetime counts
+	// still report full totals), which stopped ingest no longer changes.
 	m := s.model.Load()
+	rbs, score := s.finalScore(m)
+	finals, err := s.shards.Drain(rbs, score)
 	if m == nil {
 		return
 	}
-	sort.Slice(finals, func(i, j int) bool { return finals[i].Client < finals[j].Client })
-	// The summary classifies the retained ring — the whole history for
-	// clients under -max-session-txns, the most recent slice beyond it
-	// (lifetime counts still report the full totals). Ingest has
-	// stopped, so the ring no longer changes.
-	classes, err := s.finalVerdicts(m, finals)
 	if err != nil {
 		s.log.Error("shutdown classification failed", "clients", len(finals), "err", err)
 		return
@@ -1841,9 +1480,9 @@ func (s *service) drain() {
 	// calls on a 40,000-client shutdown.
 	out := bufio.NewWriter(os.Stdout)
 	for i := range finals {
-		if f := &finals[i]; classes[i] >= 0 {
+		if f := &finals[i]; f.Verdict >= 0 {
 			fmt.Fprintf(out, "client %-22s sessions-qoe=%s (%d transactions, %d boundaries)\n",
-				f.Client, m.names[classes[i]], f.Txns, f.Boundaries)
+				f.Client, m.names[f.Verdict], f.Txns, f.Boundaries)
 		}
 	}
 	if err := out.Flush(); err != nil {

@@ -284,15 +284,12 @@ func TestClassifyPassPaths(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			s, _ := newTestService(t, options{window: mode.window}, est)
 			cut1, cut2 := len(txns)/3, 2*len(txns)/3
-			sh := s.shardFor("10.9.9.9")
-			sh.mu.Lock()
-			sh.core.Restore(&serve.ClientState{
+			s.shards.Restore(&serve.ClientState{
 				Client:   "10.9.9.9",
 				Current:  txns[:cut1],
 				InFlight: txns[cut1:cut2],
 				Buffer:   txns[cut2:],
 			}, est.NumClasses())
-			sh.mu.Unlock()
 
 			for pass := 0; pass < 2; pass++ { // second pass reuses warm buffers
 				s.dirtyAll() // re-dirty, so the second pass scores again

@@ -115,7 +115,7 @@ func replayTrace(t *testing.T, est *core.Estimator, traffic *dataset.Corpus, win
 		"class_errors": s.mClassErrors.Value(),
 		"truncated":    s.mTruncated.Value(),
 		"evicted":      s.mEvicted.Value(),
-		"clients_left": int64(s.clientCount()),
+		"clients_left": int64(s.shards.Len()),
 	}, sinkCSV: csv.String(), stored: stored}
 	for _, n := range s.model.Load().names {
 		run.counters["pred_"+n] = s.mPred.Value(n)
@@ -331,7 +331,7 @@ func benchmarkIngest(b *testing.B, shards int) {
 		window:         time.Hour,
 		maxSessionTxns: 256,
 		shards:         shards,
-	}, slog.New(slog.NewJSONHandler(io.Discard, nil)), nil)
+	}, slog.New(slog.NewJSONHandler(io.Discard, nil)))
 	defer s.stopSinkWriter()
 	s.registerMetrics()
 
@@ -366,7 +366,7 @@ func benchmarkIngest(b *testing.B, shards int) {
 	// Contended acquisitions per op: with one shard every overlapping
 	// ingest queues on the same mutex; with a shard per core they only
 	// collide when clients hash together.
-	b.ReportMetric(float64(s.mContention.Value())/float64(b.N), "contended/op")
+	b.ReportMetric(float64(s.shards.Contention())/float64(b.N), "contended/op")
 }
 
 // BenchmarkConcurrentIngest compares the single-mutex baseline
@@ -396,7 +396,7 @@ func BenchmarkCommitPath(b *testing.B) {
 		window:         time.Hour,
 		maxSessionTxns: maxTxns,
 		shards:         4,
-	}, slog.New(slog.NewJSONHandler(io.Discard, nil)), nil)
+	}, slog.New(slog.NewJSONHandler(io.Discard, nil)))
 	defer s.stopSinkWriter()
 	s.registerMetrics()
 	s.out = &sink{w: io.Discard, name: "out"}

@@ -25,7 +25,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"droppackets/internal/serve"
@@ -56,19 +55,13 @@ type savedSnapshot struct {
 // ingest first (the SIGTERM path does). Clients are sorted so the same
 // state always serializes to the same bytes.
 func (s *service) snapshotState() *savedSnapshot {
-	snap := &savedSnapshot{
+	return &savedSnapshot{
 		Version:        snapshotVersion,
 		Instance:       s.instanceID,
 		EpochUnixNanos: s.epoch.UnixNano(),
+		Clients:        s.shards.Save(nil),
+		Watermark:      math.Float64frombits(s.watermark.Load()),
 	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		snap.Clients = sh.core.Save(snap.Clients)
-		sh.mu.Unlock()
-	}
-	sort.Slice(snap.Clients, func(i, j int) bool { return snap.Clients[i].Client < snap.Clients[j].Client })
-	snap.Watermark = math.Float64frombits(s.watermark.Load())
-	return snap
 }
 
 // writeSnapshotFile serializes the serving state atomically: a temp
@@ -136,16 +129,14 @@ func loadSnapshotFile(path string) (*savedSnapshot, error) {
 // state (or re-interning their strings) here would double-classify
 // them. Global counters are untouched — restore is not ingest; a
 // fleet's counter totals stay the sum of what each instance actually
-// processed. Must run before any source is constructed or record
-// delivered.
+// processed. Must run once the first serving bundle, whose classes
+// vet the restored verdicts, is in place, and before any record.
 func (s *service) restoreState(snap *savedSnapshot) (restored, skippedNotOwned int) {
 	s.epoch = time.Unix(0, snap.EpochUnixNanos)
 	s.watermark.Store(math.Float64bits(snap.Watermark))
 	numClasses := 0
 	if m := s.model.Load(); m != nil {
 		numClasses = m.est.NumClasses()
-	} else if s.pendingEst != nil { // run() restores before the first bundle is built
-		numClasses = s.pendingEst.NumClasses()
 	}
 	for i := range snap.Clients {
 		sc := &snap.Clients[i]
@@ -156,28 +147,31 @@ func (s *service) restoreState(snap *savedSnapshot) (restored, skippedNotOwned i
 		// The restored verdict drives class-change logging and the
 		// by-class gauge, so the Core drops one the serving model cannot
 		// name: the client's next verdict is logged as its first.
-		sh := s.shardFor(sc.Client)
-		sh.mu.Lock()
-		if sh.core.Restore(sc, numClasses) {
+		if s.shards.Restore(sc, numClasses) {
 			s.byClass[sc.LastClass].Add(1)
 		}
-		sh.mu.Unlock()
 		restored++
 	}
 	return restored, skippedNotOwned
 }
 
-// restoreFromFile is the -restore startup path: a missing, corrupt or
-// truncated snapshot is logged and the daemon starts cold — never
-// crashes — because a fleet member must come up and take its
-// partitions even when the previous incarnation left nothing usable
-// behind.
-func (s *service) restoreFromFile(path string) {
+// readSnapshot loads a -restore snapshot and adopts its epoch. A
+// missing, corrupt or truncated one is logged and the daemon starts
+// cold — never crashes — because a fleet member must come up and take
+// its partitions even when its predecessor left nothing usable.
+func (s *service) readSnapshot(path string) *savedSnapshot {
 	snap, err := loadSnapshotFile(path)
 	if err != nil {
 		s.log.Error("snapshot restore failed; starting cold", "path", path, "err", err)
-		return
+		return nil
 	}
+	s.epoch = time.Unix(0, snap.EpochUnixNanos)
+	return snap
+}
+
+// restoreSnapshot is the second half of -restore, once the first
+// serving bundle is in place: restoreState, logged.
+func (s *service) restoreSnapshot(path string, snap *savedSnapshot) {
 	restored, skipped := s.restoreState(snap)
 	s.log.Info("snapshot restored",
 		"path", path, "from_instance", snap.Instance,

@@ -22,6 +22,14 @@ import (
 	"droppackets/internal/tlsproxy"
 )
 
+// restoreFromFile is -restore in one step: readSnapshot, then
+// restoreSnapshot when the file was usable.
+func (s *service) restoreFromFile(path string) {
+	if snap := s.readSnapshot(path); snap != nil {
+		s.restoreSnapshot(path, snap)
+	}
+}
+
 // snapTestEstimator trains a small real model so snapshot tests emit
 // real classifications.
 func snapTestEstimator(t *testing.T) *core.Estimator {
@@ -169,17 +177,16 @@ func TestSnapshotRoundTripProfiles(t *testing.T) {
 					// Bit-level check under the classifications: every
 					// client's feature row in the restored service must equal
 					// the baseline's float for float.
-					// The rows are each service's own shard scratch, so the
-					// two stay valid side by side.
+					// Row returns copies, so the two stay valid side by side.
 					rb := baseline.model.Load().rowBuilders[0]
 					for _, bcs := range baseline.snapshotState().Clients {
 						client := bcs.Client
 						if b.client(client) == nil {
 							t.Fatalf("cut %d: client %s missing after restore", cut, client)
 						}
-						cutoff := baseline.pass.cutoff // the last pass's, at endSec
-						wantRow := baseline.shardFor(client).core.Row(rb, client, cutoff)
-						gotRow := b.shardFor(client).core.Row(rb, client, cutoff)
+						cutoff := baseline.cutoff(endSec) // the last pass's
+						wantRow := baseline.shards.Row(rb, client, cutoff)
+						gotRow := b.shards.Row(rb, client, cutoff)
 						if len(gotRow) != len(wantRow) {
 							t.Fatalf("cut %d %s: row widths %d vs %d", cut, client, len(gotRow), len(wantRow))
 						}
@@ -379,7 +386,7 @@ func TestSnapshotCorruptRejectedColdStart(t *testing.T) {
 			if n := logs.countLogMsg(t, "snapshot restore failed; starting cold"); n != 1 {
 				t.Fatalf("cold-start log lines = %d, want 1", n)
 			}
-			if got := s.clientCount(); got != 0 {
+			if got := s.shards.Len(); got != 0 {
 				t.Fatalf("%d clients restored from a bad snapshot", got)
 			}
 			// Cold but alive: the daemon must serve normally afterwards.
@@ -387,7 +394,7 @@ func TestSnapshotCorruptRejectedColdStart(t *testing.T) {
 			s.onConnOpen(rec)
 			deliver(s, rec)
 			s.classifyPass(3)
-			if s.clientCount() != 1 {
+			if s.shards.Len() != 1 {
 				t.Fatal("service not usable after failed restore")
 			}
 		})
@@ -404,7 +411,7 @@ func TestRestoreFiltersByRingOwnership(t *testing.T) {
 	donor, _ := newTestService(t, options{window: 0}, est)
 	events := profileEvents(t, has.Svc1(), 41, 16, 12)
 	feed(donor, events)
-	total := donor.clientCount()
+	total := donor.shards.Len()
 	if total < 4 {
 		t.Fatalf("donor has only %d clients; test needs a spread", total)
 	}
@@ -440,8 +447,8 @@ func TestRestoreFiltersByRingOwnership(t *testing.T) {
 			t.Errorf("restored client %s is owned by %s, not this instance", cs.Client, ring.Owner(cs.Client))
 		}
 	}
-	if s.clientCount() != restored {
-		t.Errorf("clientCount %d != restored %d", s.clientCount(), restored)
+	if s.shards.Len() != restored {
+		t.Errorf("%d clients resident, %d restored", s.shards.Len(), restored)
 	}
 	if got := src.InternedStrings(); got != 0 {
 		t.Errorf("restore interned %d strings; restoring must not touch the source's tables", got)
@@ -527,8 +534,8 @@ func TestAdminSnapshotEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("endpoint wrote an unloadable snapshot: %v", err)
 	}
-	if len(snap.Clients) != s.clientCount() {
-		t.Errorf("snapshot has %d clients, service %d", len(snap.Clients), s.clientCount())
+	if len(snap.Clients) != s.shards.Len() {
+		t.Errorf("snapshot has %d clients, service %d", len(snap.Clients), s.shards.Len())
 	}
 
 	req = httptest.NewRequest("POST", "/admin/snapshot", nil)

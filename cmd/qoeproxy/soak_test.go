@@ -172,7 +172,7 @@ func TestEvictionSoakBounded(t *testing.T) {
 			t.Fatalf("round %d: qoeproxy_sessions_by_class sums to %v after every client was evicted, want 0", round, got)
 		}
 
-		if left := s.clientCount(); left != 0 {
+		if left := s.shards.Len(); left != 0 {
 			t.Fatalf("round %d: %d clients survived the eviction sweep", round, left)
 		}
 		if got := gaugeValue("qoeproxy_clients"); got != 0 {

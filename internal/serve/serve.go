@@ -7,17 +7,22 @@
 // carry them across a restart.
 //
 // A Core starts no goroutines, takes no locks, reads no clock and does
-// no I/O. The caller serializes every call on one Core (the daemon
-// holds the shard's lock), supplies the time (the sweep clock and the
-// window cutoff) and runs inference itself, between Gather and Store,
-// so that the model sweep need not hold the shard. What the Core
-// observes along the way — session boundaries, truncated sessions —
-// reaches the caller through Hooks; class changes and retired clients
-// come back as return values.
+// no I/O. The caller serializes every call on one Core, supplies the
+// time (the sweep clock and the window cutoff) and runs inference
+// itself, between Gather and Store, so that the model sweep need not
+// hold the Core. What the Core observes along the way — session
+// boundaries, truncated sessions — reaches the caller through Hooks;
+// class changes and retired clients come back as return values.
 //
 // A Core's output is a function of its call sequence alone: two cores
 // fed the same calls hold the same state, and a core restored from a
 // Save continues exactly as the saved one would have.
+//
+// Shards, the form the daemon serves from, is N Cores routed by a hash
+// of the host. Unlike a Core it takes locks (one per shard) and starts
+// goroutines (a pass, an eviction sweep or a drain fans the shards out
+// over workers, the caller's inference outside every lock), and its
+// output equals one Core's fed the same calls.
 package serve
 
 import (
@@ -482,7 +487,10 @@ type Final struct {
 	// Class is the client's last verdict, when HasClass.
 	Class    int
 	HasClass bool
-	recent   *txnRing
+	// Verdict is the class scored from the retained transactions by
+	// Shards.Evict or Shards.Drain, -1 when none was scored.
+	Verdict int
+	recent  *txnRing
 }
 
 // Transactions appends the client's retained transactions, oldest
@@ -502,6 +510,7 @@ func (cl *client) final(host string) Final {
 		MeanDur:    cl.durStats.Mean(),
 		Class:      cl.lastClass,
 		HasClass:   cl.hasClass,
+		Verdict:    -1,
 		recent:     cl.recent,
 	}
 }

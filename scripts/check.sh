@@ -35,6 +35,9 @@ go test -race -timeout 20m ./internal/ml/... ./internal/core ./internal/dataset 
 echo "== go test -race -count=10 (sink tests: per-client order rests on each sink's mutex) =="
 go test -race -count=10 -run '^TestSink' ./cmd/qoeproxy
 
+echo "== go test -race -count=10 (shard set tests: ingest commits race classification passes and eviction sweeps) =="
+go test -race -count=10 -run '^TestShards' ./internal/serve
+
 echo "== go test -race -count=10 (Squid source tests: handler order crosses the ordering-to-handler channel) =="
 go test -race -count=10 -run '^TestSquid' ./internal/ingest
 
@@ -175,4 +178,5 @@ echo "== size =="
 loc=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l)
 flags=$(grep -c '^	fs\.[A-Za-z0-9]*Var(' cmd/qoeproxy/main.go)
 echo "non-test Go lines outside bench/: $loc"
+echo "cmd/qoeproxy/main.go lines: $(wc -l < cmd/qoeproxy/main.go)"
 echo "qoeproxy flags (registerFlags): $flags"

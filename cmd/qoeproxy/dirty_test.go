@@ -28,7 +28,7 @@ import (
 // class-change logging is unaffected.
 func (s *service) dirtyAll() {
 	m := *s.model.Load()
-	m.stamp = s.bundles.Add(1)
+	m.Model = s.shards.Restamp(m.Model)
 	s.model.Store(&m)
 }
 
@@ -416,7 +416,7 @@ func TestFailedPassLeavesClientsDirty(t *testing.T) {
 		t.Fatal("a good pass did not classify the client")
 	}
 	good := s.model.Load()
-	bad := s.buildModel(core.NewEstimator(core.Config{Metric: est.Metric()}), nil) // never trained
+	bad := s.buildModel(newModel(t, s, core.NewEstimator(core.Config{Metric: est.Metric()}), nil)) // never trained
 	s.model.Store(bad)
 	for pass := int64(1); pass <= 2; pass++ {
 		s.classifyPass(10)
@@ -427,7 +427,7 @@ func TestFailedPassLeavesClientsDirty(t *testing.T) {
 	if got := s.mRuns.Value(); got != 1 {
 		t.Errorf("classification_runs_total = %d, want only the one good pass", got)
 	}
-	if cs := s.client("10.13.0.1"); cs.ScoredBy != good.stamp {
+	if cs := s.client("10.13.0.1"); cs.ScoredBy != good.Stamp() {
 		t.Error("a failed pass stamped the client as scored by the failing bundle")
 	}
 	verdicts(t, s)
@@ -445,7 +445,7 @@ func residentService(b *testing.B, clients int, feed func(s *service, client str
 		slog.New(slog.NewJSONHandler(io.Discard, nil)))
 	b.Cleanup(s.stopSinkWriter)
 	s.registerMetrics()
-	s.model.Store(s.buildModel(est, nil))
+	s.model.Store(s.buildModel(newModel(b, s, est, nil)))
 	for c := 0; c < clients; c++ {
 		feed(s, residentClient(c), c)
 	}

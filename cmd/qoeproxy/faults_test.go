@@ -74,8 +74,22 @@ func newTestService(t *testing.T, opts options, est *core.Estimator, shadow ...*
 	if len(shadow) > 0 {
 		challenger = shadow[0]
 	}
-	s.model.Store(s.buildModel(est, challenger))
+	s.model.Store(s.buildModel(newModel(t, s, est, challenger)))
 	return s, logs
+}
+
+// newModel builds s's serve.Model around est and an optional
+// challenger, as loadModel does; nil for a nil est.
+func newModel(t testing.TB, s *service, est, shadow *core.Estimator) *serve.Model {
+	t.Helper()
+	if est == nil {
+		return nil
+	}
+	m, err := s.shards.NewModel(est, shadow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // client returns a copy of a client host's state, or nil.

@@ -22,7 +22,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	donor := newService(options{window: 0, shards: 2}, slog.New(slog.NewJSONHandler(io.Discard, nil)))
 	defer donor.stopSinkWriter()
 	donor.registerMetrics()
-	donor.model.Store(donor.buildModel(est, nil))
+	donor.model.Store(donor.buildModel(newModel(f, donor, est, nil)))
 	for c := 0; c < 4; c++ {
 		feedRecords(donor, fmt.Sprintf("10.9.0.%d:40000", c+1), c*8+1, 8)
 	}

@@ -165,7 +165,7 @@ func TestReloadRejectsIncompatibleShadow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A challenger trained on a different metric: same features,
-	// different classes — validateShadow must refuse it.
+	// different classes — serve.Shards.NewModel must refuse it.
 	other := core.NewEstimator(core.Config{Metric: qoe.MetricRebuffer, Forest: forest.Config{NumTrees: 2, Seed: 7}})
 	corpus, err := dataset.Build(dataset.Config{Seed: 5, Sessions: 60}, has.Svc1())
 	if err != nil {
@@ -389,7 +389,7 @@ func TestDriftGaugesMove(t *testing.T) {
 	est := trainSmallEstimator(t, 5, 8)
 	s, _ := newTestService(t, options{window: time.Hour, classifyBatch: 8}, est)
 	m := s.model.Load()
-	if m.drift == nil {
+	if m.Drift() == nil {
 		t.Fatal("freshly trained model carries no drift baseline")
 	}
 
@@ -403,7 +403,7 @@ func TestDriftGaugesMove(t *testing.T) {
 	}
 	s.classifyPass(30)
 
-	names, zs := m.drift.zscores()
+	names, zs := m.Drift().ZScores()
 	if len(names) != est.NumFeatures() {
 		t.Fatalf("drift tracks %d features, model has %d", len(names), est.NumFeatures())
 	}

@@ -70,7 +70,6 @@ import (
 	"droppackets/internal/qoe"
 	"droppackets/internal/serve"
 	"droppackets/internal/squidlog"
-	"droppackets/internal/stats"
 	"droppackets/internal/tlsproxy"
 )
 
@@ -203,11 +202,10 @@ func openAppend(path string) (f *os.File, wasEmpty bool, err error) {
 type service struct {
 	opts options
 	log  *slog.Logger
-	// model is the serving bundle: the estimator plus everything derived
-	// from it (class names, cached counter handles, row builders, shadow
-	// scorer, drift tracker). Swapped whole on reload; every consumer
-	// Loads it exactly once per pass, so a sweep never mixes two models.
-	// Nil when no -model is configured.
+	// model is the serving bundle: the serve.Model plus the class names
+	// and cached counter handles derived from it. Swapped whole on
+	// reload; every consumer Loads it exactly once per pass, so a sweep
+	// never mixes two models. Nil when no -model is configured.
 	model atomic.Pointer[servingModel]
 	// reloadMu serializes reloads (SIGHUP racing /admin/reload); the
 	// serving path never takes it.
@@ -230,10 +228,6 @@ type service struct {
 	// record-clock sweep falls due: the last sweep's clock plus
 	// TTL/recordSweepsPerTTL, +Inf until the first tick's sweep.
 	sweepDue atomic.Uint64
-	// bundles numbers the serving bundles built so far; each bundle's
-	// stamp is its number, so no bundle is stamp 0, the stamp of a
-	// restored client.
-	bundles atomic.Uint64
 	// lastRotate is when (sweep clock) the intern tables last rotated;
 	// tick goroutine only.
 	lastRotate float64
@@ -269,16 +263,8 @@ type service struct {
 	// clients — behind qoeproxy_sessions_by_class.
 	byClass [qoe.NumCategories]atomic.Int64
 
-	// passModel is the pass in progress's bundle, scorePassFn its
-	// scoring half bound once so a pass allocates nothing, cLines the
-	// pass's changes; probs and shadow are each classify worker's
-	// inference scratch (a block's probabilities, the challenger's
-	// classes).
-	passModel   *servingModel
-	scorePassFn serve.Score
-	cLines      []serve.Change
-	probs       [][]float64
-	shadow      [][]int
+	// cLines holds a pass's changes, reused across passes.
+	cLines []serve.Change
 
 	mTxns          *metrics.Counter
 	mBoundaries    *metrics.Counter
@@ -309,18 +295,10 @@ type service struct {
 // resident set holds about 1.125 TTL of arrivals.
 const recordSweepsPerTTL = 8
 
-// defaultClassifyBatch is how many feature rows one batched inference
-// call sweeps: large enough to amortize the call, small enough that the
-// probability scratch stays in cache.
-const defaultClassifyBatch = 256
-
 // newService assembles the daemon state around the given options. The
 // caller attaches the source, calls registerMetrics and stores the
 // first serving bundle (buildModel) before serving traffic.
 func newService(opts options, logger *slog.Logger) *service {
-	if opts.classifyBatch <= 0 {
-		opts.classifyBatch = defaultClassifyBatch
-	}
 	s := &service{
 		opts:     opts,
 		log:      logger,
@@ -328,7 +306,6 @@ func newService(opts options, logger *slog.Logger) *service {
 		debugLog: logger.Enabled(context.Background(), slog.LevelDebug),
 	}
 	s.batchPool.New = func() any { return &batchScratch{} }
-	s.scorePassFn = s.scorePass
 	s.logicalClock = opts.source != "" && opts.source != "proxy"
 	s.sweepDue.Store(math.Float64bits(math.Inf(1)))
 	if s.logicalClock && opts.classifyEvery > 0 && opts.clientTTL > 0 {
@@ -346,145 +323,81 @@ func newService(opts options, logger *slog.Logger) *service {
 		},
 		Truncated: func() { s.mTruncated.Inc() },
 	}
-	s.shards = serve.NewShards(opts.shards, opts.maxSessionTxns, hooks)
-	s.probs, s.shadow = make([][]float64, s.shards.Workers()), make([][]int, s.shards.Workers())
+	s.shards = serve.NewShards(opts.shards, opts.maxSessionTxns, opts.classifyBatch, hooks)
 	return s
 }
 
-// servingModel bundles one model with everything derived from it, so a
-// reload swaps all of it atomically: a pass that Loaded the old bundle
-// finishes on the old estimator, names and counters; the next pass sees
-// the new ones. Nothing in a bundle is mutated after Store except the
-// drift tracker, which is internally locked.
+// servingModel is a serve.Model with what the daemon derives from it,
+// so a reload swaps all of it atomically: a pass that Loaded the old
+// bundle finishes on the old estimator, names and counters; the next
+// pass sees the new ones.
 type servingModel struct {
-	est   *core.Estimator
+	*serve.Model
 	names []string // class display names
-	// stamp identifies the bundle to the shards' Cores: a client whose
-	// class was stored under another stamp is re-scored.
-	stamp uint64
 	// predClass caches the per-class prediction-counter handles, aligned
-	// with names. The underlying CounterVec children outlive reloads, so
-	// counts keep accumulating across models with the same metric.
-	predClass []*metrics.LabeledCounter
-	// rowBuilders hold one row-building scratch per classify worker;
-	// worker w exclusively uses rowBuilders[w].
-	rowBuilders []*core.RowBuilder
-	// shadow is the challenger state, nil without -shadow-model.
-	shadow *shadowState
-	// drift compares classified rows against the model's training
-	// baseline, nil when the model file carries none (version 1).
-	drift *driftTracker
+	// with names, and confusion the challenger's confusion-cell handles,
+	// primary-major (cell [p*nc+c]; nil without a challenger). The
+	// underlying vec children outlive reloads, so counts keep
+	// accumulating across models with the same metric.
+	predClass, confusion []*metrics.LabeledCounter
 	// loadedAt stamps the swap for qoeproxy_model_loaded_timestamp_seconds.
 	loadedAt time.Time
 }
 
-// shadowState is the champion/challenger comparison: a second compiled
-// estimator swept over the same gathered rows as the primary, with the
-// outcome recorded only in counters — never in logs, sinks or stored
-// classifications.
-type shadowState struct {
-	est *core.Estimator
-	// confusion caches the nc×nc confusion-counter handles,
-	// primary-major: cell [p*nc+c] counts rows the primary called p and
-	// the challenger called c (p != c).
-	confusion []*metrics.LabeledCounter
-}
-
-// driftTracker accumulates per-feature population stats over every row
-// a pass classifies and compares them against the model's training
-// baseline. Shard workers fold whole row blocks under one mutex — a
-// few calls per pass, so contention is negligible next to inference.
-type driftTracker struct {
-	mu       sync.Mutex
-	names    []string // subset-space feature names
-	baseMean []float64
-	baseStd  []float64
-	obs      []stats.Running
-}
-
-func newDriftTracker(names []string, means, stds []float64) *driftTracker {
-	return &driftTracker{names: names, baseMean: means, baseStd: stds, obs: make([]stats.Running, len(names))}
-}
-
-// observeBlock folds n row-major rows of the given stride into the
-// per-feature accumulators.
-func (d *driftTracker) observeBlock(block []float64, n, stride int) {
-	d.mu.Lock()
-	for r := 0; r < n; r++ {
-		row := block[r*stride : (r+1)*stride]
-		for j := range row {
-			d.obs[j].Observe(row[j])
-		}
-	}
-	d.mu.Unlock()
-}
-
-// zscores snapshots the drift gauge children: for each feature,
-// (observed mean − baseline mean) / baseline std. Features with a
-// degenerate (zero-variance) baseline report 0 rather than ±Inf; so do
-// features with no observations yet.
-func (d *driftTracker) zscores() ([]string, []float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	zs := make([]float64, len(d.names))
-	for j := range d.names {
-		if d.obs[j].N() == 0 || d.baseStd[j] <= 0 {
-			continue
-		}
-		zs[j] = (d.obs[j].Mean() - d.baseMean[j]) / d.baseStd[j]
-	}
-	return d.names, zs
-}
-
-// validateShadow checks a challenger against the primary: the shadow
-// sweep reuses the primary's gathered rows and compares class indices
-// one-to-one, so the feature subset and the metric must match.
-func validateShadow(primary, shadow *core.Estimator) error {
-	if shadow.Metric() != primary.Metric() {
-		return fmt.Errorf("shadow model targets metric %d, primary targets %d", shadow.Metric(), primary.Metric())
-	}
-	if shadow.Subset() != primary.Subset() || shadow.NumFeatures() != primary.NumFeatures() {
-		return fmt.Errorf("shadow model uses feature subset %d (%d features), primary uses %d (%d)",
-			shadow.Subset(), shadow.NumFeatures(), primary.Subset(), primary.NumFeatures())
-	}
-	return nil
-}
-
-// buildModel assembles a serving bundle around freshly loaded,
-// validated estimators (nil without a primary), once registerMetrics
-// has registered the vec families its counter handles come from.
-func (s *service) buildModel(est, shadow *core.Estimator) *servingModel {
-	if est == nil {
+// bundle is the serve.Model of m, nil for none.
+func (m *servingModel) bundle() *serve.Model {
+	if m == nil {
 		return nil
 	}
-	m := &servingModel{
-		est:      est,
-		names:    core.ClassNames(est.Metric()),
-		stamp:    s.bundles.Add(1),
-		loadedAt: time.Now(),
+	return m.Model
+}
+
+// loadModel reads -model and -shadow-model and builds their serve.Model,
+// which checks that the challenger can score the primary's rows; nil
+// without -model.
+func (s *service) loadModel() (*serve.Model, error) {
+	if s.opts.modelPath == "" {
+		if s.opts.shadowPath != "" {
+			return nil, fmt.Errorf("-shadow-model needs -model")
+		}
+		return nil, nil
 	}
-	m.predClass = make([]*metrics.LabeledCounter, len(m.names))
-	for i, n := range m.names {
-		m.predClass[i] = s.mPred.WithLabel(n)
+	est, err := loadEstimatorFile(s.opts.modelPath)
+	if err != nil {
+		return nil, err
 	}
-	m.rowBuilders = make([]*core.RowBuilder, s.shards.Workers())
-	for i := range m.rowBuilders {
-		m.rowBuilders[i] = est.NewRowBuilder()
+	var shadow *core.Estimator
+	if s.opts.shadowPath != "" {
+		if shadow, err = loadEstimatorFile(s.opts.shadowPath); err != nil {
+			return nil, fmt.Errorf("-shadow-model: %w", err)
+		}
 	}
-	if shadow != nil {
-		nc := est.NumClasses()
-		ss := &shadowState{est: shadow, confusion: make([]*metrics.LabeledCounter, nc*nc)}
-		for p := 0; p < nc; p++ {
-			for c := 0; c < nc; c++ {
-				ss.confusion[p*nc+c] = s.mShadowConf.WithLabels(m.names[p], m.names[c])
+	m, err := s.shards.NewModel(est, shadow)
+	if err != nil {
+		return nil, fmt.Errorf("-shadow-model: %w", err)
+	}
+	return m, nil
+}
+
+// buildModel wraps m in a serving bundle (nil for nil m), once
+// registerMetrics has registered the vec families its counter handles
+// come from.
+func (s *service) buildModel(m *serve.Model) *servingModel {
+	if m == nil {
+		return nil
+	}
+	sm := &servingModel{Model: m, names: core.ClassNames(m.Primary().Metric()), loadedAt: time.Now()}
+	for _, n := range sm.names {
+		sm.predClass = append(sm.predClass, s.mPred.WithLabel(n))
+	}
+	if m.Shadow() != nil {
+		for _, p := range sm.names {
+			for _, c := range sm.names {
+				sm.confusion = append(sm.confusion, s.mShadowConf.WithLabels(p, c))
 			}
 		}
-		m.shadow = ss
 	}
-	if means, stds := est.Baseline(); means != nil {
-		m.drift = newDriftTracker(est.FeatureNames(), means, stds)
-	}
-	return m
+	return sm
 }
 
 // loadEstimatorFile opens and loads one saved model file.
@@ -511,25 +424,18 @@ func (s *service) reloadModel() (string, error) {
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	est, err := loadEstimatorFile(s.opts.modelPath)
-	var shadow *core.Estimator
-	if err == nil && s.opts.shadowPath != "" {
-		if shadow, err = loadEstimatorFile(s.opts.shadowPath); err == nil {
-			err = validateShadow(est, shadow)
-		}
-	}
+	m, err := s.loadModel()
 	if err != nil {
 		s.mReloadError.Inc()
 		s.log.Error("model reload failed; previous model still serving",
 			"model", s.opts.modelPath, "err", err)
 		return "error", err
 	}
-	m := s.buildModel(est, shadow)
-	s.model.Store(m)
+	s.model.Store(s.buildModel(m))
 	s.mReloadOK.Inc()
 	s.log.Info("model reloaded", "model", s.opts.modelPath,
-		"shadow", s.opts.shadowPath, "features", est.NumFeatures(),
-		"drift_baseline", m.drift != nil)
+		"shadow", s.opts.shadowPath, "features", m.Primary().NumFeatures(),
+		"drift_baseline", m.Drift() != nil)
 	return "ok", nil
 }
 
@@ -616,27 +522,12 @@ func run(opts options) error {
 	// Validate every output path and the model BEFORE binding the
 	// listener: a daemon that accepts traffic and then dies on a bad
 	// -out path would leave clients mid-relay and files half-written.
-	var est, shadowEst *core.Estimator
-	if opts.modelPath != "" {
-		var err error
-		if est, err = loadEstimatorFile(opts.modelPath); err != nil {
-			return err
-		}
-	}
-	if opts.shadowPath != "" {
-		if est == nil {
-			return fmt.Errorf("-shadow-model needs -model")
-		}
-		var err error
-		if shadowEst, err = loadEstimatorFile(opts.shadowPath); err != nil {
-			return fmt.Errorf("-shadow-model: %w", err)
-		}
-		if err := validateShadow(est, shadowEst); err != nil {
-			return fmt.Errorf("-shadow-model: %w", err)
-		}
-	}
 	s := newService(opts, logger)
 	defer s.stopSinkWriter()
+	model, err := s.loadModel()
+	if err != nil {
+		return err
+	}
 	if ring != nil {
 		s.ring, s.instanceID = ring, opts.instanceID
 		logger.Info("cluster membership loaded", "instance", opts.instanceID,
@@ -678,7 +569,6 @@ func run(opts options) error {
 	// traffic; file sources feed the same callbacks from disk.
 	var src ingest.TransactionSource
 	var ps *ingest.ProxySource
-	var err error
 	switch source {
 	case "proxy":
 		resolver, err := loadResolver(opts.resolve, opts.upstream)
@@ -718,7 +608,7 @@ func run(opts options) error {
 	}
 	s.src = src
 	s.registerMetrics()
-	s.model.Store(s.buildModel(est, shadowEst))
+	s.model.Store(s.buildModel(model))
 	if snap != nil {
 		s.restoreSnapshot(opts.restorePath, snap)
 	}
@@ -794,7 +684,7 @@ func run(opts options) error {
 	// The tick drives both classification passes and the idle-client
 	// eviction sweep, so it runs whenever either needs it.
 	var tick <-chan time.Time
-	if opts.classifyEvery > 0 && (est != nil || opts.clientTTL > 0) {
+	if opts.classifyEvery > 0 && (model != nil || opts.clientTTL > 0) {
 		ticker := time.NewTicker(opts.classifyEvery)
 		defer ticker.Stop()
 		tick = ticker.C
@@ -952,10 +842,10 @@ func (s *service) registerMetrics() {
 		"Per-feature drift of classified traffic against the model's training baseline: (observed mean - training mean) / training std. Requires a model saved with a baseline.", "feature")
 	mDrift.Set(func() ([]string, []float64) {
 		m := s.model.Load()
-		if m == nil || m.drift == nil {
+		if m == nil || m.Drift() == nil {
 			return nil, nil
 		}
-		return m.drift.zscores()
+		return m.Drift().ZScores()
 	})
 	r.NewGaugeFunc("qoeproxy_interned_strings",
 		"Distinct client/SNI strings held by the ingest source's intern tables (0 for sources that do not intern).", func() float64 {
@@ -983,7 +873,7 @@ func (s *service) registerMetrics() {
 	s.mEvicted = r.NewCounter("qoeproxy_clients_evicted_total",
 		"Clients evicted after -client-ttl of idleness, final classification emitted.")
 	r.NewCounterFunc("qoeproxy_ingest_contention_total",
-		"Ingest lock acquisitions that found their shard already held; a rising rate means -shards is too low.", s.shards.Contention)
+		"Ingest lock acquisitions (one per connection start, one per shard a batch commits to) that found their shard already held. Which acquisitions overlap is up to the scheduler: the same input and binary read several-fold apart run to run.", s.shards.Contention)
 	// Fleet-operation series: the instance identity, the partitions this
 	// member owns (summed across members they equal the ring total, so
 	// coverage is verifiable from scrapes alone) and the records skipped
@@ -1277,7 +1167,8 @@ func (s *service) cutoff(nowSec float64) float64 {
 // classifyPass brings every client's online verdict up to date at sweep
 // clock nowSec (see sweepNow). serve.Shards.Pass gathers only the dirty
 // clients (serve.Core.Gather), one shard lock at a time, and scores them
-// with scorePass outside the lock. A "classification" line is logged
+// outside the lock; once the pass succeeds its counts reach the
+// prediction and challenger counters. A "classification" line is logged
 // for a client's first verdict and for a change of class only, in
 // client order; steady state is qoeproxy_sessions_by_class. Logs,
 // counters and stored classes are identical at every (shards, workers,
@@ -1289,9 +1180,7 @@ func (s *service) classifyPass(nowSec float64) {
 	if m == nil {
 		return
 	}
-	s.passModel = m
-	lines, st, err := s.shards.Pass(m.stamp, s.cutoff(nowSec), m.rowBuilders, s.scorePassFn, s.cLines[:0])
-	s.passModel = nil
+	lines, st, err := s.shards.Pass(m.Model, s.cutoff(nowSec), s.cLines[:0])
 	for _, d := range st.Shard {
 		s.mShardClassify.Observe(d.Seconds())
 	}
@@ -1300,6 +1189,9 @@ func (s *service) classifyPass(nowSec float64) {
 	}
 	s.mExtract.Observe(st.Gather.Seconds())
 	s.mInfer.Observe(st.Score.Seconds())
+	if st.ShadowErr != nil {
+		s.log.Error("shadow classification failed", "err", st.ShadowErr)
+	}
 	if err != nil {
 		s.mClassErrors.Inc()
 		s.log.Error("classification failed", "err", err)
@@ -1308,6 +1200,16 @@ func (s *service) classifyPass(nowSec float64) {
 	// The pass completed: it counts as a run even when every client was
 	// clean and nothing was scored.
 	s.mRuns.Inc()
+	nc := len(m.names)
+	for p, pc := range m.predClass {
+		pc.Add(st.Scored[p])
+		for c, n := range st.Disagree[p][:nc] {
+			if n > 0 { // only with a challenger, whose cells m.confusion holds
+				s.mShadowDis.Add(n)
+				m.confusion[p*nc+c].Add(n)
+			}
+		}
+	}
 	for _, l := range lines {
 		if l.Prev >= 0 {
 			s.byClass[l.Prev].Add(-1)
@@ -1320,79 +1222,6 @@ func (s *service) classifyPass(nowSec float64) {
 	}
 	clear(lines)
 	s.cLines = lines[:0]
-}
-
-// scorePass is the pass's serve.Score: it sweeps one shard's rows
-// through s.passModel's primary and counts them by class; a challenger
-// re-sweeps them into the disagreement counters only, and a drift
-// tracker folds them in. Counting shard by shard is exact because a
-// sweep fails for an untrained estimator, never for a row's values:
-// when one shard's fails every shard's does, and the pass counts none.
-func (s *service) scorePass(w int, block []float64, rows int, dst []int) ([]int, error) {
-	m := s.passModel
-	classes, err := s.classifyRows(m.est, block, rows, &s.probs[w], dst)
-	if err != nil {
-		return classes, err
-	}
-	var scored [qoe.NumCategories]int64
-	for _, class := range classes {
-		scored[class]++
-	}
-	for class, n := range scored {
-		m.predClass[class].Add(n)
-	}
-	if m.shadow != nil {
-		if s.shadow[w], err = s.classifyRows(m.shadow.est, block, rows, &s.probs[w], s.shadow[w]); err != nil {
-			s.log.Error("shadow classification failed", "err", err)
-		} else {
-			nc := m.est.NumClasses()
-			for i, class := range classes {
-				if c := s.shadow[w][i]; c != class {
-					s.mShadowDis.Inc()
-					m.shadow.confusion[class*nc+c].Inc()
-				}
-			}
-		}
-	}
-	if m.drift != nil {
-		m.drift.observeBlock(block, rows, m.est.NumFeatures())
-	}
-	return classes, nil
-}
-
-// finalScore returns the row builders and serve.Score that score
-// retired clients' final verdicts under bundle m — the primary alone,
-// outside the shadow comparison and the drift tracker — or nils.
-func (s *service) finalScore(m *servingModel) ([]*core.RowBuilder, serve.Score) {
-	if m == nil {
-		return nil, nil
-	}
-	return m.rowBuilders, func(w int, block []float64, rows int, dst []int) ([]int, error) {
-		return s.classifyRows(m.est, block, rows, &s.probs[w], dst)
-	}
-}
-
-// classifyRows scores rows row-major rows of block through est, the
-// primary or the challenger, classifyBatch rows per inference call with
-// *probs as the probability scratch, and returns the classes in out's
-// backing array (grown when short), one per row.
-func (s *service) classifyRows(est *core.Estimator, block []float64, rows int, probs *[]float64, out []int) ([]int, error) {
-	stride, nc, batch := est.NumFeatures(), est.NumClasses(), s.opts.classifyBatch
-	if cap(out) < rows {
-		out = make([]int, rows)
-	}
-	out = out[:rows]
-	if cap(*probs) < batch*nc {
-		*probs = make([]float64, batch*nc)
-	}
-	for lo := 0; lo < rows; lo += batch {
-		hi := min(lo+batch, rows)
-		if err := est.ClassifyBlockInto(block[lo*stride:hi*stride],
-			hi-lo, (*probs)[:(hi-lo)*nc], out[lo:hi]); err != nil {
-			return out, err
-		}
-	}
-	return out, nil
 }
 
 // evictIdle retires every client idle for -client-ttl with no open
@@ -1413,8 +1242,7 @@ func (s *service) evictIdle(nowSec float64) {
 	s.sweepDue.Store(math.Float64bits(nowSec + ttl.Seconds()/recordSweepsPerTTL))
 	// One bundle Load covers the whole sweep, like classifyPass.
 	m := s.model.Load()
-	rbs, score := s.finalScore(m)
-	gone, err := s.shards.Evict(nowSec, ttl.Seconds(), rbs, score)
+	gone, err := s.shards.Evict(nowSec, ttl.Seconds(), m.bundle())
 	if err != nil {
 		s.log.Error("eviction classification failed", "clients", len(gone), "err", err)
 	}
@@ -1467,8 +1295,7 @@ func (s *service) drain() {
 	// -max-session-txns, the most recent slice beyond it (lifetime counts
 	// still report full totals), which stopped ingest no longer changes.
 	m := s.model.Load()
-	rbs, score := s.finalScore(m)
-	finals, err := s.shards.Drain(rbs, score)
+	finals, err := s.shards.Drain(m.bundle())
 	if m == nil {
 		return
 	}

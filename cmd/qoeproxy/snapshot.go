@@ -136,7 +136,7 @@ func (s *service) restoreState(snap *savedSnapshot) (restored, skippedNotOwned i
 	s.watermark.Store(math.Float64bits(snap.Watermark))
 	numClasses := 0
 	if m := s.model.Load(); m != nil {
-		numClasses = m.est.NumClasses()
+		numClasses = m.Primary().NumClasses()
 	}
 	for i := range snap.Clients {
 		sc := &snap.Clients[i]

@@ -178,7 +178,7 @@ func TestSnapshotRoundTripProfiles(t *testing.T) {
 					// client's feature row in the restored service must equal
 					// the baseline's float for float.
 					// Row returns copies, so the two stay valid side by side.
-					rb := baseline.model.Load().rowBuilders[0]
+					rb := baseline.model.Load().Primary().NewRowBuilder()
 					for _, bcs := range baseline.snapshotState().Clients {
 						client := bcs.Client
 						if b.client(client) == nil {

@@ -19,10 +19,12 @@
 // Save continues exactly as the saved one would have.
 //
 // Shards, the form the daemon serves from, is N Cores routed by a hash
-// of the host. Unlike a Core it takes locks (one per shard) and starts
-// goroutines (a pass, an eviction sweep or a drain fans the shards out
-// over workers, the caller's inference outside every lock), and its
-// output equals one Core's fed the same calls.
+// of the host, and runs inference itself: a pass, an eviction sweep or
+// a drain fans the shards out over workers and scores each shard's rows
+// outside its lock through a Model — the primary estimator, an optional
+// challenger and a drift tracker — which the caller builds from the
+// Shards and swaps per call. Its output equals one Core's fed the same
+// calls and scored by the same estimator.
 package serve
 
 import (

@@ -12,25 +12,29 @@ import (
 	"droppackets/internal/capture"
 	"droppackets/internal/core"
 	"droppackets/internal/intern"
+	"droppackets/internal/qoe"
 )
 
 // Shards is n Cores, each behind its own mutex, with a client placed on
 // shard intern.Hash(host) % n. Open and Commit lock one shard, so
 // clients on different shards ingest in parallel; Pass, Evict and Drain
-// fan the shards out on min(GOMAXPROCS, n) workers and return their
-// results in client order. Pass, Evict and Drain must not run
-// concurrently with each other, nor Open or Commit with Drain; every
-// other pair may.
+// fan the shards out on min(GOMAXPROCS, n) workers, score each shard's
+// rows through a Model outside its lock, and return their results in
+// client order. Pass, Evict and Drain must not run concurrently with
+// each other, nor Open or Commit with Drain; every other pair may.
 type Shards struct {
 	shards     []shard
 	workers    int
-	contention atomic.Int64 // Open/Commit lock waits
+	batch      int           // rows per inference call
+	contention atomic.Int64  // Open/Commit lock waits
+	stamps     atomic.Uint64 // the last Model stamp
 
 	// The Pass in progress and its per-shard half, bound once so a pass
 	// on one worker allocates nothing.
-	pass   passArgs
-	passFn func(w, si int)
-	times  []time.Duration
+	passModel  *Model
+	passCutoff float64
+	passFn     func(w, si int)
+	times      []time.Duration
 }
 
 // shard is a Core, its mutex and the scratch of Pass, Evict and Drain,
@@ -42,44 +46,40 @@ type shard struct {
 	block          []float64 // row-major rows to score
 	rows, resident int
 	classes        []int
+	probs          []float64 // one inference call's class probabilities
+	challenger     []int     // the challenger's classes
+	scored         [qoe.NumCategories]int64
+	disagree       [qoe.NumCategories][qoe.NumCategories]int64
 	finals         []Final
 	txns           []capture.TLSTransaction
 	row            []float64
-	err            error
+	err, shadowErr error
 	gather, score  time.Duration
 }
 
-type passArgs struct {
-	stamp  uint64
-	cutoff float64
-	rbs    []*core.RowBuilder
-	score  Score
-}
-
-// Score classifies rows feature rows laid out row-major in block on
-// worker w, returning one class per row in dst's backing array (grown
-// when short). It runs outside every shard lock, concurrently for
-// distinct workers.
-type Score func(w int, block []float64, rows int, dst []int) ([]int, error)
+// defaultBatch is how many feature rows one inference call sweeps:
+// large enough to amortize the call, small enough that the probability
+// scratch stays in cache.
+const defaultBatch = 256
 
 // NewShards returns n empty shards (GOMAXPROCS when n <= 0) whose Cores
-// are built with maxSessionTxns and hooks. The hooks run under a shard
+// are built with maxSessionTxns and hooks, and which score batch rows
+// per inference call (256 when batch <= 0). The hooks run under a shard
 // lock, concurrently for distinct shards.
-func NewShards(n, maxSessionTxns int, hooks Hooks) *Shards {
+func NewShards(n, maxSessionTxns, batch int, hooks Hooks) *Shards {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	s := &Shards{shards: make([]shard, n), workers: min(runtime.GOMAXPROCS(0), n), times: make([]time.Duration, n)}
+	if batch <= 0 {
+		batch = defaultBatch
+	}
+	s := &Shards{shards: make([]shard, n), workers: min(runtime.GOMAXPROCS(0), n), batch: batch, times: make([]time.Duration, n)}
 	for i := range s.shards {
 		s.shards[i].core = New(maxSessionTxns, hooks)
 	}
 	s.passFn = s.passShard
 	return s
 }
-
-// Workers is how many workers (row builders, Score worker indices)
-// Pass, Evict and Drain fan out on.
-func (s *Shards) Workers() int { return s.workers }
 
 // Contention counts the Open and Commit lock acquisitions that found
 // their shard held.
@@ -170,24 +170,30 @@ func (s *Shards) forEach(fn func(w, si int)) {
 
 // PassStats is what a Pass measured: the clients resident at the
 // gathers, the time spent gathering (lock waits included) and scoring,
-// summed over shards, and each shard's gather plus score time (valid
-// until the next Pass).
+// summed over shards, each shard's gather plus score time (valid until
+// the next Pass), the rows scored by class, the rows the challenger
+// classed otherwise by primary × challenger class, and the challenger's
+// error, which fails nothing else.
 type PassStats struct {
 	Resident      int
 	Gather, Score time.Duration
 	Shard         []time.Duration
+	Scored        [qoe.NumCategories]int64
+	Disagree      [qoe.NumCategories][qoe.NumCategories]int64
+	ShadowErr     error
 }
 
-// Pass brings every client's verdict up to date: each shard gathers its
-// dirty rows under its lock (Core.Gather, through rbs[w]), score
-// classifies them outside it, and once every shard has scored, each
-// stores its classes (Core.Store); the Changes are appended to dst in
-// client order. If a score fails, no shard stores, every gathered
-// client stays dirty, and the lowest-numbered shard's error returns.
-func (s *Shards) Pass(stamp uint64, cutoff float64, rbs []*core.RowBuilder, score Score, dst []Change) ([]Change, PassStats, error) {
-	s.pass = passArgs{stamp, cutoff, rbs, score}
+// Pass brings every client's verdict up to date under m: each shard
+// gathers its dirty rows under its lock (Core.Gather), scores them
+// outside it through m's primary and challenger, and once every shard
+// has scored, each stores its classes (Core.Store); the Changes are
+// appended to dst in client order. If a primary sweep fails, no shard
+// stores, every gathered client stays dirty, and the lowest-numbered
+// shard's error returns.
+func (s *Shards) Pass(m *Model, cutoff float64, dst []Change) ([]Change, PassStats, error) {
+	s.passModel, s.passCutoff = m, cutoff
 	s.forEach(s.passFn)
-	s.pass = passArgs{}
+	s.passModel = nil
 	st, err := PassStats{Shard: s.times}, error(nil)
 	for si := range s.shards {
 		sh := &s.shards[si]
@@ -195,7 +201,14 @@ func (s *Shards) Pass(stamp uint64, cutoff float64, rbs []*core.RowBuilder, scor
 		st.Gather += sh.gather
 		st.Score += sh.score
 		s.times[si] = sh.gather + sh.score
+		for p := range sh.scored {
+			st.Scored[p] += sh.scored[p]
+			for c := range sh.disagree[p] {
+				st.Disagree[p][c] += sh.disagree[p][c]
+			}
+		}
 		err = cmp.Or(err, sh.err)
+		st.ShadowErr = cmp.Or(st.ShadowErr, sh.shadowErr)
 	}
 	n := len(dst)
 	for si := range s.shards {
@@ -214,44 +227,44 @@ func (s *Shards) Pass(stamp uint64, cutoff float64, rbs []*core.RowBuilder, scor
 }
 
 func (s *Shards) passShard(w, si int) {
-	p, sh := &s.pass, &s.shards[si]
+	m, sh := s.passModel, &s.shards[si]
 	t0 := time.Now()
 	sh.mu.Lock()
 	sh.resident = sh.core.Len()
-	sh.block, sh.rows = sh.core.Gather(p.stamp, p.cutoff, p.rbs[w], sh.block[:0])
+	sh.block, sh.rows = sh.core.Gather(m.stamp, s.passCutoff, m.rbs[w], sh.block[:0])
 	sh.mu.Unlock()
 	t1 := time.Now()
-	sh.err = nil
+	sh.err, sh.shadowErr, sh.scored, sh.disagree = nil, nil, [qoe.NumCategories]int64{}, [qoe.NumCategories][qoe.NumCategories]int64{}
 	if sh.rows > 0 {
-		sh.classes, sh.err = p.score(w, sh.block, sh.rows, sh.classes)
+		sh.err = sh.classify(m, s.batch)
 	}
 	sh.gather, sh.score = t1.Sub(t0), time.Since(t1)
 }
 
 // Evict retires the idle clients of every shard (Core.Evict) and
 // returns their Finals in client order, scored as Drain scores them.
-func (s *Shards) Evict(now, ttl float64, rbs []*core.RowBuilder, score Score) ([]Final, error) {
-	return s.retire(func(c *Core, dst []Final) []Final { return c.Evict(dst, now, ttl) }, rbs, score)
+func (s *Shards) Evict(now, ttl float64, m *Model) ([]Final, error) {
+	return s.retire(func(c *Core, dst []Final) []Final { return c.Evict(dst, now, ttl) }, m)
 }
 
 // Drain ends every client's stream (Core.Drain) and returns the Finals
-// in client order. With a non-nil score, each Final's Verdict is its
-// retained transactions' row, built through rbs[w] and scored the way a
-// Pass scores; it stays -1 for a Final with no transaction, and for
-// every Final when a score fails, which returns the error.
-func (s *Shards) Drain(rbs []*core.RowBuilder, score Score) ([]Final, error) {
-	return s.retire((*Core).Drain, rbs, score)
+// in client order. With a non-nil m, each Final's Verdict is its
+// retained transactions' row scored by m's primary alone; it stays -1
+// for a Final with no transaction, and for every Final when a sweep
+// fails, which returns the error.
+func (s *Shards) Drain(m *Model) ([]Final, error) {
+	return s.retire((*Core).Drain, m)
 }
 
-func (s *Shards) retire(take func(*Core, []Final) []Final, rbs []*core.RowBuilder, score Score) ([]Final, error) {
+func (s *Shards) retire(take func(*Core, []Final) []Final, m *Model) ([]Final, error) {
 	s.forEach(func(w, si int) {
 		sh := &s.shards[si]
 		sh.mu.Lock()
 		sh.finals = take(sh.core, sh.finals[:0])
 		sh.mu.Unlock()
 		sh.err = nil
-		if score != nil {
-			sh.err = sh.verdicts(w, rbs[w], score)
+		if m != nil {
+			sh.err = sh.verdicts(m, m.rbs[w], s.batch)
 		}
 	})
 	var all []Final
@@ -272,8 +285,8 @@ func (s *Shards) retire(take func(*Core, []Final) []Final, rbs []*core.RowBuilde
 }
 
 // verdicts scores one row per Final of the shard, built from its
-// retained transactions, into the Finals' Verdicts.
-func (sh *shard) verdicts(w int, rb *core.RowBuilder, score Score) (err error) {
+// retained transactions through rb, into the Finals' Verdicts.
+func (sh *shard) verdicts(m *Model, rb *core.RowBuilder, batch int) (err error) {
 	sh.block, sh.rows = sh.block[:0], 0
 	for i := range sh.finals {
 		f := &sh.finals[i]
@@ -287,7 +300,7 @@ func (sh *shard) verdicts(w int, rb *core.RowBuilder, score Score) (err error) {
 	if sh.rows == 0 {
 		return nil
 	}
-	if sh.classes, err = score(w, sh.block, sh.rows, sh.classes); err == nil {
+	if sh.classes, err = sh.infer(m.est, batch, sh.classes); err == nil {
 		for i := range sh.finals {
 			if f := &sh.finals[i]; f.Verdict >= 0 {
 				f.Verdict = sh.classes[f.Verdict]

@@ -35,8 +35,11 @@ go test -race -timeout 20m ./internal/ml/... ./internal/core ./internal/dataset 
 echo "== go test -race -count=10 (sink tests: per-client order rests on each sink's mutex) =="
 go test -race -count=10 -run '^TestSink' ./cmd/qoeproxy
 
-echo "== go test -race -count=10 (shard set tests: ingest commits race classification passes and eviction sweeps) =="
-go test -race -count=10 -run '^TestShards' ./internal/serve
+echo "== go test -race -count=10 (shard set and model tests: ingest commits race classification passes and eviction sweeps) =="
+go test -race -count=10 -run '^TestShards|^TestModel' ./internal/serve
+
+echo "== go test -race -count=5 (reload tests: a bundle swap races the passes that score through serve.Model) =="
+go test -race -count=5 -run '^TestReload' ./cmd/qoeproxy
 
 echo "== go test -race -count=10 (Squid source tests: handler order crosses the ordering-to-handler channel) =="
 go test -race -count=10 -run '^TestSquid' ./internal/ingest

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"droppackets/internal/capture"
 	"droppackets/internal/dataset"
 	"droppackets/internal/experiments"
 	"droppackets/internal/features"
@@ -448,13 +447,7 @@ func BenchmarkClientHelloParse(b *testing.B) {
 
 func BenchmarkSessionIDDetect(b *testing.B) {
 	c := microData(b)
-	lists := make([][]capture.TLSTransaction, len(c.Records))
-	durations := make([]float64, len(c.Records))
-	for i, r := range c.Records {
-		lists[i] = r.Capture.TLS
-		durations[i] = r.DurationSec
-	}
-	stream := sessionid.Concat(lists, durations)
+	stream, _ := sessionid.Concat(dataset.Chain(c.Records))
 	b.ReportMetric(float64(len(stream)), "transactions")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

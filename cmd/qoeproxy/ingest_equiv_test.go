@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -361,35 +362,24 @@ func TestReplayWorkersKeepHostSessions(t *testing.T) {
 	s.drain()
 
 	// The offline side sees each transaction as the daemon holds it:
-	// read back from the file and converted through record time. Equal
-	// starts keep the order the daemon commits them in, by end.
+	// read back from the file and converted through record time.
 	loaded, err := tlsproxy.ReadWorkload(bytes.NewReader(csv.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	at := func(off float64) time.Time { return s.epoch.Add(time.Duration(off * float64(time.Second))) }
-	perHost := map[string][]sessionid.Transaction{}
+	perHost := map[string][]capture.TLSTransaction{}
 	for _, r := range loaded {
 		txn := tlsproxy.ToCaptureTransaction(tlsproxy.Record{SNI: r.SNI, Start: at(r.Start), End: at(r.End)}, s.epoch)
 		host := ingest.ClientHost(r.Client)
-		perHost[host] = append(perHost[host], sessionid.Transaction{Start: txn.Start, End: txn.End, SNI: txn.SNI})
+		perHost[host] = append(perHost[host], txn)
 	}
 	if len(perHost) != hosts {
 		t.Fatalf("%d hosts in the workload, want %d", len(perHost), hosts)
 	}
 	for host, all := range perHost {
-		sort.SliceStable(all, func(i, j int) bool {
-			if all[i].Start != all[j].Start {
-				return all[i].Start < all[j].Start
-			}
-			return all[i].End < all[j].End
-		})
-		var want int64
-		for _, isNew := range sessionid.Detect(all, sessionid.PaperParams) {
-			if isNew {
-				want++
-			}
-		}
+		sessions := sessionid.Split(all, sessionid.PaperParams)
+		want := int64(sessions[len(sessions)-1].Index)
 		cs := s.client(host)
 		if cs == nil || cs.Txns != int64(len(all)) {
 			t.Fatalf("host %s: state %v, want %d transactions", host, cs, len(all))
@@ -397,5 +387,113 @@ func TestReplayWorkersKeepHostSessions(t *testing.T) {
 		if cs.Boundaries != want {
 			t.Errorf("host %s: %d session boundaries, the offline heuristic finds %d", host, cs.Boundaries, want)
 		}
+	}
+}
+
+// TestSquidSessionsMatchOffline feeds a Squid log of clients that watch
+// one to three videos back to back through the daemon's Squid source,
+// then checks every client's drained state against the offline
+// pipeline — sessionid.Split and Estimator.ClassifySessions over the
+// same log, as qoeinfer -squid runs them: the last session's Index is
+// the client's boundary count, the transaction totals agree, and a
+// client with exactly one session gets that session's class in the
+// shutdown summary. The reorder horizon outlasts the log's longest
+// connection, so every entry is released in start order.
+func TestSquidSessionsMatchOffline(t *testing.T) {
+	est, _ := invarianceFixtures(t)
+	traffic, err := dataset.Build(dataset.Config{Seed: 31, Sessions: 24}, has.Svc1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type entry struct {
+		client string
+		txn    capture.TLSTransaction
+	}
+	var entries []entry
+	longest, next := 0.0, 0
+	for c := 0; c < 12; c++ {
+		client := fmt.Sprintf("10.31.0.%d", c+1)
+		offset := float64(7 * c)
+		for v := 0; v <= c%3; v++ {
+			rec := traffic.Records[next]
+			next++
+			for _, txn := range rec.Capture.TLS {
+				txn.Start += offset
+				txn.End += offset
+				longest = max(longest, txn.End-txn.Start)
+				entries = append(entries, entry{client, txn})
+			}
+			offset += rec.DurationSec
+		}
+	}
+	// A proxy logs a tunnel when it closes.
+	sort.SliceStable(entries, func(i, j int) bool { return entries[i].txn.End < entries[j].txn.End })
+	var log bytes.Buffer
+	for _, e := range entries {
+		log.WriteString(squidlog.FormatEntry(e.client, e.txn, 1_700_000_000) + "\n")
+	}
+	path := filepath.Join(t.TempDir(), "access.log")
+	if err := os.WriteFile(path, log.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	horizon := time.Duration((longest + 60) * float64(time.Second))
+	s, _ := newTestService(t, options{shards: 4, source: "squid", ingestHorizon: horizon}, est)
+	src := &ingest.SquidSource{
+		Path: path, Base: s.epoch, EpochUnix: 1_700_000_000,
+		Horizon: s.opts.ingestHorizon.Seconds(),
+	}
+	if err := src.Run(context.Background(), ingest.Handler{ConnOpen: s.onConnOpen, TransactionBatch: s.onTransactionBatch}); err != nil {
+		t.Fatal(err)
+	}
+	type final struct {
+		class            string
+		txns, boundaries int
+	}
+	summary := map[string]final{}
+	for _, line := range strings.Split(strings.TrimSpace(captureStdout(t, s.drain)), "\n") {
+		var client string
+		var f final
+		if _, err := fmt.Sscanf(line, "client %s sessions-qoe=%s (%d transactions, %d boundaries)", &client, &f.class, &f.txns, &f.boundaries); err != nil {
+			t.Fatalf("summary line %q: %v", line, err)
+		}
+		summary[client] = f
+	}
+
+	parsed, err := squidlog.Parse(bytes.NewReader(log.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := core.ClassNames(est.Metric())
+	single, multi := 0, 0
+	for client, txns := range squidlog.GroupByClient(parsed) {
+		sessions := sessionid.Split(txns, sessionid.PaperParams)
+		verdicts, err := est.ClassifySessions(sessions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := sessions[len(sessions)-1]
+		got, ok := summary[client]
+		if !ok {
+			t.Errorf("client %s: no shutdown summary", client)
+			continue
+		}
+		if got.boundaries != last.Index {
+			t.Errorf("client %s: %d boundaries, the offline split's last session has index %d", client, got.boundaries, last.Index)
+		}
+		if got.txns != len(txns) {
+			t.Errorf("client %s: %d transactions, the log holds %d", client, got.txns, len(txns))
+		}
+		if len(sessions) > 1 {
+			multi++
+			continue
+		}
+		single++
+		if got.class != names[verdicts[0].Class] {
+			t.Errorf("client %s: summary class %s, the offline session's %s", client, got.class, names[verdicts[0].Class])
+		}
+	}
+	if len(summary) != 12 || single == 0 || multi == 0 {
+		t.Errorf("%d clients summarised, %d in one session and %d in several: the fixture tests too little", len(summary), single, multi)
 	}
 }

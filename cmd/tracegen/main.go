@@ -11,8 +11,9 @@
 // In dataset mode three files are written into -out: features.csv
 // (labeled 38-feature rows), transactions.csv (raw TLS transactions)
 // and links.csv (per-session link ground truth). Stream mode emits one
-// back-to-back chain of sessions on an absolute clock — the input
-// cmd/sessionize expects.
+// back-to-back chain of sessions on an absolute clock, in the
+// transactions.csv format, for one viewer: qoeinfer -score splits it
+// into sessions and scores the cuts against the session column.
 package main
 
 import (
@@ -22,7 +23,6 @@ import (
 	"path/filepath"
 	"strconv"
 
-	"droppackets/internal/capture"
 	"droppackets/internal/dataset"
 	"droppackets/internal/has"
 	"droppackets/internal/pcap"
@@ -87,26 +87,15 @@ func emitTraces(n int, seed int64, out string) error {
 }
 
 func emitStream(sessions int, service string, seed int64, out string) error {
-	var profile *has.ServiceProfile
-	for _, p := range has.Profiles() {
-		if p.Name == service {
-			profile = p
-		}
-	}
-	if profile == nil {
-		return fmt.Errorf("unknown service %q", service)
+	profile, err := has.Profile(service)
+	if err != nil {
+		return err
 	}
 	corpus, err := dataset.Build(dataset.Config{Seed: seed, Sessions: sessions}, profile)
 	if err != nil {
 		return err
 	}
-	lists := make([][]capture.TLSTransaction, len(corpus.Records))
-	durations := make([]float64, len(corpus.Records))
-	for i, r := range corpus.Records {
-		lists[i] = r.Capture.TLS
-		durations[i] = r.DurationSec
-	}
-	stream := sessionid.Concat(lists, durations)
+	stream, bytes := sessionid.Concat(dataset.Chain(corpus.Records))
 	w := os.Stdout
 	if out != "" {
 		f, err := os.Create(out)
@@ -117,23 +106,19 @@ func emitStream(sessions int, service string, seed int64, out string) error {
 		w = f
 	}
 	fmt.Fprintln(w, "session,sni,start,end,up_bytes,down_bytes")
-	for _, t := range stream {
-		fmt.Fprintf(w, "%s-%d,%s,%s,%s,0,0\n", service, t.SessionIdx, t.SNI,
+	for i, t := range stream {
+		fmt.Fprintf(w, "%s-%d,%s,%s,%s,%d,%d\n", service, t.SessionIdx, t.SNI,
 			strconv.FormatFloat(t.Start, 'f', 3, 64),
-			strconv.FormatFloat(t.End, 'f', 3, 64))
+			strconv.FormatFloat(t.End, 'f', 3, 64),
+			bytes[i].Up, bytes[i].Down)
 	}
 	return nil
 }
 
 func emitPcap(service string, session int, seed int64, out string) error {
-	var profile *has.ServiceProfile
-	for _, p := range has.Profiles() {
-		if p.Name == service {
-			profile = p
-		}
-	}
-	if profile == nil {
-		return fmt.Errorf("unknown service %q", service)
+	profile, err := has.Profile(service)
+	if err != nil {
+		return err
 	}
 	rec, err := dataset.GenerateSession(dataset.Config{Seed: seed, KeepPacketDetail: true}, profile, session)
 	if err != nil {

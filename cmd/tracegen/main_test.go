@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"droppackets/internal/dataset"
+	"droppackets/internal/has"
 	"droppackets/internal/pcap"
 )
 
@@ -50,6 +53,30 @@ func TestEmitStream(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "Svc1-0") {
 		t.Error("stream missing session ids")
+	}
+	// Connection reuse folds transactions together but loses no bytes:
+	// the stream carries the corpus's totals.
+	groups, _, err := dataset.ReadTransactionsCSV(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus, err := dataset.Build(dataset.Config{Seed: 3, Sessions: 4}, has.Svc1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var up, down, wantUp, wantDown int64
+	for _, txns := range groups {
+		for _, x := range txns {
+			up, down = up+x.UpBytes, down+x.DownBytes
+		}
+	}
+	for _, r := range corpus.Records {
+		for _, x := range r.Capture.TLS {
+			wantUp, wantDown = wantUp+x.UpBytes, wantDown+x.DownBytes
+		}
+	}
+	if wantDown == 0 || up != wantUp || down != wantDown {
+		t.Errorf("stream carries %d up, %d down bytes; the corpus %d, %d", up, down, wantUp, wantDown)
 	}
 	if err := emitStream(2, "SvcX", 3, out); err == nil {
 		t.Error("unknown service accepted")

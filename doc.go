@@ -7,7 +7,7 @@
 //
 // The public surface lives under internal/ packages by design — this
 // module is a research artifact whose stable entry points are the
-// commands (cmd/qoebench, cmd/qoeinfer, cmd/sessionize, cmd/tracegen)
+// commands (cmd/qoebench, cmd/qoeinfer, cmd/qoeproxy, cmd/tracegen)
 // and the runnable examples (examples/...). The benchmark harness in
 // bench_test.go regenerates every table and figure of the paper's
 // evaluation; see DESIGN.md for the experiment index and EXPERIMENTS.md

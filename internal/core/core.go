@@ -15,6 +15,7 @@ import (
 	"droppackets/internal/ml/eval"
 	"droppackets/internal/ml/forest"
 	"droppackets/internal/qoe"
+	"droppackets/internal/sessionid"
 	"droppackets/internal/stats"
 )
 
@@ -207,6 +208,35 @@ func (e *Estimator) ClassifyProba(txns []capture.TLSTransaction) ([]float64, err
 	probs := make([]float64, e.scorer.NumClasses())
 	e.scorer.PredictProbaBatchInto(e.featuresFor(txns), len(e.cols), probs)
 	return probs, nil
+}
+
+// Verdict is one session's predicted class (0 = problem class) and its
+// per-class probabilities.
+type Verdict struct {
+	Class int
+	Probs []float64
+}
+
+// ClassifySessions scores sessions (sessionid.Split's, or known ones):
+// one feature row per session's Txns, all rows in one ClassifyBlockInto
+// call. Verdicts are in session order, bit-identical to ClassifyProba.
+func (e *Estimator) ClassifySessions(sessions []sessionid.Session) ([]Verdict, error) {
+	n, stride, nc := len(sessions), e.NumFeatures(), e.NumClasses()
+	block := make([]float64, n*stride)
+	rb := e.NewRowBuilder()
+	for i, s := range sessions {
+		rb.FeatureRow(s.Txns, block[i*stride:(i+1)*stride])
+	}
+	probs := make([]float64, n*nc)
+	classes := make([]int, n)
+	if err := e.ClassifyBlockInto(block, n, probs, classes); err != nil {
+		return nil, err
+	}
+	out := make([]Verdict, n)
+	for i := range out {
+		out[i] = Verdict{Class: classes[i], Probs: probs[i*nc : (i+1)*nc : (i+1)*nc]}
+	}
+	return out, nil
 }
 
 // Importances returns the trained model's feature importances paired

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"droppackets/internal/capture"
+	"droppackets/internal/ml"
+	"droppackets/internal/sessionid"
 )
 
 func rowBitsEqual(t *testing.T, ctx string, got, want []float64) {
@@ -129,4 +134,49 @@ func TestFeatureRowMatchesBatch(t *testing.T) {
 	}
 	row = est.FeatureRow(nil, row)
 	rowBitsEqual(t, "empty feature row", row, est.featuresFor(nil))
+}
+
+// TestClassifySessionsMatchesClassifyProba scores a back-to-back stream
+// cut by sessionid.Split in one block and checks every verdict against
+// ClassifyProba on the session alone, bit for bit.
+func TestClassifySessionsMatchesClassifyProba(t *testing.T) {
+	sessions := trainingData(t, 120)
+	est := newEstimator()
+	if _, err := est.ClassifySessions(nil); err == nil {
+		t.Error("untrained estimator classified sessions")
+	}
+	if err := est.Train(sessions); err != nil {
+		t.Fatal(err)
+	}
+	var stream []capture.TLSTransaction
+	offset := 0.0
+	for _, s := range sessions[:12] {
+		for _, x := range s.TLS {
+			x.Start += offset
+			x.End += offset
+			stream = append(stream, x)
+		}
+		offset = stream[len(stream)-1].End + 1
+	}
+	split := sessionid.Split(stream, sessionid.PaperParams)
+	if len(split) < 2 {
+		t.Fatalf("the stream split into %d sessions", len(split))
+	}
+	got, err := est.ClassifySessions(split)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(split) {
+		t.Fatalf("%d verdicts for %d sessions", len(got), len(split))
+	}
+	for i, s := range split {
+		want, err := est.ClassifyProba(s.Txns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowBitsEqual(t, fmt.Sprintf("session %d", i), got[i].Probs, want)
+		if got[i].Class != ml.Argmax(want) {
+			t.Errorf("session %d: class %d, ClassifyProba's argmax %d", i, got[i].Class, ml.Argmax(want))
+		}
+	}
 }

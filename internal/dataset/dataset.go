@@ -78,6 +78,18 @@ type Corpus struct {
 	Records []Record
 }
 
+// Chain returns the records' TLS transactions and durations: the
+// arguments sessionid.Concat splices into the stream of one viewer who
+// watches the records back to back.
+func Chain(records []Record) (lists [][]capture.TLSTransaction, durations []float64) {
+	lists = make([][]capture.TLSTransaction, len(records))
+	durations = make([]float64, len(records))
+	for i, r := range records {
+		lists[i], durations[i] = r.Capture.TLS, r.DurationSec
+	}
+	return lists, durations
+}
+
 // serviceStream gives each service a disjoint deterministic RNG stream
 // space for player/capture randomness while traces stay shared.
 func serviceStream(svc string) int64 {

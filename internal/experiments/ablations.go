@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"droppackets/internal/capture"
 	"droppackets/internal/dataset"
 	"droppackets/internal/features"
 	"droppackets/internal/has"
@@ -197,14 +196,7 @@ func (s *Suite) AblationSessionIDThresholds() ([]SessionIDRow, error) {
 				p := sessionid.Params{WindowSec: w, MinCount: nmin, MinNewFrac: dmin}
 				var correct, total, falseNew int
 				for start := 0; start+perChain <= len(c.Records); start += perChain {
-					group := c.Records[start : start+perChain]
-					sessions := make([][]capture.TLSTransaction, len(group))
-					durations := make([]float64, len(group))
-					for i, rec := range group {
-						sessions[i] = rec.Capture.TLS
-						durations[i] = rec.DurationSec
-					}
-					stream := sessionid.Concat(sessions, durations)
+					stream, _ := sessionid.Concat(dataset.Chain(c.Records[start : start+perChain]))
 					cr, tt := sessionid.SessionsRecovered(stream, p)
 					correct += cr
 					total += tt

@@ -6,7 +6,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sync"
 
 	"droppackets/internal/capture"
@@ -58,16 +57,6 @@ func NewSuite(cfg Config) *Suite {
 // Config returns the effective (defaulted) configuration.
 func (s *Suite) Config() Config { return s.cfg }
 
-// profile resolves a service name to its profile.
-func profile(svc string) (*has.ServiceProfile, error) {
-	for _, p := range has.Profiles() {
-		if p.Name == svc {
-			return p, nil
-		}
-	}
-	return nil, fmt.Errorf("experiments: unknown service %q", svc)
-}
-
 // Corpus returns the (cached) corpus of one service, building it with
 // packet detail retained so every experiment — including Table 4 — can
 // run from the same data.
@@ -77,7 +66,7 @@ func (s *Suite) Corpus(svc string) (*dataset.Corpus, error) {
 	if c, ok := s.corpora[svc]; ok {
 		return c, nil
 	}
-	p, err := profile(svc)
+	p, err := has.Profile(svc)
 	if err != nil {
 		return nil, err
 	}

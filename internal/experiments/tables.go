@@ -5,7 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"droppackets/internal/capture"
+	"droppackets/internal/dataset"
 	"droppackets/internal/features"
 	"droppackets/internal/ml"
 	"droppackets/internal/ml/eval"
@@ -258,14 +258,7 @@ func (s *Suite) Table5() (*Table5Result, error) {
 		SessionsPerChain: perChain,
 	}
 	for start := 0; start+perChain <= len(c.Records); start += perChain {
-		group := c.Records[start : start+perChain]
-		sessions := make([][]capture.TLSTransaction, len(group))
-		durations := make([]float64, len(group))
-		for i, rec := range group {
-			sessions[i] = rec.Capture.TLS
-			durations[i] = rec.DurationSec
-		}
-		stream := sessionid.Concat(sessions, durations)
+		stream, _ := sessionid.Concat(dataset.Chain(c.Records[start : start+perChain]))
 		conf := sessionid.Evaluate(stream, res.Params)
 		for a := 0; a < 2; a++ {
 			for p := 0; p < 2; p++ {
@@ -275,7 +268,7 @@ func (s *Suite) Table5() (*Table5Result, error) {
 		correct, total := sessionid.SessionsRecovered(stream, res.Params)
 		res.SessionsCorrect += correct
 		res.SessionsTotal += total
-		tc, _ := sessionid.TimeoutRecovered(stream, 30)
+		tc, _ := sessionid.Recovered(stream, sessionid.TimeoutDetect(stream, 30))
 		res.TimeoutCorrect += tc
 		res.ChainsEvaluated++
 		res.TransactionsTotal += len(stream)

@@ -640,3 +640,14 @@ func TestSimulateWithMPC(t *testing.T) {
 		t.Error("MPC on 20 Mbps stuck at low quality")
 	}
 }
+
+func TestProfileByName(t *testing.T) {
+	for _, want := range Profiles() {
+		if p, err := Profile(want.Name); err != nil || p.Name != want.Name {
+			t.Errorf("Profile(%q) = %v, %v", want.Name, p, err)
+		}
+	}
+	if _, err := Profile("SvcX"); err == nil {
+		t.Error("unknown service accepted")
+	}
+}

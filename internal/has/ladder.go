@@ -235,3 +235,13 @@ func Svc3() *ServiceProfile {
 func Profiles() []*ServiceProfile {
 	return []*ServiceProfile{Svc1(), Svc2(), Svc3()}
 }
+
+// Profile returns the service profile with the given name.
+func Profile(name string) (*ServiceProfile, error) {
+	for _, p := range Profiles() {
+		if p.Name == name {
+			return p, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown service %q", name)
+}

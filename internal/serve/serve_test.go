@@ -37,10 +37,7 @@ func TestAdvanceLongLivedConnection(t *testing.T) {
 	end := sessStart(sessions) + 10
 	connA := capture.TLSTransaction{SNI: "long-a.example", Start: 0, End: sessStart(40) - 0.1, UpBytes: 1, DownBytes: 10}
 	connB := capture.TLSTransaction{SNI: "long-b.example", Start: sessStart(20) - 0.5, End: end, UpBytes: 2, DownBytes: 20}
-	all := []sessionid.Transaction{
-		{Start: connA.Start, End: connA.End, SNI: connA.SNI},
-		{Start: connB.Start, End: connB.End, SNI: connB.SNI},
-	}
+	all := []capture.TLSTransaction{connA, connB}
 	c.Open(client, 1, connA.Start)
 	id := uint64(2)
 	cl := c.clients[client]
@@ -69,9 +66,10 @@ func TestAdvanceLongLivedConnection(t *testing.T) {
 			}
 			sni := fmt.Sprintf("s%d-%c.example", k, 'a'+j%3)
 			id++
+			txn := capture.TLSTransaction{SNI: sni, Start: start, End: start + 0.5, UpBytes: int64(id), DownBytes: int64(10 * id)}
 			c.Open(client, id, start)
-			c.Commit(client, id, capture.TLSTransaction{SNI: sni, Start: start, End: start + 0.5, UpBytes: int64(id), DownBytes: int64(10 * id)})
-			all = append(all, sessionid.Transaction{Start: start, End: start + 0.5, SNI: sni})
+			c.Commit(client, id, txn)
+			all = append(all, txn)
 		}
 	}
 	if len(cl.buffer) < 1000 {
@@ -81,15 +79,8 @@ func TestAdvanceLongLivedConnection(t *testing.T) {
 	c.Commit(client, 2, connB)
 	c.Drain(nil)
 
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Start < all[j].Start })
-	want := sessionid.Detect(all, sessionid.PaperParams)
-	wantBoundaries, last := int64(0), 0
-	for i, isNew := range want {
-		if isNew {
-			wantBoundaries++
-			last = i
-		}
-	}
+	split := sessionid.Split(all, sessionid.PaperParams)
+	wantBoundaries := int64(split[len(split)-1].Index)
 	if wantBoundaries < sessions {
 		t.Fatalf("the offline heuristic finds %d boundaries, the trace was built with %d sessions", wantBoundaries, sessions)
 	}
@@ -99,16 +90,16 @@ func TestAdvanceLongLivedConnection(t *testing.T) {
 	if len(cl.buffer) != 0 || len(cl.inFlight) != 0 {
 		t.Errorf("%d buffered and %d in flight after the flush", len(cl.buffer), len(cl.inFlight))
 	}
-	tail := all[last:]
+	tail := split[len(split)-1].Txns
 	if len(cl.current) != len(tail) {
 		t.Fatalf("last session holds %d transactions, want %d", len(cl.current), len(tail))
 	}
 	for i, txn := range cl.current {
 		w := tail[i]
-		// The run keeps no SNI. Every record's down bytes are ten times
-		// its up bytes, so a transaction's counts travelled with it.
-		if txn.start != w.Start || txn.end != w.End || txn.up <= 0 || txn.down != 10*txn.up {
-			t.Fatalf("last session transaction %d = %+v, want start %v end %v", i, txn, w.Start, w.End)
+		// The run keeps no SNI; its times and byte counts must be the
+		// transaction's own.
+		if txn.start != w.Start || txn.end != w.End || txn.up != w.UpBytes || txn.down != w.DownBytes {
+			t.Fatalf("last session transaction %d = %+v, want %+v", i, txn, w)
 		}
 	}
 }
@@ -245,10 +236,10 @@ func TestCoreDeterminism(t *testing.T) {
 		}
 	}
 
-	perClient := map[string][]sessionid.Transaction{}
+	perClient := map[string][]capture.TLSTransaction{}
 	for _, e := range events {
 		if !e.open {
-			perClient[e.client] = append(perClient[e.client], sessionid.Transaction{Start: e.txn.Start, End: e.txn.End, SNI: e.txn.SNI})
+			perClient[e.client] = append(perClient[e.client], e.txn)
 		}
 	}
 	if len(finals) != len(perClient) {
@@ -257,13 +248,8 @@ func TestCoreDeterminism(t *testing.T) {
 	truncated := false
 	for _, f := range finals {
 		all := perClient[f.Client]
-		sort.SliceStable(all, func(i, j int) bool { return all[i].Start < all[j].Start })
-		var want int64
-		for _, isNew := range sessionid.Detect(all, sessionid.PaperParams) {
-			if isNew {
-				want++
-			}
-		}
+		split := sessionid.Split(all, sessionid.PaperParams)
+		want := int64(split[len(split)-1].Index)
 		if f.Boundaries != want || want < 2 {
 			t.Errorf("client %s: %d boundaries, the offline heuristic finds %d", f.Client, f.Boundaries, want)
 		}

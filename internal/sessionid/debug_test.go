@@ -26,7 +26,7 @@ func TestDebugBoundary(t *testing.T) {
 		sessions = append(sessions, rec.Capture.TLS)
 		durations = append(durations, rec.DurationSec)
 	}
-	stream := Concat(sessions, durations)
+	stream, _ := Concat(sessions, durations)
 	pred := Detect(stream, PaperParams)
 	seen := map[string]bool{}
 	for i, x := range stream {

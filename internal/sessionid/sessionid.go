@@ -40,6 +40,9 @@ type Transaction struct {
 	First bool
 }
 
+// Bytes are one transaction's byte counts.
+type Bytes struct{ Up, Down int64 }
+
 // Concat splices per-session TLS transaction lists into one stream as a
 // proxy would observe back-to-back playback: session k begins the
 // moment session k-1's player closes, while session k-1's connections
@@ -53,17 +56,25 @@ type Transaction struct {
 // telemetry hosts rarely signal session boundaries, and why the
 // heuristic leans on CDN-host changes). The result is ordered by start
 // time, with First recomputed on the merged stream.
-func Concat(sessions [][]capture.TLSTransaction, durations []float64) []Transaction {
-	var all []Transaction
+//
+// bytes[i] holds out[i]'s byte counts, a folded transaction's added to
+// the one it rides; they stay out of Transaction, which the Streamer
+// buffers for every pending transaction and Detect never reads.
+func Concat(sessions [][]capture.TLSTransaction, durations []float64) (out []Transaction, bytes []Bytes) {
+	type item struct {
+		Transaction
+		Bytes
+	}
+	var all []item
 	offset := 0.0
 	for k, txns := range sessions {
 		for _, t := range txns {
-			all = append(all, Transaction{
+			all = append(all, item{Transaction{
 				Start:      offset + t.Start,
 				End:        offset + t.End,
 				SNI:        t.SNI,
 				SessionIdx: k,
-			})
+			}, Bytes{Up: t.UpBytes, Down: t.DownBytes}})
 		}
 		if k < len(durations) {
 			offset += durations[k]
@@ -73,32 +84,37 @@ func Concat(sessions [][]capture.TLSTransaction, durations []float64) []Transact
 
 	// Cross-session connection reuse: fold a transaction into the latest
 	// still-open transaction of an earlier session on the same host.
-	out := make([]Transaction, 0, len(all))
+	out = make([]Transaction, 0, len(all))
+	bytes = make([]Bytes, 0, len(all))
 	lastByHost := map[string]int{} // host -> index into out
 	for _, t := range all {
 		if i, ok := lastByHost[t.SNI]; ok {
 			prev := &out[i]
 			if prev.SessionIdx < t.SessionIdx && prev.End >= t.Start {
-				if t.End > prev.End {
-					prev.End = t.End
-				}
+				prev.End = max(prev.End, t.End)
+				bytes[i].Up += t.Up
+				bytes[i].Down += t.Down
 				continue
 			}
 		}
-		out = append(out, t)
+		out = append(out, t.Transaction)
+		bytes = append(bytes, t.Bytes)
 		lastByHost[t.SNI] = len(out) - 1
 	}
 	// Recompute ground-truth session starts on the merged stream.
-	firstOf := map[int]int{}
-	for i, t := range out {
-		if j, ok := firstOf[t.SessionIdx]; !ok || t.Start < out[j].Start {
-			firstOf[t.SessionIdx] = i
+	markFirst(out)
+	return out, bytes
+}
+
+// markFirst marks each session's first transaction in a start-ordered
+// stream.
+func markFirst(txns []Transaction) {
+	seen := map[int]bool{}
+	for i := range txns {
+		if k := txns[i].SessionIdx; !seen[k] {
+			seen[k], txns[i].First = true, true
 		}
 	}
-	for _, i := range firstOf {
-		out[i].First = true
-	}
-	return out
 }
 
 // Detect classifies every transaction in the (start-ordered) stream as
@@ -177,14 +193,18 @@ func Evaluate(txns []Transaction, p Params) *eval.Confusion {
 // correctly identified (the paper's headline: 89% of consecutive
 // sessions).
 func SessionsRecovered(txns []Transaction, p Params) (correct, total int) {
-	pred := Detect(txns, p)
+	return Recovered(txns, Detect(txns, p))
+}
+
+// Recovered counts the ground-truth session starts that pred, the
+// output of Detect or TimeoutDetect over txns, marks.
+func Recovered(txns []Transaction, pred []bool) (correct, total int) {
 	for i, t := range txns {
-		if !t.First {
-			continue
-		}
-		total++
-		if pred[i] {
-			correct++
+		if t.First {
+			total++
+			if pred[i] {
+				correct++
+			}
 		}
 	}
 	return correct, total
@@ -208,19 +228,4 @@ func TimeoutDetect(txns []Transaction, gapSec float64) []bool {
 		}
 	}
 	return isNew
-}
-
-// TimeoutRecovered scores the timeout baseline like SessionsRecovered.
-func TimeoutRecovered(txns []Transaction, gapSec float64) (correct, total int) {
-	pred := TimeoutDetect(txns, gapSec)
-	for i, t := range txns {
-		if !t.First {
-			continue
-		}
-		total++
-		if pred[i] {
-			correct++
-		}
-	}
-	return correct, total
 }

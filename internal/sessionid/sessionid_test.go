@@ -98,7 +98,7 @@ func TestConcatOffsetsAndOverlap(t *testing.T) {
 		txn(0, 50, "cdn-2"),
 		txn(1, 30, "other"),
 	}
-	stream := Concat([][]capture.TLSTransaction{s1, s2}, []float64{120, 100})
+	stream, _ := Concat([][]capture.TLSTransaction{s1, s2}, []float64{120, 100})
 	if len(stream) != 4 {
 		t.Fatalf("stream has %d txns, want 4", len(stream))
 	}
@@ -131,9 +131,17 @@ func TestConcatMergesCrossSessionReuse(t *testing.T) {
 	// it, so the merged stream has one api transaction spanning both.
 	s1 := []capture.TLSTransaction{txn(0, 140, "api"), txn(0.5, 30, "cdn-1")}
 	s2 := []capture.TLSTransaction{txn(1, 35, "api"), txn(0, 40, "cdn-2")}
-	stream := Concat([][]capture.TLSTransaction{s1, s2}, []float64{120, 90})
+	for i, x := range [][]capture.TLSTransaction{s1, s2} {
+		for j := range x {
+			x[j].UpBytes, x[j].DownBytes = int64(10*i+j+1), int64(1000*(10*i+j+1))
+		}
+	}
+	stream, bytes := Concat([][]capture.TLSTransaction{s1, s2}, []float64{120, 90})
+	if len(bytes) != len(stream) {
+		t.Fatalf("%d byte counts for %d transactions", len(bytes), len(stream))
+	}
 	apiCount := 0
-	for _, x := range stream {
+	for i, x := range stream {
 		if x.SNI == "api" {
 			apiCount++
 			if x.SessionIdx != 0 {
@@ -141,6 +149,10 @@ func TestConcatMergesCrossSessionReuse(t *testing.T) {
 			}
 			if x.End != 155 { // session-2 api txn [1,35] shifts to [121,155]
 				t.Errorf("merged api txn End = %g, want 155", x.End)
+			}
+			// The reused connection carries both sessions' api bytes.
+			if want := (Bytes{Up: 1 + 11, Down: 1000 + 11000}); bytes[i] != want {
+				t.Errorf("merged api txn bytes = %+v, want %+v", bytes[i], want)
 			}
 		}
 	}
@@ -159,7 +171,7 @@ func TestConcatNoMergeWithinSession(t *testing.T) {
 	// Two overlapping connections to the same host within ONE session
 	// are distinct sockets and must not merge.
 	s1 := []capture.TLSTransaction{txn(0, 50, "cdn-1"), txn(10, 60, "cdn-1")}
-	stream := Concat([][]capture.TLSTransaction{s1}, []float64{100})
+	stream, _ := Concat([][]capture.TLSTransaction{s1}, []float64{100})
 	if len(stream) != 2 {
 		t.Errorf("within-session merge happened: %d txns", len(stream))
 	}
@@ -226,7 +238,7 @@ func TestTimeoutDetectFailsOnOverlap(t *testing.T) {
 	if pred[2] {
 		t.Error("timeout baseline detected a boundary under an overlapping connection")
 	}
-	correct, total := TimeoutRecovered(stream, 10)
+	correct, total := Recovered(stream, pred)
 	if correct != 1 || total != 2 {
 		t.Errorf("recovered %d/%d, want 1/2", correct, total)
 	}

@@ -120,7 +120,7 @@ func TestStreamerMatchesDetectOnRecordedTraces(t *testing.T) {
 			sessions = append(sessions, rec.Capture.TLS)
 			durations = append(durations, rec.DurationSec)
 		}
-		stream := Concat(sessions, durations)
+		stream, _ := Concat(sessions, durations)
 		assertEquivalent(t, stream, PaperParams, svc.Name)
 	}
 }

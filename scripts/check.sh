@@ -173,6 +173,22 @@ echo "== benchmark ledger (bench/ unit tests + 1/200-scale smoke of every worklo
 echo "== qoeproxy smoke (/metrics, /healthz, squid-log tail, model hot reload, SIGTERM drain, two-member fleet + snapshot hand-off) =="
 go run ./scripts/smoke
 
+echo "== README CLI pipeline (tracegen dataset -> qoeinfer -save -> tracegen stream -> qoeinfer -score) =="
+# README's "CLI pipeline" block at small scale, so the commands it
+# documents cannot drift from the CLIs.
+pipe=$(mktemp -d)
+trap 'rm -rf "$pipe"' EXIT
+go build -o "$pipe/bin/" ./cmd/tracegen ./cmd/qoeinfer
+"$pipe/bin/tracegen" -what dataset -sessions 20 -out "$pipe/data" >/dev/null
+"$pipe/bin/qoeinfer" -txns "$pipe/data/transactions.csv" -service Svc1 -train-sessions 60 -trees 10 -save "$pipe/model.json" >/dev/null
+"$pipe/bin/tracegen" -what stream -sessions 10 -out "$pipe/stream.csv"
+score_out=$("$pipe/bin/qoeinfer" -txns "$pipe/stream.csv" -score -model "$pipe/model.json")
+echo "$score_out" | tail -n 6
+if ! echo "$score_out" | grep -q '^session starts recovered: [0-9]*/10$'; then
+	echo "qoeinfer -score printed no 'session starts recovered' line"
+	exit 1
+fi
+
 echo "All checks passed."
 
 # The two numbers the simplification round tracks, printed (not gated)
@@ -183,3 +199,4 @@ flags=$(grep -c '^	fs\.[A-Za-z0-9]*Var(' cmd/qoeproxy/main.go)
 echo "non-test Go lines outside bench/: $loc"
 echo "cmd/qoeproxy/main.go lines: $(wc -l < cmd/qoeproxy/main.go)"
 echo "qoeproxy flags (registerFlags): $flags"
+echo "commands under cmd/: $(find cmd -mindepth 1 -maxdepth 1 -type d | wc -l)"

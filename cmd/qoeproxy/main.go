@@ -220,13 +220,16 @@ type service struct {
 	// logicalClock selects the watermark (true: file/replay sources)
 	// over wall time (false: live proxy) as the sweep clock.
 	logicalClock bool
-	// sweepReq carries record-clock sweep requests from the ingest path
-	// to serveLoop. Nil unless a sweep can happen at all on the record
-	// clock: a file source whose classify tick sweeps idle clients.
-	sweepReq chan struct{}
+	// wake tells serveLoop that the ingest path has due work for it: a
+	// shard holding a full block of clients waiting for a first verdict,
+	// or a record-clock sweep. Nil when neither can happen.
+	wake chan struct{}
 	// sweepDue is the sweep clock (float bits) at which the next
-	// record-clock sweep falls due: the last sweep's clock plus
-	// TTL/recordSweepsPerTTL, +Inf until the first tick's sweep.
+	// record-clock sweep falls due: -Inf before the first sweep, so the
+	// first committed record asks for one, then the last sweep's clock
+	// plus TTL/recordSweepsPerTTL. It stays +Inf where the record clock
+	// sweeps nothing: the live proxy, and without -client-ttl or a
+	// classify tick.
 	sweepDue atomic.Uint64
 	// lastRotate is when (sweep clock) the intern tables last rotated;
 	// tick goroutine only.
@@ -269,6 +272,7 @@ type service struct {
 	mTxns          *metrics.Counter
 	mBoundaries    *metrics.Counter
 	mRuns          *metrics.Counter
+	mBlockPasses   *metrics.Counter
 	mClassErrors   *metrics.Counter
 	mPred          *metrics.CounterVec
 	mReloadOK      *metrics.LabeledCounter
@@ -307,9 +311,16 @@ func newService(opts options, logger *slog.Logger) *service {
 	}
 	s.batchPool.New = func() any { return &batchScratch{} }
 	s.logicalClock = opts.source != "" && opts.source != "proxy"
+	// A block pass needs a model, and the classify tick to score the
+	// partial blocks it leaves; without either, nothing is queued for one.
+	blockPasses := opts.modelPath != "" && opts.classifyEvery > 0
+	recordSweeps := s.logicalClock && opts.classifyEvery > 0 && opts.clientTTL > 0
 	s.sweepDue.Store(math.Float64bits(math.Inf(1)))
-	if s.logicalClock && opts.classifyEvery > 0 && opts.clientTTL > 0 {
-		s.sweepReq = make(chan struct{}, 1)
+	if recordSweeps {
+		s.sweepDue.Store(math.Float64bits(math.Inf(-1)))
+	}
+	if blockPasses || recordSweeps {
+		s.wake = make(chan struct{}, 1)
 	}
 	// The hooks read the counters at call time: registerMetrics creates
 	// them after the shards.
@@ -323,7 +334,7 @@ func newService(opts options, logger *slog.Logger) *service {
 		},
 		Truncated: func() { s.mTruncated.Inc() },
 	}
-	s.shards = serve.NewShards(opts.shards, opts.maxSessionTxns, opts.classifyBatch, hooks)
+	s.shards = serve.NewShards(opts.shards, opts.maxSessionTxns, opts.classifyBatch, blockPasses, hooks)
 	return s
 }
 
@@ -694,15 +705,18 @@ func run(opts options) error {
 }
 
 // serveLoop is the daemon's main loop: it reacts to fatal source
-// errors, classification/eviction ticks, record-clock sweep requests,
-// SIGHUP model reloads and shutdown signals. Ticks are converted to the
-// sweep clock (wall or ingest watermark) before classifyPass/evictIdle
-// see them; a sweep request runs evictIdle alone, on this goroutine too,
-// so sweeps and passes never overlap. Both exits — source death and a
-// signal — stop the source, then the metrics endpoint, before draining
-// the sessionizers, so no ingest follows the drain and pending
-// decisions and the shutdown summary are never lost to a crash-landing
-// listener.
+// errors, classification/eviction ticks, wakes from the ingest path,
+// SIGHUP model reloads and shutdown signals. Ticks and wakes are
+// converted to the sweep clock (wall or ingest watermark) before
+// classifyPass/evictIdle see them. A tick runs a pass over every dirty
+// client, then a sweep. A wake runs whichever is due of a block pass —
+// first verdicts for the whole blocks of fresh clients of each shard
+// that holds one — and a record-clock sweep. All of it runs on this
+// goroutine, so passes and sweeps never overlap. Both exits — source
+// death and a signal — stop the source, then the metrics endpoint,
+// before draining the sessionizers, so no ingest follows the drain and
+// pending decisions and the shutdown summary are never lost to a
+// crash-landing listener.
 func (s *service) serveLoop(errCh <-chan error, tick <-chan time.Time, sig <-chan os.Signal, stopSource, stopHTTP func()) error {
 	for {
 		select {
@@ -715,8 +729,14 @@ func (s *service) serveLoop(errCh <-chan error, tick <-chan time.Time, sig <-cha
 			ns := s.sweepNow(now)
 			s.classifyPass(ns)
 			s.evictIdle(ns)
-		case <-s.sweepReq:
-			s.evictIdle(s.sweepNow(time.Now()))
+		case <-s.wake:
+			ns := s.sweepNow(time.Now())
+			if s.shards.Due() {
+				s.score(ns, serve.Fresh)
+			}
+			if s.sweepDueNow() {
+				s.evictIdle(ns)
+			}
 		case got := <-sig:
 			if got == syscall.SIGHUP {
 				// Reload, not shutdown. Errors are already counted and
@@ -801,9 +821,11 @@ func (s *service) registerMetrics() {
 	s.mBoundaries = r.NewCounter("qoeproxy_session_boundaries_total",
 		"Session starts detected by the online sessionizer.")
 	s.mRuns = r.NewCounter("qoeproxy_classification_runs_total",
-		"Periodic classification passes that completed successfully.")
+		"Classification passes that completed successfully, periodic and block passes.")
+	s.mBlockPasses = r.NewCounter("qoeproxy_classification_block_passes_total",
+		"Block passes that completed successfully: first verdicts for a shard's full inference block of new clients, run before the next tick.")
 	s.mClassErrors = r.NewCounter("qoeproxy_classification_errors_total",
-		"Periodic classification passes that failed (model/feature mismatch).")
+		"Classification passes that failed (model/feature mismatch).")
 	s.mPred = r.NewCounterVec("qoeproxy_qoe_predictions_total",
 		"Feature rows scored online, by predicted class: a classification pass scores the clients whose state changed since their last verdict, and an eviction its final classification.", "class")
 	mByClass := r.NewGaugeVecFunc("qoeproxy_sessions_by_class",
@@ -1136,23 +1158,22 @@ func (s *service) onTransactionBatch(recs []tlsproxy.Record) {
 	if len(squid) > 0 {
 		s.appendSink(s.squid, squid)
 	}
-	s.shards.Commit(commits, s.noteEventTime)
+	blockDue := s.shards.Commit(commits, s.noteEventTime)
 	sc.out, sc.squid, sc.commits = out, squid, commits
 	s.batchPool.Put(sc)
-	s.requestSweep()
+	if s.wake != nil && (blockDue || s.sweepDueNow()) {
+		// Never blocks: a wake already pending covers this one.
+		select {
+		case s.wake <- struct{}{}:
+		default:
+		}
+	}
 }
 
-// requestSweep asks serveLoop for an eviction sweep once the watermark
-// has reached the due clock, where the record clock is armed. The send
-// never blocks: a request already pending covers this one.
-func (s *service) requestSweep() {
-	if s.sweepReq == nil || math.Float64frombits(s.watermark.Load()) < math.Float64frombits(s.sweepDue.Load()) {
-		return
-	}
-	select {
-	case s.sweepReq <- struct{}{}:
-	default:
-	}
+// sweepDueNow reports whether the watermark has reached the next
+// record-clock sweep.
+func (s *service) sweepDueNow() bool {
+	return math.Float64frombits(s.watermark.Load()) >= math.Float64frombits(s.sweepDue.Load())
 }
 
 // cutoff is a pass's -window cutoff at sweep clock nowSec: rows cover
@@ -1164,23 +1185,32 @@ func (s *service) cutoff(nowSec float64) float64 {
 	return math.Inf(-1)
 }
 
-// classifyPass brings every client's online verdict up to date at sweep
-// clock nowSec (see sweepNow). serve.Shards.Pass gathers only the dirty
-// clients (serve.Core.Gather), one shard lock at a time, and scores them
-// outside the lock; once the pass succeeds its counts reach the
-// prediction and challenger counters. A "classification" line is logged
-// for a client's first verdict and for a change of class only, in
-// client order; steady state is qoeproxy_sessions_by_class. Logs,
-// counters and stored classes are identical at every (shards, workers,
-// block size) setting. Safe to call concurrently with traffic, not with
-// itself. The bundle is Loaded once, so a reload takes effect at the
-// next pass, never inside one.
-func (s *service) classifyPass(nowSec float64) {
+// classifyPass is the classify tick's pass: it brings every client's
+// online verdict up to date at sweep clock nowSec (see sweepNow).
+// serve.Shards.Pass gathers only the dirty clients (serve.Core.Gather),
+// one shard lock at a time, and skips once a client whose first verdict
+// a block pass gave since the last tick, so no client is scored twice
+// in one tick interval. Logs, counters and stored classes are identical
+// at every (shards, workers, block size) setting.
+func (s *service) classifyPass(nowSec float64) { s.score(nowSec, serve.Dirty) }
+
+// score runs a pass over the clients scope selects at sweep clock
+// nowSec: every dirty client (classifyPass), or the whole inference
+// blocks of clients waiting for a first verdict (a block pass, which
+// serveLoop runs as soon as a shard holds one, without waiting for the
+// tick). The pass scores rows outside the shard locks; once it
+// succeeds its counts reach the prediction and challenger counters. A
+// "classification" line is logged for a client's first verdict and for
+// a change of class only, in client order; steady state is
+// qoeproxy_sessions_by_class. Safe to call concurrently with traffic,
+// not with itself. The bundle is Loaded once, so a reload takes effect
+// at the next pass, never inside one.
+func (s *service) score(nowSec float64, scope serve.Scope) {
 	m := s.model.Load()
 	if m == nil {
 		return
 	}
-	lines, st, err := s.shards.Pass(m.Model, s.cutoff(nowSec), s.cLines[:0])
+	lines, st, err := s.shards.Pass(m.Model, s.cutoff(nowSec), scope, s.cLines[:0])
 	for _, d := range st.Shard {
 		s.mShardClassify.Observe(d.Seconds())
 	}
@@ -1200,6 +1230,9 @@ func (s *service) classifyPass(nowSec float64) {
 	// The pass completed: it counts as a run even when every client was
 	// clean and nothing was scored.
 	s.mRuns.Inc()
+	if scope == serve.Fresh {
+		s.mBlockPasses.Inc()
+	}
 	nc := len(m.names)
 	for p, pc := range m.predClass {
 		pc.Add(st.Scored[p])
@@ -1230,16 +1263,19 @@ func (s *service) classifyPass(nowSec float64) {
 // counters. nowSec is the sweep clock (see sweepNow), so the TTL is
 // measured on the records' own timescale. Runs on the serve loop, never
 // alongside a pass: after each classify tick's pass and, for file
-// sources, whenever the watermark reaches sweepDue, which every sweep
-// moves on by TTL/recordSweepsPerTTL. It also rotates the source's
-// intern tables at most once per TTL (rotateInterned).
+// sources, whenever the watermark reaches sweepDue — first at the first
+// committed record, then every TTL/recordSweepsPerTTL, which each sweep
+// adds. It also rotates the source's intern tables at most once per TTL
+// (rotateInterned).
 func (s *service) evictIdle(nowSec float64) {
 	s.rotateInterned(nowSec)
 	ttl := s.opts.clientTTL
 	if ttl <= 0 {
 		return
 	}
-	s.sweepDue.Store(math.Float64bits(nowSec + ttl.Seconds()/recordSweepsPerTTL))
+	if !math.IsInf(math.Float64frombits(s.sweepDue.Load()), 1) {
+		s.sweepDue.Store(math.Float64bits(nowSec + ttl.Seconds()/recordSweepsPerTTL))
+	}
 	// One bundle Load covers the whole sweep, like classifyPass.
 	m := s.model.Load()
 	gone, err := s.shards.Evict(nowSec, ttl.Seconds(), m.bundle())

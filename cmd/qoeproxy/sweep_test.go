@@ -91,11 +91,12 @@ func waitEvicted(t *testing.T, logs *logBuffer, n int, what string) []evictedTup
 	}
 }
 
-// sweepSignalled reports (and consumes) a pending record-clock sweep
-// request.
+// sweepSignalled reports (and consumes) a pending wake of the serve
+// loop; the services here run no block passes, so a wake is a
+// record-clock sweep request.
 func sweepSignalled(s *service) bool {
 	select {
-	case <-s.sweepReq:
+	case <-s.wake:
 		return true
 	default:
 		return false
@@ -141,7 +142,7 @@ func TestEvictionFollowsRecordClock(t *testing.T) {
 
 // TestRecordClockSweepArming pins where the record-clock trigger is
 // armed: only for a file source whose classify tick sweeps idle clients,
-// and only once the first tick's sweep has set the due clock.
+// and from the first committed record on, without waiting for a tick.
 func TestRecordClockSweepArming(t *testing.T) {
 	base := options{window: 0, clientTTL: time.Hour, classifyEvery: 500 * time.Millisecond, source: "squid"}
 	for _, c := range []struct {
@@ -171,11 +172,11 @@ func TestRecordClockSweepArming(t *testing.T) {
 	t.Run("before the first tick's sweep", func(t *testing.T) {
 		s, logs := newTestService(t, base, nil)
 		feedIdleAndBusy(s)
-		if sweepSignalled(s) {
-			t.Fatal("a record-clock sweep was signalled before any sweep set the due clock")
+		if !sweepSignalled(s) {
+			t.Fatal("no record-clock sweep was signalled before the first tick's sweep")
 		}
-		// The first sweep (a tick's) evicts A and sets the due clock; the
-		// next batch TTL/8 of record time later signals.
+		// The first sweep, run only now, evicts A and sets the due clock;
+		// the next batch TTL/8 of record time later signals.
 		wm := s.sweepNow(time.Now())
 		s.evictIdle(wm)
 		if n := len(evictions(t, logs)); n != 1 {

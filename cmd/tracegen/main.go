@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -61,29 +62,45 @@ func main() {
 	}
 }
 
-func emitTraces(n int, seed int64, out string) error {
-	w := os.Stdout
+// writeOut runs write over a buffered writer on the file out (standard
+// output when empty) and reports the first failure: write's own, a
+// write's or the flush's (a bufio.Writer keeps its first error, so the
+// flush reports every failed write), or closing the file.
+func writeOut(out string, write func(w *bufio.Writer) error) (err error) {
+	f := os.Stdout
 	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
+		if f, err = os.Create(out); err != nil {
 			return err
 		}
-		defer f.Close()
-		w = f
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
 	}
+	w := bufio.NewWriter(f)
+	if err := write(w); err != nil {
+		return err
+	}
+	return w.Flush()
+}
+
+func emitTraces(n int, seed int64, out string) error {
 	pool := trace.GeneratePool(trace.GenConfig{Seed: seed}, n, trace.DefaultClassMix)
-	fmt.Fprintln(w, "trace,class,sample_start,duration,kbps")
-	for _, tr := range pool.Traces {
-		t := 0.0
-		for _, s := range tr.Samples {
-			fmt.Fprintf(w, "%s,%s,%s,%s,%s\n", tr.Name, tr.Class,
-				strconv.FormatFloat(t, 'f', 2, 64),
-				strconv.FormatFloat(s.Duration, 'f', 2, 64),
-				strconv.FormatFloat(s.Kbps, 'f', 1, 64))
-			t += s.Duration
+	return writeOut(out, func(w *bufio.Writer) error {
+		w.WriteString("trace,class,sample_start,duration,kbps\n")
+		for _, tr := range pool.Traces {
+			t := 0.0
+			for _, s := range tr.Samples {
+				fmt.Fprintf(w, "%s,%s,%s,%s,%s\n", tr.Name, tr.Class,
+					strconv.FormatFloat(t, 'f', 2, 64),
+					strconv.FormatFloat(s.Duration, 'f', 2, 64),
+					strconv.FormatFloat(s.Kbps, 'f', 1, 64))
+				t += s.Duration
+			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 func emitStream(sessions int, service string, seed int64, out string) error {
@@ -96,23 +113,16 @@ func emitStream(sessions int, service string, seed int64, out string) error {
 		return err
 	}
 	stream, bytes := sessionid.Concat(dataset.Chain(corpus.Records))
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
+	return writeOut(out, func(w *bufio.Writer) error {
+		w.WriteString("session,sni,start,end,up_bytes,down_bytes\n")
+		for i, t := range stream {
+			fmt.Fprintf(w, "%s-%d,%s,%s,%s,%d,%d\n", service, t.SessionIdx, t.SNI,
+				strconv.FormatFloat(t.Start, 'f', 3, 64),
+				strconv.FormatFloat(t.End, 'f', 3, 64),
+				bytes[i].Up, bytes[i].Down)
 		}
-		defer f.Close()
-		w = f
-	}
-	fmt.Fprintln(w, "session,sni,start,end,up_bytes,down_bytes")
-	for i, t := range stream {
-		fmt.Fprintf(w, "%s-%d,%s,%s,%s,%d,%d\n", service, t.SessionIdx, t.SNI,
-			strconv.FormatFloat(t.Start, 'f', 3, 64),
-			strconv.FormatFloat(t.End, 'f', 3, 64),
-			bytes[i].Up, bytes[i].Down)
-	}
-	return nil
+		return nil
+	})
 }
 
 func emitPcap(service string, session int, seed int64, out string) error {
@@ -128,20 +138,14 @@ func emitPcap(service string, session int, seed int64, out string) error {
 	if err != nil {
 		return err
 	}
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
+	var pw *pcap.Writer
+	err = writeOut(out, func(w *bufio.Writer) error {
+		if pw, err = pcap.NewWriter(w, pcap.DefaultEndpoints); err != nil {
 			return err
 		}
-		defer f.Close()
-		w = f
-	}
-	pw, err := pcap.NewWriter(w, pcap.DefaultEndpoints)
+		return pw.WriteTrace(pkts)
+	})
 	if err != nil {
-		return err
-	}
-	if err := pw.WriteTrace(pkts); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d packets (%s session %d, %.0fs, combined QoE %s)\n",

@@ -108,3 +108,17 @@ func TestEmitPcap(t *testing.T) {
 		t.Error("unknown service accepted")
 	}
 }
+
+// TestEmitFailsOnFullDevice: a CSV that cannot be written is an error,
+// whether a write, the flush or the close fails.
+func TestEmitFailsOnFullDevice(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	if err := emitTraces(5, 1, "/dev/full"); err == nil {
+		t.Error("-what traces -out /dev/full succeeded")
+	}
+	if err := emitStream(4, "Svc1", 3, "/dev/full"); err == nil {
+		t.Error("-what stream -out /dev/full succeeded")
+	}
+}

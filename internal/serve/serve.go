@@ -3,8 +3,9 @@
 // run online for every client of one shard. A Core holds the clients'
 // state and is driven only by calls: Open and Commit feed it connection
 // starts and completed transactions, Gather and Store bracket one
-// classification pass, Evict and Drain retire clients, Save and Restore
-// carry them across a restart.
+// classification pass — over every dirty client, or over whole blocks
+// of the clients still waiting for a first verdict — Evict and Drain
+// retire clients, Save and Restore carry them across a restart.
 //
 // A Core starts no goroutines, takes no locks, reads no clock and does
 // no I/O. The caller serializes every call on one Core, supplies the
@@ -29,6 +30,7 @@ package serve
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"droppackets/internal/capture"
@@ -66,11 +68,39 @@ type Core struct {
 	decisions []sessionid.Decision
 
 	// rows are the clients the last Gather collected, index-aligned with
-	// the rows it appended to the caller's block; stamp is the bundle
-	// stamp it gathered them for. Store consumes both.
+	// the rows it appended to the caller's block; stamp and scope are the
+	// bundle stamp it gathered them for and its Scope. Store consumes
+	// all three.
 	rows  []gathered
 	stamp uint64
+	scope Scope
+
+	// fresh queues, oldest first, the clients that have committed with
+	// no verdict since they last left it, each at most once
+	// (client.queued): what a Fresh Gather scores, block clients at a
+	// time. block is set by NewShards; at 0, as New leaves it, nothing
+	// is queued and a Fresh Gather collects nothing.
+	fresh []freshClient
+	block int
 }
+
+// freshClient is one entry of the fresh queue.
+type freshClient struct {
+	host string
+	cl   *client
+}
+
+// Scope selects the clients a Gather collects.
+type Scope int
+
+const (
+	// Dirty is every client whose verdict is out of date: the periodic
+	// pass.
+	Dirty Scope = iota
+	// Fresh is the front of the fresh queue in whole blocks: clients
+	// that committed and still wait for a first verdict, oldest first.
+	Fresh
+)
 
 // New returns an empty Core. maxSessionTxns caps each client's
 // retained transaction runs (0 = unbounded), as qoeproxy's
@@ -78,6 +108,9 @@ type Core struct {
 func New(maxSessionTxns int, hooks Hooks) *Core {
 	return &Core{maxTxns: maxSessionTxns, hooks: hooks, clients: map[string]*client{}}
 }
+
+// due reports whether the fresh queue holds at least one whole block.
+func (c *Core) due() bool { return c.block > 0 && len(c.fresh) >= c.block }
 
 // client is everything the Core tracks per client host.
 type client struct {
@@ -131,6 +164,13 @@ type client struct {
 	// lastClass is the client's current verdict (hasClass guards it).
 	lastClass int
 	hasClass  bool
+	// queued marks the client as on the Core's fresh queue, or as
+	// gathered for its first verdict and not yet stored (see gather).
+	queued bool
+	// early marks a verdict a Fresh pass stored since the last Dirty
+	// Gather, which then skips the client once under the same stamp, so
+	// that a client is scored at most once per periodic interval.
+	early bool
 	// gen counts the commits folded into this client. Commit is the only
 	// place the inputs of the client's feature row (current, inFlight,
 	// buffer) change, so an unchanged gen means an unchanged row —
@@ -250,6 +290,10 @@ func (cl *client) closeConn(connID uint64) {
 func (c *Core) Commit(host string, connID uint64, txn capture.TLSTransaction) {
 	cl := c.state(host)
 	cl.gen++
+	if c.block > 0 && !cl.hasClass && !cl.queued {
+		cl.queued = true
+		c.fresh = append(c.fresh, freshClient{host, cl})
+	}
 	if txn.End > cl.lastActivity {
 		cl.lastActivity = txn.End
 	}
@@ -355,36 +399,101 @@ type gathered struct {
 	edge float64 // the row's rowEdge
 }
 
-// Gather appends the feature row of every dirty client to block —
-// row-major, one row per client, built through the caller's RowBuilder
-// rb — and returns the block and the number of rows appended. A client
-// is dirty when it has had a commit since its class was stored, when
-// its class was stored under another bundle stamp (stamps start at 1,
-// so a restored client is always dirty), or when cutoff has passed the
-// earliest End of its last scored row; clean clients cost one map
-// step. A row covers the ongoing session's transactions ending at or
-// after cutoff (pass -Inf for the whole session). A dirty client with
-// no such transaction has no verdict to wait for and is marked clean
-// until its next commit.
+// Gather appends the feature rows of the clients scope selects to
+// block — row-major, one row per client, built through the caller's
+// RowBuilder rb — and returns the block and the number of rows
+// appended.
+//
+// Dirty collects every dirty client. A client is dirty when it has had
+// a commit since its class was stored, when its class was stored under
+// another bundle stamp (stamps start at 1, so a restored client is
+// always dirty), or when cutoff has passed the earliest End of its last
+// scored row; clean clients cost one map step. A client whose verdict a
+// Fresh Gather's Store set since the last Dirty Gather is skipped once,
+// dirty or not, unless the stamp has changed. A Dirty Gather empties
+// the fresh queue, whose clients it visits.
+//
+// Fresh takes the whole blocks at the front of the fresh queue off it
+// and collects those of their clients still without a verdict; a
+// shorter rest stays queued.
+//
+// A row covers the ongoing session's transactions ending at or after
+// cutoff (pass -Inf for the whole session). A client with no such
+// transaction has no verdict to wait for and is marked clean until its
+// next commit.
 //
 // The gathered rows await Store, which takes the classes the caller
 // computed for them, or Discard.
-func (c *Core) Gather(stamp uint64, cutoff float64, rb *core.RowBuilder, block []float64) ([]float64, int) {
-	c.rows = c.rows[:0]
-	c.stamp = stamp
+func (c *Core) Gather(stamp uint64, cutoff float64, rb *core.RowBuilder, block []float64, scope Scope) ([]float64, int) {
+	c.rows, c.stamp, c.scope = c.rows[:0], stamp, scope
+	if scope == Fresh {
+		if c.block == 0 {
+			return block, 0
+		}
+		n := len(c.fresh) / c.block * c.block
+		for _, f := range c.fresh[:n] {
+			f.cl.queued = false
+			if !f.cl.hasClass && !c.clean(f.cl, cutoff) {
+				block = c.gather(f.host, f.cl, cutoff, rb, block)
+			}
+		}
+		c.unqueue(n)
+		return block, len(c.rows)
+	}
+	for _, f := range c.fresh {
+		f.cl.queued = false
+	}
+	c.unqueue(len(c.fresh))
 	for host, cl := range c.clients {
-		if cl.scoredBy == stamp && cl.scoredGen == cl.gen && cutoff <= cl.rowEdge {
-			continue
+		if cl.early {
+			cl.early = false
+			if cl.scoredBy == stamp {
+				continue
+			}
 		}
-		row, n, edge := c.windowedRow(rb, cl, cutoff)
-		if n == 0 {
-			cl.scoredGen, cl.scoredBy, cl.rowEdge = cl.gen, stamp, edge
-			continue
+		if !c.clean(cl, cutoff) {
+			block = c.gather(host, cl, cutoff, rb, block)
 		}
-		c.rows = append(c.rows, gathered{host: host, cl: cl, txns: n, gen: cl.gen, edge: edge})
-		block = append(block, row...)
 	}
 	return block, len(c.rows)
+}
+
+// clean reports whether a client's verdict is up to date for the
+// Gather in progress (see Gather).
+func (c *Core) clean(cl *client, cutoff float64) bool {
+	return cl.scoredBy == c.stamp && cl.scoredGen == cl.gen && cutoff <= cl.rowEdge
+}
+
+// gather appends a dirty client's row to block; a client with no
+// transaction in range is marked clean instead (see Gather).
+func (c *Core) gather(host string, cl *client, cutoff float64, rb *core.RowBuilder, block []float64) []float64 {
+	row, n, edge := c.windowedRow(rb, cl, cutoff)
+	if n == 0 {
+		cl.scoredGen, cl.scoredBy, cl.rowEdge = cl.gen, c.stamp, edge
+		return block
+	}
+	c.rows = append(c.rows, gathered{host: host, cl: cl, txns: n, gen: cl.gen, edge: edge})
+	// A client gathered for its first verdict stays marked as queued
+	// until Store or Discard, so that a commit landing while its row is
+	// scored does not queue it a second time: such a stale entry would
+	// count towards a block without needing a verdict, and the clients
+	// left waiting for the tick would vary with the commits' timing.
+	cl.queued = c.block > 0 && !cl.hasClass
+	return append(block, row...)
+}
+
+// unqueue takes the first n clients off the fresh queue; the caller has
+// cleared their queued marks.
+func (c *Core) unqueue(n int) {
+	rest := copy(c.fresh, c.fresh[n:])
+	clear(c.fresh[rest:]) // a retired client must not live on in the queue
+	c.fresh = c.fresh[:rest]
+}
+
+// dropRetired removes from the fresh queue every client the Core no
+// longer holds.
+func (c *Core) dropRetired() {
+	c.fresh = slices.DeleteFunc(c.fresh, func(f freshClient) bool { return c.clients[f.host] != f.cl })
 }
 
 // Change is one client's new verdict: its first (Prev < 0) or a change
@@ -401,7 +510,8 @@ type Change struct {
 // index-aligned with them, and appends to dst a Change for every client
 // whose verdict is new or different. Each client is stamped as scored
 // by the Gather's stamp at the generation gathered, so a commit that
-// landed after the Gather leaves it dirty. A client retired since the
+// landed after the Gather leaves it dirty, and after a Fresh Gather
+// marked for the next Dirty Gather to skip. A client retired since the
 // Gather is skipped.
 func (c *Core) Store(classes []int, dst []Change) []Change {
 	for i := range c.rows {
@@ -419,14 +529,19 @@ func (c *Core) Store(classes []int, dst []Change) []Change {
 			dst = append(dst, Change{Client: r.host, Class: class, Prev: prev, Txns: r.txns})
 		}
 		cl.scoredGen, cl.scoredBy, cl.rowEdge = r.gen, c.stamp, r.edge
+		cl.early = c.scope == Fresh
 	}
 	c.Discard()
 	return dst
 }
 
 // Discard drops the rows of the last Gather without storing anything —
-// a failed pass — so their clients stay dirty.
+// a failed pass — so their clients stay dirty, and a client still
+// without a verdict joins the fresh queue again at its next commit.
 func (c *Core) Discard() {
+	for i := range c.rows {
+		c.rows[i].cl.queued = false
+	}
 	clear(c.rows) // a retired client must not live on in scratch
 	c.rows = c.rows[:0]
 }
@@ -519,9 +634,11 @@ func (cl *client) final(host string) Final {
 
 // Evict retires every client with no open connection whose last
 // activity is at least ttl seconds before now: its sessionizer is
-// flushed, its Final appended to dst and its state deleted. The order
-// of the appended Finals is unspecified.
+// flushed, its Final appended to dst and its state deleted, and it
+// leaves the fresh queue. The order of the appended Finals is
+// unspecified.
 func (c *Core) Evict(dst []Final, now, ttl float64) []Final {
+	queued := false
 	for host, cl := range c.clients {
 		if len(cl.activeStarts) > 0 || now-cl.lastActivity < ttl {
 			continue
@@ -529,6 +646,10 @@ func (c *Core) Evict(dst []Final, now, ttl float64) []Final {
 		c.flush(host, cl)
 		dst = append(dst, cl.final(host))
 		delete(c.clients, host)
+		queued = queued || cl.queued
+	}
+	if queued {
+		c.dropRetired()
 	}
 	return dst
 }

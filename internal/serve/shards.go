@@ -22,6 +22,11 @@ import (
 // rows through a Model outside its lock, and return their results in
 // client order. Pass, Evict and Drain must not run concurrently with
 // each other, nor Open or Commit with Drain; every other pair may.
+//
+// With fresh-client queues on, a shard is due once its Core's fresh
+// queue holds one inference block of clients waiting for a first
+// verdict: Commit reports it, and a Fresh Pass scores whole
+// blocks of those clients without waiting for the periodic Dirty Pass.
 type Shards struct {
 	shards     []shard
 	workers    int
@@ -33,6 +38,7 @@ type Shards struct {
 	// on one worker allocates nothing.
 	passModel  *Model
 	passCutoff float64
+	passScope  Scope
 	passFn     func(w, si int)
 	times      []time.Duration
 }
@@ -64,9 +70,12 @@ const defaultBatch = 256
 
 // NewShards returns n empty shards (GOMAXPROCS when n <= 0) whose Cores
 // are built with maxSessionTxns and hooks, and which score batch rows
-// per inference call (256 when batch <= 0). The hooks run under a shard
-// lock, concurrently for distinct shards.
-func NewShards(n, maxSessionTxns, batch int, hooks Hooks) *Shards {
+// per inference call (256 when batch <= 0). With fresh, each Core
+// queues its clients that wait for a first verdict, for Fresh Passes of
+// batch clients at a time; leave it off where no Pass will run, or the
+// queues only grow. The hooks run under a shard lock, concurrently for
+// distinct shards.
+func NewShards(n, maxSessionTxns, batch int, fresh bool, hooks Hooks) *Shards {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
@@ -76,6 +85,9 @@ func NewShards(n, maxSessionTxns, batch int, hooks Hooks) *Shards {
 	s := &Shards{shards: make([]shard, n), workers: min(runtime.GOMAXPROCS(0), n), batch: batch, times: make([]time.Duration, n)}
 	for i := range s.shards {
 		s.shards[i].core = New(maxSessionTxns, hooks)
+		if fresh {
+			s.shards[i].core.block = batch
+		}
 	}
 	s.passFn = s.passShard
 	return s
@@ -115,11 +127,12 @@ type Completed struct {
 
 // Commit folds a batch into its clients' Cores (Core.Commit), taking
 // each shard's lock once per batch, in shard order, and committing
-// within a shard in batch order. note, when non-nil, gets each
+// within a shard in batch order, and reports whether a shard it
+// committed to is due for a Fresh Pass. note, when non-nil, gets each
 // transaction's End inside its shard's critical section, just before
 // the commit, so no Pass on that shard sees what note advances without
 // the commit.
-func (s *Shards) Commit(batch []Completed, note func(end float64)) {
+func (s *Shards) Commit(batch []Completed, note func(end float64)) (due bool) {
 	for i := range batch {
 		batch[i].shard = s.index(batch[i].Client)
 	}
@@ -140,9 +153,17 @@ func (s *Shards) Commit(batch []Completed, note func(end float64)) {
 			}
 		}
 		if locked {
+			due = due || sh.core.due()
 			sh.mu.Unlock()
 		}
 	}
+	return due
+}
+
+// Due reports whether any shard is due for a Fresh Pass.
+func (s *Shards) Due() (due bool) {
+	s.each(func(c *Core) { due = due || c.due() })
+	return due
 }
 
 // forEach runs fn(worker, shard) for every shard on the workers; a
@@ -183,15 +204,17 @@ type PassStats struct {
 	ShadowErr     error
 }
 
-// Pass brings every client's verdict up to date under m: each shard
-// gathers its dirty rows under its lock (Core.Gather), scores them
-// outside it through m's primary and challenger, and once every shard
-// has scored, each stores its classes (Core.Store); the Changes are
-// appended to dst in client order. If a primary sweep fails, no shard
-// stores, every gathered client stays dirty, and the lowest-numbered
-// shard's error returns.
-func (s *Shards) Pass(m *Model, cutoff float64, dst []Change) ([]Change, PassStats, error) {
-	s.passModel, s.passCutoff = m, cutoff
+// Pass scores the clients scope selects under m: with Dirty, it brings
+// every client's verdict up to date; with Fresh, it gives first
+// verdicts to the whole blocks of each shard's fresh queue. Each shard
+// gathers its rows under its lock (Core.Gather), scores them outside it
+// through m's primary and challenger, and once every shard has scored,
+// each stores its classes (Core.Store); the Changes are appended to dst
+// in client order. If a primary sweep fails, no shard stores, every
+// gathered client stays dirty, and the lowest-numbered shard's error
+// returns.
+func (s *Shards) Pass(m *Model, cutoff float64, scope Scope, dst []Change) ([]Change, PassStats, error) {
+	s.passModel, s.passCutoff, s.passScope = m, cutoff, scope
 	s.forEach(s.passFn)
 	s.passModel = nil
 	st, err := PassStats{Shard: s.times}, error(nil)
@@ -231,7 +254,7 @@ func (s *Shards) passShard(w, si int) {
 	t0 := time.Now()
 	sh.mu.Lock()
 	sh.resident = sh.core.Len()
-	sh.block, sh.rows = sh.core.Gather(m.stamp, s.passCutoff, m.rbs[w], sh.block[:0])
+	sh.block, sh.rows = sh.core.Gather(m.stamp, s.passCutoff, m.rbs[w], sh.block[:0], s.passScope)
 	sh.mu.Unlock()
 	t1 := time.Now()
 	sh.err, sh.shadowErr, sh.scored, sh.disagree = nil, nil, [qoe.NumCategories]int64{}, [qoe.NumCategories][qoe.NumCategories]int64{}

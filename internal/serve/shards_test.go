@@ -86,7 +86,7 @@ func classifyEach(est *core.Estimator, block []float64, rows int) ([]int, error)
 // refPass is Shards.Pass on one Core: gather under stamp, score through
 // est row by row, store, Changes in client order.
 func refPass(c *Core, stamp uint64, cutoff float64, est *core.Estimator) ([]Change, error) {
-	block, rows := c.Gather(stamp, cutoff, est.NewRowBuilder(), nil)
+	block, rows := c.Gather(stamp, cutoff, est.NewRowBuilder(), nil, Dirty)
 	classes, err := classifyEach(est, block, rows)
 	if err != nil {
 		c.Discard()
@@ -154,7 +154,7 @@ func TestShardsMatchCore(t *testing.T) {
 	for _, n := range []int{1, 2, 7} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			ref := New(maxTxns, Hooks{})
-			s := NewShards(n, maxTxns, 0, Hooks{})
+			s := NewShards(n, maxTxns, 0, false, Hooks{})
 			// Two bundles of one estimator, so alternating them re-scores
 			// every client, and one whose every sweep fails.
 			whole, windowed := newModel(t, s, est, nil), newModel(t, s, est, nil)
@@ -174,7 +174,7 @@ func TestShardsMatchCore(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, st, err := s.Pass(m, cutoff, nil)
+				got, st, err := s.Pass(m, cutoff, Dirty, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -200,7 +200,7 @@ func TestShardsMatchCore(t *testing.T) {
 				pass(fmt.Sprintf("quarter %d, whole session", q), whole, math.Inf(-1))
 				pass(fmt.Sprintf("quarter %d, windowed", q), windowed, now-60)
 				if q == 1 {
-					if _, _, err := s.Pass(bad, now, nil); err == nil {
+					if _, _, err := s.Pass(bad, now, Dirty, nil); err == nil {
 						t.Fatal("a pass through an untrained estimator succeeded")
 					}
 					if _, err := refPass(ref, bad.Stamp(), now, bad.Primary()); err == nil {
@@ -272,7 +272,7 @@ func TestModelPassCounts(t *testing.T) {
 	for _, n := range []int{1, 2, 7} {
 		for _, batch := range []int{1, 7, 0} {
 			t.Run(fmt.Sprintf("shards=%d/batch=%d", n, batch), func(t *testing.T) {
-				s := NewShards(n, 64, batch, Hooks{})
+				s := NewShards(n, 64, batch, false, Hooks{})
 				m := newModel(t, s, est, shadow)
 				half := len(events) / 2
 				disagreed := int64(0)
@@ -299,7 +299,7 @@ func TestModelPassCounts(t *testing.T) {
 						}
 					}
 					m = s.Restamp(m)
-					_, st, err := s.Pass(m, math.Inf(-1), nil)
+					_, st, err := s.Pass(m, math.Inf(-1), Dirty, nil)
 					if err != nil || st.ShadowErr != nil {
 						t.Fatal(err, st.ShadowErr)
 					}
@@ -327,10 +327,10 @@ func TestModelPassCounts(t *testing.T) {
 // pass stores the primary's classes and reports the challenger's error.
 func TestModelShadowErr(t *testing.T) {
 	est, _ := trained(t)
-	s := NewShards(2, 64, 0, Hooks{})
+	s := NewShards(2, 64, 0, false, Hooks{})
 	play(s, corpusEvents(t, 41, 8, 4))
 	m := newModel(t, s, est, untrained())
-	changes, st, err := s.Pass(m, math.Inf(-1), nil)
+	changes, st, err := s.Pass(m, math.Inf(-1), Dirty, nil)
 	if err != nil || st.ShadowErr == nil || len(changes) == 0 {
 		t.Fatalf("pass with a failing challenger: %d changes, %v, challenger %v", len(changes), err, st.ShadowErr)
 	}
@@ -362,7 +362,7 @@ func TestDriftZScores(t *testing.T) {
 func TestShardsConcurrentCommit(t *testing.T) {
 	const writers, clients, perClient = 4, 200, 6
 	est, _ := trained(t)
-	s := NewShards(3, 16, 0, Hooks{})
+	s := NewShards(3, 16, 0, false, Hooks{})
 	m := newModel(t, s, est, nil)
 	var clock atomic.Int64 // the latest transaction end, whole seconds
 	var wg sync.WaitGroup
@@ -403,7 +403,7 @@ func TestShardsConcurrentCommit(t *testing.T) {
 	for {
 		now := float64(clock.Load())
 		m = s.Restamp(m)
-		if _, _, err := s.Pass(m, now-50, nil); err != nil {
+		if _, _, err := s.Pass(m, now-50, Dirty, nil); err != nil {
 			t.Fatal(err)
 		}
 		finals, err := s.Evict(now, 50, m)

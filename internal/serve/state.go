@@ -100,7 +100,8 @@ func (cl *client) save(host string) ClientState {
 // more classes, a damaged file, or any verdict when no model serves
 // (numClasses 0) is dropped, so the client's next verdict counts as its
 // first. The restored client is unscored and re-scored by the next
-// Gather.
+// Dirty Gather; it joins the fresh queue at its next commit, like a
+// new client, if it has no verdict.
 func (c *Core) Restore(st *ClientState, numClasses int) bool {
 	hasClass := st.HasClass && st.LastClass >= 0 && st.LastClass < numClasses
 	cl := &client{
@@ -128,7 +129,11 @@ func (c *Core) Restore(st *ClientState, numClasses int) bool {
 	}
 	cl.recent.dropped = st.RecentDropped
 	cl.durStats.Restore(st.Dur)
+	old := c.clients[st.Client]
 	c.clients[st.Client] = cl
+	if old != nil && old.queued {
+		c.dropRetired()
+	}
 	return hasClass
 }
 

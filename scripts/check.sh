@@ -38,6 +38,10 @@ go test -race -count=10 -run '^TestSink' ./cmd/qoeproxy
 echo "== go test -race -count=10 (shard set and model tests: ingest commits race classification passes and eviction sweeps) =="
 go test -race -count=10 -run '^TestShards|^TestModel' ./internal/serve
 
+echo "== go test -race -count=10 (fresh-queue and block-pass tests: block passes race ingest commits) =="
+go test -race -count=10 -run '^TestFresh' ./internal/serve
+go test -race -count=10 -run '^TestBlockPass' ./cmd/qoeproxy
+
 echo "== go test -race -count=5 (reload tests: a bundle swap races the passes that score through serve.Model) =="
 go test -race -count=5 -run '^TestReload' ./cmd/qoeproxy
 

@@ -236,7 +236,7 @@ func TestServeLoopDrainsOnListenerError(t *testing.T) {
 	boom := errors.New("accept: too many open files")
 	errCh := make(chan error, 1)
 	errCh <- boom
-	if err := s.serveLoop(errCh, nil, nil, func() {}, func() {}); !errors.Is(err, boom) {
+	if err := s.serveLoop(errCh, nil, nil, nil, func() {}, func() {}); !errors.Is(err, boom) {
 		t.Fatalf("serveLoop returned %v, want the listener error", err)
 	}
 

@@ -95,7 +95,7 @@ func registerFlags(fs *flag.FlagSet, opts *options) {
 	fs.StringVar(&opts.modelPath, "model", "", "saved model (cmd/qoeinfer -save) for online and shutdown classification")
 	fs.StringVar(&opts.shadowPath, "shadow-model", "", "challenger model scored over the same rows as -model; disagreements are counted, output is untouched")
 	fs.StringVar(&opts.metricsAddr, "metrics", "127.0.0.1:9090", "address for /metrics and /healthz (empty disables)")
-	fs.DurationVar(&opts.classifyEvery, "classify-every", 30*time.Second, "interval between online classification passes (0 disables)")
+	fs.DurationVar(&opts.classifyEvery, "classify-every", 30*time.Second, "interval between online classification passes; a new client's first verdict waits at most 1/8 of it (0 disables)")
 	fs.DurationVar(&opts.window, "window", 4*time.Minute, "sliding window of transactions classified per pass (0 = no cutoff: the whole current session)")
 	fs.DurationVar(&opts.clientTTL, "client-ttl", time.Hour, "evict a client's state after this much idle time, emitting its final classification (0 disables; swept on the classify tick and, for file sources, every TTL/8 of record time)")
 	fs.IntVar(&opts.maxSessionTxns, "max-session-txns", 4096, "most transactions retained per client session and summary buffer; oldest are dropped beyond it (0 = unbounded)")
@@ -293,11 +293,23 @@ type service struct {
 	sinks sinkWriter
 }
 
+// freshDeadlinesPerTick is how many deadline passes the serve loop runs
+// per -classify-every interval. Each scores every client still waiting
+// for a first verdict, so a shard's partial block of new clients waits
+// at most 1/8 of the interval, not a whole tick.
+const freshDeadlinesPerTick = 8
+
 // recordSweepsPerTTL is how many eviction sweeps a file source gets per
 // -client-ttl of record time, whatever its ingest speed. A client idle
 // for the TTL is then evicted within TTL/8 more of record time, so the
 // resident set holds about 1.125 TTL of arrivals.
 const recordSweepsPerTTL = 8
+
+// blockPasses reports whether new clients get first verdicts ahead of
+// the classify tick, from block and deadline passes. Both need a model,
+// and the tick as their backstop; without either, nothing is queued
+// for them.
+func (opts options) blockPasses() bool { return opts.modelPath != "" && opts.classifyEvery > 0 }
 
 // newService assembles the daemon state around the given options. The
 // caller attaches the source, calls registerMetrics and stores the
@@ -311,9 +323,7 @@ func newService(opts options, logger *slog.Logger) *service {
 	}
 	s.batchPool.New = func() any { return &batchScratch{} }
 	s.logicalClock = opts.source != "" && opts.source != "proxy"
-	// A block pass needs a model, and the classify tick to score the
-	// partial blocks it leaves; without either, nothing is queued for one.
-	blockPasses := opts.modelPath != "" && opts.classifyEvery > 0
+	blockPasses := opts.blockPasses()
 	recordSweeps := s.logicalClock && opts.classifyEvery > 0 && opts.clientTTL > 0
 	s.sweepDue.Store(math.Float64bits(math.Inf(1)))
 	if recordSweeps {
@@ -700,24 +710,34 @@ func run(opts options) error {
 		defer ticker.Stop()
 		tick = ticker.C
 	}
+	// The deadline scores the partial blocks of new clients between ticks.
+	var deadline <-chan time.Time
+	if opts.blockPasses() {
+		ticker := time.NewTicker(max(opts.classifyEvery/freshDeadlinesPerTick, 1))
+		defer ticker.Stop()
+		deadline = ticker.C
+	}
 
-	return s.serveLoop(errCh, tick, sig, stopSource, stopHTTP)
+	return s.serveLoop(errCh, tick, deadline, sig, stopSource, stopHTTP)
 }
 
 // serveLoop is the daemon's main loop: it reacts to fatal source
-// errors, classification/eviction ticks, wakes from the ingest path,
-// SIGHUP model reloads and shutdown signals. Ticks and wakes are
-// converted to the sweep clock (wall or ingest watermark) before
-// classifyPass/evictIdle see them. A tick runs a pass over every dirty
-// client, then a sweep. A wake runs whichever is due of a block pass —
-// first verdicts for the whole blocks of fresh clients of each shard
-// that holds one — and a record-clock sweep. All of it runs on this
+// errors, classification/eviction ticks, deadlines, wakes from the
+// ingest path, SIGHUP model reloads and shutdown signals. Ticks,
+// deadlines and wakes are converted to the sweep clock (wall or ingest
+// watermark) before classifyPass/evictIdle see them. A tick runs a pass
+// over every dirty client, then a sweep. A wake runs whichever is due
+// of a block pass — first verdicts for the whole blocks of fresh
+// clients of each shard that holds one — and a record-clock sweep. A
+// deadline runs a deadline pass — first verdicts for every client still
+// waiting for one, partial blocks included — when any shard holds such
+// a client, and nothing otherwise. All of it runs on this
 // goroutine, so passes and sweeps never overlap. Both exits — source
 // death and a signal — stop the source, then the metrics endpoint,
 // before draining the sessionizers, so no ingest follows the drain and
 // pending decisions and the shutdown summary are never lost to a
 // crash-landing listener.
-func (s *service) serveLoop(errCh <-chan error, tick <-chan time.Time, sig <-chan os.Signal, stopSource, stopHTTP func()) error {
+func (s *service) serveLoop(errCh <-chan error, tick, deadline <-chan time.Time, sig <-chan os.Signal, stopSource, stopHTTP func()) error {
 	for {
 		select {
 		case err := <-errCh:
@@ -729,9 +749,13 @@ func (s *service) serveLoop(errCh <-chan error, tick <-chan time.Time, sig <-cha
 			ns := s.sweepNow(now)
 			s.classifyPass(ns)
 			s.evictIdle(ns)
+		case now := <-deadline:
+			if _, waiting := s.shards.Waiting(); waiting {
+				s.score(s.sweepNow(now), serve.Queued)
+			}
 		case <-s.wake:
 			ns := s.sweepNow(time.Now())
-			if s.shards.Due() {
+			if due, _ := s.shards.Waiting(); due {
 				s.score(ns, serve.Fresh)
 			}
 			if s.sweepDueNow() {
@@ -821,9 +845,9 @@ func (s *service) registerMetrics() {
 	s.mBoundaries = r.NewCounter("qoeproxy_session_boundaries_total",
 		"Session starts detected by the online sessionizer.")
 	s.mRuns = r.NewCounter("qoeproxy_classification_runs_total",
-		"Classification passes that completed successfully, periodic and block passes.")
+		"Classification passes that completed successfully: periodic, block and deadline passes.")
 	s.mBlockPasses = r.NewCounter("qoeproxy_classification_block_passes_total",
-		"Block passes that completed successfully: first verdicts for a shard's full inference block of new clients, run before the next tick.")
+		"Block and deadline passes that completed successfully: first verdicts for new clients, run before the next tick once a shard holds a full inference block of them or a deadline of 1/8 of the tick interval passes.")
 	s.mClassErrors = r.NewCounter("qoeproxy_classification_errors_total",
 		"Classification passes that failed (model/feature mismatch).")
 	s.mPred = r.NewCounterVec("qoeproxy_qoe_predictions_total",
@@ -1189,17 +1213,19 @@ func (s *service) cutoff(nowSec float64) float64 {
 // online verdict up to date at sweep clock nowSec (see sweepNow).
 // serve.Shards.Pass gathers only the dirty clients (serve.Core.Gather),
 // one shard lock at a time, and skips once a client whose first verdict
-// a block pass gave since the last tick, so no client is scored twice
-// in one tick interval. Logs, counters and stored classes are identical
-// at every (shards, workers, block size) setting.
+// a block or deadline pass gave since the last tick, so no client is
+// scored twice in one tick interval. Logs, counters and stored classes
+// are identical at every (shards, workers, block size) setting.
 func (s *service) classifyPass(nowSec float64) { s.score(nowSec, serve.Dirty) }
 
 // score runs a pass over the clients scope selects at sweep clock
-// nowSec: every dirty client (classifyPass), or the whole inference
-// blocks of clients waiting for a first verdict (a block pass, which
-// serveLoop runs as soon as a shard holds one, without waiting for the
-// tick). The pass scores rows outside the shard locks; once it
-// succeeds its counts reach the prediction and challenger counters. A
+// nowSec: every dirty client (classifyPass), the whole inference blocks
+// of clients waiting for a first verdict (a block pass, which serveLoop
+// runs as soon as a shard holds one, without waiting for the tick), or
+// every client waiting for one (a deadline pass, which serveLoop runs
+// freshDeadlinesPerTick times per tick interval). The pass scores rows
+// outside the shard locks; once it succeeds its counts reach the
+// prediction and challenger counters. A
 // "classification" line is logged for a client's first verdict and for
 // a change of class only, in client order; steady state is
 // qoeproxy_sessions_by_class. Safe to call concurrently with traffic,
@@ -1230,7 +1256,7 @@ func (s *service) score(nowSec float64, scope serve.Scope) {
 	// The pass completed: it counts as a run even when every client was
 	// clean and nothing was scored.
 	s.mRuns.Inc()
-	if scope == serve.Fresh {
+	if scope != serve.Dirty {
 		s.mBlockPasses.Inc()
 	}
 	nc := len(m.names)

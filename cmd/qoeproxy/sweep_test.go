@@ -60,13 +60,14 @@ func feedIdleAndBusy(s *service) {
 }
 
 // startServeLoop runs s.serveLoop on its own goroutine with the given
-// tick channel and returns a func that stops it and waits for it.
-func startServeLoop(t *testing.T, s *service, tick <-chan time.Time) (stop func()) {
+// tick and deadline channels and returns a func that stops it and waits
+// for it.
+func startServeLoop(t *testing.T, s *service, tick, deadline <-chan time.Time) (stop func()) {
 	t.Helper()
 	errStop := errors.New("test done")
 	errCh := make(chan error, 1)
 	done := make(chan error, 1)
-	go func() { done <- s.serveLoop(errCh, tick, nil, func() {}, func() {}) }()
+	go func() { done <- s.serveLoop(errCh, tick, deadline, nil, func() {}, func() {}) }()
 	return func() {
 		errCh <- errStop
 		if err := <-done; !errors.Is(err, errStop) {
@@ -117,7 +118,7 @@ func TestEvictionFollowsRecordClock(t *testing.T) {
 	captureStdout(t, func() {
 		ref, refLogs := newTestService(t, opts, est)
 		tick := make(chan time.Time)
-		stop := startServeLoop(t, ref, tick)
+		stop := startServeLoop(t, ref, tick, nil)
 		feedIdleAndBusy(ref)
 		tick <- time.Now()
 		want = waitEvicted(t, refLogs, 1, "tick-driven sweep")
@@ -127,7 +128,7 @@ func TestEvictionFollowsRecordClock(t *testing.T) {
 		// The first tick's sweep, before any record: it evicts nothing
 		// and starts the record clock.
 		s.evictIdle(s.sweepNow(time.Now()))
-		stop = startServeLoop(t, s, nil)
+		stop = startServeLoop(t, s, nil, nil)
 		feedIdleAndBusy(s)
 		got = waitEvicted(t, logs, 1, "record-clock sweep")
 		stop()

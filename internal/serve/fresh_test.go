@@ -20,12 +20,30 @@ func commitOne(s *Shards, i int, at float64) {
 		Txn: capture.TLSTransaction{SNI: "cdn.example", Start: at, End: at + 1, UpBytes: 400, DownBytes: 90_000}}}, nil)
 }
 
+// due reports whether any shard is due for a Fresh Pass.
+func due(s *Shards) bool {
+	d, _ := s.Waiting()
+	return d
+}
+
 // rows is the number of rows a Pass scored.
 func rows(st PassStats) (n int64) {
 	for _, c := range st.Scored {
 		n += c
 	}
 	return n
+}
+
+// passRows runs a Pass and fails the test unless it scored want rows.
+func passRows(t *testing.T, s *Shards, step string, m *Model, cutoff float64, scope Scope, want int64) {
+	t.Helper()
+	_, st, err := s.Pass(m, cutoff, scope, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rows(st); got != want {
+		t.Fatalf("%s: scored %d rows, want %d", step, got, want)
+	}
 }
 
 // TestFreshOncePerInterval pins the once-per-interval rule: a client
@@ -39,28 +57,22 @@ func TestFreshOncePerInterval(t *testing.T) {
 	m := newModel(t, s, est, nil)
 	pass := func(step string, m *Model, scope Scope, want int64) {
 		t.Helper()
-		_, st, err := s.Pass(m, math.Inf(-1), scope, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := rows(st); got != want {
-			t.Fatalf("%s: scored %d rows, want %d", step, got, want)
-		}
+		passRows(t, s, step, m, math.Inf(-1), scope, want)
 	}
 
 	for i := 0; i < block-1; i++ {
 		commitOne(s, i, 10)
 	}
-	if s.Due() {
+	if due(s) {
 		t.Fatal("due with a partial block queued")
 	}
 	pass("partial block", m, Fresh, 0)
 	commitOne(s, block-1, 10)
-	if !s.Due() {
+	if !due(s) {
 		t.Fatal("not due with a full block queued")
 	}
 	pass("full block", m, Fresh, block)
-	if s.Due() {
+	if due(s) {
 		t.Fatal("still due after the block was scored")
 	}
 
@@ -76,6 +88,66 @@ func TestFreshOncePerInterval(t *testing.T) {
 	m = s.Restamp(m)
 	pass("the tick after a restamp", m, Dirty, 2*block)
 	pass("the tick after that", m, Dirty, 0)
+}
+
+// TestFreshDeadlineScope pins the deadline pass's scope: Queued takes
+// the whole fresh queue, a partial block that Fresh leaves included,
+// and leaves it empty. The next Dirty Pass skips the clients it scored
+// once, as it skips a Fresh Pass's, unless the stamp changed; an
+// evicted client is not gathered, and a client the pass found with no
+// transaction in range joins the queue again at its next commit.
+func TestFreshDeadlineScope(t *testing.T) {
+	est, _ := trained(t)
+	const block, partial = 8, 5
+	s := NewShards(1, 0, block, true, Hooks{})
+	m := newModel(t, s, est, nil)
+	all := math.Inf(-1)
+	waiting := func(step string, want bool) {
+		t.Helper()
+		if due, w := s.Waiting(); due || w != want {
+			t.Fatalf("%s: Waiting() = %v, %v; want false, %v", step, due, w, want)
+		}
+	}
+	queued := func(step string, want int) {
+		t.Helper()
+		if n := len(s.shards[0].core.fresh); n != want {
+			t.Fatalf("%s: %d clients queued, want %d", step, n, want)
+		}
+	}
+
+	commitOne(s, 100, 10) // evicted before any pass
+	for i := 0; i < partial; i++ {
+		commitOne(s, i, 100)
+	}
+	if _, err := s.Evict(80, 60, nil); err != nil {
+		t.Fatal(err)
+	}
+	queued("after the eviction", partial)
+	waiting("a partial block", true)
+	passRows(t, s, "a block pass over a partial block", m, all, Fresh, 0)
+	queued("after the block pass", partial)
+	passRows(t, s, "the deadline pass", m, all, Queued, partial)
+	queued("after the deadline pass", 0)
+	waiting("after the deadline pass", false)
+
+	commitOne(s, 0, 200) // client 0 is dirty again
+	passRows(t, s, "the tick after the deadline pass", m, all, Dirty, 0)
+	passRows(t, s, "the tick after that", m, all, Dirty, 1)
+
+	for i := partial; i < 2*partial; i++ {
+		commitOne(s, i, 300)
+	}
+	passRows(t, s, "a second deadline pass", m, all, Queued, partial)
+	m = s.Restamp(m)
+	passRows(t, s, "the tick after a restamp", m, all, Dirty, 2*partial)
+
+	commitOne(s, 2*partial, 400)
+	passRows(t, s, "a deadline pass past the client's transactions", m, 500, Queued, 0)
+	waiting("after a client was found with nothing in range", false)
+	commitOne(s, 2*partial, 600)
+	waiting("after its next commit", true)
+	passRows(t, s, "the deadline pass after it", m, 500, Queued, 1)
+	waiting("after every client was scored", false)
 }
 
 // TestFreshCommitWhileScored: a client that commits between the Gather
@@ -134,8 +206,8 @@ func TestFreshQueueBounds(t *testing.T) {
 	for i := 0; i < 3*block; i++ {
 		commitOne(off, i, 10)
 	}
-	if n := len(off.shards[0].core.fresh); n != 0 || off.Due() {
-		t.Fatalf("queueing off: %d clients queued, due %v", n, off.Due())
+	if n := len(off.shards[0].core.fresh); n != 0 || due(off) {
+		t.Fatalf("queueing off: %d clients queued, due %v", n, due(off))
 	}
 
 	on := NewShards(1, 0, block, true, Hooks{})
@@ -153,7 +225,7 @@ func TestFreshQueueBounds(t *testing.T) {
 	for i := 0; i < block-1; i++ {
 		commitOne(on, block+1+i, 100)
 	}
-	if !on.Due() {
+	if !due(on) {
 		t.Fatal("a full block of resident clients is not due")
 	}
 }
@@ -201,7 +273,7 @@ func TestFreshPassesRaceCommits(t *testing.T) {
 			finished = true
 		default:
 		}
-		if s.Due() {
+		if due(s) {
 			changes, _, err := s.Pass(m, math.Inf(-1), Fresh, nil)
 			if err != nil {
 				t.Fatal(err)

@@ -3,9 +3,9 @@
 // run online for every client of one shard. A Core holds the clients'
 // state and is driven only by calls: Open and Commit feed it connection
 // starts and completed transactions, Gather and Store bracket one
-// classification pass — over every dirty client, or over whole blocks
-// of the clients still waiting for a first verdict — Evict and Drain
-// retire clients, Save and Restore carry them across a restart.
+// classification pass — over every dirty client, or over the clients
+// still waiting for a first verdict — Evict and Drain retire clients,
+// Save and Restore carry them across a restart.
 //
 // A Core starts no goroutines, takes no locks, reads no clock and does
 // no I/O. The caller serializes every call on one Core, supplies the
@@ -78,8 +78,9 @@ type Core struct {
 	// fresh queues, oldest first, the clients that have committed with
 	// no verdict since they last left it, each at most once
 	// (client.queued): what a Fresh Gather scores, block clients at a
-	// time. block is set by NewShards; at 0, as New leaves it, nothing
-	// is queued and a Fresh Gather collects nothing.
+	// time, and a Queued Gather scores whole. block is set by NewShards;
+	// at 0, as New leaves it, nothing is queued and neither Gather
+	// collects anything.
 	fresh []freshClient
 	block int
 }
@@ -100,6 +101,8 @@ const (
 	// Fresh is the front of the fresh queue in whole blocks: clients
 	// that committed and still wait for a first verdict, oldest first.
 	Fresh
+	// Queued is the whole fresh queue, a last partial block included.
+	Queued
 )
 
 // New returns an empty Core. maxSessionTxns caps each client's
@@ -167,9 +170,10 @@ type client struct {
 	// queued marks the client as on the Core's fresh queue, or as
 	// gathered for its first verdict and not yet stored (see gather).
 	queued bool
-	// early marks a verdict a Fresh pass stored since the last Dirty
-	// Gather, which then skips the client once under the same stamp, so
-	// that a client is scored at most once per periodic interval.
+	// early marks a verdict a Fresh or Queued pass stored since the
+	// last Dirty Gather, which then skips the client once under the same
+	// stamp, so that a client is scored at most once per periodic
+	// interval.
 	early bool
 	// gen counts the commits folded into this client. Commit is the only
 	// place the inputs of the client's feature row (current, inFlight,
@@ -409,13 +413,13 @@ type gathered struct {
 // another bundle stamp (stamps start at 1, so a restored client is
 // always dirty), or when cutoff has passed the earliest End of its last
 // scored row; clean clients cost one map step. A client whose verdict a
-// Fresh Gather's Store set since the last Dirty Gather is skipped once,
-// dirty or not, unless the stamp has changed. A Dirty Gather empties
-// the fresh queue, whose clients it visits.
+// Fresh or Queued Gather's Store set since the last Dirty Gather is
+// skipped once, dirty or not, unless the stamp has changed. A Dirty
+// Gather empties the fresh queue, whose clients it visits.
 //
 // Fresh takes the whole blocks at the front of the fresh queue off it
 // and collects those of their clients still without a verdict; a
-// shorter rest stays queued.
+// shorter rest stays queued. Queued does the same with the whole queue.
 //
 // A row covers the ongoing session's transactions ending at or after
 // cutoff (pass -Inf for the whole session). A client with no such
@@ -426,11 +430,14 @@ type gathered struct {
 // computed for them, or Discard.
 func (c *Core) Gather(stamp uint64, cutoff float64, rb *core.RowBuilder, block []float64, scope Scope) ([]float64, int) {
 	c.rows, c.stamp, c.scope = c.rows[:0], stamp, scope
-	if scope == Fresh {
+	if scope != Dirty {
 		if c.block == 0 {
 			return block, 0
 		}
-		n := len(c.fresh) / c.block * c.block
+		n := len(c.fresh)
+		if scope == Fresh {
+			n = n / c.block * c.block
+		}
 		for _, f := range c.fresh[:n] {
 			f.cl.queued = false
 			if !f.cl.hasClass && !c.clean(f.cl, cutoff) {
@@ -510,9 +517,9 @@ type Change struct {
 // index-aligned with them, and appends to dst a Change for every client
 // whose verdict is new or different. Each client is stamped as scored
 // by the Gather's stamp at the generation gathered, so a commit that
-// landed after the Gather leaves it dirty, and after a Fresh Gather
-// marked for the next Dirty Gather to skip. A client retired since the
-// Gather is skipped.
+// landed after the Gather leaves it dirty, and after a Fresh or Queued
+// Gather marked for the next Dirty Gather to skip. A client retired
+// since the Gather is skipped.
 func (c *Core) Store(classes []int, dst []Change) []Change {
 	for i := range c.rows {
 		r, class := &c.rows[i], classes[i]
@@ -529,7 +536,7 @@ func (c *Core) Store(classes []int, dst []Change) []Change {
 			dst = append(dst, Change{Client: r.host, Class: class, Prev: prev, Txns: r.txns})
 		}
 		cl.scoredGen, cl.scoredBy, cl.rowEdge = r.gen, c.stamp, r.edge
-		cl.early = c.scope == Fresh
+		cl.early = c.scope != Dirty
 	}
 	c.Discard()
 	return dst

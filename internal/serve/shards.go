@@ -27,6 +27,8 @@ import (
 // queue holds one inference block of clients waiting for a first
 // verdict: Commit reports it, and a Fresh Pass scores whole
 // blocks of those clients without waiting for the periodic Dirty Pass.
+// A Queued Pass scores every waiting client, a partial block included,
+// which Waiting reports.
 type Shards struct {
 	shards     []shard
 	workers    int
@@ -72,9 +74,9 @@ const defaultBatch = 256
 // are built with maxSessionTxns and hooks, and which score batch rows
 // per inference call (256 when batch <= 0). With fresh, each Core
 // queues its clients that wait for a first verdict, for Fresh Passes of
-// batch clients at a time; leave it off where no Pass will run, or the
-// queues only grow. The hooks run under a shard lock, concurrently for
-// distinct shards.
+// batch clients at a time and Queued Passes of all of them; leave it
+// off where no Pass will run, or the queues only grow. The hooks run
+// under a shard lock, concurrently for distinct shards.
 func NewShards(n, maxSessionTxns, batch int, fresh bool, hooks Hooks) *Shards {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -160,10 +162,15 @@ func (s *Shards) Commit(batch []Completed, note func(end float64)) (due bool) {
 	return due
 }
 
-// Due reports whether any shard is due for a Fresh Pass.
-func (s *Shards) Due() (due bool) {
-	s.each(func(c *Core) { due = due || c.due() })
-	return due
+// Waiting reports whether any shard is due for a Fresh Pass, and
+// whether any shard holds a client waiting for a first verdict, which a
+// Queued Pass would score.
+func (s *Shards) Waiting() (due, waiting bool) {
+	s.each(func(c *Core) {
+		due = due || c.due()
+		waiting = waiting || len(c.fresh) > 0
+	})
+	return due, waiting
 }
 
 // forEach runs fn(worker, shard) for every shard on the workers; a
@@ -206,13 +213,13 @@ type PassStats struct {
 
 // Pass scores the clients scope selects under m: with Dirty, it brings
 // every client's verdict up to date; with Fresh, it gives first
-// verdicts to the whole blocks of each shard's fresh queue. Each shard
-// gathers its rows under its lock (Core.Gather), scores them outside it
-// through m's primary and challenger, and once every shard has scored,
-// each stores its classes (Core.Store); the Changes are appended to dst
-// in client order. If a primary sweep fails, no shard stores, every
-// gathered client stays dirty, and the lowest-numbered shard's error
-// returns.
+// verdicts to the whole blocks of each shard's fresh queue, and with
+// Queued to every client of it. Each shard gathers its rows under its
+// lock (Core.Gather), scores them outside it through m's primary and
+// challenger, and once every shard has scored, each stores its classes
+// (Core.Store); the Changes are appended to dst in client order. If a
+// primary sweep fails, no shard stores, every gathered client stays
+// dirty, and the lowest-numbered shard's error returns.
 func (s *Shards) Pass(m *Model, cutoff float64, scope Scope, dst []Change) ([]Change, PassStats, error) {
 	s.passModel, s.passCutoff, s.passScope = m, cutoff, scope
 	s.forEach(s.passFn)
